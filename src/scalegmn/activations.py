@@ -1,31 +1,37 @@
-"""Pointwise activations with their scaling groups and canonicalization modes.
+"""Pointwise activations with their scaling groups.
 
 Each descriptor records the 1-D multiplier group of its nonlinearity: the
-scalars a with sigma(a*x) = phi1(a) * sigma(x). ReLU admits every a > 0,
-tanh and sine admit {-1, +1}, the identity head admits none that we exploit.
-phi1 is the identity map on every in-scope group.
+scalars a with sigma(a*x) = a * sigma(x). ReLU admits every a > 0, tanh and
+sine admit {-1, +1}, the identity head admits none that we exploit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
 
-# Multiplier group kinds and the default canonicalization used to quotient them.
+# Multiplier group kinds.
 KIND_POSITIVE = "positive"
 KIND_SIGN = "sign"
 KIND_NONE = "none"
 
-_DEFAULT_CANON = {
-    KIND_POSITIVE: "norm-divide",
-    KIND_SIGN: "sign-symmetrize",
-    KIND_NONE: "identity",
-}
+
+def in_group(kind: str, q) -> np.ndarray:
+    """Elementwise membership of multipliers in a kind's scaling group:
+    positive q > 0, sign q in {-1, 1}, none q = 1."""
+    q = np.asarray(q, dtype=np.float64)
+    if kind == KIND_POSITIVE:
+        return q > 0.0
+    if kind == KIND_SIGN:
+        return np.isin(q, (-1.0, 1.0))
+    if kind == KIND_NONE:
+        return q == 1.0
+    raise ValueError(f"unknown group kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -40,15 +46,12 @@ class ActivationDescriptor:
     name: str
     kind: str
     omega0: float = 0.0
-    canon_mode: str = field(default="")
 
     def __post_init__(self):
         if self.name == "sine":
             k = self.omega0 / math.pi
             if abs(k - round(k)) < 1e-9:
                 raise ValueError("sine frequency must not be an integer multiple of pi")
-        if not self.canon_mode:
-            object.__setattr__(self, "canon_mode", _DEFAULT_CANON[self.kind])
 
     # Pre-activation: the argument handed to the pointwise nonlinearity.
     def preact(self, lin: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,17 +91,6 @@ class ActivationDescriptor:
         if self.name == "sine":
             return T.sin(z)
         return z
-
-    def phi1(self, a: float) -> float:
-        """Output multiplier matched to input multiplier a (identity in scope)."""
-        return a
-
-    def valid_multiplier(self, a: float) -> bool:
-        if self.kind == KIND_POSITIVE:
-            return a > 0.0
-        if self.kind == KIND_SIGN:
-            return a in (-1.0, 1.0)
-        return a == 1.0
 
 
 def relu() -> ActivationDescriptor:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tensor as T
 from .ffnn import stat_features
 from .nn import MLP, Module
 from .tensor import Tensor

@@ -26,7 +26,10 @@ from .nn import MLP, Linear, Module
 from .tensor import Tensor
 
 
-def canon_mode_for(kind: str, sign_canon: str = "symmetrize") -> str:
+def canon_mode_for(kind: str, sign_canon: str) -> str:
+    """Canonicalization mode of a group kind; `sign_canon` picks the sign one."""
+    if sign_canon not in ("abs", "symmetrize"):
+        raise ValueError(f"sign_canon must be 'abs' or 'symmetrize', got {sign_canon!r}")
     if kind == KIND_POSITIVE:
         return "norm-divide"
     if kind == KIND_SIGN:
@@ -69,10 +72,6 @@ class Canonicalizer(Module):
         return x
 
 
-def canonicalize(c: Canonicalizer, x: Tensor) -> Tensor:
-    return c(x)
-
-
 class ScaleInvNet(Module):
     """rho(canon(x1), ..., canon(xn) [, p]) — invariant per slot, free in p."""
 
@@ -103,10 +102,6 @@ class ScaleInvNet(Module):
                 layer.bias.assign(np.zeros(layer.bias.shape))
         last = self.rho.layers[-1]
         last.bias.assign(np.full(last.bias.shape, value))
-
-
-def scale_inv(net: ScaleInvNet, *xs, extra: Tensor | None = None) -> Tensor:
-    return net(list(xs), extra=extra)
 
 
 class ScaleEqLayer(Module):
@@ -156,14 +151,6 @@ class ScaleEqNet(Module):
         return self([x], extra=extra)[0]
 
 
-def scale_eq(net: ScaleEqNet, *xs) -> list[Tensor]:
-    return net(list(xs))
-
-
-def aug_scale_eq(net: ScaleEqNet, *xs, p: Tensor | None = None) -> list[Tensor]:
-    return net(list(xs), extra=p)
-
-
 class ReScaleEqNet(Module):
     """Multiplier-product equivariance: hadamard or outer-product variant.
 
@@ -204,7 +191,3 @@ class ReScaleEqNet(Module):
             right = T.reshape(x, (n, 1, x.shape[1]))
             vec = T.reshape(T.mul(left, right), (n, vec.shape[1] * x.shape[1]))
         return self.eq.single(vec)
-
-
-def rescale_eq(net: ReScaleEqNet, *xs) -> Tensor:
-    return net(list(xs))

@@ -24,9 +24,9 @@ from .harness import (
     simulate_ffnn,
 )
 from .model import ScaleGMNConfig, ScaleGMNModel
-from .tensor import Tensor, backward
+from .tensor import backward
 from .train import ExperimentConfig, Runner
-from .zoo import ZooEntry, gen_cnn_zoo, gen_inr_zoo, grid_coords, load_zoo, save_zoo
+from .zoo import gen_cnn_zoo, gen_inr_zoo, grid_coords, load_zoo, save_zoo
 from . import tensor as T
 
 

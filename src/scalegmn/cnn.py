@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .activations import KIND_POSITIVE, KIND_SIGN, ActivationDescriptor
+from .activations import ActivationDescriptor, in_group
 from .ffnn import OrbitElement
 from .tensor import ShapeError, Tensor
 
@@ -133,13 +133,7 @@ def apply_orbit_cnn(net: CnnParams, g: OrbitElement) -> CnnParams:
     if [len(p) for p in g.perms] != widths:
         raise ShapeError(f"orbit widths {[len(p) for p in g.perms]} != conv channels {widths}")
     for l, (q, act) in enumerate(zip(g.scales, net.activations)):
-        if act.kind == KIND_POSITIVE:
-            ok = bool(np.all(q > 0))
-        elif act.kind == KIND_SIGN:
-            ok = bool(np.all(np.isin(q, (-1.0, 1.0))))
-        else:
-            ok = bool(np.all(q == 1.0))
-        if not ok:
+        if not np.all(in_group(act.kind, q)):
             raise ValueError(f"conv layer {l}: multiplier outside the {act.name} scaling group")
     out = net.copy()
     for l in range(len(out.kernels)):

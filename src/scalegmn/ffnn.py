@@ -8,21 +8,14 @@ every symmetry test downstream certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import math
 
 import numpy as np
 
 from . import tensor as T
-from .activations import (
-    KIND_NONE,
-    KIND_POSITIVE,
-    KIND_SIGN,
-    ActivationDescriptor,
-    identity,
-)
-from .nn import mlp_forward
+from .activations import KIND_NONE, KIND_POSITIVE, KIND_SIGN, ActivationDescriptor, in_group
 from .tensor import ShapeError, Tensor
 
 MIN_SCALE = 1e-6  # sampled positive multipliers are resampled below this
@@ -118,12 +111,8 @@ class OrbitElement:
                 raise ValueError("perm is not a bijection")
             if len(p) != len(q):
                 raise ShapeError("perm/scale length mismatch")
-            if self.kind == KIND_POSITIVE and np.any(q <= 0):
-                raise ValueError("positive-kind multiplier not > 0")
-            if self.kind == KIND_SIGN and np.any(np.abs(np.abs(q) - 1.0) > 0):
-                raise ValueError("sign-kind multiplier not in {-1, 1}")
-            if self.kind == KIND_NONE and np.any(q != 1.0):
-                raise ValueError("none-kind multiplier must be 1")
+            if not np.all(in_group(self.kind, q)):
+                raise ValueError(f"multiplier outside the {self.kind} scaling group")
 
     @staticmethod
     def identity_for(widths: list[int], kind: str = KIND_SIGN) -> "OrbitElement":
@@ -150,13 +139,7 @@ def apply_orbit(net: FfnnParams, g: OrbitElement) -> FfnnParams:
     if [len(p) for p in g.perms] != hidden:
         raise ShapeError(f"orbit widths {[len(p) for p in g.perms]} != hidden dims {hidden}")
     for l, (q, act) in enumerate(zip(g.scales, net.activations[:-1])):
-        if act.kind == KIND_POSITIVE:
-            ok = bool(np.all(q > 0))
-        elif act.kind == KIND_SIGN:
-            ok = bool(np.all(np.isin(q, (-1.0, 1.0))))
-        else:
-            ok = bool(np.all(q == 1.0))
-        if not ok:
+        if not np.all(in_group(act.kind, q)):
             raise ValueError(
                 f"hidden layer {l}: multiplier outside the {act.name} scaling group"
             )

@@ -70,9 +70,6 @@ class ParamGraph:
             return "mixed"
         return next(iter(kinds))
 
-    def vertex_id(self, layer: int, idx: int) -> int:
-        return int(np.sum(self.dims[:layer]) + idx)
-
     def dump(self) -> str:
         """Line-oriented text for golden-file comparisons."""
         lines = []
@@ -226,30 +223,7 @@ def add_backward_edges(graph: ParamGraph, group_kind: str) -> ParamGraph:
     return graph
 
 
-@dataclass
-class PositionalEncodingTable:
-    """Sharing-class assignment for vertices and edges (names kept for debugging).
-
-    The learnable vectors keyed by these classes live in the metanetwork's
-    parameter set; two graph elements share a vector iff they are permutable.
-    """
-
-    vertex_class: np.ndarray
-    edge_class: np.ndarray
-    bw_edge_class: np.ndarray | None
-    vertex_class_names: list[str]
-    edge_class_names: list[str]
-
-    @property
-    def n_vertex_classes(self) -> int:
-        return len(self.vertex_class_names)
-
-    @property
-    def n_edge_classes(self) -> int:
-        return len(self.edge_class_names)
-
-
-def assign_pe(graph: ParamGraph) -> PositionalEncodingTable:
+def assign_pe(graph: ParamGraph) -> None:
     """Assign sharing classes per the i/o-individual, hidden-shared rule."""
     L = graph.n_layers
     v_names: list[str] = []
@@ -305,19 +279,43 @@ def assign_pe(graph: ParamGraph) -> PositionalEncodingTable:
                 "bw:" + edge_name(int(graph.layer_of[t]), int(graph.index_in_layer[t]),
                                   int(graph.index_in_layer[s]))
             )
-    table = PositionalEncodingTable(vertex_class, edge_class, bw_edge_class, v_names, e_names)
     graph.vertex_class = vertex_class
     graph.edge_class = edge_class
     graph.bw_edge_class = bw_edge_class
     graph.class_names = {"vertex": v_names, "edge": e_names}
-    return table
+
+
+@dataclass(frozen=True)
+class BatchRows:
+    """Flat row indices into the stacked arrays of a batch, by role.
+
+    Vertex rows index [B*V] arrays and edge rows index [B*E] arrays; every
+    index array runs graph by graph, in the template's row order. Backward
+    edge e mirrors forward edge e, so it targets vertex ``src[e]``.
+    """
+
+    src: np.ndarray          # [B*E] source vertex row of each forward edge
+    tgt: np.ndarray          # [B*E] target vertex row of each forward edge
+    v_hidden: np.ndarray
+    v_input: np.ndarray
+    v_output: np.ndarray
+    v_order: np.ndarray      # gathers concat(hidden, input, output) rows into flat order
+    fw_hidden: np.ndarray    # forward edges into hidden vertices
+    fw_output: np.ndarray    # forward edges into output vertices
+    bw_hidden: np.ndarray    # backward edges into hidden vertices
+    bw_input: np.ndarray     # backward edges into input vertices
+    v_class: np.ndarray      # [B*V] sharing class of each vertex row
+    e_class: np.ndarray      # [B*E] sharing class of each forward edge row
+    bw_class: np.ndarray | None
+    v_class_rows: tuple      # vertex rows of each vertex class
+    e_class_rows: tuple      # forward edge rows of each edge class (empty for bw:)
 
 
 class GraphTemplate:
     """Shared structure for a batch of same-architecture graphs.
 
-    Precomputes flattened gather/scatter indices so a whole batch runs as a
-    handful of 2-D tensor ops.
+    Precomputes flattened gather/scatter indices, per role and per batch
+    size, so a whole batch runs as a handful of 2-D tensor ops.
     """
 
     def __init__(self, graph: ParamGraph):
@@ -350,6 +348,7 @@ class GraphTemplate:
         src_layer = graph.layer_of[self.fw_src]
         self.fw_tgt_is_output = tgt_layer == L
         self.bw_tgt_is_input = src_layer == 0  # backward edges target the fw source
+        self._rows: dict[int, BatchRows] = {}
 
     def compatible(self, graph: ParamGraph) -> bool:
         return (
@@ -375,7 +374,48 @@ class GraphTemplate:
 
     def flat_indices(self, batch_size: int):
         """(src, tgt) vertex row indices for the batched edge arrays."""
-        offs = np.arange(batch_size)[:, None] * self.n_v
-        src = (offs + self.fw_src[None, :]).reshape(-1)
-        tgt = (offs + self.fw_tgt[None, :]).reshape(-1)
-        return src, tgt
+        return (_tile_rows(self.fw_src, self.n_v, batch_size),
+                _tile_rows(self.fw_tgt, self.n_v, batch_size))
+
+    def rows(self, batch_size: int) -> BatchRows:
+        """Role and class row indices of a batch, computed once per batch size."""
+        if batch_size not in self._rows:
+            self._rows[batch_size] = self._build_rows(batch_size)
+        return self._rows[batch_size]
+
+    def _build_rows(self, batch: int) -> BatchRows:
+        def vertices(mask):
+            return _tile_rows(np.flatnonzero(mask), self.n_v, batch)
+
+        def edges(mask):
+            return _tile_rows(np.flatnonzero(mask), self.n_e, batch)
+
+        src, tgt = self.flat_indices(batch)
+        v_hidden, v_input, v_output = (vertices(self.is_hidden), vertices(self.is_input),
+                                       vertices(self.is_output))
+        bw_class = None if self.bw_edge_class is None else np.tile(self.bw_edge_class, batch)
+        return BatchRows(
+            src=src,
+            tgt=tgt,
+            v_hidden=v_hidden,
+            v_input=v_input,
+            v_output=v_output,
+            v_order=np.argsort(np.concatenate([v_hidden, v_input, v_output])),
+            fw_hidden=edges(~self.fw_tgt_is_output),
+            fw_output=edges(self.fw_tgt_is_output),
+            bw_hidden=edges(~self.bw_tgt_is_input),
+            bw_input=edges(self.bw_tgt_is_input),
+            v_class=np.tile(self.vertex_class, batch),
+            e_class=np.tile(self.edge_class, batch),
+            bw_class=bw_class,
+            v_class_rows=tuple(vertices(self.vertex_class == c)
+                               for c in range(self.n_vertex_classes)),
+            e_class_rows=tuple(edges(self.edge_class == c)
+                               for c in range(self.n_edge_classes)),
+        )
+
+
+def _tile_rows(idx: np.ndarray, per_graph: int, batch: int) -> np.ndarray:
+    """Per-graph row indices repeated for each graph of a stacked batch."""
+    offs = np.arange(batch)[:, None] * per_graph
+    return (offs + idx[None, :]).reshape(-1)

@@ -3,16 +3,27 @@
 Hidden-vertex paths from raw features to output are composed exclusively of
 the scale-equivariant/invariant blocks, so every hidden representation keeps
 the exact symmetry of the bias it started from; input/output vertices carry
-no valid scaling symmetry and use unconstrained MLPs instead. Positional
-encodings are fixed across datapoints and enter equivariant components only
-through the invariant block (the augmented layers), breaking the permutation
-symmetries that input networks do not actually have.
+no valid scaling symmetry and use unconstrained MLPs instead.
+
+Each role's functions run only on that role's rows. The roles are hidden,
+input and output vertices, forward edges into hidden or output vertices and
+backward edges into hidden or input vertices; `GraphTemplate.rows` gives
+their row indices once per batch size. A role's rows are gathered, its module
+runs on them, and the results go back by one concat and one gather (vertex
+updates) or through the scatter-sum into target vertices (messages). Every
+block acts row by row, so this routing leaves each row's value, and the
+symmetry argument, unchanged. The edit head's per-class maps are routed the
+same way.
+
+Positional encodings are fixed across datapoints and enter equivariant
+components only through the invariant block (the augmented layers), breaking
+the permutation symmetries that input networks do not actually have.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +34,7 @@ from .activations import by_name
 from .blocks import Canonicalizer, ReScaleEqNet, ScaleEqNet, ScaleInvNet, canon_mode_for
 from .cnn import CnnParams
 from .ffnn import FfnnParams
-from .graph import GraphTemplate, build_graph, build_graph_cnn
+from .graph import BatchRows, GraphTemplate, build_graph, build_graph_cnn
 from .nn import MLP, Linear, Module
 from .tensor import ShapeError, Tensor
 
@@ -66,10 +77,6 @@ class ScaleGMNConfig:
     @property
     def mode(self) -> str:
         return canon_mode_for(self.group_kind, self.sign_canon)
-
-
-def _tile_classes(classes: np.ndarray, batch: int) -> np.ndarray:
-    return np.tile(classes, batch)
 
 
 class _MessageLayer(Module):
@@ -147,7 +154,6 @@ class ScaleGMNModel(Module):
             self._build_edit_head(rng)
         else:
             raise ValueError(f"unknown head {cfg.head!r}")
-        self._mask_cache: dict[int, dict] = {}
 
     # -- construction helpers ---------------------------------------------------
 
@@ -190,107 +196,66 @@ class ScaleGMNModel(Module):
 
     # -- batched message passing ---------------------------------------------------
 
-    def _masks(self, batch: int) -> dict:
-        if batch in self._mask_cache:
-            return self._mask_cache[batch]
-        tpl = self.template
-        tile = lambda m: np.tile(m.astype(np.float64), batch)[:, None]
-        src, tgt = tpl.flat_indices(batch)
-        masks = {
-            "hidden": T.constant(tile(tpl.is_hidden)),
-            "input": T.constant(tile(tpl.is_input)),
-            "output": T.constant(tile(tpl.is_output)),
-            "fw_tgt_out": T.constant(tile_edges(tpl.fw_tgt_is_output, batch)),
-            "bw_tgt_in": T.constant(tile_edges(tpl.bw_tgt_is_input, batch)),
-            "src": src,
-            "tgt": tgt,
-            "v_classes": _tile_classes(tpl.vertex_class, batch),
-            "e_classes": _tile_classes(tpl.edge_class, batch),
-            "bw_classes": None if tpl.bw_edge_class is None
-            else _tile_classes(tpl.bw_edge_class, batch),
-            "graph_of": np.repeat(np.arange(batch), tpl.n_v),
-        }
-        self._mask_cache[batch] = masks
-        return masks
-
-    def _combine(self, masks, hidden, v_in, v_out) -> Tensor:
-        return T.add(
-            T.add(T.mul(hidden, masks["hidden"]), T.mul(v_in, masks["input"])),
-            T.mul(v_out, masks["output"]),
-        )
-
-    def embed(self, graphs: list) -> tuple[Tensor, Tensor, Tensor | None, dict]:
-        """Run init + T rounds; returns (h_v, h_e, h_e_bw, masks)."""
+    def embed(self, graphs: list) -> tuple[Tensor, Tensor, Tensor | None, BatchRows]:
+        """Run init + T rounds; returns (h_v, h_e, h_e_bw, role rows of the batch)."""
         tpl, cfg = self.template, self.config
         batch = len(graphs)
         x_v, x_e, x_bw = tpl.batch(graphs)
-        masks = self._masks(batch)
+        rows = tpl.rows(batch)
         bid = cfg.direction == "bidirectional"
+        n_rows = batch * tpl.n_v
+        roles = (rows.v_hidden, rows.v_input, rows.v_output)
 
-        pe_v_rows = T.gather_rows(self.pe_v, masks["v_classes"])
-        pe_e_rows = T.gather_rows(self.pe_e, masks["e_classes"])
-        pe_bw_rows = (
-            T.gather_rows(self.pe_e, masks["bw_classes"]) if bid else None
-        )
-        x_v_t, x_e_t = Tensor(x_v), Tensor(x_e)
+        pe_v = [T.gather_rows(self.pe_v, rows.v_class[idx]) for idx in roles]
+        pe_e_rows = T.gather_rows(self.pe_e, rows.e_class)
+        pe_bw_rows = T.gather_rows(self.pe_e, rows.bw_class) if bid else None
 
-        h_hidden = self.init_v_hidden.single(x_v_t, extra=pe_v_rows)
-        io_in = T.concat([x_v_t, pe_v_rows], axis=1)
-        h_v = self._combine(masks, h_hidden, self.init_v_in(io_in), self.init_v_out(io_in))
-        h_e = self.init_e.single(x_e_t, extra=pe_e_rows)
+        h_v = _regroup([
+            self.init_v_hidden.single(Tensor(x_v[rows.v_hidden]), extra=pe_v[0]),
+            self.init_v_in(T.concat([Tensor(x_v[rows.v_input]), pe_v[1]], axis=1)),
+            self.init_v_out(T.concat([Tensor(x_v[rows.v_output]), pe_v[2]], axis=1)),
+        ], rows.v_order)
+        h_e = self.init_e.single(Tensor(x_e), extra=pe_e_rows)
         h_e_bw = self.init_e.single(Tensor(x_bw), extra=pe_bw_rows) if bid else None
 
-        src, tgt = masks["src"], masks["tgt"]
-        n_rows = batch * tpl.n_v
+        src, tgt = rows.src, rows.tgt
         pe_cat = pe_cat_bw = None
+        pe_fw = pe_bw = (None, None)
+        pe_upd = (None, None, None)
         if cfg.pe_in_messages:
-            pe_tgt = T.gather_rows(self.pe_v, _tile_classes(tpl.vertex_class[tpl.fw_tgt], batch))
-            pe_src = T.gather_rows(self.pe_v, _tile_classes(tpl.vertex_class[tpl.fw_src], batch))
+            pe_tgt = T.gather_rows(self.pe_v, rows.v_class[tgt])
+            pe_src = T.gather_rows(self.pe_v, rows.v_class[src])
             pe_cat = T.concat([pe_tgt, pe_src, pe_e_rows], axis=1)
+            pe_fw = [T.gather_rows(pe_cat, idx) for idx in (rows.fw_hidden, rows.fw_output)]
             if bid:
                 pe_cat_bw = T.concat([pe_src, pe_tgt, pe_bw_rows], axis=1)
+                pe_bw = [T.gather_rows(pe_cat_bw, idx) for idx in (rows.bw_hidden, rows.bw_input)]
+            pe_upd = pe_v
         for layer in self.rounds:
-            x_t = T.gather_rows(h_v, tgt)
-            y_s = T.gather_rows(h_v, src)
-            re_h = layer.rescale_fw([y_s, h_e])
-            m_hid = layer.msg_fw_hidden.single(T.concat([x_t, re_h], axis=1), extra=pe_cat)
-            re_o = layer.rescale_fw_out([y_s, h_e])
-            out_in = T.concat([x_t, re_o] + ([pe_cat] if pe_cat is not None else []), axis=1)
-            m_out = layer.msg_fw_out(out_in)
-            mask_out = masks["fw_tgt_out"]
-            m_edge = T.add(T.mul(m_out, mask_out),
-                           T.mul(m_hid, T.constant(1.0 - mask_out.data)))
-            m_fw = T.scatter_sum(m_edge, tgt, n_rows)
-
+            m_fw = _messages(h_v, h_e, src, tgt, n_rows,
+                             (rows.fw_hidden, pe_fw[0], layer.rescale_fw, layer.msg_fw_hidden),
+                             (rows.fw_output, pe_fw[1], layer.rescale_fw_out, layer.msg_fw_out))
             parts = [h_v, m_fw]
-            if bid:
-                xb_t = y_s  # backward edges target the forward source
-                yb_s = x_t
-                re_b = layer.rescale_bw([yb_s, h_e_bw])
-                mb_hid = layer.msg_bw_hidden.single(T.concat([xb_t, re_b], axis=1), extra=pe_cat_bw)
-                re_bi = layer.rescale_bw_in([yb_s, h_e_bw])
-                in_in = T.concat([xb_t, re_bi] + ([pe_cat_bw] if pe_cat_bw is not None else []), axis=1)
-                mb_in = layer.msg_bw_in(in_in)
-                mask_in = masks["bw_tgt_in"]
-                mb_edge = T.add(T.mul(mb_in, mask_in),
-                                T.mul(mb_hid, T.constant(1.0 - mask_in.data)))
-                m_bw = T.scatter_sum(mb_edge, src, n_rows)
-                parts.append(m_bw)
-
-            upd_in_vec = T.concat(parts, axis=1)
-            pe1 = pe_v_rows if cfg.pe_in_messages else None
-            h_hidden_new = layer.upd_hidden.single(upd_in_vec, extra=pe1)
-            io_vec = T.concat(parts + ([pe_v_rows] if cfg.pe_in_messages else []), axis=1)
-            h_new = self._combine(masks, h_hidden_new,
-                                  layer.upd_in(io_vec), layer.upd_out(io_vec))
+            if bid:  # backward edges target the forward source
+                parts.append(_messages(
+                    h_v, h_e_bw, tgt, src, n_rows,
+                    (rows.bw_hidden, pe_bw[0], layer.rescale_bw, layer.msg_bw_hidden),
+                    (rows.bw_input, pe_bw[1], layer.rescale_bw_in, layer.msg_bw_in)))
+            upd = T.concat(parts, axis=1)
+            u_hidden, u_in, u_out = (T.gather_rows(upd, idx) for idx in roles)
+            h_new = _regroup([
+                layer.upd_hidden.single(u_hidden, extra=pe_upd[0]),
+                layer.upd_in(_with_pe(u_in, pe_upd[1])),
+                layer.upd_out(_with_pe(u_out, pe_upd[2])),
+            ], rows.v_order)
             if cfg.edge_updates:
+                x_t = T.gather_rows(h_v, tgt)
+                y_s = T.gather_rows(h_v, src)
                 si = layer.edge_inv([x_t, y_s])
-                extra_e = T.concat([si, pe_cat], axis=1) if pe_cat is not None else si
-                h_e_new = layer.upd_e.single(h_e, extra=extra_e)
+                h_e_new = layer.upd_e.single(h_e, extra=_with_pe(si, pe_cat))
                 if bid:
                     si_b = layer.edge_inv([y_s, x_t])
-                    extra_b = T.concat([si_b, pe_cat_bw], axis=1) if cfg.pe_in_messages else si_b
-                    h_e_bw_new = layer.upd_e.single(h_e_bw, extra=extra_b)
+                    h_e_bw_new = layer.upd_e.single(h_e_bw, extra=_with_pe(si_b, pe_cat_bw))
                 if cfg.skip_connections:
                     h_e = T.add(h_e, h_e_new)
                     if bid:
@@ -300,34 +265,34 @@ class ScaleGMNModel(Module):
                     if bid:
                         h_e_bw = h_e_bw_new
             h_v = T.add(h_v, h_new) if cfg.skip_connections else h_new
-        return h_v, h_e, h_e_bw, masks
+        return h_v, h_e, h_e_bw, rows
 
     # -- heads -----------------------------------------------------------------------
 
-    def readout(self, h_v: Tensor, masks: dict, batch: int) -> Tensor:
+    def readout(self, h_v: Tensor, rows: BatchRows, batch: int) -> Tensor:
         cfg, tpl = self.config, self.template
         offs = np.arange(batch)[:, None] * tpl.n_v
         if cfg.readout == "deepsets+io-concat":
-            canon = self.read_canon(h_v)
-            per_vertex = T.mul(self.read_phi(canon), masks["hidden"])
-            pooled = T.scatter_sum(per_vertex, masks["graph_of"], batch)
+            hidden = T.gather_rows(h_v, rows.v_hidden)
+            per_vertex = self.read_phi(self.read_canon(hidden))
+            pooled = T.scatter_sum(per_vertex, rows.v_hidden // tpl.n_v, batch)
             io_idx = np.where(tpl.is_input | tpl.is_output)[0]
-            rows = (offs + io_idx[None, :]).reshape(-1)
-            io = T.reshape(T.gather_rows(h_v, rows), (batch, io_idx.size * cfg.d_v))
+            io_rows = (offs + io_idx[None, :]).reshape(-1)
+            io = T.reshape(T.gather_rows(h_v, io_rows), (batch, io_idx.size * cfg.d_v))
             return self.read_final(T.concat([pooled, io], axis=1))
         idx = np.where(tpl.is_output)[0]
         if cfg.direction == "bidirectional":
             idx = np.concatenate([np.where(tpl.is_input)[0], idx])
-        rows = (offs + idx[None, :]).reshape(-1)
-        flat = T.reshape(T.gather_rows(h_v, rows), (batch, idx.size * cfg.d_v))
+        flat_rows = (offs + idx[None, :]).reshape(-1)
+        flat = T.reshape(T.gather_rows(h_v, flat_rows), (batch, idx.size * cfg.d_v))
         return self.read_final(flat)
 
     def forward(self, graphs: list) -> Tensor:
         """Invariant-head forward: [batch, out_dim] embedding/prediction."""
         if self.config.head != "invariant":
             raise ShapeError("forward() needs the invariant head; use edit()")
-        h_v, _, _, masks = self.embed(graphs)
-        return self.readout(h_v, masks, len(graphs))
+        h_v, _, _, rows = self.embed(graphs)
+        return self.readout(h_v, rows, len(graphs))
 
     def __call__(self, graphs: list) -> Tensor:
         return self.forward(graphs)
@@ -341,34 +306,25 @@ class ScaleGMNModel(Module):
         cfg, tpl = self.config, self.template
         if cfg.head != "equivariant-edit":
             raise ShapeError("edit() needs the equivariant-edit head")
-        h_v, h_e, _, masks = self.embed(graphs)
-        batch = len(graphs)
-
-        delta_b = None
-        for name, mod in self.edit_v.items():
-            cls = tpl.vertex_class_names.index(name)
-            mask = T.constant((masks["v_classes"] == cls).astype(np.float64)[:, None])
-            term = T.mul(mod(h_v), mask)
-            delta_b = term if delta_b is None else T.add(delta_b, term)
-        delta_w = None
-        for name, mod in self.edit_e.items():
-            cls = tpl.edge_class_names.index(name)
-            mask = T.constant((masks["e_classes"] == cls).astype(np.float64)[:, None])
-            term = T.mul(mod(h_e), mask)
-            delta_w = term if delta_w is None else T.add(delta_w, term)
+        h_v, h_e, _, rows = self.embed(graphs)
+        # delta_b holds the non-input vertex rows (inputs carry no bias),
+        # delta_w every forward edge row, each in flat order.
+        delta_b = _per_class(h_v, self.edit_v, tpl.vertex_class_names, rows.v_class_rows)
+        delta_w = _per_class(h_e, self.edit_e, tpl.edge_class_names, rows.e_class_rows)
 
         dims = tpl.dims
-        edited = []
-        v_off = np.concatenate([[0], np.cumsum(dims)])
+        n_biased = tpl.n_v - dims[0]
+        b_off = np.concatenate([[0], np.cumsum(dims[1:])])
         e_sizes = [dims[l + 1] * dims[l] for l in range(len(dims) - 1)]
         e_off = np.concatenate([[0], np.cumsum(e_sizes)])
+        edited = []
         for b, net in enumerate(nets):
             weights, biases = [], []
             for l in range(len(dims) - 1):
                 w_rows = T.narrow(delta_w, 0, b * tpl.n_e + int(e_off[l]), e_sizes[l])
                 dw = T.reshape(w_rows, (dims[l + 1], dims[l]))
                 w_new = T.add(Tensor(net.weights[l]), T.mul(self.gamma, dw))
-                b_rows = T.narrow(delta_b, 0, b * tpl.n_v + int(v_off[l + 1]), dims[l + 1])
+                b_rows = T.narrow(delta_b, 0, b * n_biased + int(b_off[l]), dims[l + 1])
                 db = T.reshape(b_rows, (dims[l + 1],))
                 b_new = T.add(Tensor(net.biases[l]), T.mul(self.gamma, db))
                 weights.append(w_new)
@@ -386,8 +342,42 @@ class ScaleGMNModel(Module):
         ]
 
 
-def tile_edges(mask: np.ndarray, batch: int) -> np.ndarray:
-    return np.tile(mask.astype(np.float64), batch)[:, None]
+def _regroup(parts: list[Tensor], order: np.ndarray) -> Tensor:
+    """Row blocks computed role by role, gathered back into flat row order."""
+    return T.gather_rows(T.concat(parts, axis=0), order)
+
+
+def _with_pe(x: Tensor, pe: Tensor | None) -> Tensor:
+    return x if pe is None else T.concat([x, pe], axis=1)
+
+
+def _messages(h_v, h_e, src, tgt, n_rows, to_hidden, to_io) -> Tensor:
+    """Messages along edges, summed into their target vertex rows.
+
+    `src`/`tgt` give each edge row's source and target vertex rows. Each of
+    `to_hidden` and `to_io` is (edge rows, their positional rows or None,
+    rescale net, message net) for the edges into one target role: the
+    hidden-target message is a ScaleEqNet that takes the positional rows as
+    its non-symmetric input, the i/o-target one an MLP over all inputs.
+    """
+    def inputs(idx, rescale):
+        x_t = T.gather_rows(h_v, tgt[idx])
+        return [x_t, rescale([T.gather_rows(h_v, src[idx]), T.gather_rows(h_e, idx)])]
+
+    hid_rows, hid_pe, hid_rescale, hid_msg = to_hidden
+    io_rows, io_pe, io_rescale, io_msg = to_io
+    m_hidden = hid_msg.single(T.concat(inputs(hid_rows, hid_rescale), axis=1), extra=hid_pe)
+    io_in = inputs(io_rows, io_rescale) + ([io_pe] if io_pe is not None else [])
+    m_io = io_msg(T.concat(io_in, axis=1))
+    return T.scatter_sum(T.concat([m_hidden, m_io], axis=0),
+                         np.concatenate([tgt[hid_rows], tgt[io_rows]]), n_rows)
+
+
+def _per_class(h: Tensor, maps: dict, names: list[str], class_rows: tuple) -> Tensor:
+    """Each class's map on that class's rows; the rows come back in flat order."""
+    idx = [class_rows[names.index(name)] for name in maps]
+    parts = [mod(T.gather_rows(h, rows)) for mod, rows in zip(maps.values(), idx)]
+    return _regroup(parts, np.argsort(np.concatenate(idx)))
 
 
 # -- template (re)construction ---------------------------------------------------------

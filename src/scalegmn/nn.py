@@ -112,6 +112,18 @@ class MLP(Module):
         return x
 
 
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy of integer class labels, via logsumexp with a
+    detached max shift."""
+    shift = T.constant(logits.data.max(axis=1, keepdims=True))
+    z = T.sub(logits, shift)
+    lse = T.log(T.sum_(T.exp(z), axis=1, keepdims=True))
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(len(labels)), labels.astype(int)] = 1.0
+    z_true = T.sum_(T.mul(z, T.constant(onehot)), axis=1, keepdims=True)
+    return T.mean_(T.sub(lse, z_true))
+
+
 def mlp_forward(params, activation, x: Tensor | np.ndarray) -> Tensor:
     """Evaluate a plain MLP given per-layer (weight, bias) pairs.
 

@@ -35,10 +35,11 @@ import numpy as np
 from . import tensor as T
 from .baselines import make_flat_baseline, make_stat_baseline
 from .cnn import CnnParams
-from .ffnn import FfnnParams, ffnn_forward_taped, sample_orbit
+from .ffnn import ffnn_forward_taped, sample_orbit
 from .graph import GraphTemplate, build_graph, build_graph_cnn
 from .harness import apply_orbit_any, kendall_tau
 from .model import ScaleGMNConfig, ScaleGMNModel, save_checkpoint
+from .nn import cross_entropy
 from .optim import AdamState
 from .tensor import NumericsError, Tensor, gradients
 from .zoo import dilate3x3, grid_coords, inr_source_image, load_zoo
@@ -95,12 +96,6 @@ def split_indices(n: int, seed: int) -> dict[str, np.ndarray]:
     }
 
 
-def _group_kind_of(nets) -> str:
-    acts = nets[0].activations
-    kinds = {a.kind for a in acts[:-1]} or {"none"}
-    return next(iter(kinds)) if len(kinds) == 1 else "mixed"
-
-
 def _hidden_widths(net) -> list[int]:
     if isinstance(net, CnnParams):
         return net.channels[1:]
@@ -119,7 +114,7 @@ class TaskData:
         self.graphs = [self._build(n, direction) for n in self.nets]
         self.template = GraphTemplate(self.graphs[0])
         self.splits = split_indices(len(self.nets), seed)
-        self.group_kind = _group_kind_of(self.nets)
+        self.group_kind = self.template.group_kind
 
     def _build(self, net, direction):
         if isinstance(net, CnnParams):
@@ -140,16 +135,6 @@ class TaskData:
 
 
 # -- losses and metrics -----------------------------------------------------------------
-
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    shift = T.constant(logits.data.max(axis=1, keepdims=True))
-    z = T.sub(logits, shift)
-    lse = T.log(T.sum_(T.exp(z), axis=1, keepdims=True))
-    onehot = np.zeros(logits.shape)
-    onehot[np.arange(len(labels)), labels.astype(int)] = 1.0
-    z_true = T.sum_(T.mul(z, T.constant(onehot)), axis=1, keepdims=True)
-    return T.mean_(T.sub(lse, z_true))
-
 
 def mse(pred: Tensor, target: np.ndarray) -> Tensor:
     diff = T.sub(pred, T.constant(target))

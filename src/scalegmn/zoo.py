@@ -19,9 +19,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import tensor as T
-from .activations import by_name, identity, relu, sine
+from .activations import by_name, identity, sine
 from .cnn import CnnParams, cnn_forward, cnn_forward_taped
 from .ffnn import FfnnParams, ffnn_forward_taped
+from .nn import cross_entropy
 from .optim import AdamState
 from .tensor import NumericsError, Tensor, gradients
 
@@ -178,17 +179,6 @@ class ToyCnnResult:
     diverged: bool = False
 
 
-def _cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean CE via logsumexp with a detached max shift."""
-    shift = T.constant(logits.data.max(axis=1, keepdims=True))
-    z = T.sub(logits, shift)
-    lse = T.log(T.sum_(T.exp(z), axis=1, keepdims=True))
-    onehot = np.zeros(logits.shape)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    z_true = T.sum_(T.mul(z, T.constant(onehot)), axis=1, keepdims=True)
-    return T.mean_(T.sub(lse, z_true))
-
-
 def train_toy_cnn(seed: int, lr: float = 3e-3, steps: int = 300, init_scale: float = 1.0,
                   channels=(4, 4), kernel: int = 3, activation: str = "relu") -> ToyCnnResult:
     """Train one toy CNN on the seeded blob task; label is held-out accuracy.
@@ -218,7 +208,7 @@ def train_toy_cnn(seed: int, lr: float = 3e-3, steps: int = 300, init_scale: flo
         for step in range(steps):
             idx = rng.integers(0, len(train_x), size=32)
             logits = cnn_forward_taped(kernels, biases, acts, head_w, head_b, train_x[idx])
-            loss = _cross_entropy(logits, train_y[idx])
+            loss = cross_entropy(logits, train_y[idx])
             state.step(gradients(loss, params))
     except NumericsError:
         diverged = True

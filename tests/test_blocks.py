@@ -9,10 +9,6 @@ from scalegmn.blocks import (
     ReScaleEqNet,
     ScaleEqNet,
     ScaleInvNet,
-    canonicalize,
-    rescale_eq,
-    scale_eq,
-    scale_inv,
 )
 from scalegmn.nn import MLP
 from scalegmn.tensor import Tensor
@@ -38,7 +34,7 @@ MODE_OF = {"sign": "sign-symmetrize", "positive": "norm-divide"}
 
 def test_canonicalize_norm_divide_values():
     c = Canonicalizer("norm-divide", 2)
-    out = canonicalize(c, Tensor([[3.0, 4.0]]))
+    out = c(Tensor([[3.0, 4.0]]))
     assert np.allclose(out.data, [[0.6, 0.8]])
 
 
@@ -46,8 +42,8 @@ def test_canonicalize_norm_divide_scale_invariant():
     rng = np.random.default_rng(0)
     c = Canonicalizer("norm-divide", 5)
     x = rng.standard_normal((4, 5))
-    a = canonicalize(c, Tensor(x)).data
-    b = canonicalize(c, Tensor(2.0 * x)).data
+    a = c(Tensor(x)).data
+    b = c(Tensor(2.0 * x)).data
     assert np.max(np.abs(a - b)) < 1e-14
 
 
@@ -56,7 +52,7 @@ def test_sign_symmetrize_linear_mlp_vanishes():
     c = Canonicalizer("sign-symmetrize", 3, rng, d_out=4)
     # single linear layer (odd map): symmetrization cancels exactly
     c.mlp = MLP([3, 4], rng, bias=False)
-    out = canonicalize(c, Tensor(rng.standard_normal((6, 3))))
+    out = c(Tensor(rng.standard_normal((6, 3))))
     assert np.max(np.abs(out.data)) == 0.0
 
 
@@ -64,20 +60,20 @@ def test_sign_symmetrize_bitwise_invariant():
     rng = np.random.default_rng(2)
     c = Canonicalizer("sign-symmetrize", 4, rng)
     x = rng.standard_normal((5, 4))
-    a = canonicalize(c, Tensor(x)).data
-    b = canonicalize(c, Tensor(-x)).data
+    a = c(Tensor(x)).data
+    b = c(Tensor(-x)).data
     assert np.array_equal(a, b)
 
 
 def test_sign_abs():
     c = Canonicalizer("sign-abs", 3)
     x = np.array([[-1.0, 2.0, -3.0]])
-    assert np.allclose(canonicalize(c, Tensor(x)).data, [[1.0, 2.0, 3.0]])
+    assert np.allclose(c(Tensor(x)).data, [[1.0, 2.0, 3.0]])
 
 
 def test_zero_vector_convention():
     c = Canonicalizer("norm-divide", 3)
-    out = canonicalize(c, Tensor(np.zeros((2, 3))))
+    out = c(Tensor(np.zeros((2, 3))))
     assert np.all(out.data == 0.0)
 
 
@@ -92,8 +88,8 @@ def test_scale_inv_randomized(kind):
         x1 = rng.standard_normal((2, 4))
         x2 = rng.standard_normal((2, 3))
         q1, q2 = sample_q(kind, rng), sample_q(kind, rng)
-        base = scale_inv(net, Tensor(x1), Tensor(x2)).data
-        scaled = scale_inv(net, Tensor(q1 * x1), Tensor(q2 * x2)).data
+        base = net([Tensor(x1), Tensor(x2)]).data
+        scaled = net([Tensor(q1 * x1), Tensor(q2 * x2)]).data
         worst = max(worst, rel_dev(base, scaled))
     assert worst < TOL
 
@@ -103,7 +99,7 @@ def test_scale_inv_constant_rho():
     net = ScaleInvNet([4], 3, rng, mode="norm-divide")
     net.set_constant(0.7)
     for _ in range(5):
-        out = scale_inv(net, Tensor(rng.standard_normal((3, 4))))
+        out = net([Tensor(rng.standard_normal((3, 4)))])
         assert np.allclose(out.data, 0.7)
 
 
@@ -111,7 +107,7 @@ def test_scale_inv_missing_extra_slot_errors():
     rng = np.random.default_rng(5)
     net = ScaleInvNet([4], 3, rng, extra_dim=2)
     with pytest.raises(ValueError):
-        scale_inv(net, Tensor(np.ones((1, 4))))
+        net([Tensor(np.ones((1, 4)))])
 
 
 # -- scale equivariant nets ------------------------------------------------------------
@@ -123,7 +119,7 @@ def test_scale_eq_identity_configuration():
     layer.gammas[0].weight.assign(np.eye(3))
     layer.inv.set_constant(1.0)
     x = rng.standard_normal((4, 3))
-    (out,) = scale_eq(net, Tensor(x))
+    (out,) = net([Tensor(x)])
     assert np.max(np.abs(out.data - x)) < 1e-15
 
 
@@ -136,8 +132,8 @@ def test_scale_eq_randomized(kind, n_layers):
     for _ in range(N_TRIALS):
         x1, x2 = rng.standard_normal((2, 4)), rng.standard_normal((2, 3))
         q1, q2 = sample_q(kind, rng), sample_q(kind, rng)
-        base = scale_eq(net, Tensor(x1), Tensor(x2))
-        scaled = scale_eq(net, Tensor(q1 * x1), Tensor(q2 * x2))
+        base = net([Tensor(x1), Tensor(x2)])
+        scaled = net([Tensor(q1 * x1), Tensor(q2 * x2)])
         worst = max(worst, rel_dev(q1 * base[0].data, scaled[0].data))
         worst = max(worst, rel_dev(q2 * base[1].data, scaled[1].data))
     assert worst < TOL
@@ -149,8 +145,8 @@ def test_scale_eq_sign_oddness():
     worst = 0.0
     for _ in range(N_TRIALS):
         x = rng.standard_normal((1, 4))
-        (base,) = scale_eq(net, Tensor(x))
-        (flipped,) = scale_eq(net, Tensor(-x))
+        (base,) = net([Tensor(x)])
+        (flipped,) = net([Tensor(-x)])
         worst = max(worst, rel_dev(-base.data, flipped.data))
     assert worst < TOL
 
@@ -164,18 +160,18 @@ def test_rescale_hadamard_identity_gammas():
     net.gammas[1].weight.assign(np.eye(3))
     y = rng.standard_normal((2, 3))
     e = rng.standard_normal((2, 3))
-    out = rescale_eq(net, Tensor(y), Tensor(e)).data
+    out = net([Tensor(y), Tensor(e)]).data
     assert np.max(np.abs(out - y * e)) < 1e-15
     # multiplier algebra: g(q_y y, q_x q_y^{-1} e) = q_x g(y, e)
     q_x, q_y = 3.0, 0.5
-    out2 = rescale_eq(net, Tensor(q_y * y), Tensor(q_x / q_y * e)).data
+    out2 = net([Tensor(q_y * y), Tensor(q_x / q_y * e)]).data
     assert np.max(np.abs(out2 - q_x * out)) < 1e-12
 
 
 def test_rescale_outer_shape():
     rng = np.random.default_rng(10)
     net = ReScaleEqNet([2, 3], 4, rng, variant="outer")
-    out = rescale_eq(net, Tensor(rng.standard_normal((5, 2))), Tensor(rng.standard_normal((5, 3))))
+    out = net([Tensor(rng.standard_normal((5, 2))), Tensor(rng.standard_normal((5, 3)))])
     assert out.shape == (5, 4)
     # the intermediate outer product flattens 2*3 = 6 entries
     assert net.eq.layers[0].gammas[0].weight.shape == (4, 6)
@@ -190,8 +186,8 @@ def test_rescale_randomized(kind, variant):
     for _ in range(N_TRIALS):
         x1, x2 = rng.standard_normal((2, 4)), rng.standard_normal((2, 3))
         q1, q2 = sample_q(kind, rng), sample_q(kind, rng)
-        base = rescale_eq(net, Tensor(x1), Tensor(x2)).data
-        scaled = rescale_eq(net, Tensor(q1 * x1), Tensor(q2 * x2)).data
+        base = net([Tensor(x1), Tensor(x2)]).data
+        scaled = net([Tensor(q1 * x1), Tensor(q2 * x2)]).data
         worst = max(worst, rel_dev(q1 * q2 * base, scaled))
     assert worst < TOL
 
@@ -210,8 +206,8 @@ def test_outer_equals_hadamard_on_diagonal():
     hadamard.gammas[0].weight.assign(np.eye(d))
     hadamard.gammas[1].weight.assign(np.eye(d))
     x1, x2 = rng.standard_normal((4, d)), rng.standard_normal((4, d))
-    a = rescale_eq(outer, Tensor(x1), Tensor(x2)).data
-    b = rescale_eq(hadamard, Tensor(x1), Tensor(x2)).data
+    a = outer([Tensor(x1), Tensor(x2)]).data
+    b = hadamard([Tensor(x1), Tensor(x2)]).data
     assert np.max(np.abs(a - b)) < 1e-12
 
 

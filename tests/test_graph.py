@@ -9,7 +9,6 @@ from scalegmn.ffnn import FfnnParams, apply_orbit, sample_orbit
 from scalegmn.graph import (
     GraphTemplate,
     add_backward_edges,
-    assign_pe,
     build_graph,
     build_graph_cnn,
 )
@@ -61,10 +60,9 @@ def test_sine_graph_has_canonical_biases():
 def test_pe_class_counts_2_4_4_1():
     rng = np.random.default_rng(5)
     g = build_graph(random_net(rng, (2, 4, 4, 1), activations.tanh_act()))
-    table = assign_pe(g)
-    assert table.n_vertex_classes == 2 + 1 + 1 + 1
+    assert len(g.class_names["vertex"]) == 2 + 1 + 1 + 1
     # edges: 2 input-source classes, 1 hidden-pair class, 1 output-target class
-    assert table.n_edge_classes == 2 + 1 + 1
+    assert len(g.class_names["edge"]) == 2 + 1 + 1
 
 
 def test_pe_edges_into_same_output_share_class():

@@ -5,7 +5,7 @@ import pytest
 
 from scalegmn import activations, tensor as T
 from scalegmn.ffnn import apply_orbit, sample_orbit
-from scalegmn.graph import GraphTemplate, build_graph
+from scalegmn.graph import GraphTemplate, build_graph, build_graph_cnn
 from scalegmn.model import (
     ScaleGMNConfig,
     ScaleGMNModel,
@@ -18,6 +18,7 @@ from scalegmn.optim import finite_diff_check
 from scalegmn.tensor import Tensor, gradients
 
 from test_ffnn import eval_grid, random_net, random_siren
+from test_graph import make_cnn
 
 ACT_OF = {"sign": activations.tanh_act(), "positive": activations.relu()}
 
@@ -395,6 +396,93 @@ def test_end_to_end_gradient_check():
 
     err = finite_diff_check(f, params, step=1e-6)
     assert err < 1e-4, f"max relative error {err}"
+
+
+# -- role routing ---------------------------------------------------------------------------
+
+
+class _RowCounter:
+    """Stands in for a module and records the rows of every call."""
+
+    def __init__(self, module, calls, key):
+        self.module, self.calls, self.key = module, calls, key
+
+    def __call__(self, x):
+        first = x[0] if isinstance(x, list) else x
+        self.calls.append((self.key, first.shape[0]))
+        return self.module(x)
+
+
+def _count_role_rows(model):
+    """Wrap each role-specific module; returns (calls, expected rows per graph)."""
+    tpl, calls, expected = model.template, [], {}
+
+    def wrap(owner, name, key, per_graph):
+        container = owner if isinstance(owner, dict) else vars(owner)
+        container[name] = _RowCounter(container[name], calls, key)
+        expected[key] = per_graph
+
+    n_in, n_out = int(tpl.is_input.sum()), int(tpl.is_output.sum())
+    wrap(model, "init_v_in", "init_v_in", n_in)
+    wrap(model, "init_v_out", "init_v_out", n_out)
+    for layer in model.rounds:
+        wrap(layer, "upd_in", "upd_in", n_in)
+        wrap(layer, "upd_out", "upd_out", n_out)
+        wrap(layer, "msg_fw_out", "msg_fw_out", int(tpl.fw_tgt_is_output.sum()))
+        wrap(layer, "rescale_fw_out", "rescale_fw_out", int(tpl.fw_tgt_is_output.sum()))
+        if model.config.direction == "bidirectional":
+            wrap(layer, "msg_bw_in", "msg_bw_in", int(tpl.bw_tgt_is_input.sum()))
+            wrap(layer, "rescale_bw_in", "rescale_bw_in", int(tpl.bw_tgt_is_input.sum()))
+    if model.config.head == "invariant":
+        n_hidden = int(tpl.n_v - n_in - n_out)
+        wrap(model, "read_canon", "read_canon", n_hidden)
+        wrap(model, "read_phi", "read_phi", n_hidden)
+    else:
+        for name in list(model.edit_v):
+            cls = tpl.vertex_class_names.index(name)
+            wrap(model.edit_v, name, name, int((tpl.vertex_class == cls).sum()))
+        for name in list(model.edit_e):
+            cls = tpl.edge_class_names.index(name)
+            wrap(model.edit_e, name, name, int((tpl.edge_class == cls).sum()))
+    return calls, expected
+
+
+@pytest.mark.parametrize("direction", ["forward", "bidirectional"])
+@pytest.mark.parametrize("head", ["invariant", "equivariant-edit"])
+def test_role_modules_run_only_on_their_rows(direction, head):
+    batch = 3
+    model, net, act = make_model("sign", direction=direction, head=head, dims=(2, 4, 3, 2))
+    rng = np.random.default_rng(20)
+    nets = [net] + [random_net(rng, (2, 4, 3, 2), act) for _ in range(batch - 1)]
+    graphs = [build_graph(n, direction=direction) for n in nets]
+    calls, expected = _count_role_rows(model)
+    if head == "invariant":
+        model.forward(graphs)
+    else:
+        model.edit(graphs, nets)
+    assert {key for key, _ in calls} == set(expected)
+    for key, rows in calls:
+        assert rows == batch * expected[key], key
+
+
+def test_role_modules_run_only_on_their_rows_cnn():
+    rng = np.random.default_rng(21)
+    nets = [make_cnn(rng, channels=(1, 3, 2), n_out=2) for _ in range(2)]
+    graphs = [build_graph_cnn(n) for n in nets]
+    cfg = ScaleGMNConfig(d_v=8, d_e=8, d_msg=8, d_inv=6, d_readout=8, pe_dim=4,
+                         mlp_hidden=12, group_kind="positive", out_dim=1)
+    model = ScaleGMNModel(cfg, GraphTemplate(graphs[0]), np.random.default_rng(22))
+    calls, expected = _count_role_rows(model)
+    model.forward(graphs)
+    assert {key for key, _ in calls} == set(expected)
+    for key, rows in calls:
+        assert rows == len(graphs) * expected[key], key
+
+
+@pytest.mark.parametrize("kind", ["sign", "positive"])
+def test_unknown_sign_canon_is_rejected(kind):
+    with pytest.raises(ValueError, match="sign_canon.*'abs'.*'symmetrize'"):
+        make_model(kind, sign_canon="symmetrise")
 
 
 # -- checkpoints ----------------------------------------------------------------------------

@@ -7,7 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from scalegmn.train import ExperimentConfig, Runner, selection_key, split_indices
+from scalegmn.train import ExperimentConfig, Runner, TaskData, selection_key, split_indices
+from scalegmn.zoo import ZooEntry, save_zoo
+
+from test_graph import make_cnn
 
 TINY_MODEL = {"d_v": 8, "d_e": 8, "d_msg": 8, "d_inv": 6, "d_readout": 8,
               "pe_dim": 4, "mlp_hidden": 10, "n_rounds": 1}
@@ -119,6 +122,18 @@ def test_cnn_generalization_task(tiny_cnn_zoo, tmp_path):
     assert summary["best_val_loss"] == val["loss"]
     report = runner.eval_report("val", with_orbit_copy=True)
     assert "kendall_tau" in report and "orbit_kendall_tau" in report
+
+
+def test_one_conv_layer_relu_zoo_is_positive(tmp_path):
+    """The group kind comes from the graph, which counts the last conv layer."""
+    rng = np.random.default_rng(3)
+    nets = [make_cnn(rng, channels=(1, 3), n_out=2) for _ in range(4)]
+    entries = [ZooEntry(f"cnn-{i}", "cnn", net.channels + [2], ["relu"], 0.0, 0.5,
+                        f"cnn-{i}.bin", {"kernel_hw": [3, 3]})
+               for i, net in enumerate(nets)]
+    save_zoo(tmp_path / "zoo", entries, nets)
+    data = TaskData(tmp_path / "zoo", seed=0, direction="forward")
+    assert data.group_kind == "positive"
 
 
 def selected_epoch(task, history):
