@@ -51,7 +51,7 @@ print(f"bias shift: {b:.3f} -> {b2:.3f}, weight {w[0]:.0f} -> {w2[0]:.0f}, "
       f"grid identity deviation {np.max(np.abs(lhs - rhs)):.2e}")
 
 # Graphs read the canonical parameters: vertices carry biases, edges weights.
-graph = build_graph(net)
-print(f"graph: {graph.n_vertices} vertices, {graph.n_edges} edges, "
-      f"{len(graph.class_names['vertex'])} vertex PE classes, "
-      f"{len(graph.class_names['edge'])} edge PE classes")
+template = build_graph(net).template
+print(f"graph: {template.n_v} vertices, {template.n_e} edges, "
+      f"{template.n_vertex_classes} vertex PE classes, "
+      f"{template.n_edge_classes} edge PE classes")

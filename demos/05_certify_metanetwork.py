@@ -10,7 +10,7 @@ import numpy as np
 
 from scalegmn import activations
 from scalegmn.ffnn import FfnnParams, sample_orbit
-from scalegmn.graph import GraphTemplate, build_graph
+from scalegmn.graph import build_graph
 from scalegmn.harness import certify_equivariance, certify_invariance
 from scalegmn.model import ScaleGMNConfig, ScaleGMNModel
 
@@ -31,7 +31,7 @@ def orbit_sampler(rng):
 
 
 rng = np.random.default_rng(0)
-template = GraphTemplate(build_graph(net_sampler(rng)))
+template = build_graph(net_sampler(rng)).template
 
 inv_model = ScaleGMNModel(
     ScaleGMNConfig(d_v=16, d_e=16, d_msg=16, pe_dim=6, n_rounds=2,

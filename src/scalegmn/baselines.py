@@ -10,13 +10,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ffnn import stat_features
+from .cnn import CnnParams
 from .nn import MLP, Module
 from .tensor import Tensor
 
 
 def flat_features(net) -> np.ndarray:
     return net.flatten()
+
+
+def stat_features(net) -> np.ndarray:
+    """Per-layer summary statistics of weights and biases, fixed order.
+
+    Seven statistics (mean, std, min, max, quartiles) for the weights then
+    the biases of each layer: 7 * 2 * L entries. A CNN's layers are its
+    kernel/bias pairs, then the head. Invariant to hidden-neuron
+    permutations by construction.
+    """
+    if isinstance(net, CnnParams):
+        layers = list(zip(net.kernels, net.conv_biases)) + [(net.head_weight, net.head_bias)]
+    else:
+        layers = zip(net.weights, net.biases)
+    feats = []
+    for w, b in layers:
+        for arr in (np.asarray(w).reshape(-1), np.asarray(b).reshape(-1)):
+            q25, q50, q75 = np.percentile(arr, [25, 50, 75])
+            feats.extend([arr.mean(), arr.std(), arr.min(), arr.max(), q25, q50, q75])
+    return np.asarray(feats)
 
 
 class VectorMlpBaseline(Module):

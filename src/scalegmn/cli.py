@@ -15,7 +15,7 @@ import numpy as np
 
 from . import activations
 from .ffnn import FfnnParams, canonicalize_net, ffnn_forward_taped, sample_orbit, shift_sine_biases
-from .graph import GraphTemplate, build_graph
+from .graph import build_graph
 from .harness import (
     SymmetryReport,
     certify_equivariance,
@@ -138,7 +138,7 @@ def certify_model_combo(combo: dict, dims, trials: int, nets: int, tol: float,
     sampler = _net_sampler(dims, combo["activation"], kind)
     rng = np.random.default_rng(seed)
     example = sampler(rng)
-    template = GraphTemplate(build_graph(example, direction=direction))
+    template = build_graph(example, direction=direction).template
     cfg = ScaleGMNConfig(
         d_v=16, d_e=16, d_msg=16, d_inv=8, d_readout=16, pe_dim=6, mlp_hidden=16,
         n_rounds=2, direction=direction, group_kind=kind, head=head,

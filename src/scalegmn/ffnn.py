@@ -245,17 +245,3 @@ def canonicalize_net(net: FfnnParams) -> FfnnParams:
         out.weights[l + 1] = out.weights[l + 1] / q[None, :]
     return out
 
-
-def stat_features(net) -> np.ndarray:
-    """Per-layer summary statistics of weights and biases, fixed order.
-
-    Seven statistics (mean, std, min, max, quartiles) for the weights then
-    the biases of each layer: 7 * 2 * L entries. Invariant to hidden-neuron
-    permutations by construction.
-    """
-    feats = []
-    for w, b in zip(net.weights, net.biases):
-        for arr in (np.asarray(w).reshape(-1), np.asarray(b).reshape(-1)):
-            q25, q50, q75 = np.percentile(arr, [25, 50, 75])
-            feats.extend([arr.mean(), arr.std(), arr.min(), arr.max(), q25, q50, q75])
-    return np.asarray(feats)

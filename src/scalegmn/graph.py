@@ -1,5 +1,10 @@
 """Parameter graphs: one vertex per neuron/channel, one edge per weight.
 
+The structure of a graph depends only on the architecture, so a
+`GraphTemplate` owns it: vertex layers, edge lists, sharing classes and role
+masks are computed once per architecture (`template_for` memoizes them), and
+a `ParamGraph` holds its template plus one network's features.
+
 Vertex features are biases (inputs get the constant 1), edge features are
 weights (CNN kernels are flattened with top-left anchored zero-padding to the
 maximum kernel extent). Sine networks are phase-canonicalized before any
@@ -13,7 +18,7 @@ share one class per layer, and edge classes follow the same three-case rule
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,75 +38,27 @@ BW_WEIGHT_EPS = 1e-12
 
 @dataclass
 class ParamGraph:
-    """A built graph: structure arrays plus raw vertex/edge features."""
+    """One network's raw features on its architecture's template."""
 
-    dims: list[int]                      # vertices per layer, input first
-    layer_of: np.ndarray                 # [V]
-    index_in_layer: np.ndarray           # [V]
+    template: GraphTemplate
     x_v: np.ndarray                      # [V, dv_raw]
-    fw_src: np.ndarray                   # [E] source vertex ids (previous layer)
-    fw_tgt: np.ndarray                   # [E] target vertex ids
     x_e: np.ndarray                      # [E, de_raw]
-    activations: list[ActivationDescriptor]  # per layer 1..L
-    kind: str = "ffnn"
-    direction: str = "forward"
     x_e_bw: np.ndarray | None = None     # backward features, aligned with fw edges
-    vertex_class: np.ndarray | None = None
-    edge_class: np.ndarray | None = None
-    bw_edge_class: np.ndarray | None = None
-    class_names: dict = field(default_factory=dict)
-
-    @property
-    def n_vertices(self) -> int:
-        return int(self.layer_of.shape[0])
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.fw_src.shape[0])
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.dims) - 1
-
-    @property
-    def group_kind(self) -> str:
-        kinds = {a.kind for a in self.activations[:-1]} or {KIND_NONE}
-        if len(kinds) > 1:
-            return "mixed"
-        return next(iter(kinds))
 
     def dump(self) -> str:
         """Line-oriented text for golden-file comparisons."""
-        lines = []
-        for v in range(self.n_vertices):
-            feat = " ".join(f"{x:.17g}" for x in self.x_v[v])
-            lines.append(f"vertex {self.layer_of[v]} {self.index_in_layer[v]} {feat}")
-        for e in range(self.n_edges):
-            feat = " ".join(f"{x:.17g}" for x in self.x_e[e])
-            lines.append(f"edge fw {self.fw_tgt[e]} {self.fw_src[e]} {feat}")
+        t = self.template
+        lines = [f"vertex {l} {i} {_fmt(x)}"
+                 for l, i, x in zip(t.layer_of, t.index_in_layer, self.x_v)]
+        lines += [f"edge fw {tg} {s} {_fmt(x)}" for tg, s, x in zip(t.fw_tgt, t.fw_src, self.x_e)]
         if self.x_e_bw is not None:
-            for e in range(self.n_edges):
-                feat = " ".join(f"{x:.17g}" for x in self.x_e_bw[e])
-                lines.append(f"edge bw {self.fw_src[e]} {self.fw_tgt[e]} {feat}")
+            lines += [f"edge bw {s} {tg} {_fmt(x)}"
+                      for tg, s, x in zip(t.fw_tgt, t.fw_src, self.x_e_bw)]
         return "\n".join(lines) + "\n"
 
 
-def _layer_arrays(dims):
-    layer_of = np.concatenate([np.full(d, l, dtype=np.intp) for l, d in enumerate(dims)])
-    index_in_layer = np.concatenate([np.arange(d, dtype=np.intp) for d in dims])
-    return layer_of, index_in_layer
-
-
-def _edge_lists(dims):
-    """Edges ordered by layer, then target neuron, then source neuron."""
-    src, tgt = [], []
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    for l in range(1, len(dims)):
-        for i in range(dims[l]):
-            for j in range(dims[l - 1]):
-                tgt.append(offsets[l] + i)
-                src.append(offsets[l - 1] + j)
-    return np.asarray(src, dtype=np.intp), np.asarray(tgt, dtype=np.intp)
+def _fmt(row) -> str:
+    return " ".join(f"{x:.17g}" for x in row)
 
 
 def build_graph(net: FfnnParams, direction: str = "forward") -> ParamGraph:
@@ -113,30 +70,13 @@ def build_graph(net: FfnnParams, direction: str = "forward") -> ParamGraph:
     """
     if any(a.name == "sine" for a in net.activations):
         net = shift_sine_biases(net)
-    dims = net.dims
-    layer_of, index_in_layer = _layer_arrays(dims)
-    x_v = np.ones((sum(dims), 1))
-    pos = dims[0]
-    for b in net.biases:
-        x_v[pos : pos + b.shape[0], 0] = b
-        pos += b.shape[0]
-    fw_src, fw_tgt = _edge_lists(dims)
+    template = template_for("ffnn", net.dims, net.activations, direction)
+    x_v = np.ones((template.n_v, 1))
+    x_v[net.dims[0]:, 0] = np.concatenate(net.biases)
     x_e = np.concatenate([w.reshape(-1) for w in net.weights])[:, None]
-    graph = ParamGraph(
-        dims=list(dims),
-        layer_of=layer_of,
-        index_in_layer=index_in_layer,
-        x_v=x_v,
-        fw_src=fw_src,
-        fw_tgt=fw_tgt,
-        x_e=x_e,
-        activations=list(net.activations),
-        kind="ffnn",
-        direction=direction,
-    )
+    graph = ParamGraph(template, x_v, x_e)
     if direction == "bidirectional":
-        add_backward_edges(graph, graph.group_kind)
-    assign_pe(graph)
+        add_backward_edges(graph, template.group_kind)
     return graph
 
 
@@ -156,133 +96,56 @@ def build_graph_cnn(net: CnnParams, direction: str = "forward",
         h_max, w_max = max_hw
     de = h_max * w_max
     dims = net.channels + [net.head_weight.shape[0]]
-    layer_of, index_in_layer = _layer_arrays(dims)
-    x_v = np.ones((sum(dims), 1))
-    pos = dims[0]
-    for b in net.conv_biases:
-        x_v[pos : pos + b.shape[0], 0] = b
-        pos += b.shape[0]
-    x_v[pos : pos + net.head_bias.shape[0], 0] = net.head_bias
-    fw_src, fw_tgt = _edge_lists(dims)
-    feats = []
-    for k in net.kernels:
-        c_out, c_in, kh, kw = k.shape
-        padded = np.zeros((c_out, c_in, h_max, w_max))
-        padded[:, :, :kh, :kw] = k  # top-left anchor
-        feats.append(padded.reshape(c_out * c_in, de))
-    feats.append(
-        np.concatenate(
-            [net.head_weight.reshape(-1, 1), np.zeros((net.head_weight.size, de - 1))],
-            axis=1,
-        )
-    )
-    x_e = np.concatenate(feats, axis=0)
-    acts = list(net.activations) + [identity()]
-    graph = ParamGraph(
-        dims=dims,
-        layer_of=layer_of,
-        index_in_layer=index_in_layer,
-        x_v=x_v,
-        fw_src=fw_src,
-        fw_tgt=fw_tgt,
-        x_e=x_e,
-        activations=acts,
-        kind="cnn",
-        direction=direction,
-    )
+    template = template_for("cnn", dims, list(net.activations) + [identity()], direction, de)
+    x_v = np.ones((template.n_v, 1))
+    x_v[dims[0]:, 0] = np.concatenate(net.conv_biases + [net.head_bias])
+    blocks = list(net.kernels) + [net.head_weight[:, :, None, None]]  # head: a 1x1 kernel
+    graph = ParamGraph(template, x_v, np.concatenate([_pad(k, h_max, w_max) for k in blocks]))
     if direction == "bidirectional":
-        add_backward_edges(graph, graph.group_kind)
-    assign_pe(graph)
+        slots = [_pad(np.ones(k.shape), h_max, w_max) > 0 for k in blocks]
+        add_backward_edges(graph, template.group_kind, np.concatenate(slots))
     return graph
 
 
-def add_backward_edges(graph: ParamGraph, group_kind: str) -> ParamGraph:
+def _pad(k: np.ndarray, h_max: int, w_max: int) -> np.ndarray:
+    """Kernel [out, in, kh, kw] to one row per (out, in) edge, top-left anchored."""
+    c_out, c_in, kh, kw = k.shape
+    padded = np.zeros((c_out, c_in, h_max, w_max))
+    padded[:, :, :kh, :kw] = k
+    return padded.reshape(c_out * c_in, h_max * w_max)
+
+
+def add_backward_edges(graph: ParamGraph, group_kind: str,
+                       slots: np.ndarray | None = None) -> ParamGraph:
     """Materialize backward features mirroring every forward edge.
 
-    Positive scaling inverts features elementwise (a zero weight would make
-    the backward symmetry undefined, hence the error); the sign group keeps
-    them as-is since 1/q = q for q = ±1.
+    Positive scaling inverts each weight (a zero weight would make the
+    backward symmetry undefined, hence the error); the sign group keeps them
+    as-is since 1/q = q for q = ±1. `slots` marks the feature entries that
+    hold a weight (default: all of them); the others are zero padding, which
+    every orbit element maps to zero, and stay zero.
     """
+    x_e = graph.x_e
+    if slots is None:
+        slots = np.ones(x_e.shape, dtype=bool)
     if group_kind == KIND_POSITIVE:
-        bad = np.where(np.any(np.abs(graph.x_e) < BW_WEIGHT_EPS, axis=1))[0]
+        bad = np.flatnonzero(np.any(slots & (np.abs(x_e) < BW_WEIGHT_EPS), axis=1))
         if bad.size:
-            pairs = [(int(graph.fw_tgt[e]), int(graph.fw_src[e])) for e in bad[:8]]
+            t = graph.template
+            pairs = [(int(t.fw_tgt[e]), int(t.fw_src[e])) for e in bad[:8]]
             raise ValueError(
                 f"backward features need |weight| >= {BW_WEIGHT_EPS}; "
                 f"offending (target, source) edges: {pairs}"
                 + ("..." if bad.size > 8 else "")
             )
-        graph.x_e_bw = 1.0 / graph.x_e
+        graph.x_e_bw = np.divide(1.0, x_e, out=np.zeros_like(x_e), where=slots)
     elif group_kind in (KIND_SIGN, KIND_NONE):
-        graph.x_e_bw = graph.x_e.copy()
+        graph.x_e_bw = x_e.copy()
     else:
         raise ValueError(f"unknown group kind {group_kind!r}")
-    graph.direction = "bidirectional"
-    if graph.edge_class is not None:
-        assign_pe(graph)  # refresh backward classes
+    t = graph.template
+    graph.template = template_for(t.kind, t.dims, t.activations, "bidirectional", t.de_raw)
     return graph
-
-
-def assign_pe(graph: ParamGraph) -> None:
-    """Assign sharing classes per the i/o-individual, hidden-shared rule."""
-    L = graph.n_layers
-    v_names: list[str] = []
-    v_ids: dict[str, int] = {}
-
-    def vclass(name: str) -> int:
-        if name not in v_ids:
-            v_ids[name] = len(v_names)
-            v_names.append(name)
-        return v_ids[name]
-
-    vertex_class = np.zeros(graph.n_vertices, dtype=np.intp)
-    for v in range(graph.n_vertices):
-        l, i = int(graph.layer_of[v]), int(graph.index_in_layer[v])
-        if l == 0:
-            vertex_class[v] = vclass(f"v:in:{i}")
-        elif l == L:
-            vertex_class[v] = vclass(f"v:out:{i}")
-        else:
-            vertex_class[v] = vclass(f"v:hidden:{l}")
-
-    e_names: list[str] = []
-    e_ids: dict[str, int] = {}
-
-    def eclass(name: str) -> int:
-        if name not in e_ids:
-            e_ids[name] = len(e_names)
-            e_names.append(name)
-        return e_ids[name]
-
-    def edge_name(l_tgt: int, tgt_idx: int, src_idx: int) -> str:
-        if L == 1:
-            return "e:in-out"  # source-shared and target-shared collapse together
-        if l_tgt == 1:
-            return f"e:from-in:{src_idx}"
-        if l_tgt == L:
-            return f"e:to-out:{tgt_idx}"
-        return f"e:hidden:{l_tgt}"
-
-    edge_class = np.zeros(graph.n_edges, dtype=np.intp)
-    for e in range(graph.n_edges):
-        t, s = int(graph.fw_tgt[e]), int(graph.fw_src[e])
-        edge_class[e] = eclass(
-            edge_name(int(graph.layer_of[t]), int(graph.index_in_layer[t]),
-                      int(graph.index_in_layer[s]))
-        )
-    bw_edge_class = None
-    if graph.x_e_bw is not None:
-        bw_edge_class = np.zeros(graph.n_edges, dtype=np.intp)
-        for e in range(graph.n_edges):
-            t, s = int(graph.fw_tgt[e]), int(graph.fw_src[e])
-            bw_edge_class[e] = eclass(
-                "bw:" + edge_name(int(graph.layer_of[t]), int(graph.index_in_layer[t]),
-                                  int(graph.index_in_layer[s]))
-            )
-    graph.vertex_class = vertex_class
-    graph.edge_class = edge_class
-    graph.bw_edge_class = bw_edge_class
-    graph.class_names = {"vertex": v_names, "edge": e_names}
 
 
 @dataclass(frozen=True)
@@ -312,49 +175,77 @@ class BatchRows:
 
 
 class GraphTemplate:
-    """Shared structure for a batch of same-architecture graphs.
+    """The structure shared by every graph of one architecture.
 
-    Precomputes flattened gather/scatter indices, per role and per batch
-    size, so a whole batch runs as a handful of 2-D tensor ops.
+    Holds the vertex layers, the forward edge lists, the sharing classes and
+    the role masks, and precomputes flattened gather/scatter indices per
+    batch size, so a whole batch runs as a handful of 2-D tensor ops. Build
+    it through `template_for`, so each architecture has one template.
     """
 
-    def __init__(self, graph: ParamGraph):
-        if graph.vertex_class is None:
-            assign_pe(graph)
-        self.dims = list(graph.dims)
-        self.kind = graph.kind
-        self.direction = graph.direction
-        self.activations = list(graph.activations)
-        self.group_kind = graph.group_kind
-        self.layer_of = graph.layer_of.copy()
-        self.fw_src = graph.fw_src.copy()
-        self.fw_tgt = graph.fw_tgt.copy()
-        self.vertex_class = graph.vertex_class.copy()
-        self.edge_class = graph.edge_class.copy()
-        self.bw_edge_class = None if graph.bw_edge_class is None else graph.bw_edge_class.copy()
-        self.vertex_class_names = list(graph.class_names["vertex"])
-        self.edge_class_names = list(graph.class_names["edge"])
+    def __init__(self, kind: str, dims, activations: list[ActivationDescriptor],
+                 direction: str, de_raw: int = 1):
+        self.kind = kind
+        self.dims = [int(d) for d in dims]
+        self.activations = list(activations)
+        self.direction = direction
+        kinds = {a.kind for a in self.activations[:-1]} or {KIND_NONE}
+        self.group_kind = "mixed" if len(kinds) > 1 else next(iter(kinds))
+        self.dv_raw, self.de_raw = 1, de_raw
+        dims, L = np.asarray(self.dims), len(self.dims) - 1
+        offsets = np.concatenate([[0], np.cumsum(dims)])
+        self.n_v = int(offsets[-1])
+        self.layer_of = np.repeat(np.arange(L + 1), dims)
+        self.index_in_layer = np.arange(self.n_v) - offsets[self.layer_of]
+        # edges by layer, then target neuron, then source neuron
+        self.fw_tgt = np.concatenate([offsets[l] + np.repeat(np.arange(dims[l]), dims[l - 1])
+                                      for l in range(1, L + 1)])
+        self.fw_src = np.concatenate([offsets[l - 1] + np.tile(np.arange(dims[l - 1]), dims[l])
+                                      for l in range(1, L + 1)])
+        self.n_e = int(self.fw_src.size)
+        self.is_input = self.layer_of == 0
+        self.is_output = self.layer_of == L
+        self.is_hidden = ~(self.is_input | self.is_output)
+        self.fw_tgt_is_output = self.is_output[self.fw_tgt]
+        self.bw_tgt_is_input = self.is_input[self.fw_src]  # backward edges target the fw source
+
+        # Class ids count names in order of first appearance over the
+        # vertices, then the forward edges, then the backward edges: they
+        # index the positional-encoding rows and name the edit-head maps.
+        n_in, n_out, idx = self.dims[0], self.dims[-1], self.index_in_layer
+        self.vertex_class_names = ([f"v:in:{i}" for i in range(n_in)]
+                                   + [f"v:hidden:{l}" for l in range(1, L)]
+                                   + [f"v:out:{i}" for i in range(n_out)])
+        self.vertex_class = np.select([self.is_input, self.is_hidden],
+                                      [idx, n_in - 1 + self.layer_of], n_in + L - 1 + idx)
+        if L == 1:  # source-shared and target-shared collapse together
+            names, self.edge_class = ["e:in-out"], np.zeros(self.n_e, dtype=np.intp)
+        else:
+            names = ([f"e:from-in:{j}" for j in range(n_in)]
+                     + [f"e:hidden:{l}" for l in range(2, L)]
+                     + [f"e:to-out:{i}" for i in range(n_out)])
+            tgt_layer = self.layer_of[self.fw_tgt]
+            self.edge_class = np.select([tgt_layer == 1, tgt_layer < L],
+                                        [idx[self.fw_src], n_in - 2 + tgt_layer],
+                                        n_in + L - 2 + idx[self.fw_tgt])
+        self.bw_edge_class = None
+        if direction == "bidirectional":
+            self.bw_edge_class = self.edge_class + len(names)
+            names = names + ["bw:" + n for n in names]
+        self.edge_class_names = names
         self.n_vertex_classes = len(self.vertex_class_names)
         self.n_edge_classes = len(self.edge_class_names)
-        self.dv_raw = graph.x_v.shape[1]
-        self.de_raw = graph.x_e.shape[1]
-        self.n_v = graph.n_vertices
-        self.n_e = graph.n_edges
-        L = graph.n_layers
-        self.is_input = graph.layer_of == 0
-        self.is_output = graph.layer_of == L
-        self.is_hidden = ~(self.is_input | self.is_output)
-        tgt_layer = graph.layer_of[self.fw_tgt]
-        src_layer = graph.layer_of[self.fw_src]
-        self.fw_tgt_is_output = tgt_layer == L
-        self.bw_tgt_is_input = src_layer == 0  # backward edges target the fw source
+        for value in vars(self).values():  # every graph of the architecture shares them
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
         self._rows: dict[int, BatchRows] = {}
 
     def compatible(self, graph: ParamGraph) -> bool:
-        return (
-            graph.dims == self.dims
-            and graph.kind == self.kind
-            and [a.name for a in graph.activations] == [a.name for a in self.activations]
+        t = graph.template
+        return t is self or (
+            t.dims == self.dims
+            and t.kind == self.kind
+            and [a.name for a in t.activations] == [a.name for a in self.activations]
         )
 
     def batch(self, graphs: list[ParamGraph]):
@@ -419,3 +310,14 @@ def _tile_rows(idx: np.ndarray, per_graph: int, batch: int) -> np.ndarray:
     """Per-graph row indices repeated for each graph of a stacked batch."""
     offs = np.arange(batch)[:, None] * per_graph
     return (offs + idx[None, :]).reshape(-1)
+
+
+_TEMPLATES: dict[tuple, GraphTemplate] = {}
+
+
+def template_for(kind: str, dims, activations, direction: str, de_raw: int = 1) -> GraphTemplate:
+    """The one template of an architecture, built on its first use."""
+    key = (kind, tuple(dims), tuple(activations), direction, de_raw)
+    if key not in _TEMPLATES:
+        _TEMPLATES[key] = GraphTemplate(*key)
+    return _TEMPLATES[key]

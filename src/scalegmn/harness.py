@@ -18,6 +18,7 @@ import numpy as np
 from .cnn import CnnParams, cnn_forward
 from .ffnn import FfnnParams, apply_orbit, ffnn_forward
 from .graph import build_graph, build_graph_cnn
+from .model import ScaleGMNModel
 from .tensor import ShapeError
 
 SIM_EPS = 1e-12
@@ -89,18 +90,15 @@ def _graph_for(model, net):
     return build_graph(net, direction=direction)
 
 
-def _predict(model, net) -> np.ndarray:
-    """Adapter: ScaleGMN-style models get a graph; plain callables get the net."""
-    if hasattr(model, "forward") and hasattr(model, "config"):
-        return model.forward([_graph_for(model, net)]).data[0]
-    return np.asarray(model(net), dtype=np.float64).reshape(-1)
-
-
 def _batched_predict(model, nets) -> np.ndarray:
-    if hasattr(model, "forward") and hasattr(model, "config"):
-        graphs = [_graph_for(model, n) for n in nets]
-        return model.forward(graphs).data
-    return np.stack([_predict(model, n) for n in nets])
+    """ScaleGMN models get one batch of graphs; plain callables get each net."""
+    if isinstance(model, ScaleGMNModel):
+        return model.forward([_graph_for(model, n) for n in nets]).data
+    return np.stack([np.asarray(model(n), dtype=np.float64).reshape(-1) for n in nets])
+
+
+def _predict(model, net) -> np.ndarray:
+    return _batched_predict(model, [net])[0]
 
 
 def certify_invariance(model, net_sampler, orbit_sampler, trials: int = 50,
@@ -113,7 +111,7 @@ def certify_invariance(model, net_sampler, orbit_sampler, trials: int = 50,
     """
     rng = np.random.default_rng(seed)
     report = SymmetryReport(name=name, metric="relative", tolerance=tol, seed=seed)
-    if hasattr(model, "config"):
+    if isinstance(model, ScaleGMNModel):
         report.config_hash = config_hash(model.config)
     for _ in range(nets):
         net = net_sampler(rng)
@@ -141,22 +139,17 @@ def certify_equivariance(model, net_sampler, orbit_sampler, trials: int = 50,
     """Entrywise sup-norm gap between edit(psi(theta)) and psi(edit(theta))."""
     rng = np.random.default_rng(seed)
     report = SymmetryReport(name=name, metric="absolute", tolerance=tol, seed=seed)
-    if hasattr(model, "config"):
+    edit = model
+    if isinstance(model, ScaleGMNModel):
         report.config_hash = config_hash(model.config)
-    edit = model.edit_params if hasattr(model, "edit_params") else model
+        edit = lambda net: model.edit_params([_graph_for(model, net)], [net])[0]
     for _ in range(nets):
         net = net_sampler(rng)
-        if hasattr(model, "edit_params"):
-            base_edit = model.edit_params([_graph_for(model, net)], [net])[0]
-        else:
-            base_edit = edit(net)
+        base_edit = edit(net)
         for _ in range(trials):
             orbit = orbit_sampler(rng)
             transformed = apply_orbit(net, orbit)
-            if hasattr(model, "edit_params"):
-                edited = model.edit_params([_graph_for(model, transformed)], [transformed])[0]
-            else:
-                edited = edit(transformed)
+            edited = edit(transformed)
             expected = apply_orbit(base_edit, orbit)
             dev = 0.0
             for a, b in zip(edited.weights, expected.weights):

@@ -32,9 +32,8 @@ import numpy as np
 from . import tensor as T
 from .activations import by_name
 from .blocks import Canonicalizer, ReScaleEqNet, ScaleEqNet, ScaleInvNet, canon_mode_for
-from .cnn import CnnParams
 from .ffnn import FfnnParams
-from .graph import BatchRows, GraphTemplate, build_graph, build_graph_cnn
+from .graph import BatchRows, GraphTemplate, template_for
 from .nn import MLP, Linear, Module
 from .tensor import ShapeError, Tensor
 
@@ -383,27 +382,13 @@ def _per_class(h: Tensor, maps: dict, names: list[str], class_rows: tuple) -> Te
 # -- template (re)construction ---------------------------------------------------------
 
 def template_from_spec(spec: dict) -> GraphTemplate:
-    """Rebuild a GraphTemplate from its serialized description."""
+    """The template a serialized description names."""
     kind = spec["kind"]
-    acts = [by_name(n, spec.get("omega0", 0.0)) for n in spec["activations"]]
-    if kind == "ffnn":
-        dims = spec["dims"]
-        weights = [np.ones((dims[i + 1], dims[i])) for i in range(len(dims) - 1)]
-        biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-        net = FfnnParams(weights, biases, acts)
-        graph = build_graph(net, direction=spec["direction"])
-    elif kind == "cnn":
-        dims = spec["dims"]
-        kh, kw = spec["kernel_hw"]
-        chain = dims[:-1]
-        kernels = [np.ones((chain[i + 1], chain[i], kh, kw)) for i in range(len(chain) - 1)]
-        biases = [np.zeros(chain[i + 1]) for i in range(len(chain) - 1)]
-        net = CnnParams(kernels, biases, acts[:-1], np.ones((dims[-1], chain[-1])),
-                        np.zeros(dims[-1]))
-        graph = build_graph_cnn(net, direction=spec["direction"])
-    else:
+    if kind not in ("ffnn", "cnn"):
         raise ValueError(f"unknown template kind {kind!r}")
-    return GraphTemplate(graph)
+    acts = [by_name(n, spec.get("omega0", 0.0)) for n in spec["activations"]]
+    de_raw = int(np.prod(spec["kernel_hw"])) if kind == "cnn" else 1
+    return template_for(kind, spec["dims"], acts, spec["direction"], de_raw)
 
 
 def template_spec(tpl: GraphTemplate) -> dict:
@@ -452,8 +437,21 @@ def load_checkpoint(path) -> ScaleGMNModel:
     config = ScaleGMNConfig.from_dict(manifest["config"])
     template = template_from_spec(manifest["template"])
     model = ScaleGMNModel(config, template, np.random.default_rng(0))
-    flat = np.fromfile(path / "params.bin", dtype="<f4").astype(np.float64)
     params = dict(model.named_parameters())
+    listed = {e["name"]: tuple(e["shape"]) for e in manifest["tensors"]}
+    wanted = {name: tuple(p.shape) for name, p in params.items()}
+    if listed != wanted:
+        wrong = sorted(n for n in listed.keys() & wanted.keys() if listed[n] != wanted[n])
+        raise ValueError(
+            f"{path / 'checkpoint.json'}: tensors do not match the model; missing "
+            f"{sorted(wanted.keys() - listed.keys())}, unexpected "
+            f"{sorted(listed.keys() - wanted.keys())}, wrong shape {wrong}"
+        )
+    flat = np.fromfile(path / "params.bin", dtype="<f4").astype(np.float64)
+    expected = sum(int(np.prod(s)) for s in listed.values())
+    if flat.size != expected:
+        raise ValueError(f"{path / 'params.bin'}: expected {expected} float32 values, "
+                         f"found {flat.size}")
     for entry in manifest["tensors"]:
         p = params[entry["name"]]
         n = int(np.prod(entry["shape"])) if entry["shape"] else 1

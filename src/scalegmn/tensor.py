@@ -31,12 +31,6 @@ class ShapeError(ValueError):
     """Operands with incompatible shapes."""
 
 
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        raise TypeError("expected raw array-like, got Tensor")
-    return np.asarray(x, dtype=np.float64)
-
-
 class Tensor:
     """A float64 ndarray plus the tape metadata produced by the op that made it.
 

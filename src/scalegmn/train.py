@@ -36,7 +36,7 @@ from . import tensor as T
 from .baselines import make_flat_baseline, make_stat_baseline
 from .cnn import CnnParams
 from .ffnn import ffnn_forward_taped, sample_orbit
-from .graph import GraphTemplate, build_graph, build_graph_cnn
+from .graph import build_graph, build_graph_cnn
 from .harness import apply_orbit_any, kendall_tau
 from .model import ScaleGMNConfig, ScaleGMNModel, save_checkpoint
 from .nn import cross_entropy
@@ -112,7 +112,7 @@ class TaskData:
         self.kind = self.entries[0].kind
         self.labels = np.array([e.label for e in self.entries])
         self.graphs = [self._build(n, direction) for n in self.nets]
-        self.template = GraphTemplate(self.graphs[0])
+        self.template = self.graphs[0].template
         self.splits = split_indices(len(self.nets), seed)
         self.group_kind = self.template.group_kind
 

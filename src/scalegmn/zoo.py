@@ -300,6 +300,17 @@ def _unflatten_cnn(vec: np.ndarray, dims, act_names, omega0: float, kernel_hw) -
     return CnnParams(kernels, biases, acts, head_w, head_b)
 
 
+def _param_count(entry: ZooEntry) -> int:
+    """Parameters an entry's manifest row declares: its weights file's length."""
+    dims = entry.layer_dims
+    if entry.kind == "ffnn":
+        return sum(d_out * (d_in + 1) for d_in, d_out in zip(dims, dims[1:]))
+    kh, kw = entry.extra["kernel_hw"]
+    chain = dims[:-1]  # conv channel chain; last entry of dims is head width
+    convs = sum(c_out * (c_in * kh * kw + 1) for c_in, c_out in zip(chain, chain[1:]))
+    return convs + dims[-1] * (chain[-1] + 1)
+
+
 def load_zoo(directory):
     """Returns (entries, nets, meta); nets are FfnnParams or CnnParams."""
     directory = Path(directory)
@@ -311,14 +322,19 @@ def load_zoo(directory):
                               "label", "weights_path")}
         entry = ZooEntry(row["id"], row["kind"], row["layer_dims"], row["activations"],
                          row["omega0"], row["label"], row["weights_path"], extra)
-        vec = _read_f32(directory / entry.weights_path)
+        if entry.kind not in ("ffnn", "cnn"):
+            raise ValueError(f"unknown zoo entry kind {entry.kind!r}")
+        path = directory / entry.weights_path
+        vec = _read_f32(path)
+        expected = _param_count(entry)
+        if vec.size != expected:
+            raise ValueError(f"{path}: expected {expected} float32 values for layer_dims "
+                             f"{entry.layer_dims}, found {vec.size}")
         if entry.kind == "ffnn":
             nets.append(_unflatten_ffnn(vec, entry.layer_dims, entry.activations, entry.omega0))
-        elif entry.kind == "cnn":
+        else:
             nets.append(_unflatten_cnn(vec, entry.layer_dims, entry.activations,
                                        entry.omega0, entry.extra["kernel_hw"]))
-        else:
-            raise ValueError(f"unknown zoo entry kind {entry.kind!r}")
         entries.append(entry)
     return entries, nets, manifest.get("meta", {})
 

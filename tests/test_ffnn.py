@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalegmn import activations
+from scalegmn.baselines import stat_features
 from scalegmn.ffnn import (
     FfnnParams,
     OrbitElement,
@@ -17,7 +18,6 @@ from scalegmn.ffnn import (
     ffnn_forward,
     sample_orbit,
     shift_sine_biases,
-    stat_features,
 )
 
 

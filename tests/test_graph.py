@@ -7,7 +7,6 @@ from scalegmn import activations
 from scalegmn.cnn import CnnParams
 from scalegmn.ffnn import FfnnParams, apply_orbit, sample_orbit
 from scalegmn.graph import (
-    GraphTemplate,
     add_backward_edges,
     build_graph,
     build_graph_cnn,
@@ -18,9 +17,9 @@ from test_ffnn import random_net, random_siren
 
 def test_counts_2_4_1():
     rng = np.random.default_rng(0)
-    g = build_graph(random_net(rng, (2, 4, 1), activations.tanh_act()))
-    assert g.n_vertices == 7
-    assert g.n_edges == 2 * 4 + 4 * 1
+    t = build_graph(random_net(rng, (2, 4, 1), activations.tanh_act())).template
+    assert t.n_v == 7
+    assert t.n_e == 2 * 4 + 4 * 1
 
 
 def test_input_vertex_feature_is_one():
@@ -50,7 +49,7 @@ def test_sine_graph_has_canonical_biases():
     net = random_siren(rng, dims=(2, 6, 6, 1))
     net.biases[0] += rng.uniform(-7, 7, size=6)
     g = build_graph(net)
-    hidden = g.x_v[(g.layer_of >= 1) & (g.layer_of < g.n_layers), 0]
+    hidden = g.x_v[g.template.is_hidden, 0]
     assert np.all(hidden <= np.pi / 2 + 1e-12)
     assert np.all(hidden >= -np.pi / 2 - 1e-12)
 
@@ -59,32 +58,80 @@ def test_sine_graph_has_canonical_biases():
 
 def test_pe_class_counts_2_4_4_1():
     rng = np.random.default_rng(5)
-    g = build_graph(random_net(rng, (2, 4, 4, 1), activations.tanh_act()))
-    assert len(g.class_names["vertex"]) == 2 + 1 + 1 + 1
+    t = build_graph(random_net(rng, (2, 4, 4, 1), activations.tanh_act())).template
+    assert len(t.vertex_class_names) == 2 + 1 + 1 + 1
     # edges: 2 input-source classes, 1 hidden-pair class, 1 output-target class
-    assert len(g.class_names["edge"]) == 2 + 1 + 1
+    assert len(t.edge_class_names) == 2 + 1 + 1
 
 
 def test_pe_edges_into_same_output_share_class():
     rng = np.random.default_rng(6)
-    g = build_graph(random_net(rng, (2, 3, 2), activations.tanh_act()))
-    last = g.layer_of[g.fw_tgt] == g.n_layers
-    tgt_idx = g.index_in_layer[g.fw_tgt[last]]
-    classes = g.edge_class[last]
+    t = build_graph(random_net(rng, (2, 3, 2), activations.tanh_act())).template
+    last = t.fw_tgt_is_output
+    tgt_idx = t.index_in_layer[t.fw_tgt[last]]
+    classes = t.edge_class[last]
     for out in (0, 1):
         vals = set(classes[tgt_idx == out].tolist())
         assert len(vals) == 1
     assert set(classes[tgt_idx == 0]) != set(classes[tgt_idx == 1])
 
 
+# Class ids as the sharing rule numbers them: names in order of first
+# appearance over the vertices, then the forward, then the backward edges.
+# The ids index the positional-encoding rows and the names key the edit-head
+# parameters, so checkpoints depend on both.
+CLASS_TABLES = {
+    (2, 4, 4, 1): dict(
+        v_names=["v:in:0", "v:in:1", "v:hidden:1", "v:hidden:2", "v:out:0"],
+        v=[0, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4],
+        e_names=["e:from-in:0", "e:from-in:1", "e:hidden:2", "e:to-out:0"],
+        e=[0, 1] * 4 + [2] * 16 + [3] * 4,
+    ),
+    (2, 3): dict(
+        v_names=["v:in:0", "v:in:1", "v:out:0", "v:out:1", "v:out:2"],
+        v=[0, 1, 2, 3, 4],
+        e_names=["e:in-out"],
+        e=[0] * 6,
+    ),
+}
+
+
+@pytest.mark.parametrize("direction", ["forward", "bidirectional"])
+@pytest.mark.parametrize("dims", sorted(CLASS_TABLES))
+def test_pe_class_table_golden(dims, direction):
+    rng = np.random.default_rng(18)
+    t = build_graph(random_net(rng, dims, activations.tanh_act()), direction=direction).template
+    want = CLASS_TABLES[dims]
+    assert t.vertex_class_names == want["v_names"]
+    assert t.vertex_class.tolist() == want["v"]
+    assert t.edge_class.tolist() == want["e"]
+    n_fw = len(want["e_names"])
+    if direction == "forward":
+        assert t.edge_class_names == want["e_names"]
+        assert t.bw_edge_class is None
+    else:
+        assert t.edge_class_names == want["e_names"] + ["bw:" + n for n in want["e_names"]]
+        assert t.bw_edge_class.tolist() == [c + n_fw for c in want["e"]]
+
+
+def test_one_template_per_architecture():
+    rng = np.random.default_rng(19)
+    a, b = (random_net(rng, (2, 5, 3), activations.tanh_act()) for _ in range(2))
+    assert build_graph(a).template is build_graph(b).template
+    assert build_graph(a).template is not build_graph(a, direction="bidirectional").template
+    g = build_graph(a)
+    add_backward_edges(g, "sign")
+    assert g.template is build_graph(b, direction="bidirectional").template
+
+
 def test_pe_class_multiset_invariant_under_hidden_permutation():
     rng = np.random.default_rng(7)
     net = random_net(rng, (2, 5, 5, 2), activations.tanh_act())
-    g1 = build_graph(net)
+    t1 = build_graph(net).template
     orbit = sample_orbit("none", [5, 5], rng, permute=True)
-    g2 = build_graph(apply_orbit(net, orbit))
-    assert sorted(g1.vertex_class.tolist()) == sorted(g2.vertex_class.tolist())
-    assert sorted(g1.edge_class.tolist()) == sorted(g2.edge_class.tolist())
+    t2 = build_graph(apply_orbit(net, orbit)).template
+    assert sorted(t1.vertex_class.tolist()) == sorted(t2.vertex_class.tolist())
+    assert sorted(t1.edge_class.tolist()) == sorted(t2.edge_class.tolist())
 
 
 # -- backward edges -----------------------------------------------------------------
@@ -118,6 +165,14 @@ def test_backward_positive_rejects_tiny_weights():
         add_backward_edges(g, "positive")
 
 
+def test_backward_positive_rejects_zero_kernel_weight():
+    rng = np.random.default_rng(20)
+    net = make_cnn(rng, channels=(1, 3, 2), kernel=3)
+    net.kernels[1][1, 2, 0, 1] = 0.0
+    with pytest.raises(ValueError, match="offending"):
+        build_graph_cnn(net, direction="bidirectional")
+
+
 # -- CNN graphs -----------------------------------------------------------------------
 
 def make_cnn(rng, channels=(1, 4, 2), kernel=3, n_out=2, acts="relu"):
@@ -135,7 +190,7 @@ def test_cnn_vertex_count():
     rng = np.random.default_rng(11)
     net = make_cnn(rng, channels=(1, 4), n_out=2)
     g = build_graph_cnn(net)
-    assert g.n_vertices == 1 + 4 + 2
+    assert g.template.n_v == 1 + 4 + 2
 
 
 def test_cnn_kernel_padding_top_left():
@@ -159,6 +214,18 @@ def test_cnn_1x1_kernel_single_nonzero():
     assert np.all(np.count_nonzero(g.x_e[2:], axis=1) <= 1)
 
 
+def test_cnn_bidirectional_relu_inverts_weight_slots_only():
+    rng = np.random.default_rng(21)
+    net = make_cnn(rng, channels=(1, 2, 3), kernel=2, n_out=2)
+    g = build_graph_cnn(net, direction="bidirectional", max_hw=(3, 3))
+    slots = np.zeros((g.template.n_e, 3, 3), dtype=bool)
+    slots[:8, :2, :2] = True          # 2x2 kernels, top-left anchored
+    slots[8:, 0, 0] = True            # the head holds its weight in slot 0
+    slots = slots.reshape(g.template.n_e, 9)
+    assert np.array_equal(g.x_e_bw[slots], 1.0 / g.x_e[slots])
+    assert np.all(g.x_e_bw[~slots] == 0.0) and np.all(g.x_e[~slots] == 0.0)
+
+
 def test_cnn_kernel_exceeds_maxima():
     rng = np.random.default_rng(14)
     net = make_cnn(rng, channels=(1, 2), kernel=3, n_out=1)
@@ -170,9 +237,10 @@ def test_cnn_kernel_exceeds_maxima():
 
 def _transformed_features(graph, net, orbit):
     """Directly permute/scale raw graph features per the symmetry equations."""
-    L = graph.n_layers
+    t = graph.template
+    L = len(t.dims) - 1
     q_full, perm_full = [], []
-    for l, d in enumerate(graph.dims):
+    for l, d in enumerate(t.dims):
         if 0 < l < L:
             q_full.append(orbit.scales[l - 1])
             perm_full.append(orbit.perms[l - 1])
@@ -180,16 +248,16 @@ def _transformed_features(graph, net, orbit):
             q_full.append(np.ones(d))
             perm_full.append(np.arange(d))
     x_v = graph.x_v.copy()
-    offs = np.concatenate([[0], np.cumsum(graph.dims)])
-    for l, d in enumerate(graph.dims):
+    offs = np.concatenate([[0], np.cumsum(t.dims)])
+    for l, d in enumerate(t.dims):
         inv = np.argsort(perm_full[l])
         x_v[offs[l] : offs[l] + d] = (q_full[l][:, None] * graph.x_v[offs[l] : offs[l] + d])[inv]
-    lookup = {(int(t), int(s)): e for e, (t, s) in enumerate(zip(graph.fw_tgt, graph.fw_src))}
+    lookup = {(int(tg), int(s)): e for e, (tg, s) in enumerate(zip(t.fw_tgt, t.fw_src))}
     x_e = np.zeros_like(graph.x_e)
-    for e in range(graph.n_edges):
-        t, s = int(graph.fw_tgt[e]), int(graph.fw_src[e])
-        lt, ls = int(graph.layer_of[t]), int(graph.layer_of[s])
-        it, i_s = int(graph.index_in_layer[t]), int(graph.index_in_layer[s])
+    for e in range(t.n_e):
+        tg, s = int(t.fw_tgt[e]), int(t.fw_src[e])
+        lt, ls = int(t.layer_of[tg]), int(t.layer_of[s])
+        it, i_s = int(t.index_in_layer[tg]), int(t.index_in_layer[s])
         nt = offs[lt] + perm_full[lt][it]
         ns = offs[ls] + perm_full[ls][i_s]
         scale = q_full[lt][it] / q_full[ls][i_s]
@@ -249,7 +317,7 @@ def test_template_batching_shapes():
     rng = np.random.default_rng(17)
     nets = [random_net(rng, (2, 4, 1), activations.tanh_act()) for _ in range(3)]
     graphs = [build_graph(n, direction="bidirectional") for n in nets]
-    tpl = GraphTemplate(graphs[0])
+    tpl = graphs[0].template
     x_v, x_e, x_bw = tpl.batch(graphs)
     assert x_v.shape == (3 * 7, 1)
     assert x_e.shape == (3 * 12, 1)

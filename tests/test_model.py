@@ -1,11 +1,14 @@
 """Metanetwork symmetry properties, determinism, and checkpoint round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from scalegmn import activations, tensor as T
+from scalegmn.cnn import apply_orbit_cnn
 from scalegmn.ffnn import apply_orbit, sample_orbit
-from scalegmn.graph import GraphTemplate, build_graph, build_graph_cnn
+from scalegmn.graph import build_graph, build_graph_cnn
 from scalegmn.model import (
     ScaleGMNConfig,
     ScaleGMNModel,
@@ -31,8 +34,7 @@ def make_model(kind="sign", direction="forward", dims=(2, 4, 4, 2), head="invari
     if kind == "positive":
         for w in net.weights:  # keep reciprocal features well-conditioned
             w[np.abs(w) < 1e-3] = 1e-3
-    graph = build_graph(net, direction=direction)
-    tpl = GraphTemplate(graph)
+    tpl = build_graph(net, direction=direction).template
     base_kwargs = dict(
         d_v=8, d_e=8, d_msg=8, d_inv=6, d_readout=8, pe_dim=4, mlp_hidden=12,
         n_rounds=2, direction=direction, group_kind=kind, head=head, out_dim=3,
@@ -235,6 +237,24 @@ def test_readout_invariant_under_orbits(kind, act, direction, sign_canon):
     for _ in range(20):
         orbit = sample_orbit(kind, [4, 4], rng)
         g2 = build_graph(apply_orbit(net, orbit), direction=direction)
+        out = model.forward([g2]).data
+        worst = max(worst, float(np.max(np.abs(out - base) / (np.abs(base) + 1e-9))))
+    assert worst < 1e-8
+
+
+def test_bidirectional_relu_cnn_readout_invariant_under_orbits():
+    rng = np.random.default_rng(23)
+    net = make_cnn(rng, channels=(1, 3, 2), n_out=2)
+    cfg = ScaleGMNConfig(d_v=8, d_e=8, d_msg=8, d_inv=6, d_readout=8, pe_dim=4,
+                         mlp_hidden=12, direction="bidirectional", group_kind="positive",
+                         out_dim=3)
+    graph = build_graph_cnn(net, direction="bidirectional")
+    model = ScaleGMNModel(cfg, graph.template, np.random.default_rng(24))
+    base = model.forward([graph]).data
+    worst = 0.0
+    for _ in range(20):
+        orbit = sample_orbit("positive", [3, 2], rng)
+        g2 = build_graph_cnn(apply_orbit_cnn(net, orbit), direction="bidirectional")
         out = model.forward([g2]).data
         worst = max(worst, float(np.max(np.abs(out - base) / (np.abs(base) + 1e-9))))
     assert worst < 1e-8
@@ -471,7 +491,7 @@ def test_role_modules_run_only_on_their_rows_cnn():
     graphs = [build_graph_cnn(n) for n in nets]
     cfg = ScaleGMNConfig(d_v=8, d_e=8, d_msg=8, d_inv=6, d_readout=8, pe_dim=4,
                          mlp_hidden=12, group_kind="positive", out_dim=1)
-    model = ScaleGMNModel(cfg, GraphTemplate(graphs[0]), np.random.default_rng(22))
+    model = ScaleGMNModel(cfg, graphs[0].template, np.random.default_rng(22))
     calls, expected = _count_role_rows(model)
     model.forward(graphs)
     assert {key for key, _ in calls} == set(expected)
@@ -512,3 +532,58 @@ def test_template_spec_roundtrip():
     assert tpl2.dims == model.template.dims
     assert tpl2.n_vertex_classes == model.template.n_vertex_classes
     assert tpl2.n_edge_classes == model.template.n_edge_classes
+
+
+@pytest.mark.parametrize("kind", ["ffnn", "cnn"])
+@pytest.mark.parametrize("direction", ["forward", "bidirectional"])
+def test_template_spec_roundtrip_keeps_class_arrays(kind, direction):
+    rng = np.random.default_rng(25)
+    if kind == "ffnn":
+        tpl = build_graph(random_siren(rng, dims=(3, 5, 4, 2)), direction=direction).template
+    else:
+        tpl = build_graph_cnn(make_cnn(rng, channels=(2, 3, 4), n_out=3),
+                              direction=direction).template
+    tpl2 = template_from_spec(template_spec(tpl))
+    assert (tpl2.kind, tpl2.dims, tpl2.direction, tpl2.de_raw) == (
+        tpl.kind, tpl.dims, tpl.direction, tpl.de_raw)
+    assert tpl2.vertex_class_names == tpl.vertex_class_names
+    assert tpl2.edge_class_names == tpl.edge_class_names
+    assert np.array_equal(tpl2.vertex_class, tpl.vertex_class)
+    assert np.array_equal(tpl2.edge_class, tpl.edge_class)
+    if direction == "bidirectional":
+        assert np.array_equal(tpl2.bw_edge_class, tpl.bw_edge_class)
+    else:
+        assert tpl2.bw_edge_class is None and tpl.bw_edge_class is None
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_checkpoint_rejects_wrong_size_params(tmp_path, delta):
+    model, _, _ = make_model("sign")
+    save_checkpoint(model, tmp_path / "ckpt")
+    blob = tmp_path / "ckpt" / "params.bin"
+    flat = np.fromfile(blob, dtype="<f4")
+    n = flat.size
+    flat = flat[:-1] if delta < 0 else np.concatenate([flat, flat[:1]])
+    flat.tofile(blob)
+    with pytest.raises(ValueError, match=rf"params\.bin.*expected {n}\b.*found {n + delta}\b"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("change", ["missing", "unexpected", "shape"])
+def test_checkpoint_rejects_mismatched_manifest(tmp_path, change):
+    model, _, _ = make_model("sign")
+    save_checkpoint(model, tmp_path / "ckpt")
+    path = tmp_path / "ckpt" / "checkpoint.json"
+    manifest = json.loads(path.read_text())
+    tensors = manifest["tensors"]
+    if change == "missing":
+        name = tensors.pop(0)["name"]
+    elif change == "unexpected":
+        name = "no_such_parameter"
+        tensors.append({"name": name, "shape": [1], "offset": 0})
+    else:
+        name = tensors[0]["name"]
+        tensors[0]["shape"] = tensors[0]["shape"] + [1]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"checkpoint\.json.*{change}.*{name}"):
+        load_checkpoint(tmp_path / "ckpt")

@@ -124,6 +124,45 @@ def test_cnn_generalization_task(tiny_cnn_zoo, tmp_path):
     assert "kendall_tau" in report and "orbit_kendall_tau" in report
 
 
+def test_stat_baseline_trains_on_cnn_zoo(tiny_cnn_zoo, tmp_path):
+    """Weight statistics read a CNN's kernel/bias pairs, then its head."""
+    cfg = ExperimentConfig(task="cnn-generalization", zoo=str(tiny_cnn_zoo),
+                           out_dir=str(tmp_path / "run"), baseline="stat-mlp",
+                           epochs=1, batch_size=4, seed=12)
+    runner = Runner(cfg)
+    assert runner.model.d_in == 7 * 2 * (len(runner.data.nets[0].kernels) + 1)
+    summary = runner.train()
+    assert summary["epochs_run"] == 1 and not summary["diverged"]
+    assert math.isfinite(summary["best_val_kendall_tau"])
+    assert math.isfinite(summary["best_val_loss"])
+
+
+SWEEP_ZOO = {"inr-classify": "tiny_inr_zoo", "cnn-generalization": "tiny_cnn_zoo",
+             "inr-edit": "tiny_inr_zoo"}
+
+
+@pytest.mark.parametrize("baseline", ["none", "flat-mlp", "stat-mlp"])
+@pytest.mark.parametrize("direction", ["forward", "bidirectional"])
+@pytest.mark.parametrize("task", sorted(SWEEP_ZOO))
+def test_advertised_combination_trains_or_fails_at_config(task, direction, baseline,
+                                                          request, tmp_path):
+    """Every task x direction x baseline either runs an epoch with finite
+    metrics or is refused when the config is built."""
+    kwargs = dict(task=task, zoo=str(request.getfixturevalue(SWEEP_ZOO[task])),
+                  out_dir=str(tmp_path / "run"), baseline=baseline,
+                  model=dict(TINY_MODEL, direction=direction),
+                  epochs=1, batch_size=4, seed=13)
+    if task == "inr-edit" and baseline != "none":
+        with pytest.raises(ValueError, match="baselines do not implement the editing head"):
+            ExperimentConfig(**kwargs)
+        return
+    summary = Runner(ExperimentConfig(**kwargs)).train()
+    assert summary["epochs_run"] == 1 and not summary["diverged"]
+    with open(tmp_path / "run" / "metrics.csv") as fh:
+        values = [float(r["value"]) for r in csv.DictReader(fh)]
+    assert values and all(math.isfinite(v) for v in values)
+
+
 def test_one_conv_layer_relu_zoo_is_positive(tmp_path):
     """The group kind comes from the graph, which counts the last conv layer."""
     rng = np.random.default_rng(3)

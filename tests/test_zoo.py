@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from scalegmn import activations
+from scalegmn.cnn import CnnParams
 from scalegmn.ffnn import ffnn_forward
 from scalegmn.tensor import NumericsError
 from scalegmn.zoo import (
     Signal,
+    ZooEntry,
     dilate3x3,
     gen_cnn_zoo,
     gen_inr_zoo,
@@ -19,6 +21,7 @@ from scalegmn.zoo import (
     inr_source_image,
     load_zoo,
     make_shape_image,
+    save_zoo,
     siren_init,
     train_inr,
     train_toy_cnn,
@@ -179,3 +182,41 @@ def test_cnn_zoo_entries(tmp_path):
     _, nets, _ = load_zoo(tmp_path / "c")
     assert nets[0].kernels[0].shape == (4, 1, 3, 3)
     assert nets[0].head_weight.shape == (2, 4)
+
+
+def _one_entry_zoo(directory, kind):
+    """A saved one-network zoo: a 2-3-1 FFNN (13 floats) or a 1-2 channel
+    3x3 CNN with a 2-way head (20 + 6 floats)."""
+    rng = np.random.default_rng(0)
+    if kind == "ffnn":
+        net = siren_init((2, 3, 1), 10.0, rng)
+        entry = ZooEntry("inr-0", "ffnn", [2, 3, 1], ["sine", "identity"], 10.0, 0.0,
+                         "inr-0.bin")
+    else:
+        net = CnnParams([rng.standard_normal((2, 1, 3, 3))], [rng.standard_normal(2)],
+                        [activations.relu()], rng.standard_normal((2, 2)),
+                        rng.standard_normal(2))
+        entry = ZooEntry("cnn-0", "cnn", [1, 2, 2], ["relu"], 0.0, 0.5, "cnn-0.bin",
+                         {"kernel_hw": [3, 3]})
+    save_zoo(directory, [entry], [net])
+    return directory / entry.weights_path, net.flatten().size
+
+
+@pytest.mark.parametrize("kind", ["ffnn", "cnn"])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_load_zoo_rejects_wrong_size_file(tmp_path, kind, delta):
+    path, n = _one_entry_zoo(tmp_path / "zoo", kind)
+    vec = np.fromfile(path, dtype="<f4")
+    (vec[:-1] if delta < 0 else np.concatenate([vec, vec[:1]])).tofile(path)
+    with pytest.raises(ValueError, match=rf"{path.name}: expected {n} .* found {n + delta}$"):
+        load_zoo(tmp_path / "zoo")
+
+
+def test_load_zoo_rejects_file_of_other_architecture(tmp_path):
+    path, n = _one_entry_zoo(tmp_path / "zoo", "ffnn")
+    manifest_path = tmp_path / "zoo" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["entries"][0]["layer_dims"] = [2, 4, 1]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"{path.name}: expected 17 .* found {n}$"):
+        load_zoo(tmp_path / "zoo")
