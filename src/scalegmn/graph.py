@@ -80,6 +80,13 @@ def build_graph(net: FfnnParams, direction: str = "forward") -> ParamGraph:
     return graph
 
 
+def graph_for(net, direction: str = "forward") -> ParamGraph:
+    """The graph of an FFNN or a CNN, at default CNN kernel extent."""
+    if isinstance(net, CnnParams):
+        return build_graph_cnn(net, direction=direction)
+    return build_graph(net, direction=direction)
+
+
 def build_graph_cnn(net: CnnParams, direction: str = "forward",
                     max_hw: tuple[int, int] | None = None) -> ParamGraph:
     """CNN to graph: one vertex per i/o channel plus the head outputs.
@@ -94,9 +101,9 @@ def build_graph_cnn(net: CnnParams, direction: str = "forward",
         if h_max > max_hw[0] or w_max > max_hw[1]:
             raise ShapeError(f"kernel {h_max}x{w_max} exceeds declared maxima {max_hw}")
         h_max, w_max = max_hw
-    de = h_max * w_max
     dims = net.channels + [net.head_weight.shape[0]]
-    template = template_for("cnn", dims, list(net.activations) + [identity()], direction, de)
+    template = template_for("cnn", dims, list(net.activations) + [identity()], direction,
+                            (h_max, w_max))
     x_v = np.ones((template.n_v, 1))
     x_v[dims[0]:, 0] = np.concatenate(net.conv_biases + [net.head_bias])
     blocks = list(net.kernels) + [net.head_weight[:, :, None, None]]  # head: a 1x1 kernel
@@ -144,7 +151,7 @@ def add_backward_edges(graph: ParamGraph, group_kind: str,
     else:
         raise ValueError(f"unknown group kind {group_kind!r}")
     t = graph.template
-    graph.template = template_for(t.kind, t.dims, t.activations, "bidirectional", t.de_raw)
+    graph.template = template_for(t.kind, t.dims, t.activations, "bidirectional", t.kernel_hw)
     return graph
 
 
@@ -181,17 +188,20 @@ class GraphTemplate:
     the role masks, and precomputes flattened gather/scatter indices per
     batch size, so a whole batch runs as a handful of 2-D tensor ops. Build
     it through `template_for`, so each architecture has one template.
+    `kernel_hw` is the padded (h, w) extent of a CNN's edge features; an
+    FFNN's is (1, 1).
     """
 
     def __init__(self, kind: str, dims, activations: list[ActivationDescriptor],
-                 direction: str, de_raw: int = 1):
+                 direction: str, kernel_hw: tuple[int, int] = (1, 1)):
         self.kind = kind
         self.dims = [int(d) for d in dims]
         self.activations = list(activations)
         self.direction = direction
         kinds = {a.kind for a in self.activations[:-1]} or {KIND_NONE}
         self.group_kind = "mixed" if len(kinds) > 1 else next(iter(kinds))
-        self.dv_raw, self.de_raw = 1, de_raw
+        self.kernel_hw = (int(kernel_hw[0]), int(kernel_hw[1]))
+        self.dv_raw, self.de_raw = 1, self.kernel_hw[0] * self.kernel_hw[1]
         dims, L = np.asarray(self.dims), len(self.dims) - 1
         offsets = np.concatenate([[0], np.cumsum(dims)])
         self.n_v = int(offsets[-1])
@@ -240,19 +250,22 @@ class GraphTemplate:
                 value.flags.writeable = False
         self._rows: dict[int, BatchRows] = {}
 
+    def _signature(self) -> tuple:
+        return (self.kind, self.dims, [a.name for a in self.activations], self.kernel_hw)
+
     def compatible(self, graph: ParamGraph) -> bool:
         t = graph.template
-        return t is self or (
-            t.dims == self.dims
-            and t.kind == self.kind
-            and [a.name for a in t.activations] == [a.name for a in self.activations]
-        )
+        return t is self or t._signature() == self._signature()
 
     def batch(self, graphs: list[ParamGraph]):
         """Stack raw features: x_v [B*V, dv], x_e [B*E, de], x_e_bw or None."""
         for g in graphs:
             if not self.compatible(g):
-                raise ShapeError("graph does not match template")
+                t = g.template
+                raise ShapeError(
+                    f"graph {t._signature()} (edge-feature width {t.de_raw}) does not match "
+                    f"template {self._signature()} (edge-feature width {self.de_raw}); "
+                    "fields: kind, dims, activations, kernel_hw")
         x_v = np.concatenate([g.x_v for g in graphs], axis=0)
         x_e = np.concatenate([g.x_e for g in graphs], axis=0)
         x_bw = None
@@ -315,9 +328,10 @@ def _tile_rows(idx: np.ndarray, per_graph: int, batch: int) -> np.ndarray:
 _TEMPLATES: dict[tuple, GraphTemplate] = {}
 
 
-def template_for(kind: str, dims, activations, direction: str, de_raw: int = 1) -> GraphTemplate:
+def template_for(kind: str, dims, activations, direction: str,
+                 kernel_hw: tuple[int, int] = (1, 1)) -> GraphTemplate:
     """The one template of an architecture, built on its first use."""
-    key = (kind, tuple(dims), tuple(activations), direction, de_raw)
+    key = (kind, tuple(dims), tuple(activations), direction, tuple(kernel_hw))
     if key not in _TEMPLATES:
         _TEMPLATES[key] = GraphTemplate(*key)
     return _TEMPLATES[key]

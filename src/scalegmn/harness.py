@@ -5,6 +5,10 @@ reports for a metanetwork, function-preservation checks for datapoint
 networks under orbit transforms, and a hand-wired (non-learned) message
 passing run that reconstructs an input network's forward pass and the
 gradients of its backward pass inside vertex representations.
+
+Both certifiers share one trial loop: each sampled net and all of its orbit
+copies go through the model as one batch, through `forward` for the
+invariant head and `edit_params` for the edit head.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .cnn import CnnParams, cnn_forward
 from .ffnn import FfnnParams, apply_orbit, ffnn_forward
-from .graph import build_graph, build_graph_cnn
+from .graph import graph_for
 from .model import ScaleGMNModel
 from .tensor import ShapeError
 
@@ -83,24 +87,6 @@ def config_hash(config) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _graph_for(model, net):
-    direction = model.config.direction
-    if isinstance(net, CnnParams):
-        return build_graph_cnn(net, direction=direction)
-    return build_graph(net, direction=direction)
-
-
-def _batched_predict(model, nets) -> np.ndarray:
-    """ScaleGMN models get one batch of graphs; plain callables get each net."""
-    if isinstance(model, ScaleGMNModel):
-        return model.forward([_graph_for(model, n) for n in nets]).data
-    return np.stack([np.asarray(model(n), dtype=np.float64).reshape(-1) for n in nets])
-
-
-def _predict(model, net) -> np.ndarray:
-    return _batched_predict(model, [net])[0]
-
-
 def certify_invariance(model, net_sampler, orbit_sampler, trials: int = 50,
                        nets: int = 5, tol: float = 1e-8, seed: int = 0,
                        name: str = "invariance") -> SymmetryReport:
@@ -109,19 +95,48 @@ def certify_invariance(model, net_sampler, orbit_sampler, trials: int = 50,
     trials counts orbit elements per sampled network; trials=0 (or nets=0)
     yields a vacuous pass with zero recorded trials.
     """
-    rng = np.random.default_rng(seed)
     report = SymmetryReport(name=name, metric="relative", tolerance=tol, seed=seed)
-    if isinstance(model, ScaleGMNModel):
+    return _orbit_trials(model, net_sampler, orbit_sampler, trials, nets, report, edit=False)
+
+
+def certify_equivariance(model, net_sampler, orbit_sampler, trials: int = 50,
+                         nets: int = 5, tol: float = 1e-8, seed: int = 0,
+                         name: str = "equivariance") -> SymmetryReport:
+    """Sup-norm gap between the flattened edit(psi(theta)) and psi(edit(theta))."""
+    report = SymmetryReport(name=name, metric="absolute", tolerance=tol, seed=seed)
+    return _orbit_trials(model, net_sampler, orbit_sampler, trials, nets, report, edit=True)
+
+
+def _orbit_trials(model, net_sampler, orbit_sampler, trials: int, nets: int,
+                  report: SymmetryReport, edit: bool) -> SymmetryReport:
+    """Per sampled net: draw `trials` orbits, then run the net and its copies at once.
+
+    A ScaleGMN model gets one batch of trials + 1 graphs (`forward`, or
+    `edit_params` when `edit`); a plain callable is called on each net. The
+    net is drawn before its orbits, so a seed fixes both.
+    """
+    rng = np.random.default_rng(report.seed)
+    scalegmn = isinstance(model, ScaleGMNModel)
+    if scalegmn:
         report.config_hash = config_hash(model.config)
     for _ in range(nets):
         net = net_sampler(rng)
-        base = _predict(model, net)
-        batch = [apply_orbit_any(net, orbit_sampler(rng)) for _ in range(trials)]
-        if not batch:
+        orbits = [orbit_sampler(rng) for _ in range(trials)]
+        if not orbits:
             continue
-        outs = _batched_predict(model, batch)
-        dev = np.abs(outs - base[None, :]) / (np.abs(base[None, :]) + 1e-9)
-        report.deviations.extend(float(d) for d in dev.max(axis=1))
+        batch = [net] + [apply_orbit_any(net, g) for g in orbits]
+        if not scalegmn:
+            outs = [model(n) for n in batch]
+        else:
+            graphs = [graph_for(n, model.config.direction) for n in batch]
+            outs = model.edit_params(graphs, batch) if edit else model.forward(graphs).data
+        if edit:
+            gaps = [np.max(np.abs(e.flatten() - apply_orbit_any(outs[0], g).flatten()))
+                    for e, g in zip(outs[1:], orbits)]
+        else:
+            out = np.stack([np.asarray(o, dtype=np.float64).reshape(-1) for o in outs])
+            gaps = (np.abs(out[1:] - out[0]) / (np.abs(out[0]) + 1e-9)).max(axis=1)
+        report.deviations.extend(float(d) for d in gaps)
     return report
 
 
@@ -133,38 +148,11 @@ def apply_orbit_any(net, orbit):
     return apply_orbit(net, orbit)
 
 
-def certify_equivariance(model, net_sampler, orbit_sampler, trials: int = 50,
-                         nets: int = 5, tol: float = 1e-8, seed: int = 0,
-                         name: str = "equivariance") -> SymmetryReport:
-    """Entrywise sup-norm gap between edit(psi(theta)) and psi(edit(theta))."""
-    rng = np.random.default_rng(seed)
-    report = SymmetryReport(name=name, metric="absolute", tolerance=tol, seed=seed)
-    edit = model
-    if isinstance(model, ScaleGMNModel):
-        report.config_hash = config_hash(model.config)
-        edit = lambda net: model.edit_params([_graph_for(model, net)], [net])[0]
-    for _ in range(nets):
-        net = net_sampler(rng)
-        base_edit = edit(net)
-        for _ in range(trials):
-            orbit = orbit_sampler(rng)
-            transformed = apply_orbit(net, orbit)
-            edited = edit(transformed)
-            expected = apply_orbit(base_edit, orbit)
-            dev = 0.0
-            for a, b in zip(edited.weights, expected.weights):
-                dev = max(dev, float(np.max(np.abs(a - b))))
-            for a, b in zip(edited.biases, expected.biases):
-                dev = max(dev, float(np.max(np.abs(a - b))))
-            report.deviations.append(dev)
-    return report
-
-
 # -- forward/backward relay simulation ---------------------------------------------------
 
 @dataclass
 class SimulationResult:
-    """Channels recovered by the relay plus the full per-round history.
+    """Channels recovered by the relay plus the per-round vertex history.
 
     history[t] is the [V, 5] state after t rounds with channels
     [bias, pre-activation, post-activation, 1/grad_pre, 1/grad_post].
@@ -174,7 +162,6 @@ class SimulationResult:
 
     dims: list[int]
     history: list[np.ndarray]
-    edge_history: list[np.ndarray]
     z: list[np.ndarray]
     x: list[np.ndarray]
     grad_z: list[np.ndarray]
@@ -244,7 +231,6 @@ def simulate_ffnn(net: FfnnParams, x0: np.ndarray, out_grad: np.ndarray,
     rounds = 2 * L if rounds is None else rounds
     state, offsets = _round_state(net, x0, out_grad)
     history = [state.copy()]
-    edge_history = [[w.copy() for w in net.weights]]
     omega = [
         (act.omega0 if act.name == "sine" else 1.0) for act in net.activations
     ]
@@ -278,7 +264,6 @@ def simulate_ffnn(net: FfnnParams, x0: np.ndarray, out_grad: np.ndarray,
             state[np.isnan(state)] = 0.0
             state[np.isinf(state)] = 0.0
             history.append(state.copy())
-            edge_history.append([w.copy() for w in net.weights])
     # extraction: forward channels directly, gradient channels inverted once
     z_out, x_out, gz_out, gx_out = [], [], [], []
     final = history[-1]
@@ -297,8 +282,8 @@ def simulate_ffnn(net: FfnnParams, x0: np.ndarray, out_grad: np.ndarray,
                     "cannot invert the relay value"
                 )
             sink.append(1.0 / vals)
-    return SimulationResult(dims=list(dims), history=history, edge_history=edge_history,
-                            z=z_out, x=x_out, grad_z=gz_out, grad_x=gx_out)
+    return SimulationResult(dims=list(dims), history=history, z=z_out, x=x_out,
+                            grad_z=gz_out, grad_x=gx_out)
 
 
 def _recip(a: np.ndarray) -> np.ndarray:

@@ -387,8 +387,8 @@ def template_from_spec(spec: dict) -> GraphTemplate:
     if kind not in ("ffnn", "cnn"):
         raise ValueError(f"unknown template kind {kind!r}")
     acts = [by_name(n, spec.get("omega0", 0.0)) for n in spec["activations"]]
-    de_raw = int(np.prod(spec["kernel_hw"])) if kind == "cnn" else 1
-    return template_for(kind, spec["dims"], acts, spec["direction"], de_raw)
+    kernel_hw = spec["kernel_hw"] if kind == "cnn" else (1, 1)
+    return template_for(kind, spec["dims"], acts, spec["direction"], kernel_hw)
 
 
 def template_spec(tpl: GraphTemplate) -> dict:
@@ -404,8 +404,7 @@ def template_spec(tpl: GraphTemplate) -> dict:
         "omega0": omega0,
     }
     if tpl.kind == "cnn":
-        side = int(round(np.sqrt(tpl.de_raw)))
-        spec["kernel_hw"] = [side, side]
+        spec["kernel_hw"] = list(tpl.kernel_hw)
     return spec
 
 

@@ -36,7 +36,7 @@ from . import tensor as T
 from .baselines import make_flat_baseline, make_stat_baseline
 from .cnn import CnnParams
 from .ffnn import ffnn_forward_taped, sample_orbit
-from .graph import build_graph, build_graph_cnn
+from .graph import graph_for
 from .harness import apply_orbit_any, kendall_tau
 from .model import ScaleGMNConfig, ScaleGMNModel, save_checkpoint
 from .nn import cross_entropy
@@ -45,6 +45,7 @@ from .tensor import NumericsError, Tensor, gradients
 from .zoo import dilate3x3, grid_coords, inr_source_image, load_zoo
 
 TASKS = ("inr-classify", "cnn-generalization", "inr-edit")
+AUGMENTATIONS = ("none", "sign", "positive")
 METRICS = {
     "inr-classify": "accuracy",
     "cnn-generalization": "kendall_tau",
@@ -64,7 +65,7 @@ class ExperimentConfig:
     epochs: int = 50
     batch_size: int = 16
     seed: int = 0
-    augmentation: str = "none"                      # none | sign | positive
+    augmentation: str = "none"                      # none | the zoo's group kind
     augmentation_lam: float = 1.0
 
     def __post_init__(self):
@@ -77,6 +78,9 @@ class ExperimentConfig:
             raise ValueError("equivariant-edit head requires the inr-edit task")
         if self.task == "inr-edit" and self.baseline != "none":
             raise ValueError("baselines do not implement the editing head")
+        if self.augmentation not in AUGMENTATIONS:
+            raise ValueError(f"augmentation must be one of {AUGMENTATIONS}, "
+                             f"got {self.augmentation!r}")
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
@@ -111,27 +115,26 @@ class TaskData:
             raise ValueError(f"zoo at {zoo_path} is empty")
         self.kind = self.entries[0].kind
         self.labels = np.array([e.label for e in self.entries])
-        self.graphs = [self._build(n, direction) for n in self.nets]
+        self.graphs = [graph_for(n, direction) for n in self.nets]
         self.template = self.graphs[0].template
         self.splits = split_indices(len(self.nets), seed)
         self.group_kind = self.template.group_kind
 
-    def _build(self, net, direction):
-        if isinstance(net, CnnParams):
-            return build_graph_cnn(net, direction=direction)
-        return build_graph(net, direction=direction)
+    def items(self, idx):
+        """The indexed nets and their graphs."""
+        return [self.nets[i] for i in idx], [self.graphs[i] for i in idx]
 
     def orbit_copy(self, idx, seed: int, direction: str):
         """Orbit-transformed copies of the indexed nets (fresh graphs)."""
-        rng = np.random.default_rng(seed)
-        nets, graphs = [], []
-        for i in idx:
-            net = self.nets[i]
-            orbit = sample_orbit(self.group_kind, _hidden_widths(net), rng)
-            t = apply_orbit_any(net, orbit)
-            nets.append(t)
-            graphs.append(self._build(t, direction))
-        return nets, graphs
+        return self.transformed(idx, np.random.default_rng(seed), direction)
+
+    def transformed(self, idx, rng, direction: str, **orbit_kw):
+        """Each indexed net moved by an orbit element of the zoo's group kind,
+        drawn from `rng` in index order, with its fresh graph."""
+        kind = self.group_kind
+        nets = [apply_orbit_any(net, sample_orbit(kind, _hidden_widths(net), rng, **orbit_kw))
+                for net in (self.nets[i] for i in idx)]
+        return nets, [graph_for(n, direction) for n in nets]
 
 
 # -- losses and metrics -----------------------------------------------------------------
@@ -167,6 +170,9 @@ class Runner:
         model_overrides = dict(cfg.model)
         self.direction = model_overrides.get("direction", "forward")
         self.data = TaskData(cfg.zoo, cfg.seed, self.direction)
+        if cfg.augmentation not in ("none", self.data.group_kind):
+            raise ValueError(f"augmentation {cfg.augmentation!r} does not match the zoo's "
+                             f"group kind {self.data.group_kind!r}")
         out_dim = 2 if cfg.task == "inr-classify" else 1
         defaults = dict(
             group_kind=self.data.group_kind,
@@ -207,19 +213,11 @@ class Runner:
 
     # -- prediction paths ------------------------------------------------------------
 
-    def _predict_tensor(self, idx) -> Tensor:
-        if self.is_scalegmn:
-            return self.model.forward([self.data.graphs[i] for i in idx])
-        return self.model.forward([self.data.nets[i] for i in idx])
-
-    def _predict_tensor_graphs(self, nets, graphs) -> Tensor:
-        if self.is_scalegmn:
-            return self.model.forward(graphs)
-        return self.model.forward(nets)
+    def _predict(self, nets, graphs) -> Tensor:
+        return self.model.forward(graphs if self.is_scalegmn else nets)
 
     def _edit_loss(self, idx) -> Tensor:
-        graphs = [self.data.graphs[i] for i in idx]
-        nets = [self.data.nets[i] for i in idx]
+        nets, graphs = self.data.items(idx)
         edited = self.model.edit(graphs, nets)
         total = None
         for e, i in zip(edited, idx):
@@ -232,28 +230,16 @@ class Runner:
     def _batch_loss(self, idx) -> Tensor:
         if self.cfg.task == "inr-edit":
             return self._edit_loss(idx)
-        if self.cfg.augmentation != "none" and len(idx):
-            nets, graphs = self._augmented(idx)
-            pred = self._predict_tensor_graphs(nets, graphs)
+        if self.cfg.augmentation != "none":
+            pred = self._predict(*self.data.transformed(
+                idx, self._aug_rng, self.direction, lam=self.cfg.augmentation_lam,
+                permute=False))
         else:
-            pred = self._predict_tensor(idx)
+            pred = self._predict(*self.data.items(idx))
         labels = self.data.labels[idx]
         if self.cfg.task == "inr-classify":
             return cross_entropy(pred, labels)
         return mse(pred, labels[:, None])
-
-    def _augmented(self, idx):
-        rng = self._aug_rng
-        nets, graphs = [], []
-        kind = "sign" if self.cfg.augmentation == "sign" else "positive"
-        for i in idx:
-            net = self.data.nets[i]
-            orbit = sample_orbit(kind, _hidden_widths(net), rng,
-                                 lam=self.cfg.augmentation_lam, permute=False)
-            t = apply_orbit_any(net, orbit)
-            nets.append(t)
-            graphs.append(self.data._build(t, self.direction))
-        return nets, graphs
 
     # -- metrics -----------------------------------------------------------------------
 
@@ -262,7 +248,7 @@ class Runner:
         if self.cfg.task == "inr-edit":
             loss = float(self._edit_loss(idx).data)
             return {"functional_mse": loss}
-        preds = self._predict_tensor(idx).data
+        preds = self._predict(*self.data.items(idx)).data
         labels = self.data.labels[idx]
         if self.cfg.task == "inr-classify":
             return {
@@ -383,7 +369,7 @@ class Runner:
             if self.cfg.task == "inr-edit":
                 report["orbit_functional_mse"] = None  # edited nets differ by the orbit
             else:
-                preds = self._predict_tensor_graphs(nets, graphs).data
+                preds = self._predict(nets, graphs).data
                 labels = self.data.labels[idx]
                 if self.cfg.task == "inr-classify":
                     report["orbit_accuracy"] = accuracy(preds, labels)

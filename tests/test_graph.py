@@ -11,6 +11,7 @@ from scalegmn.graph import (
     build_graph,
     build_graph_cnn,
 )
+from scalegmn.tensor import ShapeError
 
 from test_ffnn import random_net, random_siren
 
@@ -231,6 +232,14 @@ def test_cnn_kernel_exceeds_maxima():
     net = make_cnn(rng, channels=(1, 2), kernel=3, n_out=1)
     with pytest.raises(Exception, match="maxima"):
         build_graph_cnn(net, max_hw=(2, 2))
+
+
+def test_batch_rejects_other_kernel_extent():
+    rng = np.random.default_rng(15)
+    net = make_cnn(rng, channels=(1, 2), kernel=3, n_out=1)
+    small, large = build_graph_cnn(net), build_graph_cnn(net, max_hw=(5, 5))
+    with pytest.raises(ShapeError, match=r"width 25\).*width 9\)"):
+        small.template.batch([small, large])
 
 
 # -- orbit/feature equivalence --------------------------------------------------------

@@ -14,6 +14,7 @@ from scalegmn.ffnn import (
     ffnn_forward_taped,
     sample_orbit,
 )
+from scalegmn.graph import build_graph
 from scalegmn.harness import (
     SymmetryReport,
     check_function_preservation,
@@ -129,6 +130,48 @@ def test_certify_equivariance_scalegmn_passes_and_mlp_fails():
     assert not bad.passed
 
 
+@pytest.mark.parametrize("head, method", [("invariant", "forward"),
+                                          ("equivariant-edit", "edit_params")])
+def test_certify_runs_each_net_and_its_orbits_as_one_batch(monkeypatch, head, method):
+    model, _, _ = make_model("sign", head=head, seed=24)
+    original = getattr(model, method)
+    sizes = []
+
+    def counted(graphs, *rest):
+        sizes.append(len(graphs))
+        return original(graphs, *rest)
+
+    monkeypatch.setattr(model, method, counted)
+    certify = certify_invariance if head == "invariant" else certify_equivariance
+    report = certify(model, _tanh_sampler(), _orbit_sampler(), trials=6, nets=3, seed=9)
+    assert report.trials == 18
+    assert sizes == [7, 7, 7]
+
+
+def test_certify_equivariance_matches_per_trial_reference():
+    model, _, _ = make_model("sign", head="equivariant-edit", seed=25)
+    trials, nets, seed = 4, 2, 11
+    report = certify_equivariance(model, _tanh_sampler(), _orbit_sampler(),
+                                  trials=trials, nets=nets, seed=seed)
+
+    def edit(net):
+        return model.edit_params([build_graph(net)], [net])[0]
+
+    rng = np.random.default_rng(seed)
+    expected = []
+    for _ in range(nets):
+        net = _tanh_sampler()(rng)
+        base = edit(net)
+        for _ in range(trials):
+            orbit = _orbit_sampler()(rng)
+            edited, moved = edit(apply_orbit(net, orbit)), apply_orbit(base, orbit)
+            expected.append(max(float(np.max(np.abs(a - b))) for a, b in
+                                zip(edited.weights + edited.biases, moved.weights + moved.biases)))
+    assert len(report.deviations) == len(expected)
+    assert np.max(np.abs(np.array(report.deviations) - expected)) < 1e-12
+    assert max(expected) > 0.0  # the reference is not vacuous
+
+
 def test_report_json_fields():
     report = SymmetryReport(name="x", metric="relative", tolerance=1e-8, seed=3,
                             deviations=[1e-12, 1e-10])
@@ -219,12 +262,12 @@ def test_simulation_gradient_recovery_round_exactness():
 def test_simulation_relay_facts_bitwise():
     rng = np.random.default_rng(8)
     net = random_siren(rng, dims=(2, 4, 4, 1))
+    before = net.copy()
     res = simulate_ffnn(net, rng.uniform(-1, 1, size=2), np.array([1.0]))
     for state in res.history[1:]:
         assert np.array_equal(state[:, 0], res.history[0][:, 0])  # bias channel
-    for edges in res.edge_history[1:]:
-        for a, b in zip(edges, res.edge_history[0]):
-            assert np.array_equal(a, b)  # edge channel
+    for a, b in zip(net.weights + net.biases, before.weights + before.biases):
+        assert np.array_equal(a, b)  # edge channel: the weights are never written
 
 
 def test_simulation_channel_symmetry_under_orbits():

@@ -556,6 +556,22 @@ def test_template_spec_roundtrip_keeps_class_arrays(kind, direction):
         assert tpl2.bw_edge_class is None and tpl.bw_edge_class is None
 
 
+def test_checkpoint_roundtrip_non_square_kernel(tmp_path):
+    rng = np.random.default_rng(26)
+    graphs = [build_graph_cnn(make_cnn(rng, channels=(1, 3, 2), n_out=2), max_hw=(3, 5))
+              for _ in range(2)]
+    cfg = ScaleGMNConfig(d_v=8, d_e=8, d_msg=8, d_inv=6, d_readout=8, pe_dim=4,
+                         mlp_hidden=12, group_kind="positive", out_dim=2)
+    model = ScaleGMNModel(cfg, graphs[0].template, np.random.default_rng(27))
+    for p in model.parameters():  # float32-exact, so the saved copy is lossless
+        p.assign(p.data.astype("<f4").astype(np.float64))
+    save_checkpoint(model, tmp_path / "ckpt")
+    restored = load_checkpoint(tmp_path / "ckpt")
+    assert restored.template is model.template
+    assert restored.template.kernel_hw == (3, 5)
+    assert np.array_equal(restored.forward(graphs).data, model.forward(graphs).data)
+
+
 @pytest.mark.parametrize("delta", [-1, 1])
 def test_checkpoint_rejects_wrong_size_params(tmp_path, delta):
     model, _, _ = make_model("sign")

@@ -163,6 +163,25 @@ def test_advertised_combination_trains_or_fails_at_config(task, direction, basel
     assert values and all(math.isfinite(v) for v in values)
 
 
+def test_sign_augmentation_trains_and_bad_values_fail_before_training(tiny_inr_zoo, tmp_path):
+    kwargs = dict(task="inr-classify", zoo=str(tiny_inr_zoo), model=dict(TINY_MODEL),
+                  epochs=1, batch_size=4, seed=14)
+    summary = Runner(ExperimentConfig(out_dir=str(tmp_path / "sign"), augmentation="sign",
+                                      **kwargs)).train()
+    assert summary["epochs_run"] == 1 and not summary["diverged"]
+    with open(tmp_path / "sign" / "metrics.csv") as fh:
+        values = [float(r["value"]) for r in csv.DictReader(fh)]
+    assert values and all(math.isfinite(v) for v in values)
+
+    with pytest.raises(ValueError, match="augmentation must be one of"):
+        ExperimentConfig(out_dir=str(tmp_path / "typo"), augmentation="signs", **kwargs)
+    cfg = ExperimentConfig(out_dir=str(tmp_path / "positive"), augmentation="positive",
+                           **kwargs)
+    with pytest.raises(ValueError, match="'positive'.*group kind 'sign'"):
+        Runner(cfg)
+    assert not (tmp_path / "positive").exists()
+
+
 def test_one_conv_layer_relu_zoo_is_positive(tmp_path):
     """The group kind comes from the graph, which counts the last conv layer."""
     rng = np.random.default_rng(3)
