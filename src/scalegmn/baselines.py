@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cnn import CnnParams
 from .nn import MLP, Module
 from .tensor import Tensor
 
@@ -27,12 +26,8 @@ def stat_features(net) -> np.ndarray:
     kernel/bias pairs, then the head. Invariant to hidden-neuron
     permutations by construction.
     """
-    if isinstance(net, CnnParams):
-        layers = list(zip(net.kernels, net.conv_biases)) + [(net.head_weight, net.head_bias)]
-    else:
-        layers = zip(net.weights, net.biases)
     feats = []
-    for w, b in layers:
+    for w, b in zip(net.weights, net.biases):
         for arr in (np.asarray(w).reshape(-1), np.asarray(b).reshape(-1)):
             q25, q50, q75 = np.percentile(arr, [25, 50, 75])
             feats.extend([arr.mean(), arr.std(), arr.min(), arr.max(), q25, q50, q75])

@@ -1,10 +1,12 @@
-"""Small convolutional classifiers: evaluation and channel-scaling orbits.
+"""Small convolutional classifiers: evaluation and the layer-chain view.
 
 Architecture handled here: a stack of valid (no padding) convolutions with a
 pointwise activation, global average pooling, then one linear head. Channel
 permutations and per-channel scalings of hidden conv layers preserve the
 computed function exactly like hidden-neuron transforms do for FFNNs; the
-head columns absorb the inverse because pooling is linear.
+head columns absorb the inverse because pooling is linear. `CnnParams` is a
+`ffnn.LayerChain` (the head is its last layer, with no kernel axes), so
+`ffnn.apply_orbit` is its orbit action too.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .activations import ActivationDescriptor, in_group
-from .ffnn import OrbitElement
+from .activations import ActivationDescriptor
+from .ffnn import LayerChain
 from .tensor import ShapeError, Tensor
 
 
 @dataclass
-class CnnParams:
+class CnnParams(LayerChain):
     """Per-conv-layer kernels [out, in, kh, kw] and biases, plus the linear head."""
 
     kernels: list[np.ndarray]
@@ -40,31 +42,26 @@ class CnnParams:
         if self.head_weight.shape[1] != self.kernels[-1].shape[0]:
             raise ShapeError("head width does not match last conv channels")
 
+    @classmethod
+    def from_layers(cls, weights, biases, activations):
+        return cls(weights[:-1], biases[:-1], activations, weights[-1], biases[-1])
+
+    @property
+    def weights(self) -> list[np.ndarray]:
+        """The layer chain's weights, as a new list: assign through the fields."""
+        return self.kernels + [self.head_weight]
+
+    @property
+    def biases(self) -> list[np.ndarray]:
+        return self.conv_biases + [self.head_bias]
+
     @property
     def channels(self) -> list[int]:
-        return [self.kernels[0].shape[1]] + [k.shape[0] for k in self.kernels]
+        return self.dims[:-1]
 
     @property
     def kernel_hw(self) -> tuple[int, int]:
         return self.kernels[0].shape[2], self.kernels[0].shape[3]
-
-    def copy(self) -> "CnnParams":
-        return CnnParams(
-            [k.copy() for k in self.kernels],
-            [b.copy() for b in self.conv_biases],
-            list(self.activations),
-            self.head_weight.copy(),
-            self.head_bias.copy(),
-        )
-
-    def flatten(self) -> np.ndarray:
-        parts = []
-        for k, b in zip(self.kernels, self.conv_biases):
-            parts.append(k.reshape(-1))
-            parts.append(b)
-        parts.append(self.head_weight.reshape(-1))
-        parts.append(self.head_bias)
-        return np.concatenate(parts)
 
 
 def _conv_valid(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -125,29 +122,3 @@ def cnn_forward_taped(kernels, conv_biases, activations, head_w, head_b,
     n, h, w, c = x.shape
     pooled = T.mean_(T.reshape(x, (n, h * w, c)), axis=1)
     return T.add(T.matmul(pooled, T.transpose(head_w)), head_b)
-
-
-def apply_orbit_cnn(net: CnnParams, g: OrbitElement) -> CnnParams:
-    """Scale/permute hidden conv channels; the head columns absorb inverses."""
-    widths = net.channels[1:]
-    if [len(p) for p in g.perms] != widths:
-        raise ShapeError(f"orbit widths {[len(p) for p in g.perms]} != conv channels {widths}")
-    for l, (q, act) in enumerate(zip(g.scales, net.activations)):
-        if not np.all(in_group(act.kind, q)):
-            raise ValueError(f"conv layer {l}: multiplier outside the {act.name} scaling group")
-    out = net.copy()
-    for l in range(len(out.kernels)):
-        q, p = g.scales[l], g.perms[l]
-        inv = np.argsort(p)
-        k = q[:, None, None, None] * out.kernels[l]
-        b = q * out.conv_biases[l]
-        if l > 0:
-            q_prev, p_prev = g.scales[l - 1], g.perms[l - 1]
-            inv_prev = np.argsort(p_prev)
-            k = (k / q_prev[None, :, None, None])[:, inv_prev]
-        out.kernels[l] = k[inv]
-        out.conv_biases[l] = b[inv]
-    q_last, p_last = g.scales[-1], g.perms[-1]
-    inv_last = np.argsort(p_last)
-    out.head_weight = (out.head_weight / q_last[None, :])[:, inv_last]
-    return out

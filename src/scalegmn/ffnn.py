@@ -4,6 +4,10 @@ These are the networks the metanetwork consumes. An orbit element is a
 per-hidden-layer (permutation, diagonal multiplier) pair; applying it to the
 parameters leaves the represented function unchanged, which is the property
 every symmetry test downstream certifies.
+
+`LayerChain` is the view FFNNs and CNNs share: `dims` plus per-layer weights
+[out, in, *kernel] and biases. `apply_orbit` acts on that view, so it is the
+one orbit action for both kinds (`cnn.CnnParams` is a `LayerChain` too).
 """
 
 from __future__ import annotations
@@ -21,8 +25,38 @@ from .tensor import ShapeError, Tensor
 MIN_SCALE = 1e-6  # sampled positive multipliers are resampled below this
 
 
+class LayerChain:
+    """Parameters as a chain of layers: `weights[l]` is [out, in, *kernel] and
+    maps layer l to l + 1, `biases[l]` is [out]. Subclasses hold `weights`,
+    `biases` and `activations` and rebuild themselves in `from_layers`."""
+
+    @classmethod
+    def from_layers(cls, weights, biases, activations):
+        return cls(weights, biases, activations)
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.weights)
+
+    @property
+    def dims(self) -> list[int]:
+        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+
+    def copy(self):
+        return self.from_layers([w.copy() for w in self.weights],
+                                [b.copy() for b in self.biases], list(self.activations))
+
+    def flatten(self) -> np.ndarray:
+        """All parameters as one vector: W1 (row-major), b1, ..., WL, bL."""
+        parts = []
+        for w, b in zip(self.weights, self.biases):
+            parts.append(w.reshape(-1))
+            parts.append(b)
+        return np.concatenate(parts)
+
+
 @dataclass
-class FfnnParams:
+class FfnnParams(LayerChain):
     """Per-layer (weight, bias, activation); weights[i] maps layer i to i+1."""
 
     weights: list[np.ndarray]
@@ -39,29 +73,6 @@ class FfnnParams:
                 raise ShapeError(f"layer {i}: weight {w.shape} / bias {b.shape} malformed")
             if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
                 raise ShapeError(f"layer {i}: input width breaks the chain")
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-    @property
-    def dims(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    def copy(self) -> "FfnnParams":
-        return FfnnParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.activations),
-        )
-
-    def flatten(self) -> np.ndarray:
-        """All parameters as one vector: W1 (row-major), b1, ..., WL, bL."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.reshape(-1))
-            parts.append(b)
-        return np.concatenate(parts)
 
 
 def ffnn_forward(net: FfnnParams, x: np.ndarray) -> np.ndarray:
@@ -129,35 +140,38 @@ class OrbitElement:
         return OrbitElement(perms, scales, self.kind)
 
 
-def apply_orbit(net: FfnnParams, g: OrbitElement) -> FfnnParams:
+def apply_orbit(net: LayerChain, g: OrbitElement) -> LayerChain:
     """Transform parameters by the orbit element; the function is preserved.
 
     New row i of layer l gets old row inv(i) scaled by q; columns are divided
     by the previous layer's multipliers. Input and output neurons stay fixed.
+    Trailing kernel axes ride along, so a CNN channel moves as a neuron does.
     """
     hidden = net.dims[1:-1]
     if [len(p) for p in g.perms] != hidden:
         raise ShapeError(f"orbit widths {[len(p) for p in g.perms]} != hidden dims {hidden}")
-    for l, (q, act) in enumerate(zip(g.scales, net.activations[:-1])):
+    for l, (q, act) in enumerate(zip(g.scales, net.activations)):
         if not np.all(in_group(act.kind, q)):
             raise ValueError(
                 f"hidden layer {l}: multiplier outside the {act.name} scaling group"
             )
-    out = net.copy()
+    src = net.copy()
     n_hidden = len(hidden)
-    for l in range(net.n_layers):
-        w, b = out.weights[l], out.biases[l]
+    weights, biases = [], []
+    for l, (w, b) in enumerate(zip(src.weights, src.biases)):
+        kernel_axes = (1,) * (w.ndim - 2)
         if l < n_hidden:  # rows of layer l+1 are hidden: scale + permute rows
             q, p = g.scales[l], g.perms[l]
             inv = np.argsort(p)
-            w = (q[:, None] * w)[inv]
+            w = (q.reshape(-1, 1, *kernel_axes) * w)[inv]
             b = (q * b)[inv]
         if l > 0:  # columns follow the previous hidden layer
             q_prev, p_prev = g.scales[l - 1], g.perms[l - 1]
             inv_prev = np.argsort(p_prev)
-            w = (w / q_prev[None, :])[:, inv_prev]
-        out.weights[l], out.biases[l] = w, b
-    return out
+            w = (w / q_prev.reshape(1, -1, *kernel_axes))[:, inv_prev]
+        weights.append(w)
+        biases.append(b)
+    return src.from_layers(weights, biases, src.activations)
 
 
 def sample_orbit(kind: str, widths: list[int], rng: np.random.Generator,

@@ -70,14 +70,7 @@ def build_graph(net: FfnnParams, direction: str = "forward") -> ParamGraph:
     """
     if any(a.name == "sine" for a in net.activations):
         net = shift_sine_biases(net)
-    template = template_for("ffnn", net.dims, net.activations, direction)
-    x_v = np.ones((template.n_v, 1))
-    x_v[net.dims[0]:, 0] = np.concatenate(net.biases)
-    x_e = np.concatenate([w.reshape(-1) for w in net.weights])[:, None]
-    graph = ParamGraph(template, x_v, x_e)
-    if direction == "bidirectional":
-        add_backward_edges(graph, template.group_kind)
-    return graph
+    return _chain_graph(net, "ffnn", net.activations, direction, (1, 1))
 
 
 def graph_for(net, direction: str = "forward") -> ParamGraph:
@@ -101,25 +94,38 @@ def build_graph_cnn(net: CnnParams, direction: str = "forward",
         if h_max > max_hw[0] or w_max > max_hw[1]:
             raise ShapeError(f"kernel {h_max}x{w_max} exceeds declared maxima {max_hw}")
         h_max, w_max = max_hw
-    dims = net.channels + [net.head_weight.shape[0]]
-    template = template_for("cnn", dims, list(net.activations) + [identity()], direction,
-                            (h_max, w_max))
+    return _chain_graph(net, "cnn", list(net.activations) + [identity()], direction,
+                        (h_max, w_max))
+
+
+def _chain_graph(net, kind: str, activations, direction: str,
+                 kernel_hw: tuple[int, int]) -> ParamGraph:
+    """Features of a layer chain: biases on the non-input vertices (inputs get
+    the constant 1), each weight [out, in, *kernel] as one edge row per
+    (out, in) pair, zero-padded top-left to `kernel_hw`."""
+    template = template_for(kind, net.dims, activations, direction, kernel_hw)
     x_v = np.ones((template.n_v, 1))
-    x_v[dims[0]:, 0] = np.concatenate(net.conv_biases + [net.head_bias])
-    blocks = list(net.kernels) + [net.head_weight[:, :, None, None]]  # head: a 1x1 kernel
-    graph = ParamGraph(template, x_v, np.concatenate([_pad(k, h_max, w_max) for k in blocks]))
+    x_v[net.dims[0]:, 0] = np.concatenate(net.biases)
+    graph = ParamGraph(template, x_v,
+                       np.concatenate([_edge_rows(w, kernel_hw) for w in net.weights]))
     if direction == "bidirectional":
-        slots = [_pad(np.ones(k.shape), h_max, w_max) > 0 for k in blocks]
-        add_backward_edges(graph, template.group_kind, np.concatenate(slots))
+        slots = None  # every entry holds a weight unless some kernel was padded
+        if any((w.shape[2:] or (1, 1)) != kernel_hw for w in net.weights):
+            slots = np.concatenate([_edge_rows(np.ones(w.shape), kernel_hw) > 0
+                                    for w in net.weights])
+        add_backward_edges(graph, template.group_kind, slots)
     return graph
 
 
-def _pad(k: np.ndarray, h_max: int, w_max: int) -> np.ndarray:
-    """Kernel [out, in, kh, kw] to one row per (out, in) edge, top-left anchored."""
-    c_out, c_in, kh, kw = k.shape
-    padded = np.zeros((c_out, c_in, h_max, w_max))
-    padded[:, :, :kh, :kw] = k
-    return padded.reshape(c_out * c_in, h_max * w_max)
+def _edge_rows(w: np.ndarray, kernel_hw: tuple[int, int]) -> np.ndarray:
+    """Weight [out, in, *kernel] to [out*in, kh*kw] rows; a kernel smaller than
+    `kernel_hw` (an FFNN weight or the CNN head is 1x1) is padded top-left."""
+    k = w.reshape(w.shape[:2] + (w.shape[2:] or (1, 1)))
+    if k.shape[2:] != kernel_hw:
+        padded = np.zeros(k.shape[:2] + kernel_hw)
+        padded[:, :, :k.shape[2], :k.shape[3]] = k
+        k = padded
+    return k.reshape(k.shape[0] * k.shape[1], -1)
 
 
 def add_backward_edges(graph: ParamGraph, group_kind: str,

@@ -124,28 +124,20 @@ def _orbit_trials(model, net_sampler, orbit_sampler, trials: int, nets: int,
         orbits = [orbit_sampler(rng) for _ in range(trials)]
         if not orbits:
             continue
-        batch = [net] + [apply_orbit_any(net, g) for g in orbits]
+        batch = [net] + [apply_orbit(net, g) for g in orbits]
         if not scalegmn:
             outs = [model(n) for n in batch]
         else:
             graphs = [graph_for(n, model.config.direction) for n in batch]
             outs = model.edit_params(graphs, batch) if edit else model.forward(graphs).data
         if edit:
-            gaps = [np.max(np.abs(e.flatten() - apply_orbit_any(outs[0], g).flatten()))
+            gaps = [np.max(np.abs(e.flatten() - apply_orbit(outs[0], g).flatten()))
                     for e, g in zip(outs[1:], orbits)]
         else:
             out = np.stack([np.asarray(o, dtype=np.float64).reshape(-1) for o in outs])
             gaps = (np.abs(out[1:] - out[0]) / (np.abs(out[0]) + 1e-9)).max(axis=1)
         report.deviations.extend(float(d) for d in gaps)
     return report
-
-
-def apply_orbit_any(net, orbit):
-    if isinstance(net, CnnParams):
-        from .cnn import apply_orbit_cnn
-
-        return apply_orbit_cnn(net, orbit)
-    return apply_orbit(net, orbit)
 
 
 # -- forward/backward relay simulation ---------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 
 class Module:
@@ -122,30 +122,3 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     onehot[np.arange(len(labels)), labels.astype(int)] = 1.0
     z_true = T.sum_(T.mul(z, T.constant(onehot)), axis=1, keepdims=True)
     return T.mean_(T.sub(lse, z_true))
-
-
-def mlp_forward(params, activation, x: Tensor | np.ndarray) -> Tensor:
-    """Evaluate a plain MLP given per-layer (weight, bias) pairs.
-
-    `activation` (an ActivationDescriptor or None) is applied after every
-    layer except the last. `x` may be a single vector [d] or a batch [n, d].
-    Running this with Tensor weights on a tape makes every intermediate
-    differentiable.
-    """
-    x = x if isinstance(x, Tensor) else Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    if x.ndim == 1:
-        x = T.reshape(x, (1, x.shape[0]))
-    n_layers = len(params)
-    for i, (w, b) in enumerate(params):
-        w = w if isinstance(w, Tensor) else Tensor(w)
-        b = b if isinstance(b, Tensor) else Tensor(b)
-        if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-            raise ShapeError(f"layer {i}: weight {w.shape} / bias {b.shape} malformed")
-        if x.shape[1] != w.shape[1]:
-            raise ShapeError(
-                f"layer {i}: input width {x.shape[1]} does not match weight {w.shape}"
-            )
-        x = T.add(T.matmul(x, T.transpose(w)), b)
-        if activation is not None and i + 1 < n_layers:
-            x = activation.apply(x)
-    return x

@@ -34,10 +34,9 @@ import numpy as np
 
 from . import tensor as T
 from .baselines import make_flat_baseline, make_stat_baseline
-from .cnn import CnnParams
-from .ffnn import ffnn_forward_taped, sample_orbit
+from .ffnn import apply_orbit, ffnn_forward_taped, sample_orbit
 from .graph import graph_for
-from .harness import apply_orbit_any, kendall_tau
+from .harness import kendall_tau
 from .model import ScaleGMNConfig, ScaleGMNModel, save_checkpoint
 from .nn import cross_entropy
 from .optim import AdamState
@@ -81,6 +80,10 @@ class ExperimentConfig:
         if self.augmentation not in AUGMENTATIONS:
             raise ValueError(f"augmentation must be one of {AUGMENTATIONS}, "
                              f"got {self.augmentation!r}")
+        if self.task == "inr-edit" and self.augmentation != "none":
+            # the edit loss ignores augmentation: such a run would train as "none"
+            raise ValueError(f"task {self.task!r} does not support augmentation "
+                             f"{self.augmentation!r}; use \"none\"")
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
@@ -98,12 +101,6 @@ def split_indices(n: int, seed: int) -> dict[str, np.ndarray]:
         "val": order[n_train : n_train + n_val],
         "test": order[n_train + n_val :],
     }
-
-
-def _hidden_widths(net) -> list[int]:
-    if isinstance(net, CnnParams):
-        return net.channels[1:]
-    return net.dims[1:-1]
 
 
 class TaskData:
@@ -132,7 +129,7 @@ class TaskData:
         """Each indexed net moved by an orbit element of the zoo's group kind,
         drawn from `rng` in index order, with its fresh graph."""
         kind = self.group_kind
-        nets = [apply_orbit_any(net, sample_orbit(kind, _hidden_widths(net), rng, **orbit_kw))
+        nets = [apply_orbit(net, sample_orbit(kind, net.dims[1:-1], rng, **orbit_kw))
                 for net in (self.nets[i] for i in idx)]
         return nets, [graph_for(n, direction) for n in nets]
 

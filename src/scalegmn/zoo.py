@@ -269,46 +269,28 @@ def save_zoo(directory, entries: list[ZooEntry], nets, meta: dict | None = None)
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
 
 
-def _unflatten_ffnn(vec: np.ndarray, dims, act_names, omega0: float) -> FfnnParams:
-    weights, biases, pos = [], [], 0
-    for i in range(len(dims) - 1):
-        n = dims[i + 1] * dims[i]
-        weights.append(vec[pos : pos + n].reshape(dims[i + 1], dims[i]))
-        pos += n
-        biases.append(vec[pos : pos + dims[i + 1]])
-        pos += dims[i + 1]
-    acts = [by_name(name, omega0) for name in act_names]
-    return FfnnParams(weights, biases, acts)
+def _layer_shapes(entry: ZooEntry) -> list[tuple[int, ...]]:
+    """Per-layer weight shapes [out, in, *kernel] that a manifest row declares.
 
-
-def _unflatten_cnn(vec: np.ndarray, dims, act_names, omega0: float, kernel_hw) -> CnnParams:
-    kh, kw = kernel_hw
-    chain = dims[:-1]  # conv channel chain; last entry of dims is head width
-    kernels, biases, pos = [], [], 0
-    for i in range(len(chain) - 1):
-        n = chain[i + 1] * chain[i] * kh * kw
-        kernels.append(vec[pos : pos + n].reshape(chain[i + 1], chain[i], kh, kw))
-        pos += n
-        biases.append(vec[pos : pos + chain[i + 1]])
-        pos += chain[i + 1]
-    n_out = dims[-1]
-    n = n_out * chain[-1]
-    head_w = vec[pos : pos + n].reshape(n_out, chain[-1])
-    pos += n
-    head_b = vec[pos : pos + n_out]
-    acts = [by_name(name, omega0) for name in act_names]
-    return CnnParams(kernels, biases, acts, head_w, head_b)
-
-
-def _param_count(entry: ZooEntry) -> int:
-    """Parameters an entry's manifest row declares: its weights file's length."""
+    `layer_dims` is the layer chain (a CNN's: channels, then the head width);
+    every CNN layer but the head carries the `kernel_hw` axes.
+    """
     dims = entry.layer_dims
-    if entry.kind == "ffnn":
-        return sum(d_out * (d_in + 1) for d_in, d_out in zip(dims, dims[1:]))
-    kh, kw = entry.extra["kernel_hw"]
-    chain = dims[:-1]  # conv channel chain; last entry of dims is head width
-    convs = sum(c_out * (c_in * kh * kw + 1) for c_in, c_out in zip(chain, chain[1:]))
-    return convs + dims[-1] * (chain[-1] + 1)
+    kernel = tuple(entry.extra["kernel_hw"]) if entry.kind == "cnn" else ()
+    last = len(dims) - 2
+    return [(d_out, d_in) + (kernel if l < last else ())
+            for l, (d_in, d_out) in enumerate(zip(dims, dims[1:]))]
+
+
+def _unflatten(vec: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Inverse of `LayerChain.flatten`: per-layer (weights, biases) views of vec."""
+    weights, biases, pos = [], [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        weights.append(vec[pos : pos + n].reshape(shape))
+        biases.append(vec[pos + n : pos + n + shape[0]])
+        pos += n + shape[0]
+    return weights, biases
 
 
 def load_zoo(directory):
@@ -326,15 +308,14 @@ def load_zoo(directory):
             raise ValueError(f"unknown zoo entry kind {entry.kind!r}")
         path = directory / entry.weights_path
         vec = _read_f32(path)
-        expected = _param_count(entry)
+        shapes = _layer_shapes(entry)
+        expected = sum(math.prod(s) + s[0] for s in shapes)
         if vec.size != expected:
             raise ValueError(f"{path}: expected {expected} float32 values for layer_dims "
                              f"{entry.layer_dims}, found {vec.size}")
-        if entry.kind == "ffnn":
-            nets.append(_unflatten_ffnn(vec, entry.layer_dims, entry.activations, entry.omega0))
-        else:
-            nets.append(_unflatten_cnn(vec, entry.layer_dims, entry.activations,
-                                       entry.omega0, entry.extra["kernel_hw"]))
+        params = FfnnParams if entry.kind == "ffnn" else CnnParams
+        acts = [by_name(name, entry.omega0) for name in entry.activations]
+        nets.append(params.from_layers(*_unflatten(vec, shapes), acts))
         entries.append(entry)
     return entries, nets, manifest.get("meta", {})
 
@@ -441,7 +422,7 @@ def gen_cnn_zoo(directory, count: int, seed: int) -> list[ZooEntry]:
         entry = ZooEntry(
             id=f"cnn-{i:05d}",
             kind="cnn",
-            layer_dims=net.channels + [net.head_weight.shape[0]],
+            layer_dims=net.dims,
             activations=[a.name for a in net.activations],
             omega0=0.0,
             label=res.accuracy,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from scalegmn import activations
-from scalegmn.cnn import CnnParams, apply_orbit_cnn, cnn_forward, cnn_forward_taped
-from scalegmn.ffnn import FfnnParams, OrbitElement, ffnn_forward, sample_orbit
+from scalegmn.cnn import CnnParams, cnn_forward, cnn_forward_taped
+from scalegmn.ffnn import FfnnParams, OrbitElement, apply_orbit, ffnn_forward, sample_orbit
 from scalegmn.tensor import ShapeError, Tensor
 
 from test_graph import make_cnn
@@ -61,7 +61,7 @@ def test_orbit_preserves_cnn_function(acts, kind):
     base = cnn_forward(net, image)
     for _ in range(5):
         orbit = sample_orbit(kind, [4, 3], rng)
-        moved = apply_orbit_cnn(net, orbit)
+        moved = apply_orbit(net, orbit)
         assert np.max(np.abs(cnn_forward(moved, image) - base)) < 1e-9
 
 
@@ -70,7 +70,7 @@ def test_orbit_rejects_wrong_group():
     net = make_cnn(rng, channels=(1, 4), kernel=3, n_out=2, acts="relu")
     bad = OrbitElement([np.arange(4)], [np.array([1.0, -1.0, 1.0, 1.0])], kind="sign")
     with pytest.raises(ValueError, match="scaling group"):
-        apply_orbit_cnn(net, bad)
+        apply_orbit(net, bad)
 
 
 def test_shape_mismatch_errors():

@@ -14,7 +14,7 @@ from scalegmn.ffnn import (
     ffnn_forward_taped,
     sample_orbit,
 )
-from scalegmn.graph import build_graph
+from scalegmn.graph import build_graph, graph_for
 from scalegmn.harness import (
     SymmetryReport,
     check_function_preservation,
@@ -23,9 +23,11 @@ from scalegmn.harness import (
     kendall_tau,
     simulate_ffnn,
 )
+from scalegmn.model import ScaleGMNConfig, ScaleGMNModel
 from scalegmn.tensor import Tensor, backward
 
 from test_ffnn import eval_grid, random_net, random_siren
+from test_graph import make_cnn
 from test_model import make_model
 
 
@@ -128,6 +130,24 @@ def test_certify_equivariance_scalegmn_passes_and_mlp_fails():
     bad = certify_equivariance(mlp_editor, _tanh_sampler(), _orbit_sampler(),
                                trials=8, nets=2, tol=1e-8, seed=8)
     assert not bad.passed
+
+
+@pytest.mark.parametrize("direction", ["forward", "bidirectional"])
+def test_certify_invariance_relu_cnn_at_criterion_1_settings(direction):
+    """ReLU CNNs under positive channel orbits, through the one orbit action
+    and `graph_for`: criterion 1's model, 5 nets x 50 trials and 1e-8 bound."""
+    def cnn_sampler(rng):
+        return make_cnn(rng, channels=(1, 3, 2), kernel=3)
+
+    template = graph_for(cnn_sampler(np.random.default_rng(0)), direction).template
+    cfg = ScaleGMNConfig(d_v=16, d_e=16, d_msg=16, d_inv=8, d_readout=16, pe_dim=6,
+                         mlp_hidden=16, n_rounds=2, direction=direction,
+                         group_kind="positive", out_dim=3)
+    model = ScaleGMNModel(cfg, template, np.random.default_rng(1))
+    report = certify_invariance(model, cnn_sampler, _orbit_sampler((3, 2), "positive"),
+                                trials=50, nets=5, tol=1e-8, seed=9)
+    assert report.trials == 250
+    assert report.passed, report.max_deviation
 
 
 @pytest.mark.parametrize("head, method", [("invariant", "forward"),

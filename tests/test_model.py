@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from scalegmn import activations, tensor as T
-from scalegmn.cnn import apply_orbit_cnn
 from scalegmn.ffnn import apply_orbit, sample_orbit
 from scalegmn.graph import build_graph, build_graph_cnn
 from scalegmn.model import (
@@ -254,7 +253,7 @@ def test_bidirectional_relu_cnn_readout_invariant_under_orbits():
     worst = 0.0
     for _ in range(20):
         orbit = sample_orbit("positive", [3, 2], rng)
-        g2 = build_graph_cnn(apply_orbit_cnn(net, orbit), direction="bidirectional")
+        g2 = build_graph_cnn(apply_orbit(net, orbit), direction="bidirectional")
         out = model.forward([g2]).data
         worst = max(worst, float(np.max(np.abs(out - base) / (np.abs(base) + 1e-9))))
     assert worst < 1e-8

@@ -4,13 +4,22 @@ import numpy as np
 import pytest
 
 from scalegmn import activations, tensor as T
-from scalegmn.nn import MLP, mlp_forward
+from scalegmn.ffnn import FfnnParams, ffnn_forward_taped
+from scalegmn.nn import MLP
 from scalegmn.optim import AdamState, adam_step, finite_diff_check
 from scalegmn.tensor import NumericsError, ShapeError, Tensor, gradients
 
 
+def plain_mlp(layers, hidden_act):
+    """Per-layer (weight, bias) pairs with `hidden_act` between layers."""
+    weights, biases = zip(*layers)
+    acts = [hidden_act] * (len(layers) - 1) + [activations.identity()]
+    return FfnnParams(list(weights), list(biases), acts)
+
+
 def test_mlp_forward_identity():
-    out = mlp_forward([(np.eye(2), np.zeros(2))], None, np.array([1.0, 2.0]))
+    out = ffnn_forward_taped(plain_mlp([(np.eye(2), np.zeros(2))], activations.identity()),
+                             np.array([1.0, 2.0]))
     assert np.allclose(out.data, [[1.0, 2.0]])
 
 
@@ -18,7 +27,7 @@ def test_mlp_forward_relu_head():
     # activation applies between layers, not after the last one; add an extra
     # identity layer so the ReLU acts on the first layer's output max(-3,0)=0
     layers = [(np.array([[-2.0]]), np.array([1.0])), (np.eye(1), np.zeros(1))]
-    out = mlp_forward(layers, activations.relu(), np.array([2.0]))
+    out = ffnn_forward_taped(plain_mlp(layers, activations.relu()), np.array([2.0]))
     assert np.allclose(out.data, [[0.0]])
 
 
@@ -27,7 +36,7 @@ def test_mlp_forward_matches_manual_evaluation():
     w1, b1 = rng.standard_normal((5, 3)), rng.standard_normal(5)
     w2, b2 = rng.standard_normal((2, 5)), rng.standard_normal(2)
     x = rng.standard_normal((4, 3))
-    out = mlp_forward([(w1, b1), (w2, b2)], activations.tanh_act(), x)
+    out = ffnn_forward_taped(plain_mlp([(w1, b1), (w2, b2)], activations.tanh_act()), x)
     manual = np.tanh(x @ w1.T + b1) @ w2.T + b2
     assert np.max(np.abs(out.data - manual)) < 1e-12
 
@@ -35,7 +44,7 @@ def test_mlp_forward_matches_manual_evaluation():
 def test_mlp_forward_shape_error_names_layer():
     layers = [(np.ones((2, 2)), np.zeros(2)), (np.ones((3, 5)), np.zeros(3))]
     with pytest.raises(ShapeError, match="layer 1"):
-        mlp_forward(layers, None, np.ones(2))
+        plain_mlp(layers, activations.identity())
 
 
 def test_mlp_gradient_matches_finite_differences():
@@ -49,7 +58,8 @@ def test_mlp_gradient_matches_finite_differences():
     x = rng.standard_normal((6, 3))
 
     def f(ps):
-        out = mlp_forward([(ps[0], ps[1]), (ps[2], ps[3])], activations.tanh_act(), x)
+        net = plain_mlp([(ps[0], ps[1]), (ps[2], ps[3])], activations.tanh_act())
+        out = ffnn_forward_taped(net, x)
         return T.sum_(T.mul(out, out))
 
     assert finite_diff_check(f, params, step=1e-5) < 1e-4

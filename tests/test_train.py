@@ -182,6 +182,14 @@ def test_sign_augmentation_trains_and_bad_values_fail_before_training(tiny_inr_z
     assert not (tmp_path / "positive").exists()
 
 
+@pytest.mark.parametrize("augmentation", ["sign", "positive"])
+def test_inr_edit_rejects_augmentation(tmp_path, augmentation):
+    """The edit loss reads no augmentation, so the pair would train as "none"."""
+    with pytest.raises(ValueError, match=rf"'inr-edit'.*'{augmentation}'"):
+        ExperimentConfig(task="inr-edit", zoo=str(tmp_path), augmentation=augmentation)
+    assert ExperimentConfig(task="inr-edit", zoo=str(tmp_path)).augmentation == "none"
+
+
 def test_one_conv_layer_relu_zoo_is_positive(tmp_path):
     """The group kind comes from the graph, which counts the last conv layer."""
     rng = np.random.default_rng(3)

@@ -1,5 +1,6 @@
 """Zoo synthesis, INR/CNN training, and the on-disk format."""
 
+import hashlib
 import json
 import math
 
@@ -199,13 +200,37 @@ def _one_entry_zoo(directory, kind):
         entry = ZooEntry("cnn-0", "cnn", [1, 2, 2], ["relu"], 0.0, 0.5, "cnn-0.bin",
                          {"kernel_hw": [3, 3]})
     save_zoo(directory, [entry], [net])
-    return directory / entry.weights_path, net.flatten().size
+    return directory / entry.weights_path, net
+
+
+# sha256 of the files `_one_entry_zoo` writes: the on-disk format of the zoo
+# module docstring, pinned byte for byte, so a serializer change cannot move it.
+GOLDEN_SHA256 = {
+    "ffnn": {"inr-0.bin": "91e282cf8403d54c4da60236eea811256bb219d016a9437fbabb1181b6501427",
+             "manifest.json": "565297f83c570deaffa879203911f26dfc395e8b5abe08a9c47e00ec1532f7a5"},
+    "cnn": {"cnn-0.bin": "7bc3d69e4da67c736e899899eabf99401d620b233482ae599fa10640adc09906",
+            "manifest.json": "8d2dd56fbbb7643d10f3177ef1afee0f3d598be19251114544e49e51fa015d2e"},
+}
+
+
+@pytest.mark.parametrize("kind", ["ffnn", "cnn"])
+def test_zoo_byte_format_is_pinned(tmp_path, kind):
+    _, net = _one_entry_zoo(tmp_path / "zoo", kind)
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in (tmp_path / "zoo").iterdir()}
+    assert digests == GOLDEN_SHA256[kind]
+    _, (loaded,), _ = load_zoo(tmp_path / "zoo")
+    assert type(loaded) is type(net)
+    for a, b in zip(loaded.weights + loaded.biases, net.weights + net.biases):
+        assert a.dtype == np.float64 and a.shape == b.shape
+        assert np.array_equal(a, b.astype(np.float32).astype(np.float64))
 
 
 @pytest.mark.parametrize("kind", ["ffnn", "cnn"])
 @pytest.mark.parametrize("delta", [-1, 1])
 def test_load_zoo_rejects_wrong_size_file(tmp_path, kind, delta):
-    path, n = _one_entry_zoo(tmp_path / "zoo", kind)
+    path, net = _one_entry_zoo(tmp_path / "zoo", kind)
+    n = net.flatten().size
     vec = np.fromfile(path, dtype="<f4")
     (vec[:-1] if delta < 0 else np.concatenate([vec, vec[:1]])).tofile(path)
     with pytest.raises(ValueError, match=rf"{path.name}: expected {n} .* found {n + delta}$"):
@@ -213,7 +238,8 @@ def test_load_zoo_rejects_wrong_size_file(tmp_path, kind, delta):
 
 
 def test_load_zoo_rejects_file_of_other_architecture(tmp_path):
-    path, n = _one_entry_zoo(tmp_path / "zoo", "ffnn")
+    path, net = _one_entry_zoo(tmp_path / "zoo", "ffnn")
+    n = net.flatten().size
     manifest_path = tmp_path / "zoo" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["entries"][0]["layer_dims"] = [2, 4, 1]
