@@ -89,7 +89,9 @@ def ffnn_forward(net: FfnnParams, x: np.ndarray) -> np.ndarray:
 def ffnn_forward_taped(net, x: np.ndarray, collect=None):
     """Tape-recorded forward with Tensor parameters; returns the output Tensor.
 
-    `net` may hold Tensors or raw arrays (lifted to leaves). When `collect`
+    `net` may hold Tensors or raw arrays (lifted to leaves), for one net or
+    for a stack of B nets (weights [B, out, in], biases [B, 1, out]); a stack
+    maps the shared inputs x to outputs [B, n, d_out]. When `collect`
     is a list, the per-layer (pre-activation, post-activation) tensors are
     appended to it so their gradients can be read after a backward sweep.
     """

@@ -13,7 +13,8 @@ runs on them, and the results go back by one concat and one gather (vertex
 updates) or through the scatter-sum into target vertices (messages). Every
 block acts row by row, so this routing leaves each row's value, and the
 symmetry argument, unchanged. The edit head's per-class maps are routed the
-same way.
+same way, and it decodes the whole batch at once: one stacked weight and
+bias tensor per layer, for every net of the batch.
 
 Positional encodings are fixed across datapoints and enter equivariant
 components only through the invariant block (the augmented layers), breaking
@@ -296,49 +297,45 @@ class ScaleGMNModel(Module):
     def __call__(self, graphs: list) -> Tensor:
         return self.forward(graphs)
 
-    def edit(self, graphs: list, nets: list[FfnnParams]) -> list[SimpleNamespace]:
-        """Equivariant edit: theta' = theta + gamma * decode(representations).
+    def edit(self, graphs: list, nets: list[FfnnParams]) -> SimpleNamespace:
+        """Equivariant edit of the whole batch: theta' = theta + gamma * decode(h).
 
-        Returns tape-connected parameter structures (Tensors) so a functional
-        loss on the edited networks can backpropagate into the metanetwork.
+        Returns one layer chain of stacked Tensors, weights [B, out, in] and
+        biases [B, 1, out], that `ffnn_forward_taped` evaluates for all nets
+        at once, so a functional loss on the edited networks can
+        backpropagate into the metanetwork.
         """
         cfg, tpl = self.config, self.template
         if cfg.head != "equivariant-edit":
             raise ShapeError("edit() needs the equivariant-edit head")
         h_v, h_e, _, rows = self.embed(graphs)
-        # delta_b holds the non-input vertex rows (inputs carry no bias),
-        # delta_w every forward edge row, each in flat order.
-        delta_b = _per_class(h_v, self.edit_v, tpl.vertex_class_names, rows.v_class_rows)
-        delta_w = _per_class(h_e, self.edit_e, tpl.edge_class_names, rows.e_class_rows)
-
-        dims = tpl.dims
-        n_biased = tpl.n_v - dims[0]
-        b_off = np.concatenate([[0], np.cumsum(dims[1:])])
-        e_sizes = [dims[l + 1] * dims[l] for l in range(len(dims) - 1)]
-        e_off = np.concatenate([[0], np.cumsum(e_sizes)])
-        edited = []
-        for b, net in enumerate(nets):
-            weights, biases = [], []
-            for l in range(len(dims) - 1):
-                w_rows = T.narrow(delta_w, 0, b * tpl.n_e + int(e_off[l]), e_sizes[l])
-                dw = T.reshape(w_rows, (dims[l + 1], dims[l]))
-                w_new = T.add(Tensor(net.weights[l]), T.mul(self.gamma, dw))
-                b_rows = T.narrow(delta_b, 0, b * n_biased + int(b_off[l]), dims[l + 1])
-                db = T.reshape(b_rows, (dims[l + 1],))
-                b_new = T.add(Tensor(net.biases[l]), T.mul(self.gamma, db))
-                weights.append(w_new)
-                biases.append(b_new)
-            edited.append(SimpleNamespace(weights=weights, biases=biases,
-                                          activations=list(net.activations)))
-        return edited
+        batch, dims = len(graphs), tpl.dims
+        # delta_b holds each net's non-input vertex rows (inputs carry no
+        # bias), delta_w its forward edge rows, both in flat (layer) order.
+        delta_b = T.reshape(_per_class(h_v, self.edit_v, tpl.vertex_class_names,
+                                       rows.v_class_rows), (batch, tpl.n_v - dims[0]))
+        delta_w = T.reshape(_per_class(h_e, self.edit_e, tpl.edge_class_names,
+                                       rows.e_class_rows), (batch, tpl.n_e))
+        weights, biases = [], []
+        w_off = b_off = 0
+        for l, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+            dw = T.reshape(T.narrow(delta_w, 1, w_off, d_out * d_in), (batch, d_out, d_in))
+            db = T.reshape(T.narrow(delta_b, 1, b_off, d_out), (batch, 1, d_out))
+            w_theta = np.stack([net.weights[l] for net in nets])
+            b_theta = np.stack([net.biases[l] for net in nets])[:, None, :]
+            weights.append(T.add(Tensor(w_theta), T.mul(self.gamma, dw)))
+            biases.append(T.add(Tensor(b_theta), T.mul(self.gamma, db)))
+            w_off += d_out * d_in
+            b_off += d_out
+        return SimpleNamespace(weights=weights, biases=biases,
+                               activations=list(tpl.activations))
 
     def edit_params(self, graphs: list, nets: list[FfnnParams]) -> list[FfnnParams]:
         """Edit head as a plain parameter map (numpy in, numpy out)."""
-        return [
-            FfnnParams([w.data.copy() for w in e.weights],
-                       [b.data.copy() for b in e.biases], e.activations)
-            for e in self.edit(graphs, nets)
-        ]
+        e = self.edit(graphs, nets)
+        return [FfnnParams([w.data[b].copy() for w in e.weights],
+                           [v.data[b, 0].copy() for v in e.biases], list(e.activations))
+                for b in range(len(nets))]
 
 
 def _regroup(parts: list[Tensor], order: np.ndarray) -> Tensor:

@@ -112,6 +112,12 @@ class MLP(Module):
         return x
 
 
+def mse(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error against a constant target of pred's shape."""
+    diff = T.sub(pred, T.constant(target))
+    return T.mean_(T.mul(diff, diff))
+
+
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of integer class labels, via logsumexp with a
     detached max shift."""

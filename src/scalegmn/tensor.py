@@ -264,21 +264,25 @@ def abs_(a: Tensor) -> Tensor:
 # -- linear algebra / structure ------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Product over the last two axes; leading (stack) axes broadcast."""
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul expects operands of at least 2 dims, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
 
     def bw(g, out):
-        return g @ b.data.T, a.data.T @ g
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _out(a.data @ b.data, (a, b), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError("transpose expects a 2-D tensor")
-    return _out(a.data.T.copy(), (a,), lambda g, out: (g.T,))
+    """Swap the last two axes."""
+    if a.ndim < 2:
+        raise ShapeError("transpose expects a tensor of at least 2 dims")
+    return _out(np.swapaxes(a.data, -1, -2).copy(), (a,),
+                lambda g, out: (np.swapaxes(g, -1, -2),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:

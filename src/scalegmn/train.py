@@ -32,13 +32,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
 from .baselines import make_flat_baseline, make_stat_baseline
 from .ffnn import apply_orbit, ffnn_forward_taped, sample_orbit
 from .graph import graph_for
 from .harness import kendall_tau
 from .model import ScaleGMNConfig, ScaleGMNModel, save_checkpoint
-from .nn import cross_entropy
+from .nn import cross_entropy, mse
 from .optim import AdamState
 from .tensor import NumericsError, Tensor, gradients
 from .zoo import dilate3x3, grid_coords, inr_source_image, load_zoo
@@ -70,6 +69,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
+        self.model = dict(self.model)  # the head default below must not leak to the caller
         head = self.model.get("head", "invariant")
         if self.task == "inr-edit" and head != "equivariant-edit":
             self.model["head"] = "equivariant-edit"
@@ -136,11 +136,6 @@ class TaskData:
 
 # -- losses and metrics -----------------------------------------------------------------
 
-def mse(pred: Tensor, target: np.ndarray) -> Tensor:
-    diff = T.sub(pred, T.constant(target))
-    return T.mean_(T.mul(diff, diff))
-
-
 def accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
     return float((preds.argmax(axis=1) == labels.astype(int)).mean())
 
@@ -206,7 +201,7 @@ class Runner:
             src_index = int(e.extra.get("source_index", int(e.id.split("-")[-1])))
             image, _ = inr_source_image(zoo_seed, src_index, side)
             targets.append(dilate3x3(image).reshape(-1, 1))
-        self.edit_targets = targets
+        self.edit_targets = np.stack(targets)
 
     # -- prediction paths ------------------------------------------------------------
 
@@ -215,14 +210,8 @@ class Runner:
 
     def _edit_loss(self, idx) -> Tensor:
         nets, graphs = self.data.items(idx)
-        edited = self.model.edit(graphs, nets)
-        total = None
-        for e, i in zip(edited, idx):
-            out = ffnn_forward_taped(e, self.grid)
-            diff = T.sub(out, T.constant(self.edit_targets[i]))
-            term = T.mean_(T.mul(diff, diff))
-            total = term if total is None else T.add(total, term)
-        return T.mul(total, T.constant(1.0 / len(idx)))
+        out = ffnn_forward_taped(self.model.edit(graphs, nets), self.grid)
+        return mse(out, self.edit_targets[idx])
 
     def _batch_loss(self, idx) -> Tensor:
         if self.cfg.task == "inr-edit":

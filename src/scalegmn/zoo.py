@@ -18,11 +18,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import tensor as T
 from .activations import by_name, identity, sine
 from .cnn import CnnParams, cnn_forward, cnn_forward_taped
 from .ffnn import FfnnParams, ffnn_forward_taped
-from .nn import cross_entropy
+from .nn import cross_entropy, mse
 from .optim import AdamState
 from .tensor import NumericsError, Tensor, gradients
 
@@ -122,24 +121,22 @@ def train_inr(signal: Signal, dims=(2, 12, 12, 1), steps: int = 2000, lr: float 
         weights=params[:n_layers], biases=params[n_layers:], activations=net.activations
     )
     state = AdamState(params, lr=lr)
-    mse = math.inf
+    fit_mse = math.inf
     for step in range(steps):
         try:
-            out = ffnn_forward_taped(holder, signal.coords)
-            diff = T.sub(out, Tensor(signal.values))
-            loss = T.mean_(T.mul(diff, diff))
+            loss = mse(ffnn_forward_taped(holder, signal.coords), signal.values)
             state.step(gradients(loss, params))
         except NumericsError as err:
             raise NumericsError(f"INR fit diverged at step {step}: {err}") from err
-        mse = float(loss.data)
-        if mse < mse_threshold:
+        fit_mse = float(loss.data)
+        if fit_mse < mse_threshold:
             break
     fitted = FfnnParams(
         [p.data.copy() for p in params[:n_layers]],
         [p.data.copy() for p in params[n_layers:]],
         net.activations,
     )
-    return fitted, mse
+    return fitted, fit_mse
 
 
 # -- toy CNN task ------------------------------------------------------------------
@@ -306,6 +303,9 @@ def load_zoo(directory):
                          row["omega0"], row["label"], row["weights_path"], extra)
         if entry.kind not in ("ffnn", "cnn"):
             raise ValueError(f"unknown zoo entry kind {entry.kind!r}")
+        if entry.kind == "cnn" and "kernel_hw" not in extra:
+            raise ValueError(f"{directory / 'manifest.json'}: entry {entry.id!r} "
+                             f"lacks the field 'kernel_hw'")
         path = directory / entry.weights_path
         vec = _read_f32(path)
         shapes = _layer_shapes(entry)

@@ -70,6 +70,9 @@ def _fd_check(op, shapes, step=1e-6, tol=1e-4, positive=False):
         (lambda a: T.mean_(a, axis=1, keepdims=True), [(3, 4)], False),
         (lambda a: T.gather_rows(a, np.array([2, 0, 0, 1])), [(3, 4)], False),
         (lambda a: T.scatter_sum(a, np.array([1, 0, 1, 2, 0]), 3), [(5, 4)], False),
+        (T.matmul, [(2, 3, 4), (2, 4, 5)], False),  # stacked
+        (T.matmul, [(3, 4), (2, 4, 5)], False),  # 2-D left operand against a stack
+        (T.transpose, [(2, 3, 4)], False),  # swaps the last two axes
     ],
 )
 def test_primitive_gradients(op, shapes, positive):
@@ -132,6 +135,8 @@ def test_l2_normalize_values_and_zero_row():
 def test_matmul_shape_error():
     with pytest.raises(ShapeError):
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    with pytest.raises(ShapeError):
+        T.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 3, 5))))
 
 
 def test_determinism_bitwise():

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from scalegmn.ffnn import ffnn_forward
+from scalegmn.optim import finite_diff_check
 from scalegmn.train import ExperimentConfig, Runner, TaskData, selection_key, split_indices
 from scalegmn.zoo import ZooEntry, save_zoo
 
@@ -37,6 +39,14 @@ def test_task_head_compatibility():
                          model={"head": "equivariant-edit"})
     with pytest.raises(ValueError, match="unknown task"):
         ExperimentConfig(task="nope", zoo="x")
+
+
+def test_config_leaves_the_callers_model_dict_alone():
+    model = {"d_v": 8}
+    cfg = ExperimentConfig(task="inr-edit", zoo="x", model=model)
+    assert cfg.model == {"d_v": 8, "head": "equivariant-edit"}
+    assert model == {"d_v": 8}
+    assert ExperimentConfig(task="inr-classify", zoo="x", model=model).model == {"d_v": 8}
 
 
 def test_zero_epochs_checkpoint_is_initialization(tiny_inr_zoo, tmp_path):
@@ -250,3 +260,50 @@ def test_edit_task_training_reduces_loss(tiny_inr_zoo, tmp_path):
                 if r["split"] == "train" and r["metric"] == "functional_mse"]
     first, last = float(rows[0]["value"]), float(rows[-1]["value"])
     assert last < first
+
+
+def _tape_size(root) -> int:
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def _edit_runner(zoo, tmp_path, **model):
+    cfg = ExperimentConfig(task="inr-edit", zoo=str(zoo), out_dir=str(tmp_path / "run"),
+                           model=dict(TINY_MODEL, **model), seed=3)
+    return Runner(cfg)
+
+
+def test_edit_loss_tape_size_does_not_grow_with_the_batch(tiny_inr_zoo, tmp_path):
+    runner = _edit_runner(tiny_inr_zoo, tmp_path)
+    sizes = [_tape_size(runner._edit_loss(np.arange(batch))) for batch in (2, 8)]
+    assert sizes[0] == sizes[1], sizes
+
+
+def test_batched_edit_loss_matches_per_net_reference(tiny_inr_zoo, tmp_path):
+    """The stacked edit loss is the mean over nets of each edited net's own
+    MSE, evaluated one net at a time by the numpy forward."""
+    runner = _edit_runner(tiny_inr_zoo, tmp_path)
+    idx = np.array([4, 0, 7])
+    nets, graphs = runner.data.items(idx)
+    edited = runner.model.edit_params(graphs, nets)
+    per_net = [np.mean((ffnn_forward(e, runner.grid) - runner.edit_targets[i]) ** 2)
+               for e, i in zip(edited, idx)]
+    assert float(runner._edit_loss(idx).data) == pytest.approx(np.mean(per_net), rel=1e-12)
+
+
+def test_edit_loss_gradient_matches_finite_differences(tiny_inr_zoo, tmp_path):
+    """Central differences over the edit head's own parameters, rel err < 1e-4."""
+    runner = _edit_runner(tiny_inr_zoo, tmp_path, d_v=4, d_e=4, d_msg=4, d_inv=3,
+                          pe_dim=2, mlp_hidden=4, gamma_init=0.1)
+    named = [(name, p) for name, p in runner.model.named_parameters()
+             if name == "gamma" or name.startswith(("edit_v.", "edit_e."))]
+    assert {name.split(".")[0] for name, _ in named} == {"gamma", "edit_v", "edit_e"}
+    idx = np.array([0, 3, 5])
+    params = [p for _, p in named]
+    err = finite_diff_check(lambda ps: runner._edit_loss(idx), params, step=1e-6)
+    assert err < 1e-4, f"max relative error {err}"

@@ -246,3 +246,14 @@ def test_load_zoo_rejects_file_of_other_architecture(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=rf"{path.name}: expected 17 .* found {n}$"):
         load_zoo(tmp_path / "zoo")
+
+
+def test_load_zoo_names_cnn_entry_without_kernel_hw(tmp_path):
+    _one_entry_zoo(tmp_path / "zoo", "cnn")
+    manifest_path = tmp_path / "zoo" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["entries"][0]["kernel_hw"]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: entry 'cnn-0' lacks the field "
+                                         r"'kernel_hw'"):
+        load_zoo(tmp_path / "zoo")
