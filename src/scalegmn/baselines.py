@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import tensor as T
 from .nn import MLP, Module
 from .tensor import Tensor
 
@@ -47,7 +48,7 @@ class VectorMlpBaseline(Module):
         return np.stack([self.feature_fn(n) for n in nets])
 
     def forward(self, nets) -> Tensor:
-        return self.mlp(Tensor(self.features(nets)))
+        return self.mlp(T.constant(self.features(nets)))
 
     def __call__(self, net) -> np.ndarray:
         return self.forward([net]).data[0]

@@ -102,7 +102,7 @@ def cnn_forward_taped(kernels, conv_biases, activations, head_w, head_b,
     contraction is a plain 2-D matmul per kernel offset.
     """
     x_np = np.transpose(np.asarray(images, dtype=np.float64), (0, 2, 3, 1))
-    x = Tensor(x_np)
+    x = T.constant(x_np)
     for k, b, act in zip(kernels, conv_biases, activations):
         c_out, c_in, kh, kw = k.shape
         n, h, w, _ = x.shape
@@ -115,10 +115,10 @@ def cnn_forward_taped(kernels, conv_biases, activations, head_w, head_b,
                 k_slice = T.reshape(
                     T.narrow(T.narrow(k, 2, dr, 1), 3, dc, 1), (c_out, c_in)
                 )
-                term = T.matmul(flat, T.transpose(k_slice))
+                term = T.linear(flat, k_slice)
                 acc = term if acc is None else T.add(acc, term)
         acc = T.add(acc, b)
         x = act.apply(T.reshape(acc, (n, ho, wo, c_out)))
     n, h, w, c = x.shape
     pooled = T.mean_(T.reshape(x, (n, h * w, c)), axis=1)
-    return T.add(T.matmul(pooled, T.transpose(head_w)), head_b)
+    return T.linear(pooled, head_w, head_b)

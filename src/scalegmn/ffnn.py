@@ -95,11 +95,11 @@ def ffnn_forward_taped(net, x: np.ndarray, collect=None):
     is a list, the per-layer (pre-activation, post-activation) tensors are
     appended to it so their gradients can be read after a backward sweep.
     """
-    h = Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    h = T.constant(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     for w, b, act in zip(net.weights, net.biases, net.activations):
         wt = w if isinstance(w, Tensor) else Tensor(w)
         bt = b if isinstance(b, Tensor) else Tensor(b)
-        z = act.preact_t(T.matmul(h, T.transpose(wt)), bt)
+        z = act.preact_t(T.linear(h, wt), bt)
         h = act.apply(z)
         if collect is not None:
             collect.append((z, h))

@@ -211,12 +211,12 @@ class ScaleGMNModel(Module):
         pe_bw_rows = T.gather_rows(self.pe_e, rows.bw_class) if bid else None
 
         h_v = _regroup([
-            self.init_v_hidden.single(Tensor(x_v[rows.v_hidden]), extra=pe_v[0]),
-            self.init_v_in(T.concat([Tensor(x_v[rows.v_input]), pe_v[1]], axis=1)),
-            self.init_v_out(T.concat([Tensor(x_v[rows.v_output]), pe_v[2]], axis=1)),
+            self.init_v_hidden.single(T.constant(x_v[rows.v_hidden]), extra=pe_v[0]),
+            self.init_v_in(T.concat([T.constant(x_v[rows.v_input]), pe_v[1]], axis=1)),
+            self.init_v_out(T.concat([T.constant(x_v[rows.v_output]), pe_v[2]], axis=1)),
         ], rows.v_order)
-        h_e = self.init_e.single(Tensor(x_e), extra=pe_e_rows)
-        h_e_bw = self.init_e.single(Tensor(x_bw), extra=pe_bw_rows) if bid else None
+        h_e = self.init_e.single(T.constant(x_e), extra=pe_e_rows)
+        h_e_bw = self.init_e.single(T.constant(x_bw), extra=pe_bw_rows) if bid else None
 
         src, tgt = rows.src, rows.tgt
         pe_cat = pe_cat_bw = None
@@ -308,6 +308,9 @@ class ScaleGMNModel(Module):
         cfg, tpl = self.config, self.template
         if cfg.head != "equivariant-edit":
             raise ShapeError("edit() needs the equivariant-edit head")
+        if len(nets) != len(graphs):
+            raise ShapeError(f"edit() needs one net per graph, got {len(nets)} nets "
+                             f"for {len(graphs)} graphs")
         h_v, h_e, _, rows = self.embed(graphs)
         batch, dims = len(graphs), tpl.dims
         # delta_b holds each net's non-input vertex rows (inputs carry no
@@ -323,8 +326,8 @@ class ScaleGMNModel(Module):
             db = T.reshape(T.narrow(delta_b, 1, b_off, d_out), (batch, 1, d_out))
             w_theta = np.stack([net.weights[l] for net in nets])
             b_theta = np.stack([net.biases[l] for net in nets])[:, None, :]
-            weights.append(T.add(Tensor(w_theta), T.mul(self.gamma, dw)))
-            biases.append(T.add(Tensor(b_theta), T.mul(self.gamma, db)))
+            weights.append(T.add(T.constant(w_theta), T.mul(self.gamma, dw)))
+            biases.append(T.add(T.constant(b_theta), T.mul(self.gamma, db)))
             w_off += d_out * d_in
             b_off += d_out
         return SimpleNamespace(weights=weights, biases=biases,

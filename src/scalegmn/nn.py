@@ -53,10 +53,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(d_out), name="bias") if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, T.transpose(self.weight))
-        if self.bias is not None:
-            y = T.add(y, self.bias)
-        return y
+        return T.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):

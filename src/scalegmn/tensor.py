@@ -5,6 +5,25 @@ Tensor; calling :func:`backward` on a scalar runs one reverse sweep in
 topological order. The recorded graph is rebuilt on every forward pass, so
 tensors behave as immutable values and distinct passes never share state.
 
+Leaves come in two kinds. A plain ``Tensor(x)`` is a parameter-like leaf with
+``requires_grad`` set; :func:`constant` and :func:`detach` make leaves
+without it (inputs, images, grids, one-hots, ``1/count``). An op's output
+requires grad when any of its parents does; one whose parents are all
+constants is itself a constant and records neither parents nor a closure.
+The reverse sweep only visits nodes that require grad, and the closures of
+``matmul``, ``mul``, ``div``, ``linear`` (and the other binary ops) skip the
+product for an operand that needs none. A node keeps the first gradient it
+receives as is, without a copy: no op writes into a gradient array, so
+arrays may be shared along the tape, and :func:`gradients` hands the caller
+arrays of its own.
+
+``linear`` (``x @ wᵀ + b``) and ``silu`` are single nodes whose forward and
+backward use the same operands and the same summation order as the
+composites they fuse (``matmul(x, transpose(w)) + b`` and
+``x * sigmoid(x)``), so results are bitwise equal to those. Segment sums
+(``gather_rows`` backward, ``scatter_sum``) are one flat ``np.bincount``,
+which adds each slot's entries in index order exactly as ``np.add.at`` does.
+
 All public operations keep entries finite (checked when ``CHECK_FINITE`` is
 on) and everything is float64: the symmetry tests downstream assert
 near-exact equalities that 32-bit arithmetic cannot hold.
@@ -35,17 +54,20 @@ class Tensor:
     """A float64 ndarray plus the tape metadata produced by the op that made it.
 
     ``data`` is row-major and never mutated by ops; optimizers swap in a fresh
-    array via :meth:`assign`. ``grad`` is populated by :func:`backward`.
+    array via :meth:`assign`. ``grad`` is populated by :func:`backward` when
+    ``requires_grad`` is set; it may share memory with other nodes' gradients.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_bw", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw", "name")
 
-    def __init__(self, data, _parents=(), _bw=None, name: str | None = None):
+    def __init__(self, data, _parents=(), _bw=None, name: str | None = None,
+                 requires_grad: bool = True):
         arr = np.asarray(data, dtype=np.float64)
         if CHECK_FINITE and not np.all(np.isfinite(arr)):
             raise NumericsError(f"non-finite entries in tensor {name or ''}".strip())
         self.data = arr
         self.grad = None
+        self.requires_grad = requires_grad
         self._parents = _parents
         self._bw = _bw
         self.name = name
@@ -111,16 +133,19 @@ def _raise_not_scalar(t):
 
 
 def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else constant(x)
 
 
 def constant(x, name=None) -> Tensor:
     """A leaf tensor that takes no gradient (no parents, like any leaf)."""
-    return Tensor(x, name=name)
+    return Tensor(x, name=name, requires_grad=False)
 
 
 def _out(data, parents, bw, name=None) -> Tensor:
-    return Tensor(data, _parents=parents, _bw=bw, name=name)
+    """An op's output; a constant when no parent requires grad."""
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, _parents=parents, _bw=bw, name=name)
+    return Tensor(data, name=name, requires_grad=False)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -138,21 +163,24 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def bw(g, out):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _out(a.data + b.data, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def bw(g, out):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _out(a.data - b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g, out):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _out(a.data * b.data, (a, b), bw)
 
@@ -163,8 +191,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g, out):
         return (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None,
         )
 
     return _out(a.data / b.data, (a, b), bw)
@@ -232,14 +260,16 @@ def tanh(a: Tensor) -> Tensor:
     return _out(np.tanh(a.data), (a,), bw)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    e = np.exp(-np.abs(a.data))
-    y = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
+
+def sigmoid(a: Tensor) -> Tensor:
     def bw(g, out):
         return (g * out.data * (1.0 - out.data),)
 
-    return _out(y, (a,), bw)
+    return _out(_sigmoid(a.data), (a,), bw)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -250,8 +280,17 @@ def relu(a: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    """x * sigmoid(x); smooth, the activation used inside metanetwork MLPs."""
-    return mul(a, sigmoid(a))
+    """x * sigmoid(x); smooth, the activation used inside metanetwork MLPs.
+
+    One node. The backward g*s + g*x*s*(1-s) sums the two paths of
+    ``mul(x, sigmoid(x))`` in the order that composite's sweep adds them.
+    """
+    s = _sigmoid(a.data)
+
+    def bw(g, out):
+        return (g * s + g * a.data * s * (1.0 - s),)
+
+    return _out(a.data * s, (a,), bw)
 
 
 def abs_(a: Tensor) -> Tensor:
@@ -263,6 +302,15 @@ def abs_(a: Tensor) -> Tensor:
 
 # -- linear algebra / structure ------------------------------------------------
 
+def _product(a: np.ndarray, b: np.ndarray, shapes: str) -> np.ndarray:
+    """a @ b whose inner dims already match; stack axes that do not
+    broadcast raise a ShapeError naming both operands."""
+    try:
+        return a @ b
+    except ValueError:
+        raise ShapeError(f"stack axes do not broadcast: {shapes}") from None
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Product over the last two axes; leading (stack) axes broadcast."""
     if a.ndim < 2 or b.ndim < 2:
@@ -271,10 +319,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
 
     def bw(g, out):
-        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
-                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None,
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None)
 
-    return _out(a.data @ b.data, (a, b), bw)
+    return _out(_product(a.data, b.data, f"{a.shape} @ {b.shape}"), (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ wᵀ (+ b) as one node; w is [out, in] or a stack [..., out, in].
+
+    Takes one contiguous copy of wᵀ and multiplies the same operand layouts
+    as ``add(matmul(x, transpose(w)), b)``, so values and gradients are
+    bitwise equal to that composite's.
+    """
+    if x.ndim < 2 or w.ndim < 2:
+        raise ShapeError(f"linear expects operands of at least 2 dims, "
+                         f"got x {x.shape}, w {w.shape}")
+    if x.shape[-1] != w.shape[-1]:
+        raise ShapeError(f"linear input dims differ: x {x.shape}, w {w.shape}")
+    wt = np.swapaxes(w.data, -1, -2).copy()
+    y = _product(x.data, wt, f"x {x.shape}, w {w.shape}")
+    if b is not None:
+        y = y + b.data
+
+    def bw(g, out):
+        gx = _unbroadcast(g @ np.swapaxes(wt, -1, -2), x.shape) if x.requires_grad else None
+        gw = (np.swapaxes(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, wt.shape), -1, -2)
+              if w.requires_grad else None)
+        if b is None:
+            return gx, gw
+        return gx, gw, _unbroadcast(g, b.shape) if b.requires_grad else None
+
+    return _out(y, (x, w) if b is None else (x, w, b), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -300,7 +376,8 @@ def concat(tensors, axis: int = -1) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def bw(g, out):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
+        return tuple(np.ascontiguousarray(p) if t.requires_grad else None
+                     for t, p in zip(tensors, np.split(g, splits, axis=axis)))
 
     return _out(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
 
@@ -333,30 +410,48 @@ def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(sum_(a, axis=axis, keepdims=keepdims), constant(1.0 / count))
 
 
+def _row_index(idx, n_rows: int) -> np.ndarray:
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise IndexError(f"row indices must lie in [0, {n_rows}), got "
+                         f"[{idx.min()}, {idx.max()}]")
+    return idx
+
+
+def _segment_sum(rows: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
+    """Zeros of `shape` plus each row of `rows` added into row idx[i].
+
+    One flat bincount over idx * width + column: every slot sums its entries
+    sequentially in index order, the same bits as ``np.add.at``
+    (``np.add.reduceat`` is not bitwise equal).
+    """
+    width = int(np.prod(shape[1:]))
+    flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    return np.bincount(flat, weights=rows.reshape(-1), minlength=shape[0] * width).reshape(shape)
+
+
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Rows a[idx]; backward scatter-adds into the source rows."""
-    idx = np.asarray(idx, dtype=np.intp)
+    idx = _row_index(idx, a.shape[0])
 
     def bw(g, out):
-        full = np.zeros(a.shape)
-        np.add.at(full, idx, g)
-        return (full,)
+        return (_segment_sum(g, idx, a.shape),)
 
     return _out(a.data[idx], (a,), bw)
 
 
 def scatter_sum(a: Tensor, idx, n_rows: int) -> Tensor:
     """Sum rows of `a` into `n_rows` buckets given by idx (segment sum)."""
-    idx = np.asarray(idx, dtype=np.intp)
+    idx = _row_index(idx, n_rows)
     if a.ndim != 2:
         raise ShapeError("scatter_sum expects a 2-D tensor")
-    out_data = np.zeros((n_rows, a.shape[1]))
-    np.add.at(out_data, idx, a.data)
+    if idx.shape != a.shape[:1]:
+        raise ShapeError(f"scatter_sum needs one index per row, got {idx.shape} for {a.shape}")
 
     def bw(g, out):
         return (g[idx],)
 
-    return _out(out_data, (a,), bw)
+    return _out(_segment_sum(a.data, idx, (n_rows, a.shape[1])), (a,), bw)
 
 
 def l2_normalize(a: Tensor) -> Tensor:
@@ -382,7 +477,7 @@ def l2_normalize(a: Tensor) -> Tensor:
 
 def detach(a: Tensor) -> Tensor:
     """Value copy that blocks gradient flow."""
-    return Tensor(a.data.copy())
+    return constant(a.data.copy())
 
 
 # -- reverse sweep --------------------------------------------------------------
@@ -399,13 +494,18 @@ def _topo(root: Tensor):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     return order
 
 
 def backward(loss: Tensor) -> None:
-    """One reverse sweep from a scalar; populates .grad on every reachable node."""
+    """One reverse sweep from a scalar; populates .grad on every reachable
+    node that requires grad.
+
+    A node's first incoming gradient is kept without a copy, so ``.grad``
+    arrays may be views of, or the same array as, other nodes' gradients.
+    """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     order = _topo(loss)
@@ -417,18 +517,28 @@ def backward(loss: Tensor) -> None:
             continue
         parent_grads = node._bw(node.grad, node)
         for parent, pg in zip(node._parents, parent_grads):
-            if pg is None:
+            if pg is None or not parent.requires_grad:
                 continue
-            if parent.grad is None:
-                parent.grad = np.array(pg, dtype=np.float64, copy=True)
-            else:
-                parent.grad = parent.grad + pg
+            parent.grad = pg if parent.grad is None else parent.grad + pg
 
 
 def gradients(loss: Tensor, params) -> list[np.ndarray]:
-    """Backward sweep returning the gradient for each listed leaf (zeros if unused)."""
+    """Backward sweep returning the gradient for each listed leaf (zeros if unused).
+
+    Each returned array is the caller's own: writing into one changes no
+    other returned gradient. Only views and repeats are copied.
+    """
     params = list(params)
     for p in params:
         p.grad = None
     backward(loss)
-    return [p.grad if p.grad is not None else np.zeros(p.shape) for p in params]
+    grads, seen = [], set()
+    for p in params:
+        g = p.grad
+        if g is None:
+            g = np.zeros(p.shape)
+        elif g.base is not None or id(g) in seen:
+            g = np.array(g, copy=True)
+        seen.add(id(g))
+        grads.append(g)
+    return grads

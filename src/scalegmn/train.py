@@ -39,7 +39,7 @@ from .harness import kendall_tau
 from .model import ScaleGMNConfig, ScaleGMNModel, save_checkpoint
 from .nn import cross_entropy, mse
 from .optim import AdamState
-from .tensor import NumericsError, Tensor, gradients
+from .tensor import NumericsError, Tensor, constant, gradients
 from .zoo import dilate3x3, grid_coords, inr_source_image, load_zoo
 
 TASKS = ("inr-classify", "cnn-generalization", "inr-edit")
@@ -239,11 +239,11 @@ class Runner:
         if self.cfg.task == "inr-classify":
             return {
                 "accuracy": accuracy(preds, labels),
-                "loss": float(cross_entropy(Tensor(preds), labels).data),
+                "loss": float(cross_entropy(constant(preds), labels).data),
             }
         return {
             "kendall_tau": kendall_tau(preds[:, 0], labels, variant="b"),
-            "loss": float(mse(Tensor(preds), labels[:, None]).data),
+            "loss": float(mse(constant(preds), labels[:, None]).data),
         }
 
     def metric_name(self) -> str:

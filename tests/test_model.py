@@ -17,7 +17,7 @@ from scalegmn.model import (
     template_spec,
 )
 from scalegmn.optim import finite_diff_check
-from scalegmn.tensor import Tensor, gradients
+from scalegmn.tensor import ShapeError, Tensor, gradients
 
 from test_ffnn import eval_grid, random_net, random_siren
 from test_graph import make_cnn
@@ -335,6 +335,12 @@ def test_edit_gamma_zero_is_identity():
         assert np.array_equal(a, b)
     for a, b in zip(edited.biases, net.biases):
         assert np.array_equal(a, b)
+
+
+def test_edit_needs_one_net_per_graph():
+    model, net, _ = make_model("sign", head="equivariant-edit")
+    with pytest.raises(ShapeError, match="1 nets for 2 graphs"):
+        model.edit([build_graph(net), build_graph(net)], [net])
 
 
 def test_edit_output_shapes_match_input():

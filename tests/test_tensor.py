@@ -73,6 +73,11 @@ def _fd_check(op, shapes, step=1e-6, tol=1e-4, positive=False):
         (T.matmul, [(2, 3, 4), (2, 4, 5)], False),  # stacked
         (T.matmul, [(3, 4), (2, 4, 5)], False),  # 2-D left operand against a stack
         (T.transpose, [(2, 3, 4)], False),  # swaps the last two axes
+        (T.linear, [(3, 4), (5, 4)], False),  # no bias
+        (T.linear, [(3, 4), (5, 4), (5,)], False),
+        (T.linear, [(2, 3, 4), (2, 5, 4), (2, 1, 5)], False),  # stacked weights
+        (T.linear, [(3, 4), (2, 5, 4)], False),  # 2-D input against a stack
+        (T.silu, [(2, 3, 4)], False),
     ],
 )
 def test_primitive_gradients(op, shapes, positive):
@@ -152,3 +157,132 @@ def test_detach_blocks_gradient():
     y = T.mul(T.detach(x), x)
     backward(T.sum_(y))
     assert np.allclose(x.grad, [2.0])  # only the live factor contributes
+
+
+def test_matmul_stack_axes_must_broadcast():
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
+        T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 5, 4\)"):
+        T.linear(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 5, 4))))
+
+
+WIDE_RNG = np.random.default_rng(1)   # own stream: the other tests keep their draws from RNG
+
+
+def _wide(shape):
+    """Entries spread over many magnitudes, so summation order shows in the bits."""
+    return WIDE_RNG.standard_normal(shape) * 10.0 ** WIDE_RNG.uniform(-6, 6, size=shape)
+
+
+def _grads_of(out, leaves, w):
+    return gradients(T.sum_(T.mul(out, T.constant(w))), leaves)
+
+
+@pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+    ((6, 4), (5, 4), None),
+    ((6, 4), (5, 4), (5,)),
+    ((3, 6, 4), (3, 5, 4), (3, 1, 5)),
+    ((6, 4), (3, 5, 4), (3, 1, 5)),
+])
+def test_linear_is_bitwise_the_matmul_transpose_add_composite(x_shape, w_shape, b_shape):
+    arrays = [_wide(s) for s in (x_shape, w_shape, b_shape) if s is not None]
+    fused_leaves = [Tensor(a) for a in arrays]
+    ref_leaves = [Tensor(a) for a in arrays]
+    fused = T.linear(*fused_leaves)
+    ref = T.matmul(ref_leaves[0], T.transpose(ref_leaves[1]))
+    if b_shape is not None:
+        ref = T.add(ref, ref_leaves[2])
+    assert np.array_equal(fused.data, ref.data)
+    w = _wide(ref.shape)
+    for a, b in zip(_grads_of(fused, fused_leaves, w), _grads_of(ref, ref_leaves, w)):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_silu_is_bitwise_the_mul_sigmoid_composite():
+    x = _wide((7, 5)) * 1e-5
+    fused_x, ref_x = Tensor(x), Tensor(x)
+    fused = T.silu(fused_x)
+    ref = T.mul(ref_x, T.sigmoid(ref_x))
+    assert np.array_equal(fused.data, ref.data)
+    w = _wide(x.shape)
+    assert np.array_equal(_grads_of(fused, [fused_x], w)[0], _grads_of(ref, [ref_x], w)[0])
+
+
+SEGMENT_CASES = [
+    ((4, 3), WIDE_RNG.integers(0, 2, size=300)),   # duplicate-heavy, rows 2 and 3 unused
+    ((4, 3), np.zeros(0, dtype=int)),              # empty
+    ((5, 3, 2), WIDE_RNG.integers(0, 5, size=40)),  # rows that are themselves 2-D
+]
+
+
+@pytest.mark.parametrize("shape,idx", SEGMENT_CASES)
+def test_gather_rows_backward_is_bitwise_np_add_at(shape, idx):
+    a = Tensor(_wide(shape))
+    w = _wide((len(idx),) + shape[1:])
+    (g,) = gradients(T.sum_(T.mul(T.gather_rows(a, idx), T.constant(w))), [a])
+    ref = np.zeros(shape)
+    np.add.at(ref, idx, w)
+    assert np.array_equal(g, ref)
+
+
+@pytest.mark.parametrize("shape,idx", [c for c in SEGMENT_CASES if len(c[0]) == 2])
+def test_scatter_sum_is_bitwise_np_add_at(shape, idx):
+    rows = _wide((len(idx), shape[1]))
+    out = T.scatter_sum(T.constant(rows), idx, shape[0])
+    ref = np.zeros(shape)
+    np.add.at(ref, idx, rows)
+    assert np.array_equal(out.data, ref)
+
+
+def test_segment_ops_reject_out_of_range_indices():
+    with pytest.raises(IndexError):
+        T.gather_rows(Tensor(np.ones((3, 2))), np.array([0, 3]))
+    with pytest.raises(IndexError):
+        T.scatter_sum(Tensor(np.ones((2, 2))), np.array([0, -1]), 3)
+    with pytest.raises(ShapeError):
+        T.scatter_sum(Tensor(np.ones((2, 2))), np.array([0, 1, 1]), 3)
+
+
+def test_backward_skips_products_for_constants(monkeypatch):
+    c_mul, c_mat = _wide((1, 4)), _wide((2, 3))
+    p = _wide((3, 4))
+    unbroadcast, shapes = T._unbroadcast, []
+
+    def counting(g, shape):
+        shapes.append(tuple(shape))
+        return unbroadcast(g, shape)
+
+    def loss_of(make_leaf):
+        param, k_mul, k_mat = Tensor(p), make_leaf(c_mul), make_leaf(c_mat)
+        out = T.matmul(k_mat, T.div(T.mul(param, k_mul), T.constant(3.0)))
+        weights = T.constant(np.linspace(1.0, 2.0, 8).reshape(2, 4))
+        return T.sum_(T.mul(out, weights)), param, k_mul, k_mat
+
+    loss, param, k_mul, k_mat = loss_of(Tensor)   # reference: operands take gradients
+    (g_ref,) = gradients(loss, [param])
+    assert k_mul.grad is not None and k_mat.grad is not None
+    monkeypatch.setattr(T, "_unbroadcast", counting)
+    loss, param, k_mul, k_mat = loss_of(T.constant)
+    (g,) = gradients(loss, [param])
+    assert k_mul.grad is None and k_mat.grad is None
+    assert (1, 4) not in shapes and (2, 3) not in shapes and () not in shapes
+    assert (3, 4) in shapes
+    assert np.array_equal(g, g_ref)
+
+
+def test_op_on_constants_is_a_constant():
+    out = T.mul(T.constant(np.ones(3)), T.sigmoid(T.constant(np.ones(3))))
+    assert not out.requires_grad and out._parents == () and out._bw is None
+    assert T.add(out, Tensor(np.ones(3))).requires_grad
+
+
+def test_gradients_are_caller_owned():
+    a, b = Tensor(_wide((3, 4))), Tensor(_wide((3, 4)))
+    loss = T.sum_(T.mul(T.add(a, b), T.constant(_wide((3, 4)))))
+    for i in range(3):   # a and b share one upstream gradient; a is listed twice
+        grads = gradients(loss, [a, b, a])
+        before = [g.copy() for g in grads]
+        grads[i] += 1.0
+        for j, other in enumerate(grads):
+            if j != i:
+                assert np.array_equal(other, before[j]), (i, j)
