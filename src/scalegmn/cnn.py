@@ -98,27 +98,15 @@ def cnn_forward_taped(kernels, conv_biases, activations, head_w, head_b,
                       images: np.ndarray) -> Tensor:
     """Differentiable forward over Tensor parameters; images are constants.
 
-    Images arrive as [n, c, H, W]; internally channels-last so the kernel
-    contraction is a plain 2-D matmul per kernel offset.
+    Images arrive as [n, c, H, W]; internally channels-last, so each conv
+    layer is one ``T.conv2d_valid`` node (a 2-D matmul per kernel offset,
+    summed in row-major offset order) and a reshape back to images.
     """
-    x_np = np.transpose(np.asarray(images, dtype=np.float64), (0, 2, 3, 1))
-    x = T.constant(x_np)
+    x = T.constant(np.transpose(np.asarray(images, dtype=np.float64), (0, 2, 3, 1)))
     for k, b, act in zip(kernels, conv_biases, activations):
-        c_out, c_in, kh, kw = k.shape
+        c_out, _, kh, kw = k.shape
         n, h, w, _ = x.shape
-        ho, wo = h - kh + 1, w - kw + 1
-        acc = None
-        for dr in range(kh):
-            for dc in range(kw):
-                patch = T.narrow(T.narrow(x, 1, dr, ho), 2, dc, wo)
-                flat = T.reshape(patch, (n * ho * wo, c_in))
-                k_slice = T.reshape(
-                    T.narrow(T.narrow(k, 2, dr, 1), 3, dc, 1), (c_out, c_in)
-                )
-                term = T.linear(flat, k_slice)
-                acc = term if acc is None else T.add(acc, term)
-        acc = T.add(acc, b)
-        x = act.apply(T.reshape(acc, (n, ho, wo, c_out)))
+        x = act.apply(T.reshape(T.conv2d_valid(x, k, b), (n, h - kh + 1, w - kw + 1, c_out)))
     n, h, w, c = x.shape
     pooled = T.mean_(T.reshape(x, (n, h * w, c)), axis=1)
     return T.linear(pooled, head_w, head_b)

@@ -57,7 +57,7 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    """Per-row normalization with learnable gain and shift."""
+    """Per-row normalization with learnable gain and shift (one ``T.layer_norm`` node)."""
 
     def __init__(self, d: int, eps: float = 1e-5):
         self.gain = Tensor(np.ones(d), name="gain")
@@ -65,11 +65,7 @@ class LayerNorm(Module):
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = T.mean_(x, axis=1, keepdims=True)
-        centered = T.sub(x, mu)
-        var = T.mean_(T.mul(centered, centered), axis=1, keepdims=True)
-        normed = T.div(centered, T.sqrt(T.add(var, T.constant(self.eps))))
-        return T.add(T.mul(normed, self.gain), self.shift)
+        return T.layer_norm(x, self.gain, self.shift, self.eps)
 
 
 _ACTS = {

@@ -20,7 +20,12 @@ arrays of its own.
 ``linear`` (``x @ wᵀ + b``) and ``silu`` are single nodes whose forward and
 backward use the same operands and the same summation order as the
 composites they fuse (``matmul(x, transpose(w)) + b`` and
-``x * sigmoid(x)``), so results are bitwise equal to those. Segment sums
+``x * sigmoid(x)``), so results are bitwise equal to those. So are the
+single-node ``conv2d_valid`` and ``layer_norm``, and each keeps its
+composite's summation order: ``conv2d_valid`` adds the per-offset products
+and, in the backward, the per-offset input-gradient windows in row-major
+offset order (reverse order is not bitwise equal); ``layer_norm`` sums the
+centered input's gradient as ``(g/sd + g_sq*c) + g_sq*c``. Segment sums
 (``gather_rows`` backward, ``scatter_sum``) are one flat ``np.bincount``,
 which adds each slot's entries in index order exactly as ``np.add.at`` does.
 
@@ -262,7 +267,8 @@ def tanh(a: Tensor) -> Tensor:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -351,6 +357,94 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         return gx, gw, _unbroadcast(g, b.shape) if b.requires_grad else None
 
     return _out(y, (x, w) if b is None else (x, w, b), bw)
+
+
+def conv2d_valid(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
+    """Valid (unpadded, stride-1) convolution of channels-last images, one node.
+
+    x [n, H, W, c_in], k [c_out, c_in, kh, kw], b [c_out] -> rows
+    [n*H'*W', c_out] in (image, row, column) order. The forward adds the
+    per-offset products ``flat @ k[:, :, dr, dc]ᵀ`` in row-major offset order,
+    then b. The backward writes each kernel slot's ``(flatᵀ @ g)ᵀ`` and adds
+    the offsets' input-gradient windows in that same forward order. Operand
+    layouts are those of the narrow/reshape/``linear``/``add`` composite, so
+    values and gradients are bitwise equal to it.
+    """
+    if x.ndim != 4 or k.ndim != 4 or b.shape != k.shape[:1]:
+        raise ShapeError(f"conv2d_valid expects x [n, H, W, c_in], k [c_out, c_in, kh, kw] "
+                         f"and b [c_out], got x {x.shape}, k {k.shape}, b {b.shape}")
+    n, h, w, c_in = x.shape
+    c_out, k_in, kh, kw = k.shape
+    if k_in != c_in:
+        raise ShapeError(f"conv2d_valid channels differ: x {x.shape}, k {k.shape}")
+    ho, wo = h - kh + 1, w - kw + 1
+    if ho < 1 or wo < 1:
+        raise ShapeError(f"kernel {kh}x{kw} larger than input {h}x{w}")
+    offsets = [(dr, dc) for dr in range(kh) for dc in range(kw)]
+    flats = [np.ascontiguousarray(x.data[:, dr:dr + ho, dc:dc + wo]).reshape(n * ho * wo, c_in)
+             for dr, dc in offsets]
+    slices = [k.data[:, :, dr, dc].T.copy() for dr, dc in offsets]   # [c_in, c_out] each
+    y = flats[0] @ slices[0]
+    for flat, wt in zip(flats[1:], slices[1:]):
+        y += flat @ wt
+    y += b.data
+
+    def bw(g, out):
+        gx = gk = None
+        if x.requires_grad:
+            gx = np.zeros(x.shape)
+            for (dr, dc), wt in zip(offsets, slices):
+                gx[:, dr:dr + ho, dc:dc + wo] += (g @ wt.T).reshape(n, ho, wo, c_in)
+        if k.requires_grad:
+            gk = np.empty(k.shape)
+            for (dr, dc), flat in zip(offsets, flats):
+                gk[:, :, dr, dc] = (flat.T @ g).T
+        return gx, gk, _unbroadcast(g, b.shape) if b.requires_grad else None
+
+    return _out(y, (x, k, b), bw)
+
+
+def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float) -> Tensor:
+    """Each row of x [rows, d] centered and scaled to unit variance, then
+    ``* gain + shift``; one node.
+
+    The forward evaluates the mean_/sub/mul/sqrt/div/add composite's numpy
+    expressions in its order. The backward replays that composite's reverse
+    sweep, summing the centered input's gradient as
+    ``(g/sd + g_sq*c) + g_sq*c`` (the path through the division first, then
+    both operands of ``c*c``), so values and gradients are bitwise equal to
+    it. A non-finite variance raises where the composite's intermediate
+    tensors would.
+    """
+    if x.ndim != 2:
+        raise ShapeError(f"layer_norm expects rows [n, d], got {x.shape}")
+    inv_d = 1.0 / x.shape[1]
+    mu = x.data.sum(axis=1, keepdims=True) * inv_d
+    c = x.data - mu
+    var = (c * c).sum(axis=1, keepdims=True) * inv_d
+    if CHECK_FINITE and not np.all(np.isfinite(var)):
+        raise NumericsError("non-finite variance in layer_norm")
+    ve = var + eps
+    if np.any(ve < 0.0):
+        raise NumericsError("sqrt of negative value")
+    sd = np.sqrt(ve)
+    if np.any(np.abs(sd) < DIV_EPS):
+        raise NumericsError("division by near-zero denominator (|denom| < 1e-12)")
+    normed = c / sd
+
+    def bw(g, out):
+        gx = None
+        if x.requires_grad:
+            gn = g * gain.data
+            g_sd = _unbroadcast(-gn * c / (sd * sd), sd.shape)
+            g_sq = g_sd * 0.5 / np.maximum(sd, DIV_EPS) * inv_d
+            gc = gn / sd + g_sq * c + g_sq * c
+            gx = gc + _unbroadcast(-gc, mu.shape) * inv_d
+        return (gx,
+                _unbroadcast(g * normed, gain.shape) if gain.requires_grad else None,
+                _unbroadcast(g, shift.shape) if shift.requires_grad else None)
+
+    return _out(normed * gain.data + shift.data, (x, gain, shift), bw)
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -253,6 +253,13 @@ class Runner:
 
     def train(self) -> dict:
         cfg = self.cfg
+        # every epoch scores the train and val splits; Kendall tau ranks pairs
+        least = 2 if cfg.task == "cnn-generalization" else 1
+        for split in ("train", "val"):
+            size = len(self.data.splits[split])
+            if size < least:
+                raise ValueError(f"zoo {cfg.zoo}: the {split} split holds {size} net(s); "
+                                 f"{cfg.task} needs at least {least}, use a larger zoo")
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng([cfg.seed, 1])

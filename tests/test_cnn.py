@@ -6,9 +6,12 @@ import pytest
 from scalegmn import activations
 from scalegmn.cnn import CnnParams, cnn_forward, cnn_forward_taped
 from scalegmn.ffnn import FfnnParams, OrbitElement, apply_orbit, ffnn_forward, sample_orbit
+from scalegmn.nn import cross_entropy
 from scalegmn.tensor import ShapeError, Tensor
+from scalegmn.zoo import make_blob_task
 
 from test_graph import make_cnn
+from test_tensor import tape_size
 
 
 def test_1x1_kernels_on_1x1_image_equals_ffnn():
@@ -91,3 +94,15 @@ def test_taped_forward_matches_numpy():
     out = cnn_forward_taped(kernels, biases, net.activations,
                             Tensor(net.head_weight), Tensor(net.head_bias), images)
     assert np.max(np.abs(out.data - cnn_forward(net, images))) < 1e-12
+
+
+def test_toy_cnn_fit_step_tape_is_one_node_per_conv_layer():
+    """A zoo fit step (two 3x3 conv layers, batch of 32) records each conv
+    layer as one node, not a handful per kernel offset."""
+    rng = np.random.default_rng(7)
+    train_x, train_y, _, _ = make_blob_task(rng)
+    net = make_cnn(rng, channels=(1, 4, 4), kernel=3, n_out=2)
+    logits = cnn_forward_taped([Tensor(k) for k in net.kernels],
+                               [Tensor(b) for b in net.conv_biases], net.activations,
+                               Tensor(net.head_weight), Tensor(net.head_bias), train_x[:32])
+    assert tape_size(cross_entropy(logits, train_y[:32])) <= 30

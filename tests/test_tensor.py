@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scalegmn import tensor as T
+from scalegmn.nn import MLP
 from scalegmn.tensor import NumericsError, ShapeError, Tensor, backward, gradients
 
 RNG = np.random.default_rng(0)
@@ -78,6 +79,8 @@ def _fd_check(op, shapes, step=1e-6, tol=1e-4, positive=False):
         (T.linear, [(2, 3, 4), (2, 5, 4), (2, 1, 5)], False),  # stacked weights
         (T.linear, [(3, 4), (2, 5, 4)], False),  # 2-D input against a stack
         (T.silu, [(2, 3, 4)], False),
+        (lambda x, g, s: T.layer_norm(x, g, s, 1e-5), [(3, 4), (4,), (4,)], False),
+        (T.conv2d_valid, [(2, 4, 5, 2), (3, 2, 2, 3), (3,)], False),
     ],
 )
 def test_primitive_gradients(op, shapes, positive):
@@ -169,9 +172,20 @@ def test_matmul_stack_axes_must_broadcast():
 WIDE_RNG = np.random.default_rng(1)   # own stream: the other tests keep their draws from RNG
 
 
-def _wide(shape):
+def _wide(shape, rng=WIDE_RNG):
     """Entries spread over many magnitudes, so summation order shows in the bits."""
-    return WIDE_RNG.standard_normal(shape) * 10.0 ** WIDE_RNG.uniform(-6, 6, size=shape)
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+
+
+def tape_size(root) -> int:
+    """Nodes reachable from `root` through their parents, leaves included."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
 
 
 def _grads_of(out, leaves, w):
@@ -286,3 +300,108 @@ def test_gradients_are_caller_owned():
         for j, other in enumerate(grads):
             if j != i:
                 assert np.array_equal(other, before[j]), (i, j)
+
+
+def _layer_norm_composite(x, gain, shift, eps):
+    """The mean_/sub/mul/sqrt/div/add chain ``T.layer_norm`` fuses."""
+    mu = T.mean_(x, axis=1, keepdims=True)
+    centered = T.sub(x, mu)
+    var = T.mean_(T.mul(centered, centered), axis=1, keepdims=True)
+    normed = T.div(centered, T.sqrt(T.add(var, T.constant(eps))))
+    return T.add(T.mul(normed, gain), shift)
+
+
+def _assert_bitwise_like_composite(fused_op, ref_op, arrays, leaf_kinds, rng):
+    """Same value bits and, for every leaf that takes a gradient, the same
+    gradient bits from the fused op as from its composite."""
+    fused_leaves = [kind(a) for kind, a in zip(leaf_kinds, arrays)]
+    ref_leaves = [kind(a) for kind, a in zip(leaf_kinds, arrays)]
+    fused, ref = fused_op(*fused_leaves), ref_op(*ref_leaves)
+    assert fused.shape == ref.shape and np.array_equal(fused.data, ref.data)
+    grad_leaves = [i for i, kind in enumerate(leaf_kinds) if kind is Tensor]
+    if not grad_leaves:
+        assert not fused.requires_grad
+        return
+    w = _wide(ref.shape, rng)
+    fused_grads = _grads_of(fused, [fused_leaves[i] for i in grad_leaves], w)
+    ref_grads = _grads_of(ref, [ref_leaves[i] for i in grad_leaves], w)
+    for i, a, b in zip(grad_leaves, fused_grads, ref_grads):
+        assert a.shape == b.shape and np.array_equal(a, b), f"leaf {i}"
+
+
+LN_RNG = np.random.default_rng(2)
+
+
+@pytest.mark.parametrize("leaf_kinds", [
+    (Tensor, Tensor, Tensor),
+    (T.constant, Tensor, Tensor),      # constant input: only gain/shift take gradients
+    (Tensor, T.constant, T.constant),  # constant gain and shift
+    (T.constant, T.constant, T.constant),
+])
+@pytest.mark.parametrize("shape", [(7, 5), (4, 1), (6, 33)])
+def test_layer_norm_is_bitwise_the_composite(shape, leaf_kinds):
+    x = _wide(shape, LN_RNG)
+    x[0] = 3.25   # a constant row: zero variance, sd = sqrt(eps)
+    arrays = [x, _wide(shape[1:], LN_RNG), _wide(shape[1:], LN_RNG)]
+    _assert_bitwise_like_composite(
+        lambda a, g, s: T.layer_norm(a, g, s, 1e-5),
+        lambda a, g, s: _layer_norm_composite(a, g, s, 1e-5),
+        arrays, leaf_kinds, LN_RNG)
+
+
+def test_mlp_layer_norm_is_one_node():
+    x = T.constant(np.ones((5, 4)))
+    plain = MLP([4, 8, 8, 3], np.random.default_rng(0))(x)
+    normed = MLP([4, 8, 8, 3], np.random.default_rng(0), layer_norm=True)(x)
+    # each of the two norms adds its node and its gain and shift leaves
+    assert tape_size(normed) == tape_size(plain) + 2 * 3
+
+
+def _conv_composite(x, k, b):
+    """The per-offset narrow/reshape/linear/add loop ``T.conv2d_valid`` fuses."""
+    c_out, c_in, kh, kw = k.shape
+    n, h, w, _ = x.shape
+    ho, wo = h - kh + 1, w - kw + 1
+    acc = None
+    for dr in range(kh):
+        for dc in range(kw):
+            patch = T.narrow(T.narrow(x, 1, dr, ho), 2, dc, wo)
+            flat = T.reshape(patch, (n * ho * wo, c_in))
+            k_slice = T.reshape(T.narrow(T.narrow(k, 2, dr, 1), 3, dc, 1), (c_out, c_in))
+            term = T.linear(flat, k_slice)
+            acc = term if acc is None else T.add(acc, term)
+    return T.add(acc, b)
+
+
+CONV_RNG = np.random.default_rng(3)
+
+
+@pytest.mark.parametrize("x_kind", [Tensor, T.constant])
+@pytest.mark.parametrize("c_in", [1, 4])
+@pytest.mark.parametrize("kernel_hw", [(1, 1), (3, 3), (2, 3)])
+def test_conv2d_valid_is_bitwise_the_per_offset_composite(kernel_hw, c_in, x_kind):
+    c_out = 3
+    arrays = [_wide((2, 6, 5, c_in), CONV_RNG), _wide((c_out, c_in) + kernel_hw, CONV_RNG),
+              _wide((c_out,), CONV_RNG)]
+    _assert_bitwise_like_composite(T.conv2d_valid, _conv_composite, arrays,
+                                   (x_kind, Tensor, Tensor), CONV_RNG)
+
+
+def test_conv2d_valid_shape_errors():
+    x = Tensor(np.ones((1, 4, 4, 2)))
+    with pytest.raises(ShapeError, match="larger than input"):
+        T.conv2d_valid(x, Tensor(np.ones((3, 2, 5, 1))), Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError, match="channels differ"):
+        T.conv2d_valid(x, Tensor(np.ones((3, 1, 2, 2))), Tensor(np.zeros(3)))
+
+
+def test_layer_norm_raises_where_the_composite_does():
+    gain, shift = Tensor(np.ones(3)), Tensor(np.zeros(3))
+    huge = Tensor(np.array([[1e200, -1e200, 0.0]]))   # finite input, variance overflows
+    for op in (T.layer_norm, _layer_norm_composite):
+        with pytest.raises(NumericsError), np.errstate(over="ignore"):
+            op(huge, gain, shift, 1e-5)
+        with pytest.raises(NumericsError):   # zero variance and no eps: sd = 0
+            op(Tensor(np.ones((2, 3))), gain, shift, 0.0)
+        with pytest.raises(NumericsError):   # variance + eps below zero
+            op(Tensor(np.ones((2, 3))), gain, shift, -1.0)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ import pytest
 from scalegmn.ffnn import ffnn_forward
 from scalegmn.optim import finite_diff_check
 from scalegmn.train import ExperimentConfig, Runner, TaskData, selection_key, split_indices
-from scalegmn.zoo import ZooEntry, save_zoo
+from scalegmn.zoo import ZooEntry, gen_cnn_zoo, gen_inr_zoo, save_zoo
 
 from test_graph import make_cnn
+from test_tensor import tape_size
 
 TINY_MODEL = {"d_v": 8, "d_e": 8, "d_msg": 8, "d_inv": 6, "d_readout": 8,
               "pe_dim": 4, "mlp_hidden": 10, "n_rounds": 1}
@@ -132,6 +134,23 @@ def test_cnn_generalization_task(tiny_cnn_zoo, tmp_path):
     assert summary["best_val_loss"] == val["loss"]
     report = runner.eval_report("val", with_orbit_copy=True)
     assert "kendall_tau" in report and "orbit_kendall_tau" in report
+
+
+@pytest.mark.parametrize("task,make_zoo,model,val_size", [
+    # 70/15/15 of 6 nets: one validation net, too few for Kendall tau to rank
+    ("cnn-generalization", lambda p: gen_cnn_zoo(p, 6, 0), {"group_kind": "positive"}, 1),
+    # 70/15/15 of 3 nets: no validation net
+    ("inr-classify", lambda p: gen_inr_zoo(p, 3, 0, steps=20), {}, 0),
+])
+def test_train_rejects_a_val_split_too_small_to_score(tmp_path, task, make_zoo, model, val_size):
+    zoo, out_dir = tmp_path / "zoo", tmp_path / "run"
+    make_zoo(zoo)
+    runner = Runner(ExperimentConfig(task=task, zoo=str(zoo), out_dir=str(out_dir),
+                                     model=dict(TINY_MODEL, **model), epochs=1))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"zoo {zoo}: the val split holds {val_size} net")):
+        runner.train()
+    assert not out_dir.exists()
 
 
 def test_stat_baseline_trains_on_cnn_zoo(tiny_cnn_zoo, tmp_path):
@@ -262,16 +281,6 @@ def test_edit_task_training_reduces_loss(tiny_inr_zoo, tmp_path):
     assert last < first
 
 
-def _tape_size(root) -> int:
-    seen, stack = {id(root)}, [root]
-    while stack:
-        for p in stack.pop()._parents:
-            if id(p) not in seen:
-                seen.add(id(p))
-                stack.append(p)
-    return len(seen)
-
-
 def _edit_runner(zoo, tmp_path, **model):
     cfg = ExperimentConfig(task="inr-edit", zoo=str(zoo), out_dir=str(tmp_path / "run"),
                            model=dict(TINY_MODEL, **model), seed=3)
@@ -280,7 +289,7 @@ def _edit_runner(zoo, tmp_path, **model):
 
 def test_edit_loss_tape_size_does_not_grow_with_the_batch(tiny_inr_zoo, tmp_path):
     runner = _edit_runner(tiny_inr_zoo, tmp_path)
-    sizes = [_tape_size(runner._edit_loss(np.arange(batch))) for batch in (2, 8)]
+    sizes = [tape_size(runner._edit_loss(np.arange(batch))) for batch in (2, 8)]
     assert sizes[0] == sizes[1], sizes
 
 
