@@ -100,13 +100,18 @@ def cnn_forward_taped(kernels, conv_biases, activations, head_w, head_b,
 
     Images arrive as [n, c, H, W]; internally channels-last, so each conv
     layer is one ``T.conv2d_valid`` node (a 2-D matmul per kernel offset,
-    summed in row-major offset order) and a reshape back to images.
+    summed in row-major offset order) and a reshape back to images. A stack
+    of N nets, each with its own images, takes images [N, n, c, H, W],
+    kernels [N, out, in, kh, kw], head weights [N, classes, c] and biases
+    [N, 1, out]; it returns logits [N, n, classes], each row bitwise those
+    of its net alone.
     """
-    x = T.constant(np.transpose(np.asarray(images, dtype=np.float64), (0, 2, 3, 1)))
+    x = T.constant(np.moveaxis(np.asarray(images, dtype=np.float64), -3, -1))
     for k, b, act in zip(kernels, conv_biases, activations):
-        c_out, _, kh, kw = k.shape
-        n, h, w, _ = x.shape
-        x = act.apply(T.reshape(T.conv2d_valid(x, k, b), (n, h - kh + 1, w - kw + 1, c_out)))
-    n, h, w, c = x.shape
-    pooled = T.mean_(T.reshape(x, (n, h * w, c)), axis=1)
+        c_out, _, kh, kw = k.shape[-4:]
+        n, h, w, _ = x.shape[-4:]
+        rows = T.conv2d_valid(x, k, b)
+        x = act.apply(T.reshape(rows, rows.shape[:-2] + (n, h - kh + 1, w - kw + 1, c_out)))
+    n, h, w, c = x.shape[-4:]
+    pooled = T.mean_(T.reshape(x, x.shape[:-4] + (n, h * w, c)), axis=-2)
     return T.linear(pooled, head_w, head_b)

@@ -105,19 +105,24 @@ class MLP(Module):
         return x
 
 
-def mse(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target of pred's shape."""
+def mse(pred: Tensor, target: np.ndarray, axis=None) -> Tensor:
+    """Mean squared error against a constant target of pred's shape: over
+    every entry, or over `axis` (an axis or a tuple of them), leaving one
+    mean per remaining index, e.g. per stack row with ``axis=(-2, -1)``."""
     diff = T.sub(pred, T.constant(target))
-    return T.mean_(T.mul(diff, diff))
+    return T.mean_(T.mul(diff, diff), axis=axis)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of integer class labels, via logsumexp with a
-    detached max shift."""
-    shift = T.constant(logits.data.max(axis=1, keepdims=True))
+    detached max shift.
+
+    logits [n, C] with labels [n] give a scalar; a stack [N, n, C] with
+    labels [N, n] gives one mean per stack row.
+    """
+    shift = T.constant(logits.data.max(axis=-1, keepdims=True))
     z = T.sub(logits, shift)
-    lse = T.log(T.sum_(T.exp(z), axis=1, keepdims=True))
-    onehot = np.zeros(logits.shape)
-    onehot[np.arange(len(labels)), labels.astype(int)] = 1.0
-    z_true = T.sum_(T.mul(z, T.constant(onehot)), axis=1, keepdims=True)
-    return T.mean_(T.sub(lse, z_true))
+    lse = T.log(T.sum_(T.exp(z), axis=-1, keepdims=True))
+    onehot = (np.asarray(labels).astype(int)[..., None] == np.arange(logits.shape[-1]))
+    z_true = T.sum_(T.mul(z, T.constant(onehot)), axis=-1, keepdims=True)
+    return T.mean_(T.sub(lse, z_true), axis=(-2, -1))

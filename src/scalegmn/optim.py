@@ -4,32 +4,57 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import tensor as T
 from .tensor import NumericsError, ShapeError, Tensor, gradients
 
 
 class AdamState:
-    """Per-parameter first/second moment accumulators plus the step counter."""
+    """Per-parameter first/second moment accumulators plus the step counter.
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
+    `lr` is one float, or one rate per stack row when every parameter
+    carries a leading stack axis of N rows (a stack of N nets fitted as one
+    problem); each row then takes exactly the update a lone net with that
+    rate would. :meth:`take` keeps a subset of the rows.
+    """
+
+    def __init__(self, params, lr=1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
-        self.lr = lr
+        self.lr = lr if np.isscalar(lr) else np.asarray(lr, dtype=np.float64)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
         self.m = [np.zeros(p.shape) for p in self.params]
         self.v = [np.zeros(p.shape) for p in self.params]
+        if not np.isscalar(self.lr):
+            for i, p in enumerate(self.params):
+                if p.shape[:1] != self.lr.shape:
+                    raise ShapeError(f"parameter {i} shape {p.shape} has no stack axis of "
+                                     f"{self.lr.size} rows, one per learning rate")
 
     def step(self, grads) -> None:
         adam_step(self, self.params, grads)
+
+    def take(self, rows) -> "AdamState":
+        """A new state for the given stack rows: fresh leaf copies of their
+        parameters, their moments and rates, and the same step count."""
+        rows = np.asarray(rows, dtype=np.intp)
+        lr = self.lr if np.isscalar(self.lr) else self.lr[rows]
+        out = AdamState([Tensor(p.data[rows]) for p in self.params], lr,
+                        self.beta1, self.beta2, self.eps)
+        out.t = self.t
+        out.m = [m[rows] for m in self.m]
+        out.v = [v[rows] for v in self.v]
+        return out
 
 
 def adam_step(state: AdamState, params, grads) -> list[Tensor]:
     """Standard Adam update with bias correction; rebinds each param's data.
 
     Fails fast on non-finite gradients so a diverging run stops at the first
-    bad step instead of poisoning the moments.
+    bad step instead of poisoning the moments. Nothing changes unless every
+    parameter's update is finite, so a failed step leaves the state as it was.
     """
     params = list(params)
     if len(params) != len(state.m):
@@ -40,16 +65,25 @@ def adam_step(state: AdamState, params, grads) -> list[Tensor]:
             raise ShapeError(f"grad {i} shape {g.shape} != param shape {p.shape}")
         if not np.all(np.isfinite(g)):
             raise NumericsError(f"non-finite gradient for parameter {i}")
-    state.t += 1
+    t = state.t + 1
     b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    updates = []
     for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p.assign(p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        m = b1 * state.m[i] + (1.0 - b1) * g
+        v = b2 * state.v[i] + (1.0 - b2) * g * g
+        m_hat = m / bc1
+        v_hat = v / bc2
+        lr = state.lr if np.isscalar(state.lr) else state.lr.reshape((-1,) + (1,) * (p.ndim - 1))
+        new = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        if T.CHECK_FINITE and not np.all(np.isfinite(new)):
+            raise NumericsError(f"non-finite update for parameter {i}")
+        updates.append((m, v, new))
+    state.t = t
+    for i, (p, (m, v, new)) in enumerate(zip(params, updates)):
+        state.m[i], state.v[i] = m, v
+        p.data = new
     return params
 
 

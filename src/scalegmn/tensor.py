@@ -362,43 +362,65 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 def conv2d_valid(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
     """Valid (unpadded, stride-1) convolution of channels-last images, one node.
 
-    x [n, H, W, c_in], k [c_out, c_in, kh, kw], b [c_out] -> rows
-    [n*H'*W', c_out] in (image, row, column) order. The forward adds the
-    per-offset products ``flat @ k[:, :, dr, dc]ᵀ`` in row-major offset order,
-    then b. The backward writes each kernel slot's ``(flatᵀ @ g)ᵀ`` and adds
-    the offsets' input-gradient windows in that same forward order. Operand
-    layouts are those of the narrow/reshape/``linear``/``add`` composite, so
-    values and gradients are bitwise equal to it.
+    x [..., n, H, W, c_in], k [..., c_out, c_in, kh, kw] -> rows
+    [..., n*H'*W', c_out] in (image, row, column) order, plus b, which
+    broadcasts against those rows: [c_out] for one net, [N, 1, c_out] for a
+    stack of N nets (leading stack axes of x and k broadcast, as in
+    ``linear``). The forward adds the per-offset products
+    ``flat @ k[..., dr, dc]ᵀ`` in row-major offset order, then b. The
+    backward writes each kernel slot's ``(flatᵀ @ g)ᵀ`` and adds the offsets'
+    input-gradient windows in that same forward order. Operand layouts are
+    those of the narrow/reshape/``linear``/``add`` composite, so values and
+    gradients are bitwise equal to it, and each stack row to its own net's.
     """
-    if x.ndim != 4 or k.ndim != 4 or b.shape != k.shape[:1]:
-        raise ShapeError(f"conv2d_valid expects x [n, H, W, c_in], k [c_out, c_in, kh, kw] "
-                         f"and b [c_out], got x {x.shape}, k {k.shape}, b {b.shape}")
-    n, h, w, c_in = x.shape
-    c_out, k_in, kh, kw = k.shape
+    if x.ndim < 4 or k.ndim < 4:
+        raise ShapeError(f"conv2d_valid expects x [..., n, H, W, c_in] and "
+                         f"k [..., c_out, c_in, kh, kw], got x {x.shape}, k {k.shape}")
+    *lead, n, h, w, c_in = x.shape
+    c_out, k_in, kh, kw = k.shape[-4:]
     if k_in != c_in:
         raise ShapeError(f"conv2d_valid channels differ: x {x.shape}, k {k.shape}")
     ho, wo = h - kh + 1, w - kw + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"kernel {kh}x{kw} larger than input {h}x{w}")
+    try:
+        stack = np.broadcast_shapes(tuple(lead), k.shape[:-4])
+        rows = stack + (n * ho * wo, c_out)
+        if np.broadcast_shapes(b.shape, rows) != rows:
+            raise ValueError
+    except ValueError:
+        raise ShapeError(f"conv2d_valid: stack axes or bias do not broadcast: x {x.shape}, "
+                         f"k {k.shape}, b {b.shape}") from None
     offsets = [(dr, dc) for dr in range(kh) for dc in range(kw)]
-    flats = [np.ascontiguousarray(x.data[:, dr:dr + ho, dc:dc + wo]).reshape(n * ho * wo, c_in)
-             for dr, dc in offsets]
-    slices = [k.data[:, :, dr, dc].T.copy() for dr, dc in offsets]   # [c_in, c_out] each
-    y = flats[0] @ slices[0]
-    for flat, wt in zip(flats[1:], slices[1:]):
-        y += flat @ wt
+    flat_shape = (*lead, n * ho * wo, c_in)
+    slice_shape = k.shape[:-4] + (c_in, c_out)
+    # flats[i]: the contiguous [..., n*ho*wo, c_in] input window under offset i
+    # (row-major offset order); slices[i]: contiguous k[..., dr, dc]ᵀ. Unit
+    # axes line the shorter stack up with the longer under the offset axis.
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, (ho, wo), axis=(-3, -2))
+    flats = np.ascontiguousarray(np.moveaxis(windows, (-5, -4, -3), (0, 1, -1)))
+    flats = flats.reshape((kh * kw,) + (1,) * (len(stack) - len(lead)) + flat_shape)
+    slices = np.ascontiguousarray(np.moveaxis(k.data, (-2, -1), (0, 1)).swapaxes(-1, -2))
+    slices = slices.reshape((kh * kw,) + (1,) * (len(stack) + 2 - len(slice_shape))
+                            + slice_shape)
+    products = flats @ slices   # one gemm per offset and stack row
+    y = products[0].copy()
+    for p in products[1:]:
+        y += p
     y += b.data
 
     def bw(g, out):
         gx = gk = None
         if x.requires_grad:
             gx = np.zeros(x.shape)
-            for (dr, dc), wt in zip(offsets, slices):
-                gx[:, dr:dr + ho, dc:dc + wo] += (g @ wt.T).reshape(n, ho, wo, c_in)
+            wins = g @ np.swapaxes(slices, -1, -2)
+            for (dr, dc), win in zip(offsets, wins):
+                win = _unbroadcast(win, flat_shape)
+                gx[..., dr:dr + ho, dc:dc + wo, :] += win.reshape(*lead, n, ho, wo, c_in)
         if k.requires_grad:
             gk = np.empty(k.shape)
-            for (dr, dc), flat in zip(offsets, flats):
-                gk[:, :, dr, dc] = (flat.T @ g).T
+            for (dr, dc), gs in zip(offsets, np.swapaxes(flats, -1, -2) @ g):
+                gk[..., dr, dc] = np.swapaxes(_unbroadcast(gs, slice_shape), -1, -2)
         return gx, gk, _unbroadcast(g, b.shape) if b.requires_grad else None
 
     return _out(y, (x, k, b), bw)
@@ -500,7 +522,9 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.size if axis is None else a.shape[axis]
+    """Mean over all entries, one axis, or a tuple of axes."""
+    axes = range(a.ndim) if axis is None else np.atleast_1d(axis)
+    count = int(np.prod([a.shape[ax] for ax in axes]))
     return mul(sum_(a, axis=axis, keepdims=keepdims), constant(1.0 / count))
 
 

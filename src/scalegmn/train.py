@@ -249,17 +249,22 @@ class Runner:
     def metric_name(self) -> str:
         return METRICS[self.cfg.task]
 
+    def _check_scorable(self, split: str) -> None:
+        """Raise unless `split` holds enough nets to score: Kendall tau ranks
+        pairs, so cnn-generalization needs two, the other tasks one."""
+        least = 2 if self.cfg.task == "cnn-generalization" else 1
+        size = len(self.data.splits[split])
+        if size < least:
+            raise ValueError(f"zoo {self.cfg.zoo}: the {split} split holds {size} net(s); "
+                             f"{self.cfg.task} needs at least {least}, use a larger zoo")
+
     # -- the loop -----------------------------------------------------------------------
 
     def train(self) -> dict:
         cfg = self.cfg
-        # every epoch scores the train and val splits; Kendall tau ranks pairs
-        least = 2 if cfg.task == "cnn-generalization" else 1
+        # every epoch scores the train and val splits
         for split in ("train", "val"):
-            size = len(self.data.splits[split])
-            if size < least:
-                raise ValueError(f"zoo {cfg.zoo}: the {split} split holds {size} net(s); "
-                                 f"{cfg.task} needs at least {least}, use a larger zoo")
+            self._check_scorable(split)
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng([cfg.seed, 1])
@@ -354,6 +359,7 @@ class Runner:
 
     def eval_report(self, split: str = "test", with_orbit_copy: bool = False,
                     orbit_seed: int = 1234) -> dict:
+        self._check_scorable(split)
         idx = self.data.splits[split]
         report = {"split": split, "n": int(len(idx))}
         report.update(self.evaluate(split))

@@ -1,5 +1,12 @@
 """Desk-scale model zoos: fitting INRs, training toy CNNs, disk serialization.
 
+Fits run stacked: N networks of one architecture are one problem with
+parameters [N, out, in(, kh, kw)], one tape and one elementwise Adam step
+per iteration, and the per-net losses summed. Every stack row does exactly
+the arithmetic of its network fitted alone, so a zoo's bytes do not depend
+on how its networks are grouped; a network leaves the stack when it is done
+or diverges. A zoo is fitted as `worker_count()` such stacks.
+
 A zoo is a directory with `manifest.json` and one flat little-endian float32
 weight file per entry. FFNN weight files store W1 (row-major), b1, ..., WL,
 bL; CNN files store each conv layer's kernels in (out, in, kh, kw) order then
@@ -18,6 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import tensor as T
 from .activations import by_name, identity, sine
 from .cnn import CnnParams, cnn_forward, cnn_forward_taped
 from .ffnn import FfnnParams, ffnn_forward_taped
@@ -27,11 +35,19 @@ from .tensor import NumericsError, Tensor, gradients
 
 
 def worker_count() -> int:
-    """Parallelism cap from SCALEGMN_THREADS (default: sequential)."""
+    """Process-pool width from SCALEGMN_THREADS (default 1: in-process).
+
+    A zoo is fitted as this many stacked chunks, one per worker; its bytes
+    are the same for every width.
+    """
+    raw = os.environ.get("SCALEGMN_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("SCALEGMN_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"SCALEGMN_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 # -- signals ---------------------------------------------------------------------
@@ -91,6 +107,75 @@ def dilate3x3(image: np.ndarray) -> np.ndarray:
     return np.max(np.stack(stack), axis=0)
 
 
+# -- stacked fitting ----------------------------------------------------------------
+
+def _fit_stack(state: AdamState, budgets, draw, loss_of, stop=None) -> list:
+    """Adam steps on a stack of nets until every row is done or has diverged.
+
+    Row r takes at most ``budgets[r]`` steps. Each step draws its batch once,
+    ``draw(rows)``: a tuple of arrays with one leading entry per active row
+    (`rows` holds their indices into the stack). ``loss_of(params, batch)``
+    records one tape for the stack and gives the rows' losses; Adam steps on
+    the gradient of their sum. A row leaves when its budget is spent or
+    ``stop(loss)`` holds, with its post-update parameters and that loss (the
+    loss before the update).
+    When a step raises NumericsError, each row retries it alone, as a stack
+    of one from the same state and batch; the rows that fail leave as
+    diverged with their pre-step parameters, and the others redo the step.
+
+    Returns per row: (parameter arrays, last loss, steps taken, the error
+    or None).
+    """
+
+    def take_step(state, batch):
+        losses = loss_of(state.params, batch)
+        state.step(gradients(T.sum_(losses), state.params))
+        return losses.data
+
+    budgets = np.asarray(budgets)
+    rows = np.arange(len(budgets))
+    last = np.full(len(budgets), math.inf)
+    results = [None] * len(budgets)
+
+    def leave(positions, taken, failures=None):
+        """Record the rows at these stack positions and drop them from the stack."""
+        nonlocal state, rows
+        for pos in positions:
+            results[rows[pos]] = ([p.data[pos].copy() for p in state.params],
+                                  last[rows[pos]], taken, failures[pos] if failures else None)
+        keep = np.setdiff1d(np.arange(rows.size), positions)
+        if keep.size < rows.size:
+            state, rows = state.take(keep), rows[keep]
+        return keep
+
+    step = 0
+    while True:
+        leave(np.flatnonzero(budgets[rows] <= step), step)
+        batch = draw(rows) if rows.size else ()
+        while rows.size:
+            try:
+                losses = take_step(state, batch)
+            except NumericsError:
+                failures = {}
+                for pos in range(rows.size):
+                    try:
+                        take_step(state.take([pos]), tuple(a[pos:pos + 1] for a in batch))
+                    except NumericsError as err:
+                        failures[pos] = err
+                if not failures:
+                    raise
+                keep = leave(sorted(failures), step, failures)
+                batch = tuple(a[keep] for a in batch)
+                continue
+            last[rows] = losses
+            if stop is not None:
+                leave(np.flatnonzero(stop(losses)), step + 1)
+            break
+        if not rows.size:
+            return results
+        step += 1
+
+
 # -- INR fitting -------------------------------------------------------------------
 
 def siren_init(dims, omega0: float, rng: np.random.Generator) -> FfnnParams:
@@ -105,38 +190,56 @@ def siren_init(dims, omega0: float, rng: np.random.Generator) -> FfnnParams:
     return FfnnParams(weights, biases, acts)
 
 
-def train_inr(signal: Signal, dims=(2, 12, 12, 1), steps: int = 2000, lr: float = 5e-3,
-              omega0: float = 30.0, rng: np.random.Generator | None = None,
-              mse_threshold: float = 0.0) -> tuple[FfnnParams, float]:
-    """Overfit a SIREN to one signal with Adam; returns (net, final MSE).
+@dataclass
+class InrFit:
+    """One fitted INR and the Adam steps it took. A fit that diverged carries
+    the error, which names the step, and its last finite parameters."""
 
-    Stops early once the reconstruction MSE drops below `mse_threshold`.
-    Divergence raises NumericsError annotated with the failing step.
+    net: FfnnParams
+    mse: float
+    steps: int
+    error: NumericsError | None = None
+
+
+def train_inr(signals, dims=(2, 12, 12, 1), steps: int = 2000, lr: float = 5e-3,
+              omega0: float = 30.0, rng: np.random.Generator | None = None,
+              mse_threshold: float = 0.0) -> list[InrFit]:
+    """Overfit one SIREN per signal with Adam, all signals as one stacked fit.
+
+    Every net starts from the one initialization drawn from `rng`; the
+    signals share a grid shape. A net stops after `steps` steps, or once its
+    reconstruction MSE (taken before the step's update) drops below
+    `mse_threshold`; it keeps that step's update and reports that MSE. Each
+    stack row is bitwise the fit of its signal alone, and a net that
+    diverges leaves the stack without touching the others.
     """
-    rng = rng or np.random.default_rng(0)
-    net = siren_init(dims, omega0, rng)
-    params = [Tensor(w) for w in net.weights] + [Tensor(b) for b in net.biases]
-    n_layers = net.n_layers
-    holder = SimpleNamespace(
-        weights=params[:n_layers], biases=params[n_layers:], activations=net.activations
-    )
-    state = AdamState(params, lr=lr)
-    fit_mse = math.inf
-    for step in range(steps):
-        try:
-            loss = mse(ffnn_forward_taped(holder, signal.coords), signal.values)
-            state.step(gradients(loss, params))
-        except NumericsError as err:
-            raise NumericsError(f"INR fit diverged at step {step}: {err}") from err
-        fit_mse = float(loss.data)
-        if fit_mse < mse_threshold:
-            break
-    fitted = FfnnParams(
-        [p.data.copy() for p in params[:n_layers]],
-        [p.data.copy() for p in params[n_layers:]],
-        net.activations,
-    )
-    return fitted, fit_mse
+    signals = list(signals)
+    net = siren_init(dims, omega0, rng or np.random.default_rng(0))
+    n, n_layers = len(signals), net.n_layers
+    if not n:
+        return []
+    state = AdamState([Tensor(np.repeat(w[None], n, axis=0)) for w in net.weights]
+                      + [Tensor(np.repeat(b[None, None], n, axis=0)) for b in net.biases],
+                      lr=np.full(n, lr))
+    coords = np.stack([s.coords for s in signals])
+    values = np.stack([s.values for s in signals])
+
+    def loss_of(params, batch):
+        holder = SimpleNamespace(weights=params[:n_layers], biases=params[n_layers:],
+                                 activations=net.activations)
+        return mse(ffnn_forward_taped(holder, batch[0]), batch[1], axis=(-2, -1))
+
+    rows = _fit_stack(state, np.full(n, steps), lambda r: (coords[r], values[r]), loss_of,
+                      stop=lambda losses: losses < mse_threshold)
+    fits = []
+    for arrays, fit_mse, taken, failure in rows:
+        fitted = FfnnParams(arrays[:n_layers], [b.reshape(-1) for b in arrays[n_layers:]],
+                            net.activations)
+        error = None
+        if failure is not None:
+            error = NumericsError(f"INR fit diverged at step {taken}: {failure}")
+        fits.append(InrFit(fitted, float(fit_mse), taken, error))
+    return fits
 
 
 # -- toy CNN task ------------------------------------------------------------------
@@ -176,50 +279,60 @@ class ToyCnnResult:
     diverged: bool = False
 
 
-def train_toy_cnn(seed: int, lr: float = 3e-3, steps: int = 300, init_scale: float = 1.0,
-                  channels=(4, 4), kernel: int = 3, activation: str = "relu") -> ToyCnnResult:
-    """Train one toy CNN on the seeded blob task; label is held-out accuracy.
+def train_toy_cnn(seeds, lr=3e-3, steps=300, init_scale=1.0, channels=(4, 4),
+                  kernel: int = 3, activation: str = "relu") -> list[ToyCnnResult]:
+    """Train one toy CNN per seed on its seeded blob task, all as one stacked
+    fit; each label is the net's held-out accuracy.
 
-    Hyperparameters (lr, steps, init_scale) are meant to be varied across a
-    zoo so the resulting accuracies spread. Divergence is recorded as chance
-    accuracy with the flag set rather than raised.
+    `lr`, `steps` and `init_scale` are one value for all nets or one per
+    seed; they are meant to be varied across a zoo so the resulting
+    accuracies spread. Each net draws its data, initialization and batches
+    from its own seed's stream, and each stack row is bitwise that net
+    trained alone. Divergence is recorded, not raised: the net leaves the
+    stack with chance accuracy, the flag set and its last finite parameters.
     """
-    rng = np.random.default_rng(seed)
-    train_x, train_y, test_x, test_y = make_blob_task(rng)
-    act = by_name(activation)
+    seeds = list(seeds)
+    n = len(seeds)
+    if not n:
+        return []
+    lrs, budgets, scales = (np.broadcast_to(v, (n,)) for v in (lr, steps, init_scale))
     chain = [1] + list(channels)
-    kernels, biases = [], []
-    for i in range(len(chain) - 1):
-        fan_in = chain[i] * kernel * kernel
-        kernels.append(
-            Tensor(rng.normal(0, init_scale / math.sqrt(fan_in), size=(chain[i + 1], chain[i], kernel, kernel)))
-        )
-        biases.append(Tensor(np.zeros(chain[i + 1])))
-    head_w = Tensor(rng.normal(0, init_scale / math.sqrt(chain[-1]), size=(2, chain[-1])))
-    head_b = Tensor(np.zeros(2))
-    params = kernels + biases + [head_w, head_b]
-    acts = [act] * len(kernels)
-    state = AdamState(params, lr=lr)
-    diverged = False
-    try:
-        for step in range(steps):
-            idx = rng.integers(0, len(train_x), size=32)
-            logits = cnn_forward_taped(kernels, biases, acts, head_w, head_b, train_x[idx])
-            loss = cross_entropy(logits, train_y[idx])
-            state.step(gradients(loss, params))
-    except NumericsError:
-        diverged = True
-    net = CnnParams(
-        [k.data.copy() for k in kernels],
-        [b.data.copy() for b in biases],
-        acts,
-        head_w.data.copy(),
-        head_b.data.copy(),
-    )
-    if diverged:
-        return ToyCnnResult(net, 0.5, diverged=True)
-    preds = cnn_forward(net, test_x).argmax(axis=1)
-    return ToyCnnResult(net, float((preds == test_y).mean()))
+    n_conv = len(chain) - 1
+    acts = [by_name(activation)] * n_conv
+    # (fan-in, weight shape) of each conv layer, then of the 2-way head
+    layers = [(chain[i] * kernel * kernel, (chain[i + 1], chain[i], kernel, kernel))
+              for i in range(n_conv)] + [(chain[-1], (2, chain[-1]))]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    tasks, inits = [], []
+    for rng, scale in zip(rngs, scales):
+        tasks.append(make_blob_task(rng))
+        inits.append([rng.normal(0, scale / math.sqrt(fan), size=shape)
+                      for fan, shape in layers])
+    train_x, train_y, test_x, test_y = (np.stack(arrays) for arrays in zip(*tasks))
+    weights = [np.stack(layer) for layer in zip(*inits)]
+    state = AdamState([Tensor(w) for w in weights]
+                      + [Tensor(np.zeros((n, 1, w.shape[1]))) for w in weights],
+                      lr=lrs)
+
+    def draw(rows):
+        idx = np.stack([rngs[r].integers(0, train_x.shape[1], size=32) for r in rows])
+        return train_x[rows[:, None], idx], train_y[rows[:, None], idx]
+
+    def loss_of(params, batch):
+        w, b = params[:n_conv + 1], params[n_conv + 1:]
+        logits = cnn_forward_taped(w[:-1], b[:-1], acts, w[-1], b[-1], batch[0])
+        return cross_entropy(logits, batch[1])
+
+    results = []
+    for r, (arrays, _, _, failure) in enumerate(_fit_stack(state, budgets, draw, loss_of)):
+        w, b = arrays[:n_conv + 1], [bias.reshape(-1) for bias in arrays[n_conv + 1:]]
+        net = CnnParams(w[:-1], b[:-1], acts, w[-1], b[-1])
+        if failure is not None:
+            results.append(ToyCnnResult(net, 0.5, diverged=True))
+        else:
+            preds = cnn_forward(net, test_x[r]).argmax(axis=1)
+            results.append(ToyCnnResult(net, float((preds == test_y[r]).mean())))
+    return results
 
 
 # -- zoo serialization ---------------------------------------------------------------
@@ -334,89 +447,98 @@ def inr_source_image(zoo_seed: int, index: int, side: int = INR_SIDE) -> tuple[n
     return make_shape_image("disk" if label == 0 else "square", rng, side), label
 
 
-def _fit_inr_job(args):
-    zoo_seed, index, steps, retry = args
-    image, label = inr_source_image(zoo_seed, index)
-    # one initialization per zoo: weight variation then tracks signal content,
-    # which is what makes the classification task learnable at 200 samples
-    rng = np.random.default_rng([zoo_seed, 777 + retry])
-    try:
-        net, mse = train_inr(image_signal(image), dims=INR_DIMS, steps=steps,
-                             omega0=INR_OMEGA0, rng=rng, mse_threshold=2e-3)
-    except NumericsError:
-        return index, None
-    return index, (label, mse, list(net.weights), list(net.biases))
+def _chunks(costs, workers: int) -> list[list[int]]:
+    """Indices of `costs` split into at most `workers` chunks of about equal
+    total cost (largest first, each to the lightest chunk), each in index
+    order."""
+    chunks = [[] for _ in range(min(workers, len(costs)))]
+    loads = [0] * len(chunks)
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        c = loads.index(min(loads))
+        chunks[c].append(i)
+        loads[c] += costs[i]
+    return [sorted(c) for c in chunks]
+
+
+def _run_chunks(fn, jobs: list[dict]) -> list:
+    """fn(**job) for every job: one process-pool worker each when there are
+    several, otherwise in this process."""
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = [pool.submit(fn, **job) for job in jobs]
+            return [f.result() for f in futures]
+    return [fn(**job) for job in jobs]
 
 
 def gen_inr_zoo(directory, count: int, seed: int, steps: int = 2000) -> list[ZooEntry]:
     """Fit `count` SIRENs to alternating disk/square signals; labels balanced ±1.
 
-    A failed fit is retried once with a shifted rng stream, then skipped with
-    a note in the manifest meta.
+    The fits run as `worker_count()` stacked chunks. A failed fit is retried
+    once with a shifted rng stream, then skipped with a note in the manifest
+    meta.
     """
-    jobs = [(seed, i, steps, 0) for i in range(count)]
-    workers = worker_count()
-    if workers > 1 and count > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = dict(pool.map(_fit_inr_job, jobs))
-    else:
-        raw = dict(_fit_inr_job(j) for j in jobs)
-    results, skipped = {}, []
-    for i in range(count):
-        res = raw.get(i)
-        if res is None:
-            _, res = _fit_inr_job((seed, i, steps, 1))
-        if res is None:
-            skipped.append(i)
-        else:
-            results[i] = (i, *res)
+    sources = [inr_source_image(seed, i) for i in range(count)]
+
+    def fit(indices, retry):
+        chunks = [[indices[i] for i in c] for c in _chunks([1] * len(indices), worker_count())]
+        # one initialization per zoo: weight variation then tracks signal content,
+        # which is what makes the classification task learnable at 200 samples
+        jobs = [dict(signals=[image_signal(sources[i][0]) for i in chunk], dims=INR_DIMS,
+                     steps=steps, omega0=INR_OMEGA0, mse_threshold=2e-3,
+                     rng=np.random.default_rng([seed, 777 + retry]))
+                for chunk in chunks]
+        return {i: f for chunk, fits in zip(chunks, _run_chunks(train_inr, jobs))
+                for i, f in zip(chunk, fits)}
+
+    fits = fit(list(range(count)), 0)
+    failed = [i for i in range(count) if fits[i].error is not None]
+    if failed:
+        fits.update(fit(failed, 1))
+    skipped = [i for i in range(count) if fits[i].error is not None]
     entries, nets = [], []
     act_names = ["sine"] * (len(INR_DIMS) - 2) + ["identity"]
-    for i in sorted(results):
-        index, label, mse, weights, biases = results[i]
-        acts = [by_name(n, INR_OMEGA0) for n in act_names]
-        net = FfnnParams(weights, biases, acts)
+    for index in range(count):
+        if index in skipped:
+            continue
         entry = ZooEntry(
             id=f"inr-{index:05d}",
             kind="ffnn",
             layer_dims=list(INR_DIMS),
             activations=act_names,
             omega0=INR_OMEGA0,
-            label=float(label),
+            label=float(sources[index][1]),
             weights_path=f"inr-{index:05d}.bin",
-            extra={"mse": mse, "source_index": index},
+            extra={"mse": fits[index].mse, "source_index": index},
         )
         entries.append(entry)
-        nets.append(net)
+        nets.append(fits[index].net)
     meta = {"kind": "inr-2class", "seed": seed, "image_side": INR_SIDE,
             "skipped": skipped, "count": len(entries)}
     save_zoo(directory, entries, nets, meta)
     return entries
 
 
-def _cnn_job(args):
-    seed, index = args
-    rng = np.random.default_rng([seed, index])
-    # ranges stretch from under-trained to solid so the accuracies spread
-    lr = float(10 ** rng.uniform(-4.0, -0.8))
-    steps = int(rng.integers(5, 300))
-    init_scale = float(rng.uniform(0.3, 2.5))
-    result = train_toy_cnn(int(rng.integers(0, 2**31)), lr=lr, steps=steps,
-                           init_scale=init_scale)
-    return index, result
-
-
 def gen_cnn_zoo(directory, count: int, seed: int) -> list[ZooEntry]:
-    """Train `count` toy CNNs with spread hyperparameters; label = test accuracy."""
-    jobs = [(seed, i) for i in range(count)]
-    workers = worker_count()
-    if workers > 1 and count > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_cnn_job, jobs))
-    else:
-        results = dict(_cnn_job(j) for j in jobs)
+    """Train `count` toy CNNs with spread hyperparameters; label = test accuracy.
+
+    Each net's hyperparameters come from its own stream ``[seed, index]``;
+    the nets train as `worker_count()` stacked chunks balanced by step budget.
+    """
+    hyper = []
+    for i in range(count):
+        rng = np.random.default_rng([seed, i])
+        # ranges stretch from under-trained to solid so the accuracies spread
+        lr = float(10 ** rng.uniform(-4.0, -0.8))
+        steps = int(rng.integers(5, 300))
+        init_scale = float(rng.uniform(0.3, 2.5))
+        hyper.append((int(rng.integers(0, 2**31)), lr, steps, init_scale))
+    chunks = _chunks([h[2] for h in hyper], worker_count())
+    jobs = [dict(zip(("seeds", "lr", "steps", "init_scale"), zip(*(hyper[i] for i in chunk))))
+            for chunk in chunks]
+    results = {i: res for chunk, chunk_results in zip(chunks, _run_chunks(train_toy_cnn, jobs))
+               for i, res in zip(chunk, chunk_results)}
     entries, nets = [], []
-    for i in sorted(results):
+    for i in range(count):
         res = results[i]
         net = res.net
         entry = ZooEntry(

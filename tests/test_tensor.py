@@ -81,6 +81,10 @@ def _fd_check(op, shapes, step=1e-6, tol=1e-4, positive=False):
         (T.silu, [(2, 3, 4)], False),
         (lambda x, g, s: T.layer_norm(x, g, s, 1e-5), [(3, 4), (4,), (4,)], False),
         (T.conv2d_valid, [(2, 4, 5, 2), (3, 2, 2, 3), (3,)], False),
+        (T.conv2d_valid, [(2, 2, 4, 5, 2), (2, 3, 2, 2, 3), (2, 1, 3)], False),  # stacked
+        (T.conv2d_valid, [(2, 4, 5, 2), (2, 3, 2, 2, 3), (2, 1, 3)], False),  # shared images
+        (T.conv2d_valid, [(2, 2, 4, 5, 2), (3, 2, 2, 3), (3,)], False),  # shared kernels
+        (lambda a: T.mean_(a, axis=(-2, -1)), [(2, 3, 4)], False),  # one mean per stack row
     ],
 )
 def test_primitive_gradients(op, shapes, positive):
@@ -393,6 +397,11 @@ def test_conv2d_valid_shape_errors():
         T.conv2d_valid(x, Tensor(np.ones((3, 2, 5, 1))), Tensor(np.zeros(3)))
     with pytest.raises(ShapeError, match="channels differ"):
         T.conv2d_valid(x, Tensor(np.ones((3, 1, 2, 2))), Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError, match="do not broadcast"):   # a bias per stack row, no stack
+        T.conv2d_valid(x, Tensor(np.ones((3, 2, 2, 2))), Tensor(np.zeros((2, 1, 3))))
+    with pytest.raises(ShapeError, match="do not broadcast"):   # stacks of 2 and 3 nets
+        T.conv2d_valid(Tensor(np.ones((2, 1, 4, 4, 2))), Tensor(np.ones((3, 3, 2, 2, 2))),
+                       Tensor(np.zeros(3)))
 
 
 def test_layer_norm_raises_where_the_composite_does():

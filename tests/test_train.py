@@ -153,6 +153,17 @@ def test_train_rejects_a_val_split_too_small_to_score(tmp_path, task, make_zoo, 
     assert not out_dir.exists()
 
 
+def test_eval_report_rejects_a_split_too_small_to_score(tmp_path):
+    zoo = tmp_path / "zoo"
+    gen_cnn_zoo(zoo, 6, 0)  # 70/15/15 of 6 nets: one test net
+    runner = Runner(ExperimentConfig(task="cnn-generalization", zoo=str(zoo),
+                                     out_dir=str(tmp_path / "run"),
+                                     model=dict(TINY_MODEL, group_kind="positive")))
+    with pytest.raises(ValueError, match=re.escape(
+            f"zoo {zoo}: the test split holds 1 net(s); cnn-generalization needs at least 2")):
+        runner.eval_report("test")
+
+
 def test_stat_baseline_trains_on_cnn_zoo(tiny_cnn_zoo, tmp_path):
     """Weight statistics read a CNN's kernel/bias pairs, then its head."""
     cfg = ExperimentConfig(task="cnn-generalization", zoo=str(tiny_cnn_zoo),

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from scalegmn.zoo import (
     siren_init,
     train_inr,
     train_toy_cnn,
+    worker_count,
 )
 
 
@@ -63,53 +66,135 @@ def test_dilate3x3_grows_shapes():
 def test_train_inr_constant_signal():
     side = 8
     sig = Signal(grid_coords(side), np.full((side * side, 1), 0.5))
-    net, mse = train_inr(sig, dims=(2, 8, 8, 1), steps=500,
-                         rng=np.random.default_rng(0), mse_threshold=1e-4)
-    assert mse < 1e-4
+    (fit,) = train_inr([sig], dims=(2, 8, 8, 1), steps=500,
+                       rng=np.random.default_rng(0), mse_threshold=1e-4)
+    assert fit.error is None
+    assert fit.mse < 1e-4
 
 
 def test_train_inr_disk_image():
     img, _ = inr_source_image(3, 0)
-    net, mse = train_inr(image_signal(img), dims=(2, 12, 12, 1), steps=3000,
-                         rng=np.random.default_rng(1), mse_threshold=0.0)
-    assert mse < 5e-3
+    (fit,) = train_inr([image_signal(img)], dims=(2, 12, 12, 1), steps=3000,
+                       rng=np.random.default_rng(1), mse_threshold=0.0)
+    assert fit.mse < 5e-3
     # the INR really encodes the image
-    recon = ffnn_forward(net, grid_coords(16)).reshape(16, 16)
+    recon = ffnn_forward(fit.net, grid_coords(16)).reshape(16, 16)
     assert np.mean((recon - img) ** 2) < 5e-3
 
 
 def test_train_inr_zero_steps_returns_initialization():
     sig = Signal(grid_coords(4), np.zeros((16, 1)))
-    net, _ = train_inr(sig, dims=(2, 6, 1), steps=0, rng=np.random.default_rng(7))
+    (fit,) = train_inr([sig], dims=(2, 6, 1), steps=0, rng=np.random.default_rng(7))
     init = siren_init((2, 6, 1), 30.0, np.random.default_rng(7))
-    for a, b in zip(net.weights, init.weights):
+    for a, b in zip(fit.net.weights, init.weights):
         assert np.array_equal(a, b)
 
 
 def test_train_inr_divergence_reports_step():
     sig = Signal(grid_coords(4), np.full((16, 1), 1e200))
-    with pytest.raises(NumericsError, match="step 0"):
-        train_inr(sig, dims=(2, 4, 1), steps=5, rng=np.random.default_rng(2))
+    (fit,) = train_inr([sig], dims=(2, 4, 1), steps=5, rng=np.random.default_rng(2))
+    assert isinstance(fit.error, NumericsError)
+    assert re.search("step 0", str(fit.error))
+
+
+def _assert_same_params(a, b):
+    assert a.dims == b.dims
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        assert x.shape == y.shape and np.array_equal(x, y)
+
+
+def _inr_stack_signals():
+    """Three zoo signals around a constant one that stops early at 2e-3."""
+    signals = [image_signal(inr_source_image(5, i)[0]) for i in range(3)]
+    signals.insert(1, Signal(grid_coords(16), np.full((256, 1), 0.5)))
+    return signals
+
+
+def _fit_inrs(signals, steps=150, mse_threshold=2e-3):
+    return train_inr(signals, dims=(2, 12, 12, 1), steps=steps, omega0=10.0,
+                     rng=np.random.default_rng([5, 777]), mse_threshold=mse_threshold)
+
+
+def test_stacked_train_inr_rows_are_bitwise_the_lone_fits():
+    signals = _inr_stack_signals()
+    stacked = _fit_inrs(signals)
+    assert [fit.steps == 150 for fit in stacked] == [True, False, True, True]
+    for sig, fit in zip(signals, stacked):
+        (alone,) = _fit_inrs([sig])
+        assert fit.error is None and alone.error is None
+        assert fit.mse == alone.mse and fit.steps == alone.steps
+        _assert_same_params(fit.net, alone.net)
+    # the early stop keeps the update of the first step whose MSE (taken
+    # before that update) is below the threshold, and reports that MSE
+    early = stacked[1]
+    (through,) = _fit_inrs(signals[1:2], steps=early.steps, mse_threshold=0.0)
+    (before,) = _fit_inrs(signals[1:2], steps=early.steps - 1, mse_threshold=0.0)
+    assert before.mse >= 2e-3 > early.mse == through.mse
+    _assert_same_params(early.net, through.net)
+
+
+def test_a_diverging_inr_leaves_the_other_rows_unchanged():
+    signals = _inr_stack_signals()
+    signals.insert(2, Signal(grid_coords(16), np.full((256, 1), 1e200)))
+    with np.errstate(over="ignore"):
+        fits = _fit_inrs(signals)
+    assert isinstance(fits[2].error, NumericsError)
+    assert re.search("step 0", str(fits[2].error))
+    for fit, clean in zip(fits[:2] + fits[3:], _fit_inrs(_inr_stack_signals())):
+        assert fit.error is None and fit.mse == clean.mse
+        _assert_same_params(fit.net, clean.net)
 
 
 # -- toy CNNs ---------------------------------------------------------------------------
 
+CNN_STACK = dict(seeds=[3, 4, 5], lr=[1e-3, 3e-2, 5e-3], steps=[7, 40, 23],
+                 init_scale=[0.5, 1.0, 2.0])
+
+
+def _assert_same_cnn(a, b):
+    assert a.accuracy == b.accuracy and a.diverged == b.diverged
+    _assert_same_params(a.net, b.net)
+
+
+def test_stacked_train_toy_cnn_rows_are_bitwise_the_lone_fits():
+    stacked = train_toy_cnn(**CNN_STACK)
+    for i, res in enumerate(stacked):
+        (alone,) = train_toy_cnn(**{k: [v[i]] for k, v in CNN_STACK.items()})
+        assert not res.diverged
+        _assert_same_cnn(res, alone)
+
+
+def test_a_diverging_toy_cnn_leaves_the_other_rows_unchanged():
+    # an lr of 1e300 throws the weights near the float64 limit in one step;
+    # the next forward overflows
+    wild = dict(CNN_STACK, lr=[1e-3, 1e300, 5e-3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = train_toy_cnn(**wild)
+        (alone,) = train_toy_cnn(**{k: [v[1]] for k, v in wild.items()})
+    assert results[1].diverged and results[1].accuracy == 0.5
+    _assert_same_cnn(results[1], alone)
+    assert np.all(np.isfinite(results[1].net.flatten()))
+    clean = train_toy_cnn(**CNN_STACK)
+    for i in (0, 2):
+        _assert_same_cnn(results[i], clean[i])
+
+
 def test_toy_cnn_zero_steps_is_chance():
     # single untrained nets can be biased on 200 test samples; the chance
     # band is empirical over seeds
-    accs = [train_toy_cnn(seed, steps=0).accuracy for seed in range(1, 9)]
+    accs = [res.accuracy for res in train_toy_cnn(range(1, 9), steps=0)]
     assert abs(np.mean(accs) - 0.5) <= 0.15, accs
 
 
 def test_toy_cnn_full_budget_learns():
-    res = train_toy_cnn(5, lr=3e-3, steps=300)
+    (res,) = train_toy_cnn([5], lr=3e-3, steps=300)
     assert not res.diverged
     assert res.accuracy > 0.8
 
 
 def test_toy_cnn_deterministic():
-    a = train_toy_cnn(9, steps=30)
-    b = train_toy_cnn(9, steps=30)
+    (a,) = train_toy_cnn([9], steps=30)
+    (b,) = train_toy_cnn([9], steps=30)
     assert a.accuracy == b.accuracy
     for k1, k2 in zip(a.net.kernels, b.net.kernels):
         assert np.array_equal(k1, k2)
@@ -159,18 +244,62 @@ def test_empty_zoo(tmp_path):
     assert manifest["entries"] == []
 
 
+def _zoo_digest(directory) -> str:
+    """sha256 over every file of a zoo directory, by name, names and bytes."""
+    h = hashlib.sha256()
+    for path in sorted(Path(directory).iterdir()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def test_parallel_generation_is_deterministic(tmp_path, monkeypatch):
-    """SCALEGMN_THREADS caps worker parallelism without changing outputs."""
-    gen_inr_zoo(tmp_path / "seq", count=3, seed=17, steps=40)
-    monkeypatch.setenv("SCALEGMN_THREADS", "2")
-    gen_inr_zoo(tmp_path / "par", count=3, seed=17, steps=40)
-    a = (tmp_path / "seq" / "manifest.json").read_text()
-    b = (tmp_path / "par" / "manifest.json").read_text()
-    assert a == b
-    for row in json.loads(a)["entries"]:
-        assert (tmp_path / "seq" / row["weights_path"]).read_bytes() == (
-            tmp_path / "par" / row["weights_path"]
-        ).read_bytes()
+    """SCALEGMN_THREADS sets how many stacked chunks a zoo is fitted in
+    without changing a byte; 3 splits 4 nets unevenly."""
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("SCALEGMN_THREADS", workers)
+        gen_inr_zoo(tmp_path / f"inr-{workers}", count=4, seed=17, steps=40)
+        gen_cnn_zoo(tmp_path / f"cnn-{workers}", count=4, seed=17)
+    for kind in ("inr", "cnn"):
+        seq = tmp_path / f"{kind}-1"
+        names = sorted(p.name for p in seq.iterdir())
+        for workers in ("2", "3"):
+            par = tmp_path / f"{kind}-{workers}"
+            assert sorted(p.name for p in par.iterdir()) == names
+            for name in names:
+                assert (seq / name).read_bytes() == (par / name).read_bytes(), (workers, name)
+
+
+# sha256 (`_zoo_digest`) of two small generated zoos, taken from the
+# per-network fits that the stacked fits replaced (numpy 2.4 with OpenBLAS):
+# every fitted weight, label and manifest byte is pinned.
+GOLDEN_ZOO_SHA256 = {
+    "inr": "2f0062f9d3bc2ed56890c3e07bf5ab634b65c153f9b0846f8e476b79a72b7d8c",
+    "cnn": "f187bdcf48614af82111085ea5bcce6646ab35e29f02e70ff00dc05ea4ce88cc",
+}
+
+
+@pytest.mark.parametrize("kind", ["inr", "cnn"])
+def test_generated_zoo_bytes_are_pinned(tmp_path, kind):
+    if kind == "inr":
+        gen_inr_zoo(tmp_path / kind, count=4, seed=5, steps=60)
+    else:
+        gen_cnn_zoo(tmp_path / kind, count=3, seed=2)
+    assert _zoo_digest(tmp_path / kind) == GOLDEN_ZOO_SHA256[kind]
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])
+def test_worker_count_rejects_a_malformed_setting(monkeypatch, value):
+    monkeypatch.setenv("SCALEGMN_THREADS", value)
+    with pytest.raises(ValueError, match=rf"SCALEGMN_THREADS .*{re.escape(repr(value))}"):
+        worker_count()
+
+
+def test_worker_count_reads_a_positive_integer(monkeypatch):
+    monkeypatch.delenv("SCALEGMN_THREADS", raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("SCALEGMN_THREADS", "3")
+    assert worker_count() == 3
 
 
 def test_cnn_zoo_entries(tmp_path):
