@@ -36,6 +36,14 @@ def _load_config(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def _check_keys(command: str, config: dict, known: frozenset) -> None:
+    """Reject config keys the command does not read, before it does any work."""
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ValueError(f"{command}: unknown config key(s) {unknown}; "
+                         f"known keys: {sorted(known)}")
+
+
 def _out_dir(out) -> Path:
     path = Path(out) if out else Path("runs/out")
     path.mkdir(parents=True, exist_ok=True)
@@ -44,7 +52,11 @@ def _out_dir(out) -> Path:
 
 # -- gen-zoo ----------------------------------------------------------------------------
 
+GEN_ZOO_KEYS = frozenset({"kind", "count", "steps"})
+
+
 def cmd_gen_zoo(config: dict, seed: int, out) -> int:
+    _check_keys("gen-zoo", config, GEN_ZOO_KEYS)
     kind = config.get("kind", "inr-2class")
     count = int(config.get("count", 50))
     out_dir = _out_dir(out)
@@ -74,7 +86,12 @@ def cmd_train(config: dict, seed: int, out) -> int:
     return 0
 
 
+EVAL_KEYS = frozenset({"task", "zoo", "checkpoint", "baseline", "split", "split_seed",
+                       "with_orbit_augmented_copy"})
+
+
 def cmd_eval(config: dict, seed: int, out) -> int:
+    _check_keys("eval", config, EVAL_KEYS)
     ckpt = Path(config["checkpoint"])
     baseline = config.get("baseline", "none")
     model_overrides = {}
@@ -155,7 +172,11 @@ def certify_model_combo(combo: dict, dims, trials: int, nets: int, tol: float,
                                 tol=tol, seed=seed, name=name)
 
 
+CERTIFY_KEYS = frozenset({"trials", "nets", "tol", "dims", "combos"})
+
+
 def cmd_certify(config: dict, seed: int, out) -> int:
+    _check_keys("certify", config, CERTIFY_KEYS)
     trials = int(config.get("trials", 50))
     nets = int(config.get("nets", 5))
     tol = float(config.get("tol", 1e-8))
@@ -180,7 +201,11 @@ def cmd_certify(config: dict, seed: int, out) -> int:
 
 # -- canonicalize --------------------------------------------------------------------------
 
+CANONICALIZE_KEYS = frozenset({"zoo", "orbit_canon", "grid_side", "tol"})
+
+
 def cmd_canonicalize(config: dict, seed: int, out) -> int:
+    _check_keys("canonicalize", config, CANONICALIZE_KEYS)
     entries, nets, meta = load_zoo(config["zoo"])
     orbit_canon = bool(config.get("orbit_canon", True))
     grid = grid_coords(int(config.get("grid_side", 16)))
@@ -207,7 +232,11 @@ def cmd_canonicalize(config: dict, seed: int, out) -> int:
 
 # -- simulate ---------------------------------------------------------------------------
 
+SIMULATE_KEYS = frozenset({"count", "dims", "activation", "tol_forward", "tol_backward"})
+
+
 def cmd_simulate(config: dict, seed: int, out) -> int:
+    _check_keys("simulate", config, SIMULATE_KEYS)
     count = int(config.get("count", 10))
     dims = tuple(config.get("dims", (2, 6, 6, 1)))
     act_name = config.get("activation", "sine")
@@ -234,7 +263,7 @@ def cmd_simulate(config: dict, seed: int, out) -> int:
         backward(T.sum_(T.mul(out_t, T.constant(g[None, :]))))
         for l, (z_t, x_t) in enumerate(collect, start=1):
             z_direct = z_t.data[0]
-            x_direct = np.atleast_2d(net.activations[l - 1].fn(z_direct))[0]
+            x_direct = x_t.data[0]
             max_fw = max(max_fw, float(np.max(np.abs(res.z[l - 1] - z_direct))))
             max_fw = max(max_fw, float(np.max(np.abs(res.x[l - 1] - x_direct))))
             gz = z_t.grad[0]

@@ -7,6 +7,10 @@ computed function exactly like hidden-neuron transforms do for FFNNs; the
 head columns absorb the inverse because pooling is linear. `CnnParams` is a
 `ffnn.LayerChain` (the head is its last layer, with no kernel axes), so
 `ffnn.apply_orbit` is its orbit action too.
+
+There is one evaluator: `cnn_forward` is `cnn_forward_taped` on constant
+leaves, so zoo labels and function-preservation checks compute exactly what
+training differentiates, and build no tape.
 """
 
 from __future__ import annotations
@@ -64,33 +68,17 @@ class CnnParams(LayerChain):
         return self.kernels[0].shape[2], self.kernels[0].shape[3]
 
 
-def _conv_valid(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x [n, c_in, H, W] * k [c_out, c_in, kh, kw] -> [n, c_out, H', W']."""
-    n, c_in, h, w = x.shape
-    c_out, _, kh, kw = k.shape
-    ho, wo = h - kh + 1, w - kw + 1
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"kernel {kh}x{kw} larger than input {h}x{w}")
-    out = np.zeros((n, c_out, ho, wo))
-    for dr in range(kh):
-        for dc in range(kw):
-            patch = x[:, :, dr : dr + ho, dc : dc + wo]
-            out += np.einsum("nchw,oc->nohw", patch, k[:, :, dr, dc])
-    return out + b[None, :, None, None]
-
-
 def cnn_forward(net: CnnParams, image: np.ndarray) -> np.ndarray:
-    """Logits for image(s) of shape [c, H, W] or [n, c, H, W]."""
+    """Logits for image(s) of shape [c, H, W] or [n, c, H, W], taped on constants."""
     x = np.asarray(image, dtype=np.float64)
     single = x.ndim == 3
     if single:
         x = x[None]
     if x.ndim != 4 or x.shape[1] != net.channels[0]:
         raise ShapeError(f"image shape {x.shape} does not match {net.channels[0]} input channels")
-    for k, b, act in zip(net.kernels, net.conv_biases, net.activations):
-        x = act.fn(_conv_valid(x, k, b))
-    pooled = x.mean(axis=(2, 3))
-    logits = pooled @ net.head_weight.T + net.head_bias
+    logits = cnn_forward_taped([T.constant(k) for k in net.kernels],
+                               [T.constant(b) for b in net.conv_biases], net.activations,
+                               T.constant(net.head_weight), T.constant(net.head_bias), x).data
     return logits[0] if single else logits
 
 

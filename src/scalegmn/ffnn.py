@@ -8,6 +8,10 @@ every symmetry test downstream certifies.
 `LayerChain` is the view FFNNs and CNNs share: `dims` plus per-layer weights
 [out, in, *kernel] and biases. `apply_orbit` acts on that view, so it is the
 one orbit action for both kinds (`cnn.CnnParams` is a `LayerChain` too).
+
+There is one evaluator: `ffnn_forward` is `ffnn_forward_taped` on constant
+leaves, so it builds no tape and computes exactly what training
+differentiates.
 """
 
 from __future__ import annotations
@@ -76,14 +80,14 @@ class FfnnParams(LayerChain):
 
 
 def ffnn_forward(net: FfnnParams, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on inputs x of shape [d0] or [n, d0]."""
+    """Evaluate the network on inputs x of shape [d0] or [n, d0], taped on constants."""
     h = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if h.shape[1] != net.dims[0]:
         raise ShapeError(f"input width {h.shape[1]} != network input dim {net.dims[0]}")
-    for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = act.preact(h @ w.T, b)
-        h = act.fn(z)
-    return h[0] if np.asarray(x).ndim == 1 else h
+    leaves = net.from_layers([T.constant(w) for w in net.weights],
+                             [T.constant(b) for b in net.biases], net.activations)
+    out = ffnn_forward_taped(leaves, h).data
+    return out[0] if np.asarray(x).ndim == 1 else out
 
 
 def ffnn_forward_taped(net, x: np.ndarray, collect=None):

@@ -71,8 +71,12 @@ class ScaleGMNConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ScaleGMNConfig":
-        known = {f for f in ScaleGMNConfig.__dataclass_fields__}
-        return ScaleGMNConfig(**{k: v for k, v in d.items() if k in known})
+        known = ScaleGMNConfig.__dataclass_fields__
+        unknown = [k for k in d if k not in known]
+        if unknown:
+            raise ValueError(f"unknown model config key(s) {unknown}; "
+                             f"known fields: {sorted(known)}")
+        return ScaleGMNConfig(**d)
 
     @property
     def mode(self) -> str:

@@ -6,7 +6,9 @@ scored by Kendall tau-b), and INR editing (equivariant head, functional MSE
 against dilated source signals on the signal grid).
 
 Every run is deterministic under its seed; metrics stream to a CSV with
-header epoch,split,metric,value and the best-validation checkpoint is kept.
+header epoch,split,metric,value (each epoch's rows are appended as it ends,
+so a crashed run keeps the epochs it finished) and the best-validation
+checkpoint is kept.
 Checkpoint selection (`selection_key`) ranks epochs by the task's validation
 metric (accuracy and Kendall tau-b higher, functional MSE lower) and breaks an
 exact tie on the lower validation loss; the earliest epoch wins a full tie.
@@ -70,6 +72,7 @@ class ExperimentConfig:
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         self.model = dict(self.model)  # the head default below must not leak to the caller
+        ScaleGMNConfig.from_dict(self.model)  # unknown keys fail here, before any zoo is read
         head = self.model.get("head", "invariant")
         if self.task == "inr-edit" and head != "equivariant-edit":
             self.model["head"] = "equivariant-edit"
@@ -269,7 +272,8 @@ class Runner:
         out_dir.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng([cfg.seed, 1])
         self._aug_rng = np.random.default_rng([cfg.seed, 2])
-        rows = []
+        metrics_path = out_dir / "metrics.csv"
+        self._write_csv(metrics_path, [("epoch", "split", "metric", "value")], mode="w")
         train_idx = self.data.splits["train"]
         metric = self.metric_name()
         best_key, best_stats, best_epoch = (math.inf, math.inf), {}, -1
@@ -277,11 +281,11 @@ class Runner:
         epochs_run = 0
 
         def record(epoch: int) -> dict:
-            stats = {}
+            stats, rows = {}, []
             for split in ("train", "val"):
                 stats = self.evaluate(split)
-                for k, v in stats.items():
-                    rows.append((epoch, split, k, v))
+                rows.extend((epoch, split, k, v) for k, v in stats.items())
+            self._write_csv(metrics_path, rows)  # written out before the next epoch starts
             return stats  # val stats (last split evaluated)
 
         # epoch 0 is the initialization; zero-epoch runs keep exactly that
@@ -307,7 +311,6 @@ class Runner:
                 self._save(out_dir / "checkpoint")
             if diverged:
                 break
-        self._write_csv(out_dir / "metrics.csv", rows)
         summary = {
             "task": cfg.task,
             "baseline": cfg.baseline,
@@ -348,12 +351,9 @@ class Runner:
                 p.assign(blob[name])
 
     @staticmethod
-    def _write_csv(path: Path, rows):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "split", "metric", "value"])
-            for row in rows:
-                writer.writerow(row)
+    def _write_csv(path: Path, rows, mode: str = "a"):
+        with open(path, mode, newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
 
     # -- evaluation with orbit copies ------------------------------------------------------
 

@@ -102,6 +102,21 @@ def test_simulate_reports_deviation(tmp_path):
     assert report["passed"]
 
 
+@pytest.mark.parametrize("command,config,bad", [
+    ("gen-zoo", {"kind": "cnn-accuracy", "cout": 3}, "cout"),
+    ("eval", {"task": "inr-classify", "zoo": "z", "checkpoint": "c", "splt": "val"}, "splt"),
+    ("certify", {"trails": 4, "nets": 2}, "trails"),
+    ("canonicalize", {"zoo": "z", "grid_sides": 16}, "grid_sides"),
+    ("simulate", {"count": 3, "activaton": "tanh"}, "activaton"),
+])
+def test_unknown_config_key_is_rejected_before_any_work(tmp_path, command, config, bad):
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=rf"^{command}: unknown config key\(s\) \['{bad}'\]"):
+        run_cli(command, "--config", cfg, "--out", str(out))
+    assert not out.exists()
+
+
 def _distribution_installed(name: str) -> bool:
     try:
         importlib.metadata.distribution(name)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalegmn import activations
+from scalegmn import activations, cnn, ffnn
 from scalegmn.baselines import stat_features
 from scalegmn.ffnn import (
     FfnnParams,
@@ -16,6 +16,7 @@ from scalegmn.ffnn import (
     bias_shift,
     canonicalize_net,
     ffnn_forward,
+    ffnn_forward_taped,
     sample_orbit,
     shift_sine_biases,
 )
@@ -85,6 +86,33 @@ def test_forward_matches_bruteforce_siren():
             h = z
         expected[r] = h
     assert np.max(np.abs(ffnn_forward(net, xs) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("act", ["relu", "tanh", "sine", "identity"])
+def test_forward_is_the_taped_forward_on_constants(monkeypatch, act):
+    """`ffnn_forward` is bitwise the taped forward; neither evaluator leaves a
+    tape behind (its taped output takes no gradient and has no parents)."""
+    rng = np.random.default_rng(12)
+    descriptor = activations.by_name(act, 30.0)
+    net = random_net(rng, (3, 6, 5, 2), descriptor)
+    x = rng.uniform(-1, 1, size=(40, 3))
+    conv = cnn.CnnParams([rng.standard_normal((4, 1, 3, 3)), rng.standard_normal((3, 4, 2, 2))],
+                         [rng.standard_normal(4), rng.standard_normal(3)], [descriptor] * 2,
+                         rng.standard_normal((2, 3)), rng.standard_normal(2))
+    outputs = []  # what the evaluators' own taped calls return
+    for module, name in ((ffnn, "ffnn_forward_taped"), (cnn, "cnn_forward_taped")):
+        def recorded(*args, taped=getattr(module, name), **kwargs):
+            outputs.append(taped(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(module, name, recorded)
+    # `ffnn_forward_taped` here is the name imported above, so it is not recorded
+    assert np.array_equal(ffnn_forward(net, x), ffnn_forward_taped(net, x).data)
+    assert np.array_equal(ffnn_forward(net, x[0]), ffnn_forward_taped(net, x[:1]).data[0])
+    cnn.cnn_forward(conv, rng.standard_normal((2, 1, 7, 7)))
+    assert len(outputs) == 3
+    for out in outputs:
+        assert not out.requires_grad and out._parents == ()
 
 
 # -- orbits --------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from scalegmn.ffnn import ffnn_forward
+from scalegmn.model import ScaleGMNConfig
 from scalegmn.optim import finite_diff_check
 from scalegmn.train import ExperimentConfig, Runner, TaskData, selection_key, split_indices
 from scalegmn.zoo import ZooEntry, gen_cnn_zoo, gen_inr_zoo, save_zoo
@@ -51,6 +52,13 @@ def test_config_leaves_the_callers_model_dict_alone():
     assert ExperimentConfig(task="inr-classify", zoo="x", model=model).model == {"d_v": 8}
 
 
+def test_misspelt_model_key_is_rejected():
+    with pytest.raises(ValueError, match=r"unknown model config key\(s\) \['n_round'\]"):
+        ExperimentConfig(task="inr-classify", zoo="x", model={"n_round": 5, "d_v": 8})
+    with pytest.raises(ValueError, match=r"\['sign_cannon'\]; known fields: .*'sign_canon'"):
+        ScaleGMNConfig.from_dict({"sign_cannon": "symmetrize"})
+
+
 def test_zero_epochs_checkpoint_is_initialization(tiny_inr_zoo, tmp_path):
     cfg = ExperimentConfig(task="inr-classify", zoo=str(tiny_inr_zoo),
                            out_dir=str(tmp_path / "run"), model=dict(TINY_MODEL),
@@ -90,6 +98,28 @@ def test_metrics_csv_shape_and_determinism(tiny_inr_zoo, tmp_path):
     assert lines[0] == "epoch,split,metric,value"
     # (epochs + 1 incl. initialization) x 2 splits x 2 metrics
     assert len(lines) - 1 == (2 + 1) * 4
+
+
+def test_metrics_reach_disk_every_epoch(tiny_inr_zoo, tmp_path, monkeypatch):
+    """A run that dies in epoch 2 leaves the header and the rows of epochs 0 and 1."""
+    cfg = ExperimentConfig(task="inr-classify", zoo=str(tiny_inr_zoo),
+                           out_dir=str(tmp_path / "run"), model=dict(TINY_MODEL),
+                           epochs=3, batch_size=4, seed=3)
+    runner = Runner(cfg)
+    evaluate, calls = runner.evaluate, []
+
+    def dies_in_epoch_2(split):
+        calls.append(split)
+        if len(calls) > 4:  # two splits per epoch: the fifth call is epoch 2's
+            raise RuntimeError("crash")
+        return evaluate(split)
+
+    monkeypatch.setattr(runner, "evaluate", dies_in_epoch_2)
+    with pytest.raises(RuntimeError, match="crash"):
+        runner.train()
+    lines = (tmp_path / "run" / "metrics.csv").read_text().strip().splitlines()
+    assert lines[0] == "epoch,split,metric,value"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0"] * 4 + ["1"] * 4
 
 
 def test_train_improves_and_eval_report(tiny_inr_zoo, tmp_path):

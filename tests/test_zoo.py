@@ -270,21 +270,26 @@ def test_parallel_generation_is_deterministic(tmp_path, monkeypatch):
                 assert (seq / name).read_bytes() == (par / name).read_bytes(), (workers, name)
 
 
-# sha256 (`_zoo_digest`) of two small generated zoos, taken from the
-# per-network fits that the stacked fits replaced (numpy 2.4 with OpenBLAS):
-# every fitted weight, label and manifest byte is pinned.
+# sha256 (`_zoo_digest`) of small generated zoos: every fitted weight, label
+# and manifest byte is pinned (numpy 2.4 with OpenBLAS). "inr" and "cnn" were
+# taken from the per-network fits that the stacked fits replaced; "cnn-bench",
+# the benchmark's train CNN zoo, from the einsum convolution that labelled
+# toy CNNs before `cnn_forward` became the taped forward.
 GOLDEN_ZOO_SHA256 = {
     "inr": "2f0062f9d3bc2ed56890c3e07bf5ab634b65c153f9b0846f8e476b79a72b7d8c",
     "cnn": "f187bdcf48614af82111085ea5bcce6646ab35e29f02e70ff00dc05ea4ce88cc",
+    "cnn-bench": "16b6b2a228c759139afe3aa9b8204f9a8caa1480bcd4dba2093f75656e9332a5",
 }
 
 
-@pytest.mark.parametrize("kind", ["inr", "cnn"])
+@pytest.mark.parametrize("kind", ["inr", "cnn", "cnn-bench"])
 def test_generated_zoo_bytes_are_pinned(tmp_path, kind):
     if kind == "inr":
         gen_inr_zoo(tmp_path / kind, count=4, seed=5, steps=60)
-    else:
+    elif kind == "cnn":
         gen_cnn_zoo(tmp_path / kind, count=3, seed=2)
+    else:
+        gen_cnn_zoo(tmp_path / kind, count=6, seed=0)
     assert _zoo_digest(tmp_path / kind) == GOLDEN_ZOO_SHA256[kind]
 
 
