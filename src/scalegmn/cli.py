@@ -233,6 +233,9 @@ def cmd_canonicalize(config: dict, seed: int, out) -> int:
 # -- simulate ---------------------------------------------------------------------------
 
 SIMULATE_KEYS = frozenset({"count", "dims", "activation", "tol_forward", "tol_backward"})
+# The relay divides by activation derivatives, so it takes activations whose
+# derivative does not vanish on whole intervals; a dead ReLU unit makes a zero.
+SIMULATE_ACTIVATIONS = ("sine", "tanh", "identity")
 
 
 def cmd_simulate(config: dict, seed: int, out) -> int:
@@ -240,6 +243,10 @@ def cmd_simulate(config: dict, seed: int, out) -> int:
     count = int(config.get("count", 10))
     dims = tuple(config.get("dims", (2, 6, 6, 1)))
     act_name = config.get("activation", "sine")
+    if act_name not in SIMULATE_ACTIVATIONS:
+        raise ValueError(f"simulate: activation {act_name!r} is not supported; the relay "
+                         f"divides by activation derivatives and accepts "
+                         f"{list(SIMULATE_ACTIVATIONS)}")
     tol_fw = float(config.get("tol_forward", 1e-9))
     tol_bw = float(config.get("tol_backward", 1e-6))
     rng = np.random.default_rng(seed if seed is not None else 0)

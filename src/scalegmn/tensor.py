@@ -1,9 +1,21 @@
 """Dense float64 tensors with define-by-run reverse-mode autodiff.
 
 Every operation records its parents and a backward closure on the produced
-Tensor; calling :func:`backward` on a scalar runs one reverse sweep in
-topological order. The recorded graph is rebuilt on every forward pass, so
-tensors behave as immutable values and distinct passes never share state.
+Tensor; :func:`gradients` and :func:`backward` on a scalar run one reverse
+sweep in topological order. The recorded graph is rebuilt on every forward
+pass, so tensors behave as immutable values and distinct passes never share
+state.
+
+A sweep keeps its gradients in a table of its own, keyed by node, not on
+the nodes. :func:`gradients` reads the listed leaves' entries from it, drops
+each inner node's entry as soon as that node's closure has consumed it, and
+writes no ``.grad``; so two threads may sweep tapes that share parameter
+leaves at once. :func:`backward` copies the whole table onto ``.grad`` of
+every node it reached, for callers that read inner nodes' gradients.
+:func:`shard_sum` joins scalar losses built on separate tapes (shards of one
+batch) into one weighted sum whose parents are the parameters; its closure
+sweeps each shard's tape, on a thread pool when given one, and adds the
+shards' parameter gradients in shard order.
 
 Leaves come in two kinds. A plain ``Tensor(x)`` is a parameter-like leaf with
 ``requires_grad`` set; :func:`constant` and :func:`detach` make leaves
@@ -59,8 +71,9 @@ class Tensor:
     """A float64 ndarray plus the tape metadata produced by the op that made it.
 
     ``data`` is row-major and never mutated by ops; optimizers swap in a fresh
-    array via :meth:`assign`. ``grad`` is populated by :func:`backward` when
-    ``requires_grad`` is set; it may share memory with other nodes' gradients.
+    array via :meth:`assign`. ``grad`` is populated by :func:`backward` (not
+    by :func:`gradients`) when ``requires_grad`` is set; it may share memory
+    with other nodes' gradients.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw", "name")
@@ -617,42 +630,63 @@ def _topo(root: Tensor):
     return order
 
 
+def _sweep(loss: Tensor, order, keep=None) -> dict:
+    """The reverse sweep from `loss` over `order` (its topological order).
+
+    Returns the gradient table, id(node) -> array, local to this sweep, so
+    sweeps over tapes that share leaves never touch each other's state. A
+    parent's incoming gradients are added in the order the sweep produces
+    them. With `keep` (a set of ids) given, the gradient of every node not
+    in it is dropped as soon as its closure has consumed it; leaves keep
+    theirs.
+    """
+    if loss.size != 1:
+        raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    table = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(order):
+        if node._bw is None:
+            continue
+        key = id(node)
+        g = table.get(key) if keep is None or key in keep else table.pop(key, None)
+        if g is None:
+            continue
+        for parent, pg in zip(node._parents, node._bw(g, node)):
+            if pg is None or not parent.requires_grad:
+                continue
+            prev = table.get(id(parent))
+            table[id(parent)] = pg if prev is None else prev + pg
+    return table
+
+
 def backward(loss: Tensor) -> None:
     """One reverse sweep from a scalar; populates .grad on every reachable
     node that requires grad.
 
     A node's first incoming gradient is kept without a copy, so ``.grad``
     arrays may be views of, or the same array as, other nodes' gradients.
+    A :func:`shard_sum` node's shard tapes are swept inside its closure, so
+    their nodes get no ``.grad``; its parameters do.
     """
-    if loss.size != 1:
-        raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     order = _topo(loss)
+    table = _sweep(loss, order)
     for node in order:
-        node.grad = None
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._bw is None or node.grad is None:
-            continue
-        parent_grads = node._bw(node.grad, node)
-        for parent, pg in zip(node._parents, parent_grads):
-            if pg is None or not parent.requires_grad:
-                continue
-            parent.grad = pg if parent.grad is None else parent.grad + pg
+        node.grad = table.get(id(node))
 
 
 def gradients(loss: Tensor, params) -> list[np.ndarray]:
     """Backward sweep returning the gradient for each listed leaf (zeros if unused).
 
-    Each returned array is the caller's own: writing into one changes no
-    other returned gradient. Only views and repeats are copied.
+    Writes no ``.grad``: the gradients live in the sweep's own table, and
+    each node's is freed once its closure has run, so several threads may
+    sweep tapes that share leaves at once. Each returned array is the
+    caller's own: writing into one changes no other returned gradient. Only
+    views and repeats are copied.
     """
     params = list(params)
-    for p in params:
-        p.grad = None
-    backward(loss)
+    table = _sweep(loss, _topo(loss), keep={id(p) for p in params})
     grads, seen = [], set()
     for p in params:
-        g = p.grad
+        g = table.get(id(p))
         if g is None:
             g = np.zeros(p.shape)
         elif g.base is not None or id(g) in seen:
@@ -660,3 +694,33 @@ def gradients(loss: Tensor, params) -> list[np.ndarray]:
         seen.add(id(g))
         grads.append(g)
     return grads
+
+
+def shard_sum(losses, weights, params, run) -> Tensor:
+    """``sum_k weights[k] * losses[k]`` as one node whose parents are `params`.
+
+    Each loss is a scalar on its own tape, a shard of one batch, and the
+    tapes share only the listed leaves; a leaf not listed gets no gradient
+    through this node. Its backward runs :func:`gradients` on every shard's
+    tape through `run(fn, losses)`, which returns ``[fn(l) for l in
+    losses]`` and may make the calls on a thread pool, and adds the shards'
+    weighted parameter gradients in shard order. An error raised in a
+    shard's sweep reaches the caller.
+    """
+    losses, weights = list(losses), [float(w) for w in weights]
+    params = [p for p in params if p.requires_grad]
+    if not losses or len(losses) != len(weights):
+        raise ShapeError(f"shard_sum needs one weight per loss, got {len(weights)} "
+                         f"for {len(losses)}")
+    if any(loss.size != 1 for loss in losses):
+        raise ShapeError("shard_sum needs scalar losses")
+    total = weights[0] * losses[0].data
+    for w, loss in zip(weights[1:], losses[1:]):
+        total = total + w * loss.data
+
+    def bw(g, out):
+        per_shard = run(lambda loss: gradients(loss, params), losses)
+        scaled = [[gp * (w * g) for gp in shard] for w, shard in zip(weights, per_shard)]
+        return tuple(sum(terms[1:], terms[0]) for terms in zip(*scaled))
+
+    return _out(total, tuple(params), bw)

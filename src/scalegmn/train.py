@@ -5,10 +5,20 @@ CNN generalization prediction (invariant head, MSE on held-out accuracy,
 scored by Kendall tau-b), and INR editing (equivariant head, functional MSE
 against dilated source signals on the signal grid).
 
-Every run is deterministic under its seed; metrics stream to a CSV with
-header epoch,split,metric,value (each epoch's rows are appended as it ends,
-so a crashed run keeps the epochs it finished) and the best-validation
-checkpoint is kept.
+Every run is deterministic under its seed and `SCALEGMN_THREADS`; metrics
+stream to a CSV with header epoch,split,metric,value (each epoch's rows are
+appended as it ends, so a crashed run keeps the epochs it finished) and the
+best-validation checkpoint is kept.
+
+A ScaleGMN batch is a disjoint union of graphs, and every task loss is a
+mean over its nets. So `SCALEGMN_THREADS` (`worker_count()`) shards of
+whole graphs can run a large training or evaluation batch on a thread pool,
+each shard building its own tape; `tensor.shard_sum` joins the shard losses,
+weighted by shard size, into one node whose backward sweeps the shards'
+tapes on the same pool. A batch is cut into at most as many shards as keep
+`MIN_SHARD_ROWS` forward-edge rows each; one shard runs on the calling
+thread exactly as an unsharded batch, so width 1 starts no thread.
+
 Checkpoint selection (`selection_key`) ranks epochs by the task's validation
 metric (accuracy and Kendall tau-b higher, functional MSE lower) and breaks an
 exact tie on the lower validation loss; the earliest epoch wins a full tie.
@@ -29,6 +39,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,8 +54,8 @@ from .harness import kendall_tau
 from .model import ScaleGMNConfig, ScaleGMNModel, save_checkpoint
 from .nn import cross_entropy, mse
 from .optim import AdamState
-from .tensor import NumericsError, Tensor, constant, gradients
-from .zoo import dilate3x3, grid_coords, inr_source_image, load_zoo
+from .tensor import NumericsError, Tensor, constant, gradients, shard_sum
+from .zoo import dilate3x3, grid_coords, inr_source_image, load_zoo, worker_count
 
 TASKS = ("inr-classify", "cnn-generalization", "inr-edit")
 AUGMENTATIONS = ("none", "sign", "positive")
@@ -51,6 +64,11 @@ METRICS = {
     "cnn-generalization": "kendall_tau",
     "inr-edit": "functional_mse",
 }
+# Fewest forward-edge rows (nets x template.n_e) a shard may hold. Measured on
+# a 2-core host with BLAS on one thread: against one tape, two shards of 224
+# to 720 rows ran slower or no faster, of about 900 rows even, and of 1,036
+# to 1,792 rows 13-32% faster in most runs (CHANGES.md has the table).
+MIN_SHARD_ROWS = 1024
 
 
 @dataclass
@@ -139,6 +157,21 @@ class TaskData:
 
 # -- losses and metrics -----------------------------------------------------------------
 
+def numeric_environment(width: int) -> dict:
+    """What a run's numbers depend on beyond its seed: numpy, its BLAS, the
+    BLAS thread setting and the shard width."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "SCALEGMN_THREADS": width,
+    }
+
+
 def accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
     return float((preds.argmax(axis=1) == labels.astype(int)).mean())
 
@@ -187,6 +220,8 @@ class Runner:
         else:
             raise ValueError(f"unknown baseline {cfg.baseline!r}")
         self.is_scalegmn = isinstance(self.model, ScaleGMNModel)
+        self.width = worker_count()
+        self._pool = None   # the shard thread pool, made on the first sharded batch
         self.params = self.model.parameters()
         self.opt = AdamState(self.params, lr=cfg.lr)
         if cfg.task == "inr-edit":
@@ -211,33 +246,73 @@ class Runner:
     def _predict(self, nets, graphs) -> Tensor:
         return self.model.forward(graphs if self.is_scalegmn else nets)
 
-    def _edit_loss(self, idx) -> Tensor:
-        nets, graphs = self.data.items(idx)
-        out = ffnn_forward_taped(self.model.edit(graphs, nets), self.grid)
-        return mse(out, self.edit_targets[idx])
+    def _shards(self, count: int) -> list[slice]:
+        """A batch of `count` nets cut into the most shards, up to the width,
+        that each hold at least MIN_SHARD_ROWS forward-edge rows."""
+        shards = 1
+        if self.is_scalegmn:
+            per_shard = -(-MIN_SHARD_ROWS // self.data.template.n_e)  # fewest nets a shard holds
+            shards = max(1, min(self.width, count // per_shard))
+        size, extra = divmod(count, shards)
+        bounds = [k * size + min(k, extra) for k in range(shards + 1)]
+        return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def _run(self, fn, items) -> list:
+        """[fn(x) for x in items]: on the calling thread for one item, else on
+        the shard pool, returning once every call has finished."""
+        if len(items) == 1:
+            return [fn(items[0])]
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(self.width, thread_name_prefix="scalegmn-shard")
+        futures = [self._pool.submit(fn, x) for x in items]
+        wait(futures)
+        return [f.result() for f in futures]
+
+    def _loss(self, nets, graphs, targets) -> Tensor:
+        """Task loss of the given nets: one tape, or a shard_sum of shard tapes."""
+        def shard_loss(s):
+            if self.cfg.task == "inr-edit":
+                out = ffnn_forward_taped(self.model.edit(graphs[s], nets[s]), self.grid)
+                return mse(out, targets[s])
+            pred = self._predict(nets[s], graphs[s])
+            if self.cfg.task == "inr-classify":
+                return cross_entropy(pred, targets[s])
+            return mse(pred, targets[s][:, None])
+
+        shards = self._shards(len(nets))
+        losses = self._run(shard_loss, shards)
+        if len(losses) == 1:
+            return losses[0]
+        return shard_sum(losses, [(s.stop - s.start) / len(nets) for s in shards],
+                         self.params, run=self._run)
+
+    def _predictions(self, nets, graphs) -> np.ndarray:
+        """Invariant-head predictions of the given nets, computed by shards."""
+        preds = self._run(lambda s: self._predict(nets[s], graphs[s]).data,
+                          self._shards(len(nets)))
+        return preds[0] if len(preds) == 1 else np.concatenate(preds)
+
+    def _targets(self, idx) -> np.ndarray:
+        return self.edit_targets[idx] if self.cfg.task == "inr-edit" else self.data.labels[idx]
 
     def _batch_loss(self, idx) -> Tensor:
-        if self.cfg.task == "inr-edit":
-            return self._edit_loss(idx)
         if self.cfg.augmentation != "none":
-            pred = self._predict(*self.data.transformed(
+            # orbit elements are drawn for the whole batch, before it is sharded
+            nets, graphs = self.data.transformed(
                 idx, self._aug_rng, self.direction, lam=self.cfg.augmentation_lam,
-                permute=False))
+                permute=False)
         else:
-            pred = self._predict(*self.data.items(idx))
-        labels = self.data.labels[idx]
-        if self.cfg.task == "inr-classify":
-            return cross_entropy(pred, labels)
-        return mse(pred, labels[:, None])
+            nets, graphs = self.data.items(idx)
+        return self._loss(nets, graphs, self._targets(idx))
 
     # -- metrics -----------------------------------------------------------------------
 
     def evaluate(self, split: str, idx=None) -> dict[str, float]:
         idx = self.data.splits[split] if idx is None else idx
+        nets, graphs = self.data.items(idx)
         if self.cfg.task == "inr-edit":
-            loss = float(self._edit_loss(idx).data)
-            return {"functional_mse": loss}
-        preds = self._predict(*self.data.items(idx)).data
+            return {"functional_mse": float(self._loss(nets, graphs, self._targets(idx)).data)}
+        preds = self._predictions(nets, graphs)
         labels = self.data.labels[idx]
         if self.cfg.task == "inr-classify":
             return {
@@ -279,6 +354,7 @@ class Runner:
         best_key, best_stats, best_epoch = (math.inf, math.inf), {}, -1
         diverged = False
         epochs_run = 0
+        t_start = time.perf_counter()
 
         def record(epoch: int) -> dict:
             stats, rows = {}, []
@@ -321,6 +397,8 @@ class Runner:
             "best_epoch": best_epoch,
             "diverged": diverged,
             "seed": cfg.seed,
+            **numeric_environment(self.width),
+            "train_wall_s": time.perf_counter() - t_start,
         }
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=1),
                                               encoding="utf-8")
@@ -368,7 +446,7 @@ class Runner:
             if self.cfg.task == "inr-edit":
                 report["orbit_functional_mse"] = None  # edited nets differ by the orbit
             else:
-                preds = self._predict(nets, graphs).data
+                preds = self._predictions(nets, graphs)
                 labels = self.data.labels[idx]
                 if self.cfg.task == "inr-classify":
                     report["orbit_accuracy"] = accuracy(preds, labels)

@@ -35,10 +35,11 @@ from .tensor import NumericsError, Tensor, gradients
 
 
 def worker_count() -> int:
-    """Process-pool width from SCALEGMN_THREADS (default 1: in-process).
+    """Worker width from SCALEGMN_THREADS (default 1: in-process).
 
-    A zoo is fitted as this many stacked chunks, one per worker; its bytes
-    are the same for every width.
+    A zoo is fitted as this many stacked chunks, one per process-pool
+    worker; its bytes are the same for every width. A training `Runner`
+    runs a large batch as up to this many shards on a thread pool.
     """
     raw = os.environ.get("SCALEGMN_THREADS", "1")
     try:

@@ -102,6 +102,17 @@ def test_simulate_reports_deviation(tmp_path):
     assert report["passed"]
 
 
+@pytest.mark.parametrize("activation", ["relu", "gelu"])
+def test_simulate_rejects_an_activation_the_relay_cannot_invert(tmp_path, activation):
+    """ReLU's derivative is zero on dead units, and the relay divides by it."""
+    cfg = write_config(tmp_path, "sim.json", {"count": 10, "activation": activation})
+    out = tmp_path / "s"
+    with pytest.raises(ValueError, match=rf"^simulate: activation '{activation}' is not "
+                                         r"supported.*\['sine', 'tanh', 'identity'\]"):
+        run_cli("simulate", "--config", cfg, "--seed", "3", "--out", str(out))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,config,bad", [
     ("gen-zoo", {"kind": "cnn-accuracy", "cout": 3}, "cout"),
     ("eval", {"task": "inr-classify", "zoo": "z", "checkpoint": "c", "splt": "val"}, "splt"),

@@ -1,10 +1,15 @@
 """Tape primitives: values, broadcasting, and gradients vs central differences."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from scalegmn import tensor as T
 from scalegmn.nn import MLP
+from scalegmn.optim import finite_diff_check
 from scalegmn.tensor import NumericsError, ShapeError, Tensor, backward, gradients
 
 RNG = np.random.default_rng(0)
@@ -277,12 +282,12 @@ def test_backward_skips_products_for_constants(monkeypatch):
         return T.sum_(T.mul(out, weights)), param, k_mul, k_mat
 
     loss, param, k_mul, k_mat = loss_of(Tensor)   # reference: operands take gradients
-    (g_ref,) = gradients(loss, [param])
-    assert k_mul.grad is not None and k_mat.grad is not None
+    g_ref, g_mul, g_mat = gradients(loss, [param, k_mul, k_mat])
+    assert np.any(g_mul) and np.any(g_mat)
     monkeypatch.setattr(T, "_unbroadcast", counting)
     loss, param, k_mul, k_mat = loss_of(T.constant)
-    (g,) = gradients(loss, [param])
-    assert k_mul.grad is None and k_mat.grad is None
+    g, g_mul, g_mat = gradients(loss, [param, k_mul, k_mat])
+    assert not np.any(g_mul) and not np.any(g_mat)
     assert (1, 4) not in shapes and (2, 3) not in shapes and () not in shapes
     assert (3, 4) in shapes
     assert np.array_equal(g, g_ref)
@@ -414,3 +419,97 @@ def test_layer_norm_raises_where_the_composite_does():
             op(Tensor(np.ones((2, 3))), gain, shift, 0.0)
         with pytest.raises(NumericsError):   # variance + eps below zero
             op(Tensor(np.ones((2, 3))), gain, shift, -1.0)
+
+
+# -- the sweep-local gradient table and shard_sum ---------------------------------------------
+
+SWEEP_RNG = np.random.default_rng(4)
+
+
+def _mlp_losses(n_tapes, rows=6, rng=SWEEP_RNG):
+    """One LayerNorm MLP's parameters and n_tapes weighted-sum losses of it
+    on separate inputs: tapes that share only the parameter leaves."""
+    mlp = MLP([4, 8, 8, 3], rng, layer_norm=True)
+    losses = []
+    for _ in range(n_tapes):
+        out = mlp(T.constant(_wide((rows, 4), rng) * 1e-3))
+        losses.append(T.sum_(T.mul(out, T.constant(_wide(out.shape, rng)))))
+    return mlp.parameters(), losses
+
+
+def _leaves(root):
+    seen, stack, leaves = {id(root)}, [root], []
+    while stack:
+        node = stack.pop()
+        if not node._parents:
+            leaves.append(node)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return leaves
+
+
+def test_gradients_are_bitwise_backward_and_write_no_grad():
+    params, (loss,) = _mlp_losses(1)
+    grads = gradients(loss, params)
+    assert all(leaf.grad is None for leaf in _leaves(loss))
+    backward(loss)
+    for p, g in zip(params, grads):
+        assert p.grad is not None and np.array_equal(p.grad, g)
+
+
+def test_concurrent_sweeps_over_shared_leaves_match_sequential():
+    """More threads than cores sweep tapes sharing every parameter leaf, with
+    a short switch interval; each gets exactly its sequential gradients."""
+    n_threads, reps = 4, 25
+    params, losses = _mlp_losses(n_threads, rows=40)
+    expected = [gradients(loss, params) for loss in losses]
+    mismatches = []
+    start = threading.Barrier(n_threads)
+
+    def sweep(i):
+        start.wait(timeout=30)
+        for _ in range(reps):
+            got = gradients(losses[i], params)
+            if not all(np.array_equal(a, b) for a, b in zip(got, expected[i])):
+                mismatches.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+def test_shard_sum_is_the_weighted_sum_and_passes_finite_differences():
+    mlp = MLP([3, 5, 2], SWEEP_RNG, layer_norm=True)
+    x = SWEEP_RNG.standard_normal((5, 3))
+    params = mlp.parameters()
+
+    def mean_square(rows):
+        out = mlp(T.constant(rows))
+        return T.mean_(T.mul(out, out))
+
+    with ThreadPoolExecutor(2) as pool:
+        def run(fn, items):
+            return list(pool.map(fn, items))
+
+        def sharded(ps):
+            return T.shard_sum([mean_square(x[:3]), mean_square(x[3:])], [0.6, 0.4], ps,
+                               run=run)
+
+        joined = sharded(params)
+        assert joined._parents == tuple(params)
+        whole = mean_square(x)   # the same mean over all five rows, one tape
+        assert float(joined.data) == pytest.approx(float(whole.data), rel=1e-14)
+        for a, b in zip(gradients(joined, params), gradients(whole, params)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+        assert finite_diff_check(sharded, params) < 1e-4

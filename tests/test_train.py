@@ -4,14 +4,20 @@ import csv
 import json
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
 
-from scalegmn.ffnn import ffnn_forward
+from scalegmn import train as train_module
+from scalegmn.ffnn import ffnn_forward, sample_orbit
 from scalegmn.model import ScaleGMNConfig
+from scalegmn.nn import cross_entropy
 from scalegmn.optim import finite_diff_check
-from scalegmn.train import ExperimentConfig, Runner, TaskData, selection_key, split_indices
+from scalegmn.tensor import NumericsError, gradients
+from scalegmn.train import (
+    MIN_SHARD_ROWS, ExperimentConfig, Runner, TaskData, selection_key, split_indices,
+)
 from scalegmn.zoo import ZooEntry, gen_cnn_zoo, gen_inr_zoo, save_zoo
 
 from test_graph import make_cnn
@@ -130,6 +136,12 @@ def test_train_improves_and_eval_report(tiny_inr_zoo, tmp_path):
     summary = runner.train()
     assert summary["epochs_run"] == 6
     assert not summary["diverged"]
+    # the numeric environment the results depend on, and the training time
+    written = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert written["numpy"] == np.__version__
+    assert written["blas"] and written["SCALEGMN_THREADS"] == runner.width
+    assert "OPENBLAS_NUM_THREADS" in written
+    assert 0 < written["train_wall_s"] < 600
     report = runner.eval_report("test", with_orbit_copy=True, orbit_seed=9)
     assert set(report) >= {"split", "n", "accuracy", "loss", "orbit_accuracy"}
     # invariance: orbit copy scores identically
@@ -330,7 +342,7 @@ def _edit_runner(zoo, tmp_path, **model):
 
 def test_edit_loss_tape_size_does_not_grow_with_the_batch(tiny_inr_zoo, tmp_path):
     runner = _edit_runner(tiny_inr_zoo, tmp_path)
-    sizes = [tape_size(runner._edit_loss(np.arange(batch))) for batch in (2, 8)]
+    sizes = [tape_size(runner._batch_loss(np.arange(batch))) for batch in (2, 8)]
     assert sizes[0] == sizes[1], sizes
 
 
@@ -343,7 +355,7 @@ def test_batched_edit_loss_matches_per_net_reference(tiny_inr_zoo, tmp_path):
     edited = runner.model.edit_params(graphs, nets)
     per_net = [np.mean((ffnn_forward(e, runner.grid) - runner.edit_targets[i]) ** 2)
                for e, i in zip(edited, idx)]
-    assert float(runner._edit_loss(idx).data) == pytest.approx(np.mean(per_net), rel=1e-12)
+    assert float(runner._batch_loss(idx).data) == pytest.approx(np.mean(per_net), rel=1e-12)
 
 
 def test_edit_loss_gradient_matches_finite_differences(tiny_inr_zoo, tmp_path):
@@ -355,5 +367,116 @@ def test_edit_loss_gradient_matches_finite_differences(tiny_inr_zoo, tmp_path):
     assert {name.split(".")[0] for name, _ in named} == {"gamma", "edit_v", "edit_e"}
     idx = np.array([0, 3, 5])
     params = [p for _, p in named]
-    err = finite_diff_check(lambda ps: runner._edit_loss(idx), params, step=1e-6)
+    err = finite_diff_check(lambda ps: runner._batch_loss(idx), params, step=1e-6)
     assert err < 1e-4, f"max relative error {err}"
+
+
+# -- shard-parallel batches (SCALEGMN_THREADS > 1) --------------------------------------------
+
+@pytest.fixture(scope="module")
+def inr_zoo_24(tmp_path_factory):
+    """24 INRs (180 forward edges each), so a 16-net batch splits into two
+    shards of 8 nets (1,440 rows) at width 2; the train split holds 17."""
+    path = tmp_path_factory.mktemp("zoos") / "inr24"
+    gen_inr_zoo(path, count=24, seed=103, steps=20)
+    return path
+
+
+def _runner_at(width, monkeypatch, zoo, tmp_path, **kwargs):
+    monkeypatch.setenv("SCALEGMN_THREADS", str(width))
+    cfg = dict(task="inr-classify", zoo=str(zoo), out_dir=str(tmp_path / f"w{width}"),
+               model=dict(TINY_MODEL), epochs=2, batch_size=16, seed=21)
+    cfg.update(kwargs)
+    return Runner(ExperimentConfig(**cfg))
+
+
+@pytest.mark.parametrize("task", ["inr-classify", "inr-edit"])
+def test_width_2_steps_match_width_1(inr_zoo_24, tmp_path, monkeypatch, task):
+    """Three Adam steps of the same batches: losses agree to roundoff. A
+    17-net batch splits 9 + 8, so the shard weights must follow the sizes."""
+    losses = {}
+    for width in (1, 2):
+        runner = _runner_at(width, monkeypatch, inr_zoo_24, tmp_path, task=task)
+        assert len(runner._shards(17)) == width
+        batches = np.random.default_rng(0).choice(runner.data.splits["train"], (3, 17))
+        losses[width] = []
+        for batch in batches:
+            loss = runner._batch_loss(batch)
+            runner.opt.step(gradients(loss, runner.params))
+            losses[width].append(float(loss.data))
+    np.testing.assert_allclose(losses[2], losses[1], rtol=1e-10, atol=0)
+
+
+def test_width_2_evaluate_matches_width_1(inr_zoo_24, tmp_path, monkeypatch):
+    preds, stats = {}, {}
+    for width in (1, 2):
+        runner = _runner_at(width, monkeypatch, inr_zoo_24, tmp_path)
+        idx = runner.data.splits["train"]
+        assert len(runner._shards(len(idx))) == width
+        preds[width] = runner._predictions(*runner.data.items(idx))
+        stats[width] = runner.evaluate("train")
+    np.testing.assert_allclose(preds[2], preds[1], rtol=1e-12, atol=0)
+    assert stats[2]["accuracy"] == stats[1]["accuracy"]
+    assert stats[2]["loss"] == pytest.approx(stats[1]["loss"], rel=1e-12)
+
+
+def test_width_2_train_writes_identical_metrics(inr_zoo_24, tmp_path, monkeypatch):
+    texts = []
+    for run in ("a", "b"):
+        runner = _runner_at(2, monkeypatch, inr_zoo_24, tmp_path / run)
+        summary = runner.train()
+        assert not summary["diverged"] and summary["SCALEGMN_THREADS"] == 2
+        assert runner._pool is not None
+        texts.append((tmp_path / run / "w2" / "metrics.csv").read_text())
+    assert texts[0] == texts[1]
+
+
+def test_a_batch_below_the_row_minimum_is_one_shard(inr_zoo_24, tiny_cnn_zoo, tmp_path,
+                                                    monkeypatch):
+    runner = _runner_at(2, monkeypatch, inr_zoo_24, tmp_path)
+    n_e = runner.data.template.n_e
+    small = 2 * -(-MIN_SHARD_ROWS // n_e) - 1   # the largest batch whose halves fall short
+    assert small // 2 * n_e < MIN_SHARD_ROWS <= (small + 1) // 2 * n_e
+    assert runner._shards(small) == [slice(0, small)]
+    assert len(runner._shards(small + 1)) == 2
+    runner._batch_loss(runner.data.splits["train"][:small])
+    assert runner._pool is None   # one shard runs on the calling thread
+    cnn = _runner_at(2, monkeypatch, tiny_cnn_zoo, tmp_path, task="cnn-generalization",
+                     model=dict(TINY_MODEL, group_kind="positive"))
+    assert cnn._shards(16) == [slice(0, 16)]   # 16 x 28 rows stay one shard
+
+
+def test_numerics_error_in_a_shard_reaches_the_caller(inr_zoo_24, tmp_path, monkeypatch):
+    """A shard's NumericsError surfaces from the step, and train reports divergence."""
+    def fails_off_the_main_thread(logits, labels):
+        if threading.current_thread() is not threading.main_thread():
+            raise NumericsError("shard loss")
+        return cross_entropy(logits, labels)
+
+    runner = _runner_at(2, monkeypatch, inr_zoo_24, tmp_path)
+    monkeypatch.setattr(train_module, "cross_entropy", fails_off_the_main_thread)
+    with pytest.raises(NumericsError, match="shard loss"):
+        runner._batch_loss(runner.data.splits["train"][:16])
+    summary = runner.train()
+    assert summary["diverged"] and summary["epochs_run"] == 1
+
+
+def test_augmentation_draws_the_same_orbit_elements_at_widths_1_and_2(
+        inr_zoo_24, tmp_path, monkeypatch):
+    drawn = {}
+    for width in (1, 2):
+        runner = _runner_at(width, monkeypatch, inr_zoo_24, tmp_path, augmentation="sign",
+                            epochs=1)
+        log = drawn[width] = []
+
+        def recording(*args, **kwargs):
+            log.append(sample_orbit(*args, **kwargs))
+            return log[-1]
+
+        monkeypatch.setattr(train_module, "sample_orbit", recording)
+        runner.train()
+        assert (runner._pool is not None) == (width == 2)
+    assert drawn[1] and len(drawn[1]) == len(drawn[2])
+    for a, b in zip(drawn[1], drawn[2]):
+        assert all(np.array_equal(x, y) for x, y in zip(a.scales, b.scales))
+        assert all(np.array_equal(x, y) for x, y in zip(a.perms, b.perms))
