@@ -13,9 +13,9 @@ writes no ``.grad``; so two threads may sweep tapes that share parameter
 leaves at once. :func:`backward` copies the whole table onto ``.grad`` of
 every node it reached, for callers that read inner nodes' gradients.
 :func:`shard_sum` joins scalar losses built on separate tapes (shards of one
-batch) into one weighted sum whose parents are the parameters; its closure
-sweeps each shard's tape, on a thread pool when given one, and adds the
-shards' parameter gradients in shard order.
+batch) into one weighted sum; its closure sweeps each shard's tape, on a
+thread pool when given one, and adds the shards' parameter gradients in
+shard order.
 
 Leaves come in two kinds. A plain ``Tensor(x)`` is a parameter-like leaf with
 ``requires_grad`` set; :func:`constant` and :func:`detach` make leaves
@@ -697,15 +697,17 @@ def gradients(loss: Tensor, params) -> list[np.ndarray]:
 
 
 def shard_sum(losses, weights, params, run) -> Tensor:
-    """``sum_k weights[k] * losses[k]`` as one node whose parents are `params`.
+    """``sum_k weights[k] * losses[k]`` as one node over `params` and `losses`.
 
     Each loss is a scalar on its own tape, a shard of one batch, and the
     tapes share only the listed leaves; a leaf not listed gets no gradient
-    through this node. Its backward runs :func:`gradients` on every shard's
-    tape through `run(fn, losses)`, which returns ``[fn(l) for l in
-    losses]`` and may make the calls on a thread pool, and adds the shards'
-    weighted parameter gradients in shard order. An error raised in a
-    shard's sweep reaches the caller.
+    through this node. The losses are the node's last parents, so a walk of
+    its tape reaches every shard's nodes, but the enclosing sweep passes
+    them no gradient: the node's closure sweeps each shard's tape itself,
+    through `run(fn, losses)`, which returns ``[fn(l) for l in losses]`` and
+    may make the calls on a thread pool. It adds the shards' weighted
+    parameter gradients in shard order. An error raised in a shard's sweep
+    reaches the caller.
     """
     losses, weights = list(losses), [float(w) for w in weights]
     params = [p for p in params if p.requires_grad]
@@ -717,10 +719,22 @@ def shard_sum(losses, weights, params, run) -> Tensor:
     total = weights[0] * losses[0].data
     for w, loss in zip(weights[1:], losses[1:]):
         total = total + w * loss.data
+    keep = {id(p) for p in params}
+
+    def sweep(loss):
+        return _sweep(loss, _topo(loss), keep)
 
     def bw(g, out):
-        per_shard = run(lambda loss: gradients(loss, params), losses)
-        scaled = [[gp * (w * g) for gp in shard] for w, shard in zip(weights, per_shard)]
-        return tuple(sum(terms[1:], terms[0]) for terms in zip(*scaled))
+        tables = run(sweep, losses)
+        grads = []
+        for p in params:
+            acc = None
+            for w, table in zip(weights, tables):
+                gp = table.get(id(p))
+                if gp is not None:
+                    term = gp * (w * g)
+                    acc = term if acc is None else acc + term
+            grads.append(acc)
+        return tuple(grads) + (None,) * len(losses)
 
-    return _out(total, tuple(params), bw)
+    return _out(total, tuple(params) + tuple(losses), bw)

@@ -102,7 +102,7 @@ class ExperimentConfig:
             raise ValueError(f"augmentation must be one of {AUGMENTATIONS}, "
                              f"got {self.augmentation!r}")
         if self.task == "inr-edit" and self.augmentation != "none":
-            # the edit loss ignores augmentation: such a run would train as "none"
+            # augmentation is implemented and tested for the invariant heads only
             raise ValueError(f"task {self.task!r} does not support augmentation "
                              f"{self.augmentation!r}; use \"none\"")
 

@@ -507,9 +507,34 @@ def test_shard_sum_is_the_weighted_sum_and_passes_finite_differences():
                                run=run)
 
         joined = sharded(params)
-        assert joined._parents == tuple(params)
+        # the shard losses are parents too, so a walk of the tape sees every shard
+        assert joined._parents[:len(params)] == tuple(params)
+        assert len(joined._parents) == len(params) + 2
         whole = mean_square(x)   # the same mean over all five rows, one tape
         assert float(joined.data) == pytest.approx(float(whole.data), rel=1e-14)
         for a, b in zip(gradients(joined, params), gradients(whole, params)):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
         assert finite_diff_check(sharded, params) < 1e-4
+
+
+def test_shard_sum_sweeps_each_shard_once_and_passes_on_errors():
+    params, losses = _mlp_losses(2)
+    calls = []
+
+    def run(fn, items):
+        calls.append(len(items))
+        return [fn(item) for item in items]
+
+    joined = T.shard_sum(losses, [0.5, 0.5], params, run=run)
+    expected = [0.5 * (a + b) for a, b in zip(*(gradients(loss, params) for loss in losses))]
+    for got, want in zip(gradients(joined, params), expected):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    assert calls == [2]
+
+    def failing(fn, items):
+        raise NumericsError("shard sweep")
+
+    with pytest.raises(NumericsError, match="shard sweep"):
+        gradients(T.shard_sum(losses, [0.5, 0.5], params, run=failing), params)
+    with pytest.raises(ShapeError):
+        T.shard_sum(losses, [1.0], params, run=run)

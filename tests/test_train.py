@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+from scalegmn import tensor as tensor_module
 from scalegmn import train as train_module
 from scalegmn.ffnn import ffnn_forward, sample_orbit
 from scalegmn.model import ScaleGMNConfig
@@ -444,6 +445,29 @@ def test_a_batch_below_the_row_minimum_is_one_shard(inr_zoo_24, tiny_cnn_zoo, tm
     cnn = _runner_at(2, monkeypatch, tiny_cnn_zoo, tmp_path, task="cnn-generalization",
                      model=dict(TINY_MODEL, group_kind="positive"))
     assert cnn._shards(16) == [slice(0, 16)]   # 16 x 28 rows stay one shard
+
+
+def test_a_sharded_step_is_one_gradients_call_over_every_shard_tape(
+        inr_zoo_24, tmp_path, monkeypatch):
+    """A wrapper of `tensor.gradients` (a profiler's, say) sees one call per
+    step, and a walk of the step's tape reaches both shards' nodes."""
+    batch = np.arange(16)
+    sizes = {}
+    for width in (1, 2):
+        runner = _runner_at(width, monkeypatch, inr_zoo_24, tmp_path)
+        loss = runner._batch_loss(runner.data.splits["train"][batch])
+        sizes[width] = tape_size(loss)
+    calls = []
+    sweep = tensor_module.gradients
+
+    def counting(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(tensor_module, "gradients", counting)
+    tensor_module.gradients(loss, runner.params)
+    assert len(calls) == 1 and runner._pool is not None
+    assert sizes[2] > sizes[1]   # two shard tapes, not only the join node and its parameters
 
 
 def test_numerics_error_in_a_shard_reaches_the_caller(inr_zoo_24, tmp_path, monkeypatch):
