@@ -76,10 +76,8 @@ class ScaleInvNet(Module):
     """rho(canon(x1), ..., canon(xn) [, p]) — invariant per slot, free in p."""
 
     def __init__(self, slot_dims, d_out: int, rng, mode: str = "sign-symmetrize",
-                 extra_dim: int = 0, hidden: int = 32, modes=None,
-                 layer_norm: bool = False):
-        modes = modes or [mode] * len(slot_dims)
-        self.canons = [Canonicalizer(m, d, rng, hidden=hidden) for m, d in zip(modes, slot_dims)]
+                 extra_dim: int = 0, hidden: int = 32, layer_norm: bool = False):
+        self.canons = [Canonicalizer(mode, d, rng, hidden=hidden) for d in slot_dims]
         width = sum(c.d_out for c in self.canons) + extra_dim
         self.rho = MLP([width, hidden, d_out], rng, layer_norm=layer_norm)
         self.extra_dim = extra_dim

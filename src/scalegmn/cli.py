@@ -23,7 +23,7 @@ from .harness import (
     check_function_preservation,
     simulate_ffnn,
 )
-from .model import ScaleGMNConfig, ScaleGMNModel
+from .model import ScaleGMNConfig, ScaleGMNModel, read_manifest
 from .tensor import backward
 from .train import ExperimentConfig, Runner
 from .zoo import gen_cnn_zoo, gen_inr_zoo, grid_coords, load_zoo, save_zoo
@@ -73,7 +73,11 @@ def cmd_gen_zoo(config: dict, seed: int, out) -> int:
 
 # -- train / eval --------------------------------------------------------------------------
 
+TRAIN_KEYS = frozenset(ExperimentConfig.__dataclass_fields__)
+
+
 def cmd_train(config: dict, seed: int, out) -> int:
+    _check_keys("train", config, TRAIN_KEYS)
     data = dict(config)
     if seed is not None:
         data["seed"] = seed
@@ -95,9 +99,8 @@ def cmd_eval(config: dict, seed: int, out) -> int:
     ckpt = Path(config["checkpoint"])
     baseline = config.get("baseline", "none")
     model_overrides = {}
-    manifest = ckpt / "checkpoint.json"
-    if manifest.exists():
-        model_overrides = json.loads(manifest.read_text(encoding="utf-8"))["config"]
+    if (ckpt / "checkpoint.json").exists():
+        model_overrides = read_manifest(ckpt)[0].to_dict()
         baseline = "none"
     cfg = ExperimentConfig(
         task=config["task"],

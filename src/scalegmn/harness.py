@@ -77,9 +77,6 @@ class SymmetryReport:
             "deviations": self.deviations,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1)
-
 
 def config_hash(config) -> str:
     blob = json.dumps(config.to_dict() if hasattr(config, "to_dict") else config,

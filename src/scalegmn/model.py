@@ -41,6 +41,9 @@ from .tensor import ShapeError, Tensor
 
 @dataclass
 class ScaleGMNConfig:
+    """What a config sets. Fixed: K = 1, Hadamard rescale, edge updates, skip
+    connections, PEs in messages, LayerNorm and the DeepSets + i/o readout."""
+
     d_v: int = 32                 # vertex representation width
     d_e: int = 32                 # edge representation width
     d_msg: int = 32               # rescale-product width inside messages
@@ -48,7 +51,6 @@ class ScaleGMNConfig:
     d_readout: int = 32
     pe_dim: int = 8
     n_rounds: int = 2             # T message-passing layers
-    n_eq_layers: int = 1          # K inside each equivariant net
     mlp_hidden: int = 32
     direction: str = "forward"    # or "bidirectional"
     group_kind: str = "sign"      # positive | sign | none
@@ -56,15 +58,9 @@ class ScaleGMNConfig:
     # as the default on validation loss (see train.py). "symmetrize":
     # MLP(x) + MLP(-x), the universal sign-invariant form.
     sign_canon: str = "abs"
-    rescale_variant: str = "hadamard"  # or "outer"
-    edge_updates: bool = True
-    pe_in_messages: bool = True
-    skip_connections: bool = True
-    readout: str = "deepsets+io-concat"  # or "output-concat-only"
     head: str = "invariant"       # or "equivariant-edit"
     out_dim: int = 1
     gamma_init: float = 0.01
-    layer_norm: bool = True       # inside invariant-block and i/o MLPs only
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -87,41 +83,23 @@ class _MessageLayer(Module):
     """One round's learnable functions (no weight tying across rounds)."""
 
     def __init__(self, cfg: ScaleGMNConfig, rng, bidirectional: bool):
-        d_v, d_e, d_m, pe = cfg.d_v, cfg.d_e, cfg.d_msg, cfg.pe_dim
-        mode, hid = cfg.mode, cfg.mlp_hidden
-        ln = cfg.layer_norm
-        pe3 = 3 * pe if cfg.pe_in_messages else 0
-        pe1 = pe if cfg.pe_in_messages else 0
-        self.rescale_fw = ReScaleEqNet([d_v, d_e], d_m, rng, variant=cfg.rescale_variant,
-                                       mode=mode, hidden=hid, layer_norm=ln)
-        self.msg_fw_hidden = ScaleEqNet([d_v + d_m], [d_v], rng, mode=mode,
-                                        n_layers=cfg.n_eq_layers, extra_dim=pe3,
-                                        hidden=hid, layer_norm=ln)
-        self.rescale_fw_out = ReScaleEqNet([d_v, d_e], d_m, rng, variant=cfg.rescale_variant,
-                                           mode=mode, hidden=hid, layer_norm=ln)
-        self.msg_fw_out = MLP([d_v + d_m + pe3, hid, d_v], rng, layer_norm=ln)
+        d_v, d_e, d_m, pe, hid = cfg.d_v, cfg.d_e, cfg.d_msg, cfg.pe_dim, cfg.mlp_hidden
+        eq = dict(mode=cfg.mode, hidden=hid, layer_norm=True)
+        self.rescale_fw = ReScaleEqNet([d_v, d_e], d_m, rng)
+        self.msg_fw_hidden = ScaleEqNet([d_v + d_m], [d_v], rng, extra_dim=3 * pe, **eq)
+        self.rescale_fw_out = ReScaleEqNet([d_v, d_e], d_m, rng)
+        self.msg_fw_out = MLP([d_v + d_m + 3 * pe, hid, d_v], rng, layer_norm=True)
         n_slots = 3 if bidirectional else 2
-        self.upd_hidden = ScaleEqNet([n_slots * d_v], [d_v], rng, mode=mode,
-                                     n_layers=cfg.n_eq_layers, extra_dim=pe1,
-                                     hidden=hid, layer_norm=ln)
-        self.upd_in = MLP([n_slots * d_v + pe1, hid, d_v], rng, layer_norm=ln)
-        self.upd_out = MLP([n_slots * d_v + pe1, hid, d_v], rng, layer_norm=ln)
+        self.upd_hidden = ScaleEqNet([n_slots * d_v], [d_v], rng, extra_dim=pe, **eq)
+        self.upd_in = MLP([n_slots * d_v + pe, hid, d_v], rng, layer_norm=True)
+        self.upd_out = MLP([n_slots * d_v + pe, hid, d_v], rng, layer_norm=True)
         if bidirectional:
-            self.rescale_bw = ReScaleEqNet([d_v, d_e], d_m, rng, variant=cfg.rescale_variant,
-                                           mode=mode, hidden=hid, layer_norm=ln)
-            self.msg_bw_hidden = ScaleEqNet([d_v + d_m], [d_v], rng, mode=mode,
-                                            n_layers=cfg.n_eq_layers, extra_dim=pe3,
-                                            hidden=hid, layer_norm=ln)
-            self.rescale_bw_in = ReScaleEqNet([d_v, d_e], d_m, rng, variant=cfg.rescale_variant,
-                                              mode=mode, hidden=hid, layer_norm=ln)
-            self.msg_bw_in = MLP([d_v + d_m + pe3, hid, d_v], rng, layer_norm=ln)
-        if cfg.edge_updates:
-            self.edge_inv = ScaleInvNet([d_v, d_v], cfg.d_inv, rng, mode=mode,
-                                        hidden=hid, layer_norm=ln)
-            self.upd_e = ScaleEqNet([d_e], [d_e], rng, mode=mode,
-                                    n_layers=cfg.n_eq_layers,
-                                    extra_dim=cfg.d_inv + pe3, hidden=hid,
-                                    layer_norm=ln)
+            self.rescale_bw = ReScaleEqNet([d_v, d_e], d_m, rng)
+            self.msg_bw_hidden = ScaleEqNet([d_v + d_m], [d_v], rng, extra_dim=3 * pe, **eq)
+            self.rescale_bw_in = ReScaleEqNet([d_v, d_e], d_m, rng)
+            self.msg_bw_in = MLP([d_v + d_m + 3 * pe, hid, d_v], rng, layer_norm=True)
+        self.edge_inv = ScaleInvNet([d_v, d_v], cfg.d_inv, rng, **eq)
+        self.upd_e = ScaleEqNet([d_e], [d_e], rng, extra_dim=cfg.d_inv + 3 * pe, **eq)
 
 
 class ScaleGMNModel(Module):
@@ -132,25 +110,20 @@ class ScaleGMNModel(Module):
             raise ShapeError(
                 f"config direction {config.direction!r} != template {template.direction!r}"
             )
-        if config.group_kind not in ("positive", "sign", "none"):
-            raise ValueError(f"unknown group kind {config.group_kind!r}")
-        self.config = config
+        if config.group_kind != template.group_kind:
+            raise ValueError(f"config group kind {config.group_kind!r} != template "
+                             f"{template.group_kind!r}")
+        self.config = cfg = config
         self.template = template
-        cfg = config
-        d_v, d_e, pe = cfg.d_v, cfg.d_e, cfg.pe_dim
-        hid = cfg.mlp_hidden
-        bid = cfg.direction == "bidirectional"
+        d_v, d_e, pe, hid = cfg.d_v, cfg.d_e, cfg.pe_dim, cfg.mlp_hidden
         self.pe_v = Tensor(rng.normal(0, 1.0, size=(template.n_vertex_classes, pe)), name="pe_v")
         self.pe_e = Tensor(rng.normal(0, 1.0, size=(template.n_edge_classes, pe)), name="pe_e")
-        ln = cfg.layer_norm
-        self.init_v_hidden = ScaleEqNet([template.dv_raw], [d_v], rng, mode=cfg.mode,
-                                        n_layers=cfg.n_eq_layers, extra_dim=pe,
-                                        hidden=hid, layer_norm=ln)
-        self.init_v_in = MLP([template.dv_raw + pe, hid, d_v], rng, layer_norm=ln)
-        self.init_v_out = MLP([template.dv_raw + pe, hid, d_v], rng, layer_norm=ln)
-        self.init_e = ScaleEqNet([template.de_raw], [d_e], rng, mode=cfg.mode,
-                                 n_layers=cfg.n_eq_layers, extra_dim=pe,
-                                 hidden=hid, layer_norm=ln)
+        eq = dict(mode=cfg.mode, extra_dim=pe, hidden=hid, layer_norm=True)
+        self.init_v_hidden = ScaleEqNet([template.dv_raw], [d_v], rng, **eq)
+        self.init_v_in = MLP([template.dv_raw + pe, hid, d_v], rng, layer_norm=True)
+        self.init_v_out = MLP([template.dv_raw + pe, hid, d_v], rng, layer_norm=True)
+        self.init_e = ScaleEqNet([template.de_raw], [d_e], rng, **eq)
+        bid = cfg.direction == "bidirectional"
         self.rounds = [_MessageLayer(cfg, rng, bid) for _ in range(cfg.n_rounds)]
         if cfg.head == "invariant":
             self._build_readout(rng)
@@ -166,20 +139,10 @@ class ScaleGMNModel(Module):
         self.read_canon = Canonicalizer(cfg.mode, cfg.d_v, rng,
                                         d_out=cfg.d_readout, hidden=cfg.mlp_hidden)
         phi_in = self.read_canon.d_out
-        self.read_phi = MLP([phi_in, cfg.mlp_hidden, cfg.d_readout], rng,
-                            layer_norm=cfg.layer_norm)
-        n_in = int(tpl.is_input.sum())
-        n_out = int(tpl.is_output.sum())
-        if cfg.readout == "deepsets+io-concat":
-            width = cfg.d_readout + (n_in + n_out) * cfg.d_v
-        elif cfg.readout == "output-concat-only":
-            width = n_out * cfg.d_v
-            if cfg.direction == "bidirectional":
-                width += n_in * cfg.d_v
-        else:
-            raise ValueError(f"unknown readout {cfg.readout!r}")
-        self.read_final = MLP([width, cfg.mlp_hidden, cfg.out_dim], rng,
-                              layer_norm=cfg.layer_norm)
+        self.read_phi = MLP([phi_in, cfg.mlp_hidden, cfg.d_readout], rng, layer_norm=True)
+        n_io = int((tpl.is_input | tpl.is_output).sum())
+        self.read_final = MLP([cfg.d_readout + n_io * cfg.d_v, cfg.mlp_hidden, cfg.out_dim],
+                              rng, layer_norm=True)
 
     def _build_edit_head(self, rng):
         cfg, tpl = self.config, self.template
@@ -223,18 +186,13 @@ class ScaleGMNModel(Module):
         h_e_bw = self.init_e.single(T.constant(x_bw), extra=pe_bw_rows) if bid else None
 
         src, tgt = rows.src, rows.tgt
-        pe_cat = pe_cat_bw = None
-        pe_fw = pe_bw = (None, None)
-        pe_upd = (None, None, None)
-        if cfg.pe_in_messages:
-            pe_tgt = T.gather_rows(self.pe_v, rows.v_class[tgt])
-            pe_src = T.gather_rows(self.pe_v, rows.v_class[src])
-            pe_cat = T.concat([pe_tgt, pe_src, pe_e_rows], axis=1)
-            pe_fw = [T.gather_rows(pe_cat, idx) for idx in (rows.fw_hidden, rows.fw_output)]
-            if bid:
-                pe_cat_bw = T.concat([pe_src, pe_tgt, pe_bw_rows], axis=1)
-                pe_bw = [T.gather_rows(pe_cat_bw, idx) for idx in (rows.bw_hidden, rows.bw_input)]
-            pe_upd = pe_v
+        pe_tgt = T.gather_rows(self.pe_v, rows.v_class[tgt])
+        pe_src = T.gather_rows(self.pe_v, rows.v_class[src])
+        pe_cat = T.concat([pe_tgt, pe_src, pe_e_rows], axis=1)
+        pe_fw = [T.gather_rows(pe_cat, idx) for idx in (rows.fw_hidden, rows.fw_output)]
+        if bid:
+            pe_cat_bw = T.concat([pe_src, pe_tgt, pe_bw_rows], axis=1)
+            pe_bw = [T.gather_rows(pe_cat_bw, idx) for idx in (rows.bw_hidden, rows.bw_input)]
         for layer in self.rounds:
             m_fw = _messages(h_v, h_e, src, tgt, n_rows,
                              (rows.fw_hidden, pe_fw[0], layer.rescale_fw, layer.msg_fw_hidden),
@@ -248,48 +206,37 @@ class ScaleGMNModel(Module):
             upd = T.concat(parts, axis=1)
             u_hidden, u_in, u_out = (T.gather_rows(upd, idx) for idx in roles)
             h_new = _regroup([
-                layer.upd_hidden.single(u_hidden, extra=pe_upd[0]),
-                layer.upd_in(_with_pe(u_in, pe_upd[1])),
-                layer.upd_out(_with_pe(u_out, pe_upd[2])),
+                layer.upd_hidden.single(u_hidden, extra=pe_v[0]),
+                layer.upd_in(T.concat([u_in, pe_v[1]], axis=1)),
+                layer.upd_out(T.concat([u_out, pe_v[2]], axis=1)),
             ], rows.v_order)
-            if cfg.edge_updates:
-                x_t = T.gather_rows(h_v, tgt)
-                y_s = T.gather_rows(h_v, src)
-                si = layer.edge_inv([x_t, y_s])
-                h_e_new = layer.upd_e.single(h_e, extra=_with_pe(si, pe_cat))
-                if bid:
-                    si_b = layer.edge_inv([y_s, x_t])
-                    h_e_bw_new = layer.upd_e.single(h_e_bw, extra=_with_pe(si_b, pe_cat_bw))
-                if cfg.skip_connections:
-                    h_e = T.add(h_e, h_e_new)
-                    if bid:
-                        h_e_bw = T.add(h_e_bw, h_e_bw_new)
-                else:
-                    h_e = h_e_new
-                    if bid:
-                        h_e_bw = h_e_bw_new
-            h_v = T.add(h_v, h_new) if cfg.skip_connections else h_new
+            x_t = T.gather_rows(h_v, tgt)
+            y_s = T.gather_rows(h_v, src)
+            si = layer.edge_inv([x_t, y_s])
+            h_e_new = layer.upd_e.single(h_e, extra=T.concat([si, pe_cat], axis=1))
+            if bid:
+                si_b = layer.edge_inv([y_s, x_t])
+                h_e_bw_new = layer.upd_e.single(h_e_bw,
+                                                extra=T.concat([si_b, pe_cat_bw], axis=1))
+            h_e = T.add(h_e, h_e_new)
+            if bid:
+                h_e_bw = T.add(h_e_bw, h_e_bw_new)
+            h_v = T.add(h_v, h_new)
         return h_v, h_e, h_e_bw, rows
 
     # -- heads -----------------------------------------------------------------------
 
     def readout(self, h_v: Tensor, rows: BatchRows, batch: int) -> Tensor:
-        cfg, tpl = self.config, self.template
-        offs = np.arange(batch)[:, None] * tpl.n_v
-        if cfg.readout == "deepsets+io-concat":
-            hidden = T.gather_rows(h_v, rows.v_hidden)
-            per_vertex = self.read_phi(self.read_canon(hidden))
-            pooled = T.scatter_sum(per_vertex, rows.v_hidden // tpl.n_v, batch)
-            io_idx = np.where(tpl.is_input | tpl.is_output)[0]
-            io_rows = (offs + io_idx[None, :]).reshape(-1)
-            io = T.reshape(T.gather_rows(h_v, io_rows), (batch, io_idx.size * cfg.d_v))
-            return self.read_final(T.concat([pooled, io], axis=1))
-        idx = np.where(tpl.is_output)[0]
-        if cfg.direction == "bidirectional":
-            idx = np.concatenate([np.where(tpl.is_input)[0], idx])
-        flat_rows = (offs + idx[None, :]).reshape(-1)
-        flat = T.reshape(T.gather_rows(h_v, flat_rows), (batch, idx.size * cfg.d_v))
-        return self.read_final(flat)
+        """DeepSets pooling of the hidden vertices, concatenated with every
+        input and output vertex's state, then an MLP: [batch, out_dim]."""
+        tpl = self.template
+        hidden = T.gather_rows(h_v, rows.v_hidden)
+        per_vertex = self.read_phi(self.read_canon(hidden))
+        pooled = T.scatter_sum(per_vertex, rows.v_hidden // tpl.n_v, batch)
+        io_idx = np.where(tpl.is_input | tpl.is_output)[0]
+        io_rows = (np.arange(batch)[:, None] * tpl.n_v + io_idx[None, :]).reshape(-1)
+        io = T.reshape(T.gather_rows(h_v, io_rows), (batch, io_idx.size * self.config.d_v))
+        return self.read_final(T.concat([pooled, io], axis=1))
 
     def forward(self, graphs: list) -> Tensor:
         """Invariant-head forward: [batch, out_dim] embedding/prediction."""
@@ -350,18 +297,14 @@ def _regroup(parts: list[Tensor], order: np.ndarray) -> Tensor:
     return T.gather_rows(T.concat(parts, axis=0), order)
 
 
-def _with_pe(x: Tensor, pe: Tensor | None) -> Tensor:
-    return x if pe is None else T.concat([x, pe], axis=1)
-
-
 def _messages(h_v, h_e, src, tgt, n_rows, to_hidden, to_io) -> Tensor:
     """Messages along edges, summed into their target vertex rows.
 
     `src`/`tgt` give each edge row's source and target vertex rows. Each of
-    `to_hidden` and `to_io` is (edge rows, their positional rows or None,
-    rescale net, message net) for the edges into one target role: the
-    hidden-target message is a ScaleEqNet that takes the positional rows as
-    its non-symmetric input, the i/o-target one an MLP over all inputs.
+    `to_hidden` and `to_io` is (edge rows, their positional rows, rescale
+    net, message net) for the edges into one target role: the hidden-target
+    message is a ScaleEqNet that takes the positional rows as its
+    non-symmetric input, the i/o-target one an MLP over all inputs.
     """
     def inputs(idx, rescale):
         x_t = T.gather_rows(h_v, tgt[idx])
@@ -370,8 +313,7 @@ def _messages(h_v, h_e, src, tgt, n_rows, to_hidden, to_io) -> Tensor:
     hid_rows, hid_pe, hid_rescale, hid_msg = to_hidden
     io_rows, io_pe, io_rescale, io_msg = to_io
     m_hidden = hid_msg.single(T.concat(inputs(hid_rows, hid_rescale), axis=1), extra=hid_pe)
-    io_in = inputs(io_rows, io_rescale) + ([io_pe] if io_pe is not None else [])
-    m_io = io_msg(T.concat(io_in, axis=1))
+    m_io = io_msg(T.concat(inputs(io_rows, io_rescale) + [io_pe], axis=1))
     return T.scatter_sum(T.concat([m_hidden, m_io], axis=0),
                          np.concatenate([tgt[hid_rows], tgt[io_rows]]), n_rows)
 
@@ -434,22 +376,35 @@ def save_checkpoint(model: ScaleGMNModel, path) -> None:
     np.concatenate(blobs).tofile(path / "params.bin")
 
 
+def read_manifest(path) -> tuple[ScaleGMNConfig, dict]:
+    """A checkpoint's config and manifest; a config key that `ScaleGMNConfig`
+    lacks (a switch of an older architecture) fails naming the file."""
+    file = Path(path) / "checkpoint.json"
+    manifest = json.loads(file.read_text(encoding="utf-8"))
+    try:
+        return ScaleGMNConfig.from_dict(manifest["config"]), manifest
+    except ValueError as err:
+        raise ValueError(f"{file}: {err}") from None
+
+
+def check_tensors(source, wanted: dict, found: dict) -> None:
+    """Raise, naming `source`, unless `found` maps wanted's names to its shapes."""
+    if found != wanted:
+        wrong = sorted(n for n in found.keys() & wanted.keys() if found[n] != wanted[n])
+        raise ValueError(f"{source}: tensors do not match the model; missing "
+                         f"{sorted(wanted.keys() - found.keys())}, unexpected "
+                         f"{sorted(found.keys() - wanted.keys())}, wrong shape {wrong}")
+
+
 def load_checkpoint(path) -> ScaleGMNModel:
     path = Path(path)
-    manifest = json.loads((path / "checkpoint.json").read_text(encoding="utf-8"))
-    config = ScaleGMNConfig.from_dict(manifest["config"])
+    config, manifest = read_manifest(path)
     template = template_from_spec(manifest["template"])
     model = ScaleGMNModel(config, template, np.random.default_rng(0))
     params = dict(model.named_parameters())
     listed = {e["name"]: tuple(e["shape"]) for e in manifest["tensors"]}
-    wanted = {name: tuple(p.shape) for name, p in params.items()}
-    if listed != wanted:
-        wrong = sorted(n for n in listed.keys() & wanted.keys() if listed[n] != wanted[n])
-        raise ValueError(
-            f"{path / 'checkpoint.json'}: tensors do not match the model; missing "
-            f"{sorted(wanted.keys() - listed.keys())}, unexpected "
-            f"{sorted(listed.keys() - wanted.keys())}, wrong shape {wrong}"
-        )
+    check_tensors(path / "checkpoint.json", {name: tuple(p.shape) for name, p in params.items()},
+                  listed)
     flat = np.fromfile(path / "params.bin", dtype="<f4").astype(np.float64)
     expected = sum(int(np.prod(s)) for s in listed.values())
     if flat.size != expected:

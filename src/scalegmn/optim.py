@@ -34,7 +34,38 @@ class AdamState:
                                      f"{self.lr.size} rows, one per learning rate")
 
     def step(self, grads) -> None:
-        adam_step(self, self.params, grads)
+        """Standard Adam update with bias correction; rebinds each param's data.
+
+        Fails fast on non-finite gradients so a diverging run stops at the
+        first bad step instead of poisoning the moments. Nothing changes unless
+        every parameter's update is finite, so a failed step leaves the state
+        as it was.
+        """
+        grads = [np.asarray(g, dtype=np.float64) for g in grads]
+        for i, (p, g) in enumerate(zip(self.params, grads)):
+            if g.shape != p.shape:
+                raise ShapeError(f"grad {i} shape {g.shape} != param shape {p.shape}")
+            if not np.all(np.isfinite(g)):
+                raise NumericsError(f"non-finite gradient for parameter {i}")
+        t = self.t + 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
+        updates = []
+        for i, (p, g) in enumerate(zip(self.params, grads)):
+            m = b1 * self.m[i] + (1.0 - b1) * g
+            v = b2 * self.v[i] + (1.0 - b2) * g * g
+            m_hat = m / bc1
+            v_hat = v / bc2
+            lr = self.lr if np.isscalar(self.lr) else self.lr.reshape((-1,) + (1,) * (p.ndim - 1))
+            new = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if T.CHECK_FINITE and not np.all(np.isfinite(new)):
+                raise NumericsError(f"non-finite update for parameter {i}")
+            updates.append((m, v, new))
+        self.t = t
+        for i, (p, (m, v, new)) in enumerate(zip(self.params, updates)):
+            self.m[i], self.v[i] = m, v
+            p.data = new
 
     def take(self, rows) -> "AdamState":
         """A new state for the given stack rows: fresh leaf copies of their
@@ -47,44 +78,6 @@ class AdamState:
         out.m = [m[rows] for m in self.m]
         out.v = [v[rows] for v in self.v]
         return out
-
-
-def adam_step(state: AdamState, params, grads) -> list[Tensor]:
-    """Standard Adam update with bias correction; rebinds each param's data.
-
-    Fails fast on non-finite gradients so a diverging run stops at the first
-    bad step instead of poisoning the moments. Nothing changes unless every
-    parameter's update is finite, so a failed step leaves the state as it was.
-    """
-    params = list(params)
-    if len(params) != len(state.m):
-        raise ShapeError("param list does not match optimizer state")
-    grads = [np.asarray(g, dtype=np.float64) for g in grads]
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.shape:
-            raise ShapeError(f"grad {i} shape {g.shape} != param shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericsError(f"non-finite gradient for parameter {i}")
-    t = state.t + 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
-    updates = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        m = b1 * state.m[i] + (1.0 - b1) * g
-        v = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        lr = state.lr if np.isscalar(state.lr) else state.lr.reshape((-1,) + (1,) * (p.ndim - 1))
-        new = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        if T.CHECK_FINITE and not np.all(np.isfinite(new)):
-            raise NumericsError(f"non-finite update for parameter {i}")
-        updates.append((m, v, new))
-    state.t = t
-    for i, (p, (m, v, new)) in enumerate(zip(params, updates)):
-        state.m[i], state.v[i] = m, v
-        p.data = new
-    return params
 
 
 def finite_diff_check(f, params, step: float = 1e-6, rel_floor: float = 1e-6) -> float:

@@ -51,7 +51,7 @@ from .baselines import make_flat_baseline, make_stat_baseline
 from .ffnn import apply_orbit, ffnn_forward_taped, sample_orbit
 from .graph import graph_for
 from .harness import kendall_tau
-from .model import ScaleGMNConfig, ScaleGMNModel, save_checkpoint
+from .model import ScaleGMNConfig, ScaleGMNModel, check_tensors, load_checkpoint, save_checkpoint
 from .nn import cross_entropy, mse
 from .optim import AdamState
 from .tensor import NumericsError, Tensor, constant, gradients, shard_sum
@@ -84,7 +84,6 @@ class ExperimentConfig:
     batch_size: int = 16
     seed: int = 0
     augmentation: str = "none"                      # none | the zoo's group kind
-    augmentation_lam: float = 1.0
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -105,11 +104,6 @@ class ExperimentConfig:
             # augmentation is implemented and tested for the invariant heads only
             raise ValueError(f"task {self.task!r} does not support augmentation "
                              f"{self.augmentation!r}; use \"none\"")
-
-    @staticmethod
-    def from_json(path) -> "ExperimentConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return ExperimentConfig(**data)
 
 
 def split_indices(n: int, seed: int) -> dict[str, np.ndarray]:
@@ -299,8 +293,7 @@ class Runner:
         if self.cfg.augmentation != "none":
             # orbit elements are drawn for the whole batch, before it is sharded
             nets, graphs = self.data.transformed(
-                idx, self._aug_rng, self.direction, lam=self.cfg.augmentation_lam,
-                permute=False)
+                idx, self._aug_rng, self.direction, permute=False)
         else:
             nets, graphs = self.data.items(idx)
         return self._loss(nets, graphs, self._targets(idx))
@@ -414,19 +407,20 @@ class Runner:
                      **{k: v.data for k, v in named.items()})
 
     def load(self, path: Path):
+        """Assign every parameter the saved tensor of its name. Missing,
+        unexpected or mis-shaped tensors fail naming the checkpoint file."""
         if self.is_scalegmn:
-            from .model import load_checkpoint
-
-            restored = load_checkpoint(Path(path))
-            for (_, a), (_, b) in zip(
-                sorted(self.model.named_parameters(), key=lambda kv: kv[0]),
-                sorted(restored.named_parameters(), key=lambda kv: kv[0]),
-            ):
-                a.assign(b.data)
+            source = Path(path) / "checkpoint.json"
+            saved = {name: p.data for name, p in load_checkpoint(path).named_parameters()}
         else:
-            blob = np.load(Path(path) / "baseline.npz")
-            for name, p in self.model.named_parameters():
-                p.assign(blob[name])
+            source = Path(path) / "baseline.npz"
+            with np.load(source) as blob:
+                saved = {name: blob[name] for name in blob.files}
+        params = dict(self.model.named_parameters())
+        check_tensors(source, {name: p.shape for name, p in params.items()},
+                      {name: a.shape for name, a in saved.items()})
+        for name, p in params.items():
+            p.assign(saved[name])
 
     @staticmethod
     def _write_csv(path: Path, rows, mode: str = "a"):

@@ -3,6 +3,7 @@
 import importlib
 import importlib.metadata
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -119,12 +120,33 @@ def test_simulate_rejects_an_activation_the_relay_cannot_invert(tmp_path, activa
     ("certify", {"trails": 4, "nets": 2}, "trails"),
     ("canonicalize", {"zoo": "z", "grid_sides": 16}, "grid_sides"),
     ("simulate", {"count": 3, "activaton": "tanh"}, "activaton"),
+    ("train", {"task": "inr-classify", "zoo": "z", "augmentation_lam": 1.0}, "augmentation_lam"),
 ])
 def test_unknown_config_key_is_rejected_before_any_work(tmp_path, command, config, bad):
     cfg = write_config(tmp_path, "c.json", config)
     out = tmp_path / "out"
     with pytest.raises(ValueError, match=rf"^{command}: unknown config key\(s\) \['{bad}'\]"):
         run_cli(command, "--config", cfg, "--out", str(out))
+    assert not out.exists()
+
+
+def test_eval_names_a_checkpoint_whose_config_has_a_removed_key(tiny_inr_zoo, tmp_path):
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path, "train.json", {
+        "task": "inr-classify", "zoo": str(tiny_inr_zoo), "epochs": 0,
+        "model": {"d_v": 8, "d_e": 8, "d_msg": 8, "d_inv": 6, "d_readout": 8,
+                  "pe_dim": 4, "mlp_hidden": 10, "n_rounds": 1}})
+    assert run_cli("train", "--config", cfg, "--out", str(run)) == 0
+    manifest_path = run / "checkpoint" / "checkpoint.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["skip_connections"] = True
+    manifest_path.write_text(json.dumps(manifest))
+    eval_cfg = write_config(tmp_path, "eval.json", {
+        "task": "inr-classify", "zoo": str(tiny_inr_zoo), "checkpoint": str(run / "checkpoint")})
+    out = tmp_path / "ev"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{manifest_path}: unknown model config key(s) ['skip_connections']")):
+        run_cli("eval", "--config", eval_cfg, "--out", str(out))
     assert not out.exists()
 
 

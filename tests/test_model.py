@@ -204,15 +204,6 @@ def test_edge_update_symmetry(kind):
     assert worst < 1e-10
 
 
-def test_edge_updates_disabled_keeps_initial_edges():
-    model, net, _ = make_model("sign", edge_updates=False)
-    g = build_graph(net)
-    h_v, h_e, _, _ = model.embed([g])
-    pe_rows = T.gather_rows(model.pe_e, model.template.edge_class)
-    h_e0 = model.init_e.single(Tensor(g.x_e), extra=pe_rows)
-    assert np.array_equal(h_e.data, h_e0.data)
-
-
 # -- end-to-end invariance / equivariance ---------------------------------------------
 
 
@@ -312,17 +303,6 @@ def test_batched_forward_matches_single():
     batched = model.forward(graphs).data
     singles = np.concatenate([model.forward([g]).data for g in graphs], axis=0)
     assert np.max(np.abs(batched - singles)) < 1e-12
-
-
-@pytest.mark.parametrize("readout", ["deepsets+io-concat", "output-concat-only"])
-def test_readout_variants_invariant(readout):
-    model, net, _ = make_model("sign", readout=readout, seed=7)
-    rng = np.random.default_rng(14)
-    base = model.forward([build_graph(net)]).data
-    for _ in range(5):
-        orbit = sample_orbit("sign", [4, 4], rng)
-        out = model.forward([build_graph(apply_orbit(net, orbit))]).data
-        assert np.max(np.abs(out - base) / (np.abs(base) + 1e-9)) < 1e-8
 
 
 # -- edit head ---------------------------------------------------------------------------
@@ -502,6 +482,15 @@ def test_role_modules_run_only_on_their_rows_cnn():
     assert {key for key, _ in calls} == set(expected)
     for key, rows in calls:
         assert rows == len(graphs) * expected[key], key
+
+
+@pytest.mark.parametrize("kind,act", [("sign", activations.relu()),
+                                      ("positive", activations.tanh_act()),
+                                      ("none", activations.relu())])
+def test_group_kind_that_disagrees_with_the_template_is_rejected(kind, act):
+    """A sign model on a ReLU net is not invariant under positive orbits."""
+    with pytest.raises(ValueError, match=rf"group kind '{kind}' != template '{act.kind}'"):
+        make_model(kind, act=act)
 
 
 @pytest.mark.parametrize("kind", ["sign", "positive"])

@@ -6,7 +6,7 @@ import pytest
 from scalegmn import activations, tensor as T
 from scalegmn.ffnn import FfnnParams, ffnn_forward_taped
 from scalegmn.nn import MLP
-from scalegmn.optim import AdamState, adam_step, finite_diff_check
+from scalegmn.optim import AdamState, finite_diff_check
 from scalegmn.tensor import NumericsError, ShapeError, Tensor, gradients
 
 
@@ -88,7 +88,7 @@ def test_finite_diff_constant_function():
 def test_adam_zero_gradients_keep_params():
     p = Tensor([1.0, 2.0])
     state = AdamState([p], lr=0.1)
-    adam_step(state, [p], [np.zeros(2)])
+    state.step([np.zeros(2)])
     assert np.allclose(p.data, [1.0, 2.0])
     assert state.t == 1
 
@@ -97,7 +97,7 @@ def test_adam_step_counter_increments():
     p = Tensor([0.0])
     state = AdamState([p], lr=0.01)
     for expected in (1, 2, 3):
-        adam_step(state, [p], [np.array([1.0])])
+        state.step([np.array([1.0])])
         assert state.t == expected
 
 
@@ -108,7 +108,7 @@ def test_adam_minimizes_quadratic():
         diff = T.sub(p, T.constant([5.0]))
         loss = T.sum_(T.mul(diff, diff))
         (g,) = gradients(loss, [p])
-        adam_step(state, [p], [g])
+        state.step([g])
     assert abs(p.data[0] - 5.0) < 1e-2
 
 
@@ -116,7 +116,7 @@ def test_adam_rejects_non_finite_grads():
     p = Tensor([0.0])
     state = AdamState([p])
     with pytest.raises(NumericsError):
-        adam_step(state, [p], [np.array([np.nan])])
+        state.step([np.array([np.nan])])
 
 
 def test_mlp_module_trains():

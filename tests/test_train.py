@@ -12,7 +12,7 @@ import pytest
 from scalegmn import tensor as tensor_module
 from scalegmn import train as train_module
 from scalegmn.ffnn import ffnn_forward, sample_orbit
-from scalegmn.model import ScaleGMNConfig
+from scalegmn.model import ScaleGMNConfig, load_checkpoint
 from scalegmn.nn import cross_entropy
 from scalegmn.optim import finite_diff_check
 from scalegmn.tensor import NumericsError, gradients
@@ -64,6 +64,87 @@ def test_misspelt_model_key_is_rejected():
         ExperimentConfig(task="inr-classify", zoo="x", model={"n_round": 5, "d_v": 8})
     with pytest.raises(ValueError, match=r"\['sign_cannon'\]; known fields: .*'sign_canon'"):
         ScaleGMNConfig.from_dict({"sign_cannon": "symmetrize"})
+
+
+REMOVED_MODEL_KEYS = {"n_eq_layers": 2, "rescale_variant": "outer", "edge_updates": False,
+                      "pe_in_messages": False, "skip_connections": False,
+                      "readout": "output-concat-only", "layer_norm": False}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_MODEL_KEYS))
+def test_removed_architecture_switch_is_rejected(key):
+    """The architecture is fixed; its former switches are unknown keys."""
+    with pytest.raises(ValueError, match=rf"unknown model config key\(s\) \['{key}'\]"):
+        ScaleGMNConfig.from_dict({key: REMOVED_MODEL_KEYS[key], "d_v": 8})
+
+
+def test_runner_rejects_a_group_kind_the_zoo_does_not_have(tiny_cnn_zoo, tmp_path):
+    """ReLU CNNs scale by positive multipliers; a sign model would not be invariant."""
+    cfg = ExperimentConfig(task="cnn-generalization", zoo=str(tiny_cnn_zoo),
+                           out_dir=str(tmp_path / "run"),
+                           model=dict(TINY_MODEL, group_kind="sign"))
+    with pytest.raises(ValueError, match="group kind 'sign' != template 'positive'"):
+        Runner(cfg)
+
+
+def _saved_runner(zoo, out, **kwargs):
+    """A zero-epoch run that saved its initialization, and its checkpoint path."""
+    cfg = ExperimentConfig(task="inr-classify", zoo=str(zoo), out_dir=str(out), epochs=0,
+                           **kwargs)
+    Runner(cfg).train()
+    return cfg, out / "checkpoint"
+
+
+def test_checkpoint_with_a_removed_config_key_names_the_file(tiny_inr_zoo, tmp_path):
+    _, ckpt = _saved_runner(tiny_inr_zoo, tmp_path / "run", model=dict(TINY_MODEL))
+    manifest = json.loads((ckpt / "checkpoint.json").read_text())
+    manifest["config"]["skip_connections"] = True
+    (ckpt / "checkpoint.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{ckpt / 'checkpoint.json'}: unknown model config key(s) ['skip_connections']")):
+        load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("model,change", [
+    (dict(TINY_MODEL, n_rounds=2), r"missing \['rounds\.1\."),
+    (dict(TINY_MODEL, d_v=10), r"wrong shape \['init_v_hidden"),
+])
+def test_runner_load_rejects_another_architecture(tiny_inr_zoo, tmp_path, model, change):
+    _, ckpt = _saved_runner(tiny_inr_zoo, tmp_path / "run", model=dict(TINY_MODEL))
+    other = Runner(ExperimentConfig(task="inr-classify", zoo=str(tiny_inr_zoo),
+                                    out_dir=str(tmp_path / "other"), model=model))
+    with pytest.raises(ValueError, match=re.escape(str(ckpt / "checkpoint.json")) + ".*" + change):
+        other.load(ckpt)
+
+
+@pytest.mark.parametrize("change", ["missing", "unexpected", "shape"])
+def test_runner_load_rejects_a_mismatched_baseline_file(tiny_inr_zoo, tmp_path, change):
+    cfg, ckpt = _saved_runner(tiny_inr_zoo, tmp_path / "run", baseline="flat-mlp")
+    blob = ckpt / "baseline.npz"
+    with np.load(blob) as saved:
+        tensors = {name: saved[name] for name in saved.files}
+    name = sorted(tensors)[0]
+    if change == "missing":
+        del tensors[name]
+    elif change == "unexpected":
+        name = "no_such_parameter"
+        tensors[name] = np.zeros(1)
+    else:
+        tensors[name] = tensors[name][..., None]
+    np.savez(blob, **tensors)
+    with pytest.raises(ValueError, match=re.escape(str(blob)) + rf".*{change}.*'{name}'"):
+        Runner(cfg).load(ckpt)
+
+
+def test_runner_load_restores_a_baseline_by_name(tiny_inr_zoo, tmp_path):
+    cfg, ckpt = _saved_runner(tiny_inr_zoo, tmp_path / "run", baseline="flat-mlp", seed=1)
+    saved = {name: p.data.copy() for name, p in Runner(cfg).model.named_parameters()}
+    other = Runner(ExperimentConfig(task="inr-classify", zoo=str(tiny_inr_zoo),
+                                    out_dir=str(tmp_path / "other"), baseline="flat-mlp",
+                                    seed=2))
+    other.load(ckpt)
+    for name, p in other.model.named_parameters():
+        assert np.array_equal(p.data, saved[name]), name
 
 
 def test_zero_epochs_checkpoint_is_initialization(tiny_inr_zoo, tmp_path):
