@@ -176,6 +176,18 @@ def certify_model_combo(combo: dict, dims, trials: int, nets: int, tol: float,
 
 
 CERTIFY_KEYS = frozenset({"trials", "nets", "tol", "dims", "combos"})
+COMBO_KEYS = frozenset({"group_kind", "activation", "direction"})
+
+
+def _check_combos(combos) -> None:
+    """Reject a combo that lacks or adds a key, before any combo is certified."""
+    for i, combo in enumerate(combos):
+        problems = [f"{what} key(s) {keys}" for what, keys in (
+            ("missing", sorted(COMBO_KEYS - set(combo))),
+            ("unknown", sorted(set(combo) - COMBO_KEYS))) if keys]
+        if problems:
+            raise ValueError(f"certify: combo {i}: {'; '.join(problems)}; each combo sets "
+                             f"exactly {sorted(COMBO_KEYS)}")
 
 
 def cmd_certify(config: dict, seed: int, out) -> int:
@@ -186,6 +198,7 @@ def cmd_certify(config: dict, seed: int, out) -> int:
     dims = tuple(config.get("dims", (2, 4, 4, 2)))
     seed = seed if seed is not None else 0
     combos = config.get("combos", CERTIFY_COMBOS)
+    _check_combos(combos)
     reports = []
     for combo in combos:
         for head in ("invariant", "equivariant-edit"):

@@ -5,9 +5,10 @@ per-hidden-layer (permutation, diagonal multiplier) pair; applying it to the
 parameters leaves the represented function unchanged, which is the property
 every symmetry test downstream certifies.
 
-`LayerChain` is the view FFNNs and CNNs share: `dims` plus per-layer weights
-[out, in, *kernel] and biases. `apply_orbit` acts on that view, so it is the
-one orbit action for both kinds (`cnn.CnnParams` is a `LayerChain` too).
+`LayerChain` is the one container FFNNs and CNNs share: per-layer weights
+[out, in, *kernel], biases [out] and activations, the last layer being the
+output layer. Each kind only adds its shape checks (`FfnnParams` here,
+`cnn.CnnParams`), so `copy`, `flatten` and `apply_orbit` are written once.
 
 There is one evaluator: `ffnn_forward` is `ffnn_forward_taped` on constant
 leaves, so it builds no tape and computes exactly what training
@@ -29,14 +30,15 @@ from .tensor import ShapeError, Tensor
 MIN_SCALE = 1e-6  # sampled positive multipliers are resampled below this
 
 
+@dataclass
 class LayerChain:
     """Parameters as a chain of layers: `weights[l]` is [out, in, *kernel] and
-    maps layer l to l + 1, `biases[l]` is [out]. Subclasses hold `weights`,
-    `biases` and `activations` and rebuild themselves in `from_layers`."""
+    maps layer l to l + 1, `biases[l]` is [out]. Subclasses check the shapes
+    of their kind in `__post_init__`."""
 
-    @classmethod
-    def from_layers(cls, weights, biases, activations):
-        return cls(weights, biases, activations)
+    weights: list
+    biases: list
+    activations: list[ActivationDescriptor]
 
     @property
     def n_layers(self) -> int:
@@ -47,8 +49,8 @@ class LayerChain:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     def copy(self):
-        return self.from_layers([w.copy() for w in self.weights],
-                                [b.copy() for b in self.biases], list(self.activations))
+        return type(self)([w.copy() for w in self.weights],
+                          [b.copy() for b in self.biases], list(self.activations))
 
     def flatten(self) -> np.ndarray:
         """All parameters as one vector: W1 (row-major), b1, ..., WL, bL."""
@@ -61,11 +63,7 @@ class LayerChain:
 
 @dataclass
 class FfnnParams(LayerChain):
-    """Per-layer (weight, bias, activation); weights[i] maps layer i to i+1."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    activations: list[ActivationDescriptor]
+    """Per-layer (weight [out, in], bias, activation); weights[i] maps layer i to i+1."""
 
     def __post_init__(self):
         if not (len(self.weights) == len(self.biases) == len(self.activations)):
@@ -84,8 +82,8 @@ def ffnn_forward(net: FfnnParams, x: np.ndarray) -> np.ndarray:
     h = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if h.shape[1] != net.dims[0]:
         raise ShapeError(f"input width {h.shape[1]} != network input dim {net.dims[0]}")
-    leaves = net.from_layers([T.constant(w) for w in net.weights],
-                             [T.constant(b) for b in net.biases], net.activations)
+    leaves = type(net)([T.constant(w) for w in net.weights],
+                       [T.constant(b) for b in net.biases], net.activations)
     out = ffnn_forward_taped(leaves, h).data
     return out[0] if np.asarray(x).ndim == 1 else out
 
@@ -177,7 +175,7 @@ def apply_orbit(net: LayerChain, g: OrbitElement) -> LayerChain:
             w = (w / q_prev.reshape(1, -1, *kernel_axes))[:, inv_prev]
         weights.append(w)
         biases.append(b)
-    return src.from_layers(weights, biases, src.activations)
+    return type(net)(weights, biases, src.activations)
 
 
 def sample_orbit(kind: str, widths: list[int], rng: np.random.Generator,

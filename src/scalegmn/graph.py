@@ -87,7 +87,7 @@ def build_graph_cnn(net: CnnParams, direction: str = "forward",
     Edge features are kernels flattened to h_max*w_max with top-left anchored
     zero padding; head entries sit in slot 0 of an otherwise-zero feature.
     """
-    sizes = [k.shape[2:] for k in net.kernels]
+    sizes = [k.shape[2:] for k in net.weights[:-1]]
     h_max = max(s[0] for s in sizes)
     w_max = max(s[1] for s in sizes)
     if max_hw is not None:

@@ -57,51 +57,40 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    """Per-row normalization with learnable gain and shift (one ``T.layer_norm`` node)."""
+    """Per-row normalization with learnable gain and shift (one ``T.layer_norm``
+    node); the variance is guarded by 1e-5."""
 
-    def __init__(self, d: int, eps: float = 1e-5):
+    def __init__(self, d: int):
         self.gain = Tensor(np.ones(d), name="gain")
         self.shift = Tensor(np.zeros(d), name="shift")
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.shift, self.eps)
-
-
-_ACTS = {
-    "silu": T.silu,
-    "relu": T.relu,
-    "tanh": T.tanh,
-    "identity": lambda t: t,
-}
+        return T.layer_norm(x, self.gain, self.shift, 1e-5)
 
 
 class MLP(Module):
-    """Stack of Linear layers, activation between layers, none after the last.
+    """Stack of Linear layers, SiLU between layers, none after the last.
 
     `layer_norm=True` normalizes each hidden pre-activation; use it only
     where inputs carry no scaling symmetry (after canonicalization, or on
     input/output-vertex paths).
     """
 
-    def __init__(self, dims, rng, act: str = "silu", bias: bool = True,
-                 layer_norm: bool = False):
+    def __init__(self, dims, rng, bias: bool = True, layer_norm: bool = False):
         if len(dims) < 2:
             raise ValueError("MLP needs at least input and output dims")
         self.layers = [Linear(dims[i], dims[i + 1], rng, bias=bias) for i in range(len(dims) - 1)]
         self.norms = (
             [LayerNorm(dims[i + 1]) for i in range(len(dims) - 2)] if layer_norm else []
         )
-        self.act = act
 
     def __call__(self, x: Tensor) -> Tensor:
-        fn = _ACTS[self.act]
         for i, layer in enumerate(self.layers):
             x = layer(x)
             if i + 1 < len(self.layers):
                 if self.norms:
                     x = self.norms[i](x)
-                x = fn(x)
+                x = T.silu(x)
         return x
 
 

@@ -64,6 +64,13 @@ METRICS = {
     "cnn-generalization": "kendall_tau",
     "inr-edit": "functional_mse",
 }
+# The model settings each task fixes: its head, and its output width (two
+# class logits, one predicted accuracy; the edit head decodes parameters).
+TASK_MODEL = {
+    "inr-classify": {"head": "invariant", "out_dim": 2},
+    "cnn-generalization": {"head": "invariant", "out_dim": 1},
+    "inr-edit": {"head": "equivariant-edit", "out_dim": 1},
+}
 # Fewest forward-edge rows (nets x template.n_e) a shard may hold. Measured on
 # a 2-core host with BLAS on one thread: against one tape, two shards of 224
 # to 720 rows ran slower or no faster, of about 900 rows even, and of 1,036
@@ -90,11 +97,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown task {self.task!r}")
         self.model = dict(self.model)  # the head default below must not leak to the caller
         ScaleGMNConfig.from_dict(self.model)  # unknown keys fail here, before any zoo is read
-        head = self.model.get("head", "invariant")
-        if self.task == "inr-edit" and head != "equivariant-edit":
-            self.model["head"] = "equivariant-edit"
-        if self.task != "inr-edit" and head == "equivariant-edit":
+        if self.task != "inr-edit" and self.model.get("head") == "equivariant-edit":
             raise ValueError("equivariant-edit head requires the inr-edit task")
+        for key, required in TASK_MODEL[self.task].items():
+            given = self.model.get(key, required)
+            if given != required:
+                raise ValueError(f"task {self.task!r} needs model.{key} = {required!r}, "
+                                 f"got {given!r}")
+        if self.task == "inr-edit":
+            self.model.setdefault("head", "equivariant-edit")
         if self.task == "inr-edit" and self.baseline != "none":
             raise ValueError("baselines do not implement the editing head")
         if self.augmentation not in AUGMENTATIONS:
@@ -195,13 +206,9 @@ class Runner:
         if cfg.augmentation not in ("none", self.data.group_kind):
             raise ValueError(f"augmentation {cfg.augmentation!r} does not match the zoo's "
                              f"group kind {self.data.group_kind!r}")
-        out_dim = 2 if cfg.task == "inr-classify" else 1
-        defaults = dict(
-            group_kind=self.data.group_kind,
-            direction=self.direction,
-            out_dim=out_dim,
-            head="invariant" if cfg.task != "inr-edit" else "equivariant-edit",
-        )
+        out_dim = TASK_MODEL[cfg.task]["out_dim"]
+        defaults = dict(group_kind=self.data.group_kind, direction=self.direction,
+                        **TASK_MODEL[cfg.task])
         defaults.update(model_overrides)
         self.model_config = ScaleGMNConfig.from_dict(defaults)
         rng = np.random.default_rng(cfg.seed)

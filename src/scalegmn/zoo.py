@@ -245,15 +245,16 @@ def train_inr(signals, dims=(2, 12, 12, 1), steps: int = 2000, lr: float = 5e-3,
 
 # -- toy CNN task ------------------------------------------------------------------
 
-def make_blob_task(rng: np.random.Generator, n_train: int = 160, n_test: int = 200,
-                   side: int = 8, noise: float = 0.25, overlap: float = 0.8):
-    """Two-class 8x8 grayscale task: Gaussian blob on the left vs right half.
+def make_blob_task(rng: np.random.Generator):
+    """Two-class 8x8 grayscale task: Gaussian blob on the left vs right half,
+    160 training and 200 test images.
 
     The class regions overlap slightly and the noise is substantial, so the
     achievable accuracy tops out well below 1.0: zoo labels then spread over
     [0.5, ~0.9] as training budgets vary, which is what a rank-correlation
     metric needs.
     """
+    side, noise, overlap = 8, 0.25, 0.8  # image side, pixel noise sd, class-region overlap
 
     def batch(n):
         xs = np.zeros((n, 1, side, side))
@@ -270,7 +271,7 @@ def make_blob_task(rng: np.random.Generator, n_train: int = 160, n_test: int = 2
             xs[i, 0] = blob + rng.normal(0, noise, size=(side, side))
         return xs, ys
 
-    return batch(n_train) + batch(n_test)
+    return batch(160) + batch(200)
 
 
 @dataclass
@@ -320,14 +321,13 @@ def train_toy_cnn(seeds, lr=3e-3, steps=300, init_scale=1.0, channels=(4, 4),
         return train_x[rows[:, None], idx], train_y[rows[:, None], idx]
 
     def loss_of(params, batch):
-        w, b = params[:n_conv + 1], params[n_conv + 1:]
-        logits = cnn_forward_taped(w[:-1], b[:-1], acts, w[-1], b[-1], batch[0])
-        return cross_entropy(logits, batch[1])
+        holder = SimpleNamespace(weights=params[:n_conv + 1], biases=params[n_conv + 1:],
+                                 activations=acts)
+        return cross_entropy(cnn_forward_taped(holder, batch[0]), batch[1])
 
     results = []
     for r, (arrays, _, _, failure) in enumerate(_fit_stack(state, budgets, draw, loss_of)):
-        w, b = arrays[:n_conv + 1], [bias.reshape(-1) for bias in arrays[n_conv + 1:]]
-        net = CnnParams(w[:-1], b[:-1], acts, w[-1], b[-1])
+        net = CnnParams(arrays[:n_conv + 1], [b.reshape(-1) for b in arrays[n_conv + 1:]], acts)
         if failure is not None:
             results.append(ToyCnnResult(net, 0.5, diverged=True))
         else:
@@ -429,7 +429,7 @@ def load_zoo(directory):
                              f"{entry.layer_dims}, found {vec.size}")
         params = FfnnParams if entry.kind == "ffnn" else CnnParams
         acts = [by_name(name, entry.omega0) for name in entry.activations]
-        nets.append(params.from_layers(*_unflatten(vec, shapes), acts))
+        nets.append(params(*_unflatten(vec, shapes), acts))
         entries.append(entry)
     return entries, nets, manifest.get("meta", {})
 

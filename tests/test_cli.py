@@ -150,6 +150,40 @@ def test_eval_names_a_checkpoint_whose_config_has_a_removed_key(tiny_inr_zoo, tm
     assert not out.exists()
 
 
+def test_eval_rejects_a_checkpoint_trained_for_another_task(tiny_inr_zoo, tmp_path):
+    """An inr-classify checkpoint has two outputs; cnn-generalization needs one."""
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path, "train.json", {
+        "task": "inr-classify", "zoo": str(tiny_inr_zoo), "epochs": 0,
+        "model": {"d_v": 8, "d_e": 8, "d_msg": 8, "d_inv": 6, "d_readout": 8,
+                  "pe_dim": 4, "mlp_hidden": 10, "n_rounds": 1}})
+    assert run_cli("train", "--config", cfg, "--out", str(run)) == 0
+    eval_cfg = write_config(tmp_path, "eval.json", {
+        "task": "cnn-generalization", "zoo": "no-such-zoo",
+        "checkpoint": str(run / "checkpoint")})
+    with pytest.raises(ValueError, match=re.escape(
+            "task 'cnn-generalization' needs model.out_dim = 1, got 2")):
+        run_cli("eval", "--config", eval_cfg, "--out", str(tmp_path / "ev"))
+
+
+@pytest.mark.parametrize("combo,problem", [
+    ({"activation": "tanh", "direction": "forward"}, r"missing key\(s\) \['group_kind'\]"),
+    ({"group_kind": "sign", "activaton": "tanh", "direction": "forward"},
+     r"missing key\(s\) \['activation'\]; unknown key\(s\) \['activaton'\]"),
+    ({"group_kind": "sign", "activation": "tanh", "direction": "forward", "kernel": 3},
+     r"unknown key\(s\) \['kernel'\]"),
+])
+def test_certify_rejects_a_combo_with_missing_or_unknown_keys(tmp_path, combo, problem):
+    """Every combo is checked before the first is certified; the bad one is named."""
+    good = {"group_kind": "sign", "activation": "tanh", "direction": "forward"}
+    cfg = write_config(tmp_path, "c.json", {"trials": 1, "nets": 1, "combos": [good, combo]})
+    out = tmp_path / "c"
+    with pytest.raises(ValueError, match=rf"^certify: combo 1: {problem}; each combo sets "
+                                         r"exactly \['activation', 'direction', 'group_kind'\]"):
+        run_cli("certify", "--config", cfg, "--out", str(out))
+    assert not (out / "certify_report.json").exists()
+
+
 def _distribution_installed(name: str) -> bool:
     try:
         importlib.metadata.distribution(name)

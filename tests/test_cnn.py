@@ -1,4 +1,6 @@
-"""CNN evaluation and channel-orbit function preservation."""
+"""CNN evaluation, the CNN layer chain, and channel-orbit function preservation."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -32,9 +34,15 @@ def einsum_conv_valid(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray
 def einsum_cnn_forward(net: CnnParams, images: np.ndarray) -> np.ndarray:
     """Logits for images [n, c, H, W] through `einsum_conv_valid`."""
     x = images
-    for k, b, act in zip(net.kernels, net.conv_biases, net.activations):
+    for k, b, act in zip(net.weights[:-1], net.biases[:-1], net.activations):
         x = act.fn(einsum_conv_valid(x, k, b))
-    return x.mean(axis=(2, 3)) @ net.head_weight.T + net.head_bias
+    return x.mean(axis=(2, 3)) @ net.weights[-1].T + net.biases[-1]
+
+
+def leaves(net: CnnParams) -> CnnParams:
+    """The same chain with every weight and bias a Tensor leaf."""
+    return CnnParams([Tensor(w) for w in net.weights], [Tensor(b) for b in net.biases],
+                     net.activations)
 
 
 def test_1x1_kernels_on_1x1_image_equals_ffnn():
@@ -45,8 +53,8 @@ def test_1x1_kernels_on_1x1_image_equals_ffnn():
     # conv with 1x1 kernels on a single pixel is a plain linear layer; GAP is
     # the identity; so the CNN equals a 2-layer FFNN on the channel vector
     ffnn = FfnnParams(
-        [net.kernels[0][:, :, 0, 0], net.head_weight],
-        [net.conv_biases[0], net.head_bias],
+        [net.weights[0][:, :, 0, 0], net.weights[-1]],
+        [net.biases[0], net.biases[-1]],
         [net.activations[0], activations.identity()],
     )
     expected = ffnn_forward(ffnn, image[:, 0, 0])
@@ -56,11 +64,11 @@ def test_1x1_kernels_on_1x1_image_equals_ffnn():
 def test_zero_kernels_propagate_bias():
     rng = np.random.default_rng(1)
     net = make_cnn(rng, channels=(1, 4), kernel=3, n_out=2)
-    net.kernels[0][:] = 0.0
+    net.weights[0][:] = 0.0
     image = rng.standard_normal((1, 8, 8))
     logits = cnn_forward(net, image)
-    pooled = np.maximum(net.conv_biases[0], 0.0)  # relu of bias everywhere
-    expected = net.head_weight @ pooled + net.head_bias
+    pooled = np.maximum(net.biases[0], 0.0)  # relu of bias everywhere
+    expected = net.weights[-1] @ pooled + net.biases[-1]
     assert np.allclose(logits, expected)
 
 
@@ -73,9 +81,9 @@ def test_channel_scaling_preserves_logits():
     # divide the next layer's matching input slice by q
     q = 3.5
     manual = net.copy()
-    manual.kernels[0][1] *= q
-    manual.conv_biases[0][1] *= q
-    manual.kernels[1][:, 1] /= q
+    manual.weights[0][1] *= q
+    manual.biases[0][1] *= q
+    manual.weights[1][:, 1] /= q
     assert np.max(np.abs(cnn_forward(manual, image) - base)) < 1e-9
 
 
@@ -108,14 +116,34 @@ def test_shape_mismatch_errors():
         cnn_forward(net, rng.standard_normal((1, 2, 2)))  # kernel larger than input
 
 
+MALFORMED_CHAINS = {
+    # case: (change to a 1-4-3 channel, 3x3 chain with a 2-way head, message)
+    "bias count": (lambda w, b, a: (w, b[:-1], a), r"3 weight\(s\) and 2 bias\(es\)"),
+    "activation count": (lambda w, b, a: (w, b, a + a[:1]),
+                         r"2 conv layer\(s\) but 3 activation\(s\)"),
+    "2-D conv layer": (lambda w, b, a: ([w[0], w[1][:, :, 0, 0], w[2]], b, a),
+                       r"^conv layer 1: weight \(3, 4\) / bias \(3,\) malformed"),
+    "4-D head": (lambda w, b, a: (w[:2] + [w[2][:, :, None, None]], b, a),
+                 r"^head \(layer 2\): weight \(2, 3, 1, 1\) / bias \(2,\) malformed"),
+    "channel chain": (lambda w, b, a: ([w[0], w[1][:, :2], w[2]], b, a),
+                      r"^conv layer 1: 2 input channels, but layer 0 has 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHAINS))
+def test_cnn_params_rejects_a_malformed_chain(case):
+    net = make_cnn(np.random.default_rng(8), channels=(1, 4, 3), kernel=3, n_out=2)
+    assert [f.name for f in dataclasses.fields(net)] == ["weights", "biases", "activations"]
+    change, message = MALFORMED_CHAINS[case]
+    with pytest.raises(ShapeError, match=message):
+        CnnParams(*change(list(net.weights), list(net.biases), list(net.activations)))
+
+
 def test_taped_forward_matches_numpy():
     rng = np.random.default_rng(6)
     net = make_cnn(rng, channels=(1, 4, 3), kernel=3, n_out=2)
     images = rng.standard_normal((3, 1, 8, 8))
-    kernels = [Tensor(k) for k in net.kernels]
-    biases = [Tensor(b) for b in net.conv_biases]
-    out = cnn_forward_taped(kernels, biases, net.activations,
-                            Tensor(net.head_weight), Tensor(net.head_bias), images)
+    out = cnn_forward_taped(leaves(net), images)
     assert np.max(np.abs(out.data - einsum_cnn_forward(net, images))) < 1e-12
 
 
@@ -125,7 +153,5 @@ def test_toy_cnn_fit_step_tape_is_one_node_per_conv_layer():
     rng = np.random.default_rng(7)
     train_x, train_y, _, _ = make_blob_task(rng)
     net = make_cnn(rng, channels=(1, 4, 4), kernel=3, n_out=2)
-    logits = cnn_forward_taped([Tensor(k) for k in net.kernels],
-                               [Tensor(b) for b in net.conv_biases], net.activations,
-                               Tensor(net.head_weight), Tensor(net.head_bias), train_x[:32])
+    logits = cnn_forward_taped(leaves(net), train_x[:32])
     assert tape_size(cross_entropy(logits, train_y[:32])) <= 30

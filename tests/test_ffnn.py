@@ -96,9 +96,11 @@ def test_forward_is_the_taped_forward_on_constants(monkeypatch, act):
     descriptor = activations.by_name(act, 30.0)
     net = random_net(rng, (3, 6, 5, 2), descriptor)
     x = rng.uniform(-1, 1, size=(40, 3))
-    conv = cnn.CnnParams([rng.standard_normal((4, 1, 3, 3)), rng.standard_normal((3, 4, 2, 2))],
-                         [rng.standard_normal(4), rng.standard_normal(3)], [descriptor] * 2,
-                         rng.standard_normal((2, 3)), rng.standard_normal(2))
+    kernels = [rng.standard_normal((4, 1, 3, 3)), rng.standard_normal((3, 4, 2, 2))]
+    biases = [rng.standard_normal(4), rng.standard_normal(3)]
+    head = rng.standard_normal((2, 3))
+    conv = cnn.CnnParams(kernels + [head], biases + [rng.standard_normal(2)],
+                         [descriptor] * 2)
     outputs = []  # what the evaluators' own taped calls return
     for module, name in ((ffnn, "ffnn_forward_taped"), (cnn, "cnn_forward_taped")):
         def recorded(*args, taped=getattr(module, name), **kwargs):

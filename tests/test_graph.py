@@ -169,7 +169,7 @@ def test_backward_positive_rejects_tiny_weights():
 def test_backward_positive_rejects_zero_kernel_weight():
     rng = np.random.default_rng(20)
     net = make_cnn(rng, channels=(1, 3, 2), kernel=3)
-    net.kernels[1][1, 2, 0, 1] = 0.0
+    net.weights[1][1, 2, 0, 1] = 0.0
     with pytest.raises(ValueError, match="offending"):
         build_graph_cnn(net, direction="bidirectional")
 
@@ -183,8 +183,9 @@ def make_cnn(rng, channels=(1, 4, 2), kernel=3, n_out=2, acts="relu"):
     ]
     biases = [rng.standard_normal(channels[i + 1]) for i in range(len(channels) - 1)]
     a = activations.by_name(acts)
-    return CnnParams(kernels, biases, [a] * len(kernels),
-                     rng.standard_normal((n_out, channels[-1])), rng.standard_normal(n_out))
+    head = rng.standard_normal((n_out, channels[-1]))
+    return CnnParams(kernels + [head], biases + [rng.standard_normal(n_out)],
+                     [a] * len(kernels))
 
 
 def test_cnn_vertex_count():
@@ -200,7 +201,7 @@ def test_cnn_kernel_padding_top_left():
     g = build_graph_cnn(net, max_hw=(5, 5))
     assert g.x_e.shape[1] == 25
     feat = g.x_e[0].reshape(5, 5)
-    assert np.allclose(feat[:3, :3], net.kernels[0][0, 0])
+    assert np.allclose(feat[:3, :3], net.weights[0][0, 0])
     assert np.all(feat[3:, :] == 0) and np.all(feat[:, 3:] == 0)
     assert np.count_nonzero(g.x_e[0]) <= 9
 

@@ -119,6 +119,23 @@ def test_adam_rejects_non_finite_grads():
         state.step([np.array([np.nan])])
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_adam_rejects_a_gradient_list_of_the_wrong_length(count):
+    """A refused step changes nothing: not the counter, moments or parameters."""
+    a, b = Tensor([1.0, 2.0]), Tensor([3.0])
+    state = AdamState([a, b], lr=0.1)
+    state.step([np.array([0.5, -0.5]), np.array([1.0])])
+    before = (state.t, [m.copy() for m in state.m], [v.copy() for v in state.v],
+              a.data.copy(), b.data.copy())
+    grads = [np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0])][:count]
+    with pytest.raises(ShapeError, match=rf"^{count} gradient\(s\) for 2 parameter\(s\)"):
+        state.step(grads)
+    assert state.t == before[0] == 1
+    for now, then in zip(state.m + state.v + [a.data, b.data],
+                         before[1] + before[2] + [before[3], before[4]]):
+        assert np.array_equal(now, then)
+
+
 def test_mlp_module_trains():
     rng = np.random.default_rng(11)
     mlp = MLP([2, 8, 1], rng)

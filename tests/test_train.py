@@ -59,6 +59,23 @@ def test_config_leaves_the_callers_model_dict_alone():
     assert ExperimentConfig(task="inr-classify", zoo="x", model=model).model == {"d_v": 8}
 
 
+@pytest.mark.parametrize("task,model,message", [
+    ("inr-classify", {"out_dim": 3}, "task 'inr-classify' needs model.out_dim = 2, got 3"),
+    ("cnn-generalization", {"out_dim": 4},
+     "task 'cnn-generalization' needs model.out_dim = 1, got 4"),
+    ("inr-edit", {"out_dim": 5}, "task 'inr-edit' needs model.out_dim = 1, got 5"),
+    ("inr-edit", {"head": "invariant"},
+     "task 'inr-edit' needs model.head = 'equivariant-edit', got 'invariant'"),
+])
+def test_model_out_dim_and_head_must_fit_the_task(task, model, message):
+    """Checked in the config, before any zoo is read (the zoo path does not exist)."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(task=task, zoo="no-such-zoo", model=model)
+    assert ExperimentConfig(task=task, zoo="no-such-zoo",
+                            model=train_module.TASK_MODEL[task]).model \
+        == train_module.TASK_MODEL[task]
+
+
 def test_misspelt_model_key_is_rejected():
     with pytest.raises(ValueError, match=r"unknown model config key\(s\) \['n_round'\]"):
         ExperimentConfig(task="inr-classify", zoo="x", model={"n_round": 5, "d_v": 8})
@@ -294,7 +311,7 @@ def test_stat_baseline_trains_on_cnn_zoo(tiny_cnn_zoo, tmp_path):
                            out_dir=str(tmp_path / "run"), baseline="stat-mlp",
                            epochs=1, batch_size=4, seed=12)
     runner = Runner(cfg)
-    assert runner.model.d_in == 7 * 2 * (len(runner.data.nets[0].kernels) + 1)
+    assert runner.model.d_in == 7 * 2 * len(runner.data.nets[0].weights)
     summary = runner.train()
     assert summary["epochs_run"] == 1 and not summary["diverged"]
     assert math.isfinite(summary["best_val_kendall_tau"])

@@ -11,7 +11,7 @@ import pytest
 
 from scalegmn import activations
 from scalegmn.cnn import CnnParams
-from scalegmn.ffnn import ffnn_forward
+from scalegmn.ffnn import apply_orbit, ffnn_forward, sample_orbit
 from scalegmn.tensor import NumericsError
 from scalegmn.zoo import (
     Signal,
@@ -196,7 +196,7 @@ def test_toy_cnn_deterministic():
     (a,) = train_toy_cnn([9], steps=30)
     (b,) = train_toy_cnn([9], steps=30)
     assert a.accuracy == b.accuracy
-    for k1, k2 in zip(a.net.kernels, b.net.kernels):
+    for k1, k2 in zip(a.net.weights[:-1], b.net.weights[:-1]):
         assert np.array_equal(k1, k2)
 
 
@@ -315,8 +315,8 @@ def test_cnn_zoo_entries(tmp_path):
         assert 0.0 <= e.label <= 1.0
         assert e.extra["kernel_hw"] == [3, 3]
     _, nets, _ = load_zoo(tmp_path / "c")
-    assert nets[0].kernels[0].shape == (4, 1, 3, 3)
-    assert nets[0].head_weight.shape == (2, 4)
+    assert nets[0].weights[0].shape == (4, 1, 3, 3)
+    assert nets[0].weights[-1].shape == (2, 4)
 
 
 def _one_entry_zoo(directory, kind):
@@ -328,9 +328,9 @@ def _one_entry_zoo(directory, kind):
         entry = ZooEntry("inr-0", "ffnn", [2, 3, 1], ["sine", "identity"], 10.0, 0.0,
                          "inr-0.bin")
     else:
-        net = CnnParams([rng.standard_normal((2, 1, 3, 3))], [rng.standard_normal(2)],
-                        [activations.relu()], rng.standard_normal((2, 2)),
-                        rng.standard_normal(2))
+        kernel, bias = rng.standard_normal((2, 1, 3, 3)), rng.standard_normal(2)
+        net = CnnParams([kernel, rng.standard_normal((2, 2))], [bias, rng.standard_normal(2)],
+                        [activations.relu()])
         entry = ZooEntry("cnn-0", "cnn", [1, 2, 2], ["relu"], 0.0, 0.5, "cnn-0.bin",
                          {"kernel_hw": [3, 3]})
     save_zoo(directory, [entry], [net])
@@ -345,6 +345,17 @@ GOLDEN_SHA256 = {
     "cnn": {"cnn-0.bin": "7bc3d69e4da67c736e899899eabf99401d620b233482ae599fa10640adc09906",
             "manifest.json": "8d2dd56fbbb7643d10f3177ef1afee0f3d598be19251114544e49e51fa015d2e"},
 }
+
+
+@pytest.mark.parametrize("kind", ["ffnn", "cnn"])
+def test_copy_orbit_and_load_keep_the_network_class(tmp_path, kind):
+    _, net = _one_entry_zoo(tmp_path / "zoo", kind)
+    group = "sign" if kind == "ffnn" else "positive"  # sine SIREN / ReLU CNN
+    moved = apply_orbit(net, sample_orbit(group, net.dims[1:-1], np.random.default_rng(1)))
+    _, (loaded,), _ = load_zoo(tmp_path / "zoo")
+    for out in (net.copy(), moved, loaded):
+        assert type(out) is type(net)
+        assert [w.shape for w in out.weights] == [w.shape for w in net.weights]
 
 
 @pytest.mark.parametrize("kind", ["ffnn", "cnn"])
