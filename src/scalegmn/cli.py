@@ -36,12 +36,16 @@ def _load_config(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _check_keys(command: str, config: dict, known: frozenset) -> None:
-    """Reject config keys the command does not read, before it does any work."""
+def _check_keys(command: str, config: dict, known: frozenset, required=()) -> None:
+    """Reject config keys the command does not read, and a config without a key
+    the command cannot run without, before it does any work."""
     unknown = sorted(set(config) - known)
     if unknown:
         raise ValueError(f"{command}: unknown config key(s) {unknown}; "
                          f"known keys: {sorted(known)}")
+    missing = sorted(set(required) - set(config))
+    if missing:
+        raise ValueError(f"{command}: missing required config key(s) {missing}")
 
 
 def _out_dir(out) -> Path:
@@ -58,15 +62,15 @@ GEN_ZOO_KEYS = frozenset({"kind", "count", "steps"})
 def cmd_gen_zoo(config: dict, seed: int, out) -> int:
     _check_keys("gen-zoo", config, GEN_ZOO_KEYS)
     kind = config.get("kind", "inr-2class")
+    if kind not in ("inr-2class", "cnn-accuracy"):
+        print(f"unknown zoo kind {kind!r}", file=sys.stderr)
+        return 2
     count = int(config.get("count", 50))
     out_dir = _out_dir(out)
     if kind == "inr-2class":
         entries = gen_inr_zoo(out_dir, count, seed, steps=int(config.get("steps", 2000)))
-    elif kind == "cnn-accuracy":
-        entries = gen_cnn_zoo(out_dir, count, seed)
     else:
-        print(f"unknown zoo kind {kind!r}", file=sys.stderr)
-        return 2
+        entries = gen_cnn_zoo(out_dir, count, seed)
     print(f"gen-zoo: wrote {len(entries)} {kind} entries to {out_dir}")
     return 0
 
@@ -95,7 +99,7 @@ EVAL_KEYS = frozenset({"task", "zoo", "checkpoint", "baseline", "split", "split_
 
 
 def cmd_eval(config: dict, seed: int, out) -> int:
-    _check_keys("eval", config, EVAL_KEYS)
+    _check_keys("eval", config, EVAL_KEYS, required=("task", "zoo", "checkpoint"))
     ckpt = Path(config["checkpoint"])
     baseline = config.get("baseline", "none")
     model_overrides = {}
@@ -221,7 +225,7 @@ CANONICALIZE_KEYS = frozenset({"zoo", "orbit_canon", "grid_side", "tol"})
 
 
 def cmd_canonicalize(config: dict, seed: int, out) -> int:
-    _check_keys("canonicalize", config, CANONICALIZE_KEYS)
+    _check_keys("canonicalize", config, CANONICALIZE_KEYS, required=("zoo",))
     entries, nets, meta = load_zoo(config["zoo"])
     orbit_canon = bool(config.get("orbit_canon", True))
     grid = grid_coords(int(config.get("grid_side", 16)))

@@ -31,9 +31,7 @@ from .activations import (
 )
 from .cnn import CnnParams
 from .ffnn import FfnnParams, shift_sine_biases
-from .tensor import ShapeError
-
-BW_WEIGHT_EPS = 1e-12
+from .tensor import DIV_EPS, ShapeError
 
 
 @dataclass
@@ -106,15 +104,10 @@ def _chain_graph(net, kind: str, activations, direction: str,
     template = template_for(kind, net.dims, activations, direction, kernel_hw)
     x_v = np.ones((template.n_v, 1))
     x_v[net.dims[0]:, 0] = np.concatenate(net.biases)
-    graph = ParamGraph(template, x_v,
-                       np.concatenate([_edge_rows(w, kernel_hw) for w in net.weights]))
-    if direction == "bidirectional":
-        slots = None  # every entry holds a weight unless some kernel was padded
-        if any((w.shape[2:] or (1, 1)) != kernel_hw for w in net.weights):
-            slots = np.concatenate([_edge_rows(np.ones(w.shape), kernel_hw) > 0
-                                    for w in net.weights])
-        add_backward_edges(graph, template.group_kind, slots)
-    return graph
+    x_e = np.concatenate([_edge_rows(w, kernel_hw) for w in net.weights])
+    bidirectional = direction == "bidirectional"
+    return ParamGraph(template, x_v, x_e,
+                      _backward_features(template, net.weights, x_e) if bidirectional else None)
 
 
 def _edge_rows(w: np.ndarray, kernel_hw: tuple[int, int]) -> np.ndarray:
@@ -128,37 +121,33 @@ def _edge_rows(w: np.ndarray, kernel_hw: tuple[int, int]) -> np.ndarray:
     return k.reshape(k.shape[0] * k.shape[1], -1)
 
 
-def add_backward_edges(graph: ParamGraph, group_kind: str,
-                       slots: np.ndarray | None = None) -> ParamGraph:
-    """Materialize backward features mirroring every forward edge.
+def _backward_features(template: GraphTemplate, weights, x_e: np.ndarray) -> np.ndarray:
+    """Backward features mirroring the forward edge rows `x_e` of `weights`.
 
-    Positive scaling inverts each weight (a zero weight would make the
-    backward symmetry undefined, hence the error); the sign group keeps them
-    as-is since 1/q = q for q = ±1. `slots` marks the feature entries that
-    hold a weight (default: all of them); the others are zero padding, which
-    every orbit element maps to zero, and stay zero.
+    The template's group kind decides: the sign group keeps the weights,
+    since 1/q = q for q = ±1; positive scaling inverts them (a zero weight
+    would make the backward symmetry undefined, hence the error). Entries
+    that pad a kernel to `template.kernel_hw` hold no weight; every orbit
+    element maps them to zero, and they stay zero.
     """
-    x_e = graph.x_e
+    kind = template.group_kind
+    if kind in (KIND_SIGN, KIND_NONE):
+        return x_e.copy()
+    if kind != KIND_POSITIVE:
+        raise ValueError(f"unknown group kind {kind!r}")
+    hw = template.kernel_hw
+    slots = None  # every entry holds a weight unless some kernel was padded
+    if any((w.shape[2:] or (1, 1)) != hw for w in weights):
+        slots = np.concatenate([_edge_rows(np.ones(w.shape), hw) > 0 for w in weights])
+    tiny = np.abs(x_e) < DIV_EPS
+    bad = np.flatnonzero(np.any(tiny if slots is None else tiny & slots, axis=1))
+    if bad.size:
+        pairs = [(int(template.fw_tgt[e]), int(template.fw_src[e])) for e in bad[:8]]
+        raise ValueError(f"backward features need |weight| >= {DIV_EPS}; offending "
+                         f"(target, source) edges: {pairs}" + ("..." if bad.size > 8 else ""))
     if slots is None:
-        slots = np.ones(x_e.shape, dtype=bool)
-    if group_kind == KIND_POSITIVE:
-        bad = np.flatnonzero(np.any(slots & (np.abs(x_e) < BW_WEIGHT_EPS), axis=1))
-        if bad.size:
-            t = graph.template
-            pairs = [(int(t.fw_tgt[e]), int(t.fw_src[e])) for e in bad[:8]]
-            raise ValueError(
-                f"backward features need |weight| >= {BW_WEIGHT_EPS}; "
-                f"offending (target, source) edges: {pairs}"
-                + ("..." if bad.size > 8 else "")
-            )
-        graph.x_e_bw = np.divide(1.0, x_e, out=np.zeros_like(x_e), where=slots)
-    elif group_kind in (KIND_SIGN, KIND_NONE):
-        graph.x_e_bw = x_e.copy()
-    else:
-        raise ValueError(f"unknown group kind {group_kind!r}")
-    t = graph.template
-    graph.template = template_for(t.kind, t.dims, t.activations, "bidirectional", t.kernel_hw)
-    return graph
+        return 1.0 / x_e
+    return np.divide(1.0, x_e, out=np.zeros_like(x_e), where=slots)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,7 @@ from .cnn import CnnParams, cnn_forward
 from .ffnn import FfnnParams, apply_orbit, ffnn_forward
 from .graph import graph_for
 from .model import ScaleGMNModel
-from .tensor import ShapeError
-
-SIM_EPS = 1e-12
+from .tensor import DIV_EPS, ShapeError
 
 
 # -- function preservation ------------------------------------------------------------
@@ -182,7 +180,7 @@ def _round_state(net, x0, out_grad):
         h = act.fn(z)
     dzL = net.activations[-1].deriv(zs[-1]) * out_grad
     for name, vec in (("grad_z_L", dzL), ("grad_x_L", out_grad)):
-        zero = np.where(np.abs(vec) < SIM_EPS)[0]
+        zero = np.where(np.abs(vec) < DIV_EPS)[0]
         if zero.size:
             raise ValueError(
                 f"{name} is zero at output vertex {int(zero[0])}; "
@@ -211,7 +209,7 @@ def simulate_ffnn(net: FfnnParams, x0: np.ndarray, out_grad: np.ndarray,
     if x0.shape[0] != dims[0] or out_grad.shape[0] != dims[-1]:
         raise ShapeError("input / output-gradient widths do not match the network")
     for l, w in enumerate(net.weights):
-        zi, zj = np.where(np.abs(w) < SIM_EPS)
+        zi, zj = np.where(np.abs(w) < DIV_EPS)
         if zi.size:
             raise ValueError(
                 f"weight ({l + 1},{int(zi[0])},{int(zj[0])}) is zero; backward "
@@ -264,7 +262,7 @@ def simulate_ffnn(net: FfnnParams, x0: np.ndarray, out_grad: np.ndarray,
         seg = slice(offsets[l], offsets[l + 1])
         for channel, sink in ((3, gz_out), (4, gx_out)):
             vals = final[seg, channel]
-            zero = np.where(np.abs(vals) < SIM_EPS)[0]
+            zero = np.where(np.abs(vals) < DIV_EPS)[0]
             if zero.size:
                 raise ValueError(
                     f"gradient channel at layer {l}, vertex {int(zero[0])} is zero; "

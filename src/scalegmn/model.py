@@ -14,7 +14,9 @@ updates) or through the scatter-sum into target vertices (messages). Every
 block acts row by row, so this routing leaves each row's value, and the
 symmetry argument, unchanged. The edit head's per-class maps are routed the
 same way, and it decodes the whole batch at once: one stacked weight and
-bias tensor per layer, for every net of the batch.
+bias tensor per layer, for every net of the batch. No round computes a
+state that no head reads: the last round updates the forward edge states
+only for the edit head, which decodes them, and never the backward ones.
 
 Positional encodings are fixed across datapoints and enter equivariant
 components only through the invariant block (the augmented layers), breaking
@@ -163,8 +165,12 @@ class ScaleGMNModel(Module):
 
     # -- batched message passing ---------------------------------------------------
 
-    def embed(self, graphs: list) -> tuple[Tensor, Tensor, Tensor | None, BatchRows]:
-        """Run init + T rounds; returns (h_v, h_e, h_e_bw, role rows of the batch)."""
+    def embed(self, graphs: list) -> tuple[Tensor, Tensor, BatchRows]:
+        """Run init + T rounds; returns (h_v, h_e, role rows of the batch).
+
+        Edge states feed the next round's messages. The last round updates
+        only the forward ones, and only for the edit head: the readout pools
+        vertex states alone, and no head reads the backward edges."""
         tpl, cfg = self.template, self.config
         batch = len(graphs)
         x_v, x_e, x_bw = tpl.batch(graphs)
@@ -193,7 +199,9 @@ class ScaleGMNModel(Module):
         if bid:
             pe_cat_bw = T.concat([pe_src, pe_tgt, pe_bw_rows], axis=1)
             pe_bw = [T.gather_rows(pe_cat_bw, idx) for idx in (rows.bw_hidden, rows.bw_input)]
-        for layer in self.rounds:
+        edit = cfg.head == "equivariant-edit"
+        for t, layer in enumerate(self.rounds, start=1):
+            more = t < len(self.rounds)  # a later round's messages read the edge states
             m_fw = _messages(h_v, h_e, src, tgt, n_rows,
                              (rows.fw_hidden, pe_fw[0], layer.rescale_fw, layer.msg_fw_hidden),
                              (rows.fw_output, pe_fw[1], layer.rescale_fw_out, layer.msg_fw_out))
@@ -210,19 +218,16 @@ class ScaleGMNModel(Module):
                 layer.upd_in(T.concat([u_in, pe_v[1]], axis=1)),
                 layer.upd_out(T.concat([u_out, pe_v[2]], axis=1)),
             ], rows.v_order)
-            x_t = T.gather_rows(h_v, tgt)
-            y_s = T.gather_rows(h_v, src)
-            si = layer.edge_inv([x_t, y_s])
-            h_e_new = layer.upd_e.single(h_e, extra=T.concat([si, pe_cat], axis=1))
-            if bid:
-                si_b = layer.edge_inv([y_s, x_t])
-                h_e_bw_new = layer.upd_e.single(h_e_bw,
-                                                extra=T.concat([si_b, pe_cat_bw], axis=1))
-            h_e = T.add(h_e, h_e_new)
-            if bid:
-                h_e_bw = T.add(h_e_bw, h_e_bw_new)
+            if more or edit:
+                x_t, y_s = T.gather_rows(h_v, tgt), T.gather_rows(h_v, src)
+                si = layer.edge_inv([x_t, y_s])
+                h_e = T.add(h_e, layer.upd_e.single(h_e, extra=T.concat([si, pe_cat], axis=1)))
+                if more and bid:
+                    si_b = layer.edge_inv([y_s, x_t])
+                    h_e_bw = T.add(h_e_bw, layer.upd_e.single(
+                        h_e_bw, extra=T.concat([si_b, pe_cat_bw], axis=1)))
             h_v = T.add(h_v, h_new)
-        return h_v, h_e, h_e_bw, rows
+        return h_v, h_e, rows
 
     # -- heads -----------------------------------------------------------------------
 
@@ -242,7 +247,7 @@ class ScaleGMNModel(Module):
         """Invariant-head forward: [batch, out_dim] embedding/prediction."""
         if self.config.head != "invariant":
             raise ShapeError("forward() needs the invariant head; use edit()")
-        h_v, _, _, rows = self.embed(graphs)
+        h_v, _, rows = self.embed(graphs)
         return self.readout(h_v, rows, len(graphs))
 
     def __call__(self, graphs: list) -> Tensor:
@@ -262,7 +267,7 @@ class ScaleGMNModel(Module):
         if len(nets) != len(graphs):
             raise ShapeError(f"edit() needs one net per graph, got {len(nets)} nets "
                              f"for {len(graphs)} graphs")
-        h_v, h_e, _, rows = self.embed(graphs)
+        h_v, h_e, rows = self.embed(graphs)
         batch, dims = len(graphs), tpl.dims
         # delta_b holds each net's non-input vertex rows (inputs carry no
         # bias), delta_w its forward edge rows, both in flat (layer) order.

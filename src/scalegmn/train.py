@@ -95,6 +95,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
+        for key, rule, ok in (("batch_size", ">= 1", self.batch_size >= 1),
+                              ("epochs", ">= 0", self.epochs >= 0),  # eval runs 0 epochs
+                              ("lr", "> 0", self.lr > 0),
+                              ("weight_decay", ">= 0", self.weight_decay >= 0)):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
         self.model = dict(self.model)  # the head default below must not leak to the caller
         ScaleGMNConfig.from_dict(self.model)  # unknown keys fail here, before any zoo is read
         if self.task != "inr-edit" and self.model.get("head") == "equivariant-edit":
@@ -231,14 +237,20 @@ class Runner:
     # -- edit-task targets: dilated source signals ---------------------------------
 
     def _prepare_edit_targets(self):
+        """The source signals are rebuilt from the zoo's seed, image side and
+        each entry's source index; a zoo that lacks one fails naming it."""
+        manifest = Path(self.cfg.zoo) / "manifest.json"
         meta = self.data.meta
-        side = int(meta.get("image_side", 16))
-        zoo_seed = int(meta.get("seed", 0))
+        for key in ("seed", "image_side"):
+            if key not in meta:
+                raise ValueError(f"{manifest}: meta lacks the field {key!r}")
+        side = int(meta["image_side"])
         self.grid = grid_coords(side)
         targets = []
         for e in self.data.entries:
-            src_index = int(e.extra.get("source_index", int(e.id.split("-")[-1])))
-            image, _ = inr_source_image(zoo_seed, src_index, side)
+            if "source_index" not in e.extra:
+                raise ValueError(f"{manifest}: entry {e.id!r} lacks the field 'source_index'")
+            image, _ = inr_source_image(int(meta["seed"]), int(e.extra["source_index"]), side)
             targets.append(dilate3x3(image).reshape(-1, 1))
         self.edit_targets = np.stack(targets)
 

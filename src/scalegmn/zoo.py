@@ -338,6 +338,10 @@ def train_toy_cnn(seeds, lr=3e-3, steps=300, init_scale=1.0, channels=(4, 4),
 
 # -- zoo serialization ---------------------------------------------------------------
 
+# The fields every manifest entry sets, in ZooEntry's order; the rest go to `extra`.
+ENTRY_FIELDS = ("id", "kind", "layer_dims", "activations", "omega0", "label", "weights_path")
+
+
 @dataclass
 class ZooEntry:
     id: str
@@ -350,17 +354,7 @@ class ZooEntry:
     extra: dict = field(default_factory=dict)
 
     def manifest_row(self) -> dict:
-        row = {
-            "id": self.id,
-            "kind": self.kind,
-            "layer_dims": self.layer_dims,
-            "activations": self.activations,
-            "omega0": self.omega0,
-            "label": self.label,
-            "weights_path": self.weights_path,
-        }
-        row.update(self.extra)
-        return row
+        return {**{k: getattr(self, k) for k in ENTRY_FIELDS}, **self.extra}
 
 
 def _write_f32(path: Path, vec: np.ndarray) -> None:
@@ -405,21 +399,27 @@ def _unflatten(vec: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarr
 
 
 def load_zoo(directory):
-    """Returns (entries, nets, meta); nets are FfnnParams or CnnParams."""
+    """Returns (entries, nets, meta); nets are FfnnParams or CnnParams. A
+    malformed entry fails naming the manifest, the entry and the field."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     entries, nets = [], []
-    for row in manifest["entries"]:
-        extra = {k: v for k, v in row.items()
-                 if k not in ("id", "kind", "layer_dims", "activations", "omega0",
-                              "label", "weights_path")}
-        entry = ZooEntry(row["id"], row["kind"], row["layer_dims"], row["activations"],
-                         row["omega0"], row["label"], row["weights_path"], extra)
+    for i, row in enumerate(manifest["entries"]):
+        where = f"{manifest_path}: entry " + (repr(row["id"]) if "id" in row else f"#{i}")
+        required = ENTRY_FIELDS + (("kernel_hw",) if row.get("kind") == "cnn" else ())
+        missing = [k for k in required if k not in row]
+        if missing:
+            raise ValueError(f"{where} lacks the field {missing[0]!r}")
+        entry = ZooEntry(*(row[k] for k in ENTRY_FIELDS),
+                         {k: v for k, v in row.items() if k not in ENTRY_FIELDS})
         if entry.kind not in ("ffnn", "cnn"):
-            raise ValueError(f"unknown zoo entry kind {entry.kind!r}")
-        if entry.kind == "cnn" and "kernel_hw" not in extra:
-            raise ValueError(f"{directory / 'manifest.json'}: entry {entry.id!r} "
-                             f"lacks the field 'kernel_hw'")
+            raise ValueError(f"{where}: unknown zoo entry kind {entry.kind!r}")
+        # an activation per layer, but for the CNN head
+        n_acts = len(entry.layer_dims) - (1 if entry.kind == "ffnn" else 2)
+        if len(entry.activations) != n_acts:
+            raise ValueError(f"{where}: field 'activations' lists {len(entry.activations)} "
+                             f"activation(s), layer_dims {entry.layer_dims} take {n_acts}")
         path = directory / entry.weights_path
         vec = _read_f32(path)
         shapes = _layer_shapes(entry)

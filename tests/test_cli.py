@@ -7,7 +7,6 @@ import re
 import shutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from scalegmn.cli import main
@@ -35,6 +34,7 @@ def test_gen_zoo_and_determinism(tmp_path):
 def test_gen_zoo_unknown_kind(tmp_path):
     cfg = write_config(tmp_path, "zoo.json", {"kind": "bogus"})
     assert run_cli("gen-zoo", "--config", cfg, "--out", str(tmp_path / "z")) == 2
+    assert not (tmp_path / "z").exists()
 
 
 def test_train_eval_cycle(tiny_inr_zoo, tmp_path):
@@ -126,6 +126,21 @@ def test_unknown_config_key_is_rejected_before_any_work(tmp_path, command, confi
     cfg = write_config(tmp_path, "c.json", config)
     out = tmp_path / "out"
     with pytest.raises(ValueError, match=rf"^{command}: unknown config key\(s\) \['{bad}'\]"):
+        run_cli(command, "--config", cfg, "--out", str(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,config,missing", [
+    ("eval", {"task": "inr-classify", "zoo": "z"}, ["checkpoint"]),
+    ("eval", {"split": "val"}, ["checkpoint", "task", "zoo"]),
+    ("canonicalize", {"orbit_canon": False}, ["zoo"]),
+])
+def test_missing_required_config_key_is_named_before_any_work(tmp_path, command, config,
+                                                              missing):
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{command}: missing required config key(s) {missing}")):
         run_cli(command, "--config", cfg, "--out", str(out))
     assert not out.exists()
 

@@ -6,11 +6,7 @@ import pytest
 from scalegmn import activations
 from scalegmn.cnn import CnnParams
 from scalegmn.ffnn import FfnnParams, apply_orbit, sample_orbit
-from scalegmn.graph import (
-    add_backward_edges,
-    build_graph,
-    build_graph_cnn,
-)
+from scalegmn.graph import build_graph, build_graph_cnn
 from scalegmn.tensor import ShapeError
 
 from test_ffnn import random_net, random_siren
@@ -119,10 +115,9 @@ def test_one_template_per_architecture():
     rng = np.random.default_rng(19)
     a, b = (random_net(rng, (2, 5, 3), activations.tanh_act()) for _ in range(2))
     assert build_graph(a).template is build_graph(b).template
-    assert build_graph(a).template is not build_graph(a, direction="bidirectional").template
-    g = build_graph(a)
-    add_backward_edges(g, "sign")
-    assert g.template is build_graph(b, direction="bidirectional").template
+    bid = build_graph(a, direction="bidirectional").template
+    assert build_graph(a).template is not bid
+    assert build_graph(b, direction="bidirectional").template is bid
 
 
 def test_pe_class_multiset_invariant_under_hidden_permutation():
@@ -141,8 +136,7 @@ def test_backward_positive_reciprocal():
     rng = np.random.default_rng(8)
     net = random_net(rng, (2, 3, 1), activations.relu())
     net.weights[0][0, 0] = 0.5
-    g = build_graph(net)
-    add_backward_edges(g, "positive")
+    g = build_graph(net, direction="bidirectional")
     assert g.x_e_bw.shape == g.x_e.shape
     assert np.allclose(g.x_e_bw, 1.0 / g.x_e)
     assert abs(g.x_e_bw[0, 0] - 2.0) < 1e-15
@@ -161,9 +155,8 @@ def test_backward_positive_rejects_tiny_weights():
     rng = np.random.default_rng(10)
     net = random_net(rng, (2, 3, 1), activations.relu())
     net.weights[0][1, 0] = 0.0
-    g = build_graph(net)
     with pytest.raises(ValueError, match="offending"):
-        add_backward_edges(g, "positive")
+        build_graph(net, direction="bidirectional")
 
 
 def test_backward_positive_rejects_zero_kernel_weight():

@@ -403,6 +403,58 @@ def test_end_to_end_gradient_check():
     assert err < 1e-4, f"max relative error {err}"
 
 
+# -- dead work --------------------------------------------------------------------------------
+
+
+class _SingleCounter:
+    """Stands in for a ScaleEqNet and counts its `single` calls."""
+
+    def __init__(self, module):
+        self.module, self.calls = module, 0
+
+    def single(self, x, extra=None):
+        self.calls += 1
+        return self.module.single(x, extra=extra)
+
+
+@pytest.mark.parametrize("direction,head,upd_e_calls", [
+    ("forward", "invariant", 1),
+    ("bidirectional", "invariant", 2),
+    ("forward", "equivariant-edit", 2),
+    ("bidirectional", "equivariant-edit", 3),
+])
+def test_no_round_computes_an_edge_state_that_no_head_reads(direction, head, upd_e_calls,
+                                                            monkeypatch):
+    """At T = 2 the last round updates the forward edges for the edit head only,
+    and the backward edges never; every op node of the call reaches its output."""
+    model, net, _ = make_model("sign", direction=direction, head=head)
+    assert model.config.n_rounds == 2
+    counters = [_SingleCounter(layer.upd_e) for layer in model.rounds]
+    for layer, counter in zip(model.rounds, counters):
+        layer.upd_e = counter
+    recorded, init = [], Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self._parents:
+            recorded.append(self)
+
+    graphs = [build_graph(net, direction=direction)]
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    out = model.forward(graphs) if head == "invariant" else model.edit(graphs, [net])
+    monkeypatch.undo()
+    assert sum(c.calls for c in counters) == upd_e_calls
+    roots = [out] if head == "invariant" else out.weights + out.biases
+    reached, stack = {id(t) for t in roots}, list(roots)
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in reached:
+                reached.add(id(p))
+                stack.append(p)
+    dead = [t for t in recorded if id(t) not in reached]
+    assert recorded and not dead, f"{len(dead)} of {len(recorded)} op nodes reach no output"
+
+
 # -- role routing ---------------------------------------------------------------------------
 
 

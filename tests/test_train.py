@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import shutil
 import threading
 
 import numpy as np
@@ -74,6 +75,18 @@ def test_model_out_dim_and_head_must_fit_the_task(task, model, message):
     assert ExperimentConfig(task=task, zoo="no-such-zoo",
                             model=train_module.TASK_MODEL[task]).model \
         == train_module.TASK_MODEL[task]
+
+
+@pytest.mark.parametrize("key,value,rule", [
+    ("batch_size", 0, ">= 1"),
+    ("epochs", -1, ">= 0"),
+    ("lr", -1.0, "> 0"),
+    ("weight_decay", -0.1, ">= 0"),
+])
+def test_training_settings_are_range_checked_before_any_zoo_is_read(key, value, rule):
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be {rule}, got {value!r}")):
+        ExperimentConfig(task="inr-classify", zoo="no-such-zoo", **{key: value})
+    assert ExperimentConfig(task="inr-classify", zoo="no-such-zoo", epochs=0).epochs == 0
 
 
 def test_misspelt_model_key_is_rejected():
@@ -431,6 +444,22 @@ def test_edit_task_training_reduces_loss(tiny_inr_zoo, tmp_path):
                 if r["split"] == "train" and r["metric"] == "functional_mse"]
     first, last = float(rows[0]["value"]), float(rows[-1]["value"])
     assert last < first
+
+
+@pytest.mark.parametrize("where,field", [("meta", "seed"), ("meta", "image_side"),
+                                         ("entry", "source_index")])
+def test_edit_targets_need_the_zoo_fields_that_rebuild_them(tiny_inr_zoo, tmp_path,
+                                                            where, field):
+    """Without a fallback, a zoo missing one cannot train against other targets."""
+    zoo = tmp_path / "zoo"
+    shutil.copytree(tiny_inr_zoo, zoo)
+    manifest = json.loads((zoo / "manifest.json").read_text())
+    del (manifest["meta"] if where == "meta" else manifest["entries"][2])[field]
+    (zoo / "manifest.json").write_text(json.dumps(manifest))
+    name = "meta" if where == "meta" else f"entry {manifest['entries'][2]['id']!r}"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{zoo / 'manifest.json'}: {name} lacks the field {field!r}")):
+        _edit_runner(zoo, tmp_path)
 
 
 def _edit_runner(zoo, tmp_path, **model):

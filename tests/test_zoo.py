@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 import re
 from pathlib import Path
 
@@ -401,4 +400,39 @@ def test_load_zoo_names_cnn_entry_without_kernel_hw(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=r"manifest\.json: entry 'cnn-0' lacks the field "
                                          r"'kernel_hw'"):
+        load_zoo(tmp_path / "zoo")
+
+
+ENTRY_ID = {"ffnn": "inr-0", "cnn": "cnn-0"}  # the entry `_one_entry_zoo` writes
+
+
+def _edit_manifest(directory, edit):
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest["entries"][0])
+    manifest_path.write_text(json.dumps(manifest))
+    return manifest_path
+
+
+@pytest.mark.parametrize("kind", ["ffnn", "cnn"])
+def test_load_zoo_names_an_entry_without_layer_dims(tmp_path, kind):
+    _one_entry_zoo(tmp_path / "zoo", kind)
+    manifest_path = _edit_manifest(tmp_path / "zoo", lambda row: row.pop("layer_dims"))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{manifest_path}: entry {ENTRY_ID[kind]!r} lacks the field 'layer_dims'")):
+        load_zoo(tmp_path / "zoo")
+
+
+@pytest.mark.parametrize("kind,activations,layers", [
+    ("ffnn", ["sine", "sine", "identity"], 2),   # 2-3-1: two layers
+    ("cnn", ["relu", "relu"], 1),                # one conv layer, then the head
+])
+def test_load_zoo_names_an_entry_whose_activations_do_not_fit_its_layers(
+        tmp_path, kind, activations, layers):
+    _one_entry_zoo(tmp_path / "zoo", kind)
+    manifest_path = _edit_manifest(tmp_path / "zoo",
+                                   lambda row: row.update(activations=activations))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{manifest_path}: entry {ENTRY_ID[kind]!r}: field 'activations' lists "
+            f"{len(activations)} activation(s)") + rf".* take {layers}$"):
         load_zoo(tmp_path / "zoo")
