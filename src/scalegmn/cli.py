@@ -48,8 +48,12 @@ def _check_keys(command: str, config: dict, known: frozenset, required=()) -> No
         raise ValueError(f"{command}: missing required config key(s) {missing}")
 
 
+def _out_path(out) -> Path:
+    return Path(out) if out else Path("runs/out")
+
+
 def _out_dir(out) -> Path:
-    path = Path(out) if out else Path("runs/out")
+    path = _out_path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -81,7 +85,7 @@ TRAIN_KEYS = frozenset(ExperimentConfig.__dataclass_fields__)
 
 
 def cmd_train(config: dict, seed: int, out) -> int:
-    _check_keys("train", config, TRAIN_KEYS)
+    _check_keys("train", config, TRAIN_KEYS, required=("task", "zoo"))
     data = dict(config)
     if seed is not None:
         data["seed"] = seed
@@ -109,7 +113,7 @@ def cmd_eval(config: dict, seed: int, out) -> int:
     cfg = ExperimentConfig(
         task=config["task"],
         zoo=config["zoo"],
-        out_dir=str(_out_dir(out)),
+        out_dir=str(_out_path(out)),   # made only once the report is written
         model=model_overrides,
         baseline=baseline,
         seed=int(config.get("split_seed", 0)),

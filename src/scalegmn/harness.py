@@ -8,7 +8,7 @@ gradients of its backward pass inside vertex representations.
 
 Both certifiers share one trial loop: each sampled net and all of its orbit
 copies go through the model as one batch, through `forward` for the
-invariant head and `edit_params` for the edit head.
+invariant head and `edit_params` for the edit head, recording no tape.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .cnn import CnnParams, cnn_forward
 from .ffnn import FfnnParams, apply_orbit, ffnn_forward
 from .graph import graph_for
 from .model import ScaleGMNModel
-from .tensor import DIV_EPS, ShapeError
+from .tensor import DIV_EPS, ShapeError, no_tape
 
 
 # -- function preservation ------------------------------------------------------------
@@ -124,7 +124,8 @@ def _orbit_trials(model, net_sampler, orbit_sampler, trials: int, nets: int,
             outs = [model(n) for n in batch]
         else:
             graphs = [graph_for(n, model.config.direction) for n in batch]
-            outs = model.edit_params(graphs, batch) if edit else model.forward(graphs).data
+            with no_tape():
+                outs = model.edit_params(graphs, batch) if edit else model.forward(graphs).data
         if edit:
             gaps = [np.max(np.abs(e.flatten() - apply_orbit(outs[0], g).flatten()))
                     for e, g in zip(outs[1:], orbits)]

@@ -361,8 +361,17 @@ def template_spec(tpl: GraphTemplate) -> dict:
 
 # -- checkpoints --------------------------------------------------------------------------
 
+# params.bin holds the parameters exactly (little-endian float64), so a
+# reloaded checkpoint is the model that selection picked. A manifest that
+# records no dtype comes from before the dtype was recorded, when the
+# parameters were rounded to float32; it is read as such.
+CHECKPOINT_DTYPE = "<f8"
+UNRECORDED_DTYPE = "<f4"
+
+
 def save_checkpoint(model: ScaleGMNModel, path) -> None:
-    """Manifest (config + template + tensor index) plus flat little-endian f32."""
+    """Manifest (config + template + tensor index + dtype) plus the flat
+    parameters in `CHECKPOINT_DTYPE`."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     named = sorted(model.named_parameters(), key=lambda kv: kv[0])
@@ -370,11 +379,12 @@ def save_checkpoint(model: ScaleGMNModel, path) -> None:
     blobs = []
     for name, p in named:
         index.append({"name": name, "shape": list(p.shape), "offset": offset})
-        blobs.append(np.asarray(p.data, dtype="<f4").reshape(-1))
+        blobs.append(np.asarray(p.data, dtype=CHECKPOINT_DTYPE).reshape(-1))
         offset += p.size
     manifest = {
         "config": model.config.to_dict(),
         "template": template_spec(model.template),
+        "dtype": CHECKPOINT_DTYPE,
         "tensors": index,
     }
     (path / "checkpoint.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
@@ -410,11 +420,19 @@ def load_checkpoint(path) -> ScaleGMNModel:
     listed = {e["name"]: tuple(e["shape"]) for e in manifest["tensors"]}
     check_tensors(path / "checkpoint.json", {name: tuple(p.shape) for name, p in params.items()},
                   listed)
-    flat = np.fromfile(path / "params.bin", dtype="<f4").astype(np.float64)
+    dtype = manifest.get("dtype", UNRECORDED_DTYPE)
+    if dtype not in (CHECKPOINT_DTYPE, UNRECORDED_DTYPE):
+        raise ValueError(f"{path / 'checkpoint.json'}: unknown dtype {dtype!r}; expected "
+                         f"{CHECKPOINT_DTYPE!r} (or {UNRECORDED_DTYPE!r}, read when none is "
+                         f"recorded)")
+    blob = path / "params.bin"
+    raw = blob.read_bytes()
     expected = sum(int(np.prod(s)) for s in listed.values())
-    if flat.size != expected:
-        raise ValueError(f"{path / 'params.bin'}: expected {expected} float32 values, "
-                         f"found {flat.size}")
+    found, stray = divmod(len(raw), np.dtype(dtype).itemsize)
+    if found != expected or stray:
+        raise ValueError(f"{blob}: expected {expected} {dtype} values, found {found}"
+                         + (f" and {stray} stray bytes" if stray else ""))
+    flat = np.frombuffer(raw, dtype=dtype).astype(np.float64)
     for entry in manifest["tensors"]:
         p = params[entry["name"]]
         n = int(np.prod(entry["shape"])) if entry["shape"] else 1

@@ -88,6 +88,7 @@ def finite_diff_check(f, params, step: float = 1e-6) -> float:
     the largest autodiff gradient entry: central differences in float64
     cannot resolve deviations far below the gradient's own scale, so
     near-zero coordinates are compared at that scale instead of blowing up.
+    The perturbed evaluations record no tape.
     """
     params = list(params)
     loss = f(params)
@@ -101,12 +102,13 @@ def finite_diff_check(f, params, step: float = 1e-6) -> float:
         g_flat = np.asarray(g).reshape(-1)
         for k in range(flat.size):
             orig = flat[k]
-            flat[k] = orig + step
-            p.assign(base.reshape(p.shape))
-            hi = float(f(params).data.reshape(-1)[0])
-            flat[k] = orig - step
-            p.assign(base.reshape(p.shape))
-            lo = float(f(params).data.reshape(-1)[0])
+            with T.no_tape():
+                flat[k] = orig + step
+                p.assign(base.reshape(p.shape))
+                hi = float(f(params).data.reshape(-1)[0])
+                flat[k] = orig - step
+                p.assign(base.reshape(p.shape))
+                lo = float(f(params).data.reshape(-1)[0])
             flat[k] = orig
             p.assign(base.reshape(p.shape))
             fd = (hi - lo) / (2.0 * step)

@@ -41,22 +41,70 @@ centered input's gradient as ``(g/sd + g_sq*c) + g_sq*c``. Segment sums
 (``gather_rows`` backward, ``scatter_sum``) are one flat ``np.bincount``,
 which adds each slot's entries in index order exactly as ``np.add.at`` does.
 
+Inside :func:`no_tape` an op records nothing, whatever its parents: its
+output is a constant with no parents and no closure, so a values-only
+forward (evaluation, certification) frees each intermediate as soon as the
+next op has read it, and its values are bitwise those of the recorded
+forward. The mode is one flag per thread, read only by ``_out``; a pool
+thread does not inherit it, so a caller that fans a forward out over
+threads enters the mode inside each call (``Runner._run`` does).
+
 All public operations keep entries finite (checked when ``CHECK_FINITE`` is
 on) and everything is float64: the symmetry tests downstream assert
-near-exact equalities that 32-bit arithmetic cannot hold.
+near-exact equalities that 32-bit arithmetic cannot hold. The invariant
+holds by induction, so only the places where a non-finite entry can first
+appear check: leaves (``Tensor``, :func:`constant`), :meth:`Tensor.assign`,
+and every op that can turn finite operands into a non-finite entry
+(arithmetic, ``pow_``, ``matmul``/``linear``/``conv2d_valid``, reductions,
+``scatter_sum``, ``exp``/``log``/``sqrt``/``div``, ``l2_normalize``,
+``layer_norm``, ``shard_sum``). The structural ops (``reshape``,
+``concat``, ``gather_rows``, ``narrow``, ``transpose``) only move finite
+entries, and ``neg``, ``abs_``, ``relu``, ``sin``, ``cos``, ``tanh``,
+``sigmoid`` and ``silu`` map a finite entry to one bounded by it or by a
+constant; these skip the pass over their output.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 
-# Toggle for the finiteness invariant on op outputs. Costs one pass per op;
-# cheap at the array sizes this engine is built for.
+# Toggle for the finiteness invariant on leaves and op outputs. Costs one pass
+# per leaf and per checked op; cheap at the array sizes this engine is built for.
 CHECK_FINITE = True
 
 # Denominators smaller than this are an error: reciprocal edge features and
 # the simulation relay divide by data values and silent infs must not leak.
 DIV_EPS = 1e-12
+
+
+class _Mode(threading.local):
+    """Per-thread tape mode: `record` is False inside :func:`no_tape`."""
+
+    record = True
+
+
+_MODE = _Mode()
+
+
+def recording() -> bool:
+    """Whether ops on the calling thread record a tape."""
+    return _MODE.record
+
+
+@contextmanager
+def no_tape():
+    """Values only, on the calling thread: ops record no parents and no
+    closures. The previous mode comes back on exit, also on an error, so
+    the context nests."""
+    prev = _MODE.record
+    _MODE.record = False
+    try:
+        yield
+    finally:
+        _MODE.record = prev
 
 
 class NumericsError(FloatingPointError):
@@ -79,9 +127,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw", "name")
 
     def __init__(self, data, _parents=(), _bw=None, name: str | None = None,
-                 requires_grad: bool = True):
+                 requires_grad: bool = True, _check: bool = True):
         arr = np.asarray(data, dtype=np.float64)
-        if CHECK_FINITE and not np.all(np.isfinite(arr)):
+        if _check and CHECK_FINITE and not np.all(np.isfinite(arr)):
             raise NumericsError(f"non-finite entries in tensor {name or ''}".strip())
         self.data = arr
         self.grad = None
@@ -159,11 +207,13 @@ def constant(x, name=None) -> Tensor:
     return Tensor(x, name=name, requires_grad=False)
 
 
-def _out(data, parents, bw, name=None) -> Tensor:
-    """An op's output; a constant when no parent requires grad."""
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, _parents=parents, _bw=bw, name=name)
-    return Tensor(data, name=name, requires_grad=False)
+def _out(data, parents, bw, name=None, check=True) -> Tensor:
+    """An op's output; a constant when no parent requires grad or no tape is
+    recorded. `check=False` skips the finiteness pass, for ops that cannot
+    turn finite operands into non-finite entries."""
+    if _MODE.record and any(p.requires_grad for p in parents):
+        return Tensor(data, _parents=parents, _bw=bw, name=name, _check=check)
+    return Tensor(data, name=name, requires_grad=False, _check=check)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -217,7 +267,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    return _out(-a.data, (a,), lambda g, out: (-g,))
+    return _out(-a.data, (a,), lambda g, out: (-g,), check=False)  # |-x| = |x|
 
 
 def pow_(a: Tensor, p: float) -> Tensor:
@@ -261,41 +311,42 @@ def sin(a: Tensor) -> Tensor:
     def bw(g, out):
         return (g * np.cos(a.data),)
 
-    return _out(np.sin(a.data), (a,), bw)
+    return _out(np.sin(a.data), (a,), bw, check=False)  # in [-1, 1]
 
 
 def cos(a: Tensor) -> Tensor:
     def bw(g, out):
         return (-g * np.sin(a.data),)
 
-    return _out(np.cos(a.data), (a,), bw)
+    return _out(np.cos(a.data), (a,), bw, check=False)  # in [-1, 1]
 
 
 def tanh(a: Tensor) -> Tensor:
     def bw(g, out):
         return (g * (1.0 - out.data * out.data),)
 
-    return _out(np.tanh(a.data), (a,), bw)
+    return _out(np.tanh(a.data), (a,), bw, check=False)  # in [-1, 1]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1/(1+e) for x >= 0 and e/(1+e) below, e = exp(-|x|): one division
+    of the selected numerator, the same quotients as dividing both."""
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     def bw(g, out):
         return (g * out.data * (1.0 - out.data),)
 
-    return _out(_sigmoid(a.data), (a,), bw)
+    return _out(_sigmoid(a.data), (a,), bw, check=False)  # in [0, 1]: exp(-|x|) <= 1
 
 
 def relu(a: Tensor) -> Tensor:
     def bw(g, out):
         return (g * (a.data > 0),)
 
-    return _out(np.maximum(a.data, 0.0), (a,), bw)
+    return _out(np.maximum(a.data, 0.0), (a,), bw, check=False)  # |relu(x)| <= |x|
 
 
 def silu(a: Tensor) -> Tensor:
@@ -309,14 +360,14 @@ def silu(a: Tensor) -> Tensor:
     def bw(g, out):
         return (g * s + g * a.data * s * (1.0 - s),)
 
-    return _out(a.data * s, (a,), bw)
+    return _out(a.data * s, (a,), bw, check=False)  # |x * s| <= |x|, s in [0, 1]
 
 
 def abs_(a: Tensor) -> Tensor:
     def bw(g, out):
         return (g * np.sign(a.data),)
 
-    return _out(np.abs(a.data), (a,), bw)
+    return _out(np.abs(a.data), (a,), bw, check=False)  # ||x|| = |x|
 
 
 # -- linear algebra / structure ------------------------------------------------
@@ -487,7 +538,7 @@ def transpose(a: Tensor) -> Tensor:
     if a.ndim < 2:
         raise ShapeError("transpose expects a tensor of at least 2 dims")
     return _out(np.swapaxes(a.data, -1, -2).copy(), (a,),
-                lambda g, out: (np.swapaxes(g, -1, -2),))
+                lambda g, out: (np.swapaxes(g, -1, -2),), check=False)  # moves entries
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -496,7 +547,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def bw(g, out):
         return (g.reshape(a.shape),)
 
-    return _out(a.data.reshape(shape), (a,), bw)
+    return _out(a.data.reshape(shape), (a,), bw, check=False)  # moves entries
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -508,7 +559,8 @@ def concat(tensors, axis: int = -1) -> Tensor:
         return tuple(np.ascontiguousarray(p) if t.requires_grad else None
                      for t, p in zip(tensors, np.split(g, splits, axis=axis)))
 
-    return _out(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
+    return _out(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw,
+                check=False)  # moves entries
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -521,7 +573,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         full[idx] = g
         return (full,)
 
-    return _out(a.data[idx].copy(), (a,), bw)
+    return _out(a.data[idx].copy(), (a,), bw, check=False)  # moves entries
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -568,7 +620,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     def bw(g, out):
         return (_segment_sum(g, idx, a.shape),)
 
-    return _out(a.data[idx], (a,), bw)
+    return _out(a.data[idx], (a,), bw, check=False)  # copies entries
 
 
 def scatter_sum(a: Tensor, idx, n_rows: int) -> Tensor:

@@ -54,7 +54,7 @@ from .harness import kendall_tau
 from .model import ScaleGMNConfig, ScaleGMNModel, check_tensors, load_checkpoint, save_checkpoint
 from .nn import cross_entropy, mse
 from .optim import AdamState
-from .tensor import NumericsError, Tensor, constant, gradients, shard_sum
+from .tensor import NumericsError, Tensor, constant, gradients, no_tape, recording, shard_sum
 from .zoo import dilate3x3, grid_coords, inr_source_image, load_zoo, worker_count
 
 TASKS = ("inr-classify", "cnn-generalization", "inr-edit")
@@ -272,12 +272,19 @@ class Runner:
 
     def _run(self, fn, items) -> list:
         """[fn(x) for x in items]: on the calling thread for one item, else on
-        the shard pool, returning once every call has finished."""
+        the shard pool, returning once every call has finished. A caller
+        inside `no_tape()` has each pool call enter it too: the mode is per
+        thread, and a pool thread leaves it again when its call returns."""
         if len(items) == 1:
             return [fn(items[0])]
         if self._pool is None:
             self._pool = ThreadPoolExecutor(self.width, thread_name_prefix="scalegmn-shard")
-        futures = [self._pool.submit(fn, x) for x in items]
+        call = fn
+        if not recording():
+            def call(x):
+                with no_tape():
+                    return fn(x)
+        futures = [self._pool.submit(call, x) for x in items]
         wait(futures)
         return [f.result() for f in futures]
 
@@ -300,9 +307,11 @@ class Runner:
                          self.params, run=self._run)
 
     def _predictions(self, nets, graphs) -> np.ndarray:
-        """Invariant-head predictions of the given nets, computed by shards."""
-        preds = self._run(lambda s: self._predict(nets[s], graphs[s]).data,
-                          self._shards(len(nets)))
+        """Invariant-head predictions of the given nets, computed by shards
+        with no tape recorded."""
+        with no_tape():
+            preds = self._run(lambda s: self._predict(nets[s], graphs[s]).data,
+                              self._shards(len(nets)))
         return preds[0] if len(preds) == 1 else np.concatenate(preds)
 
     def _targets(self, idx) -> np.ndarray:
@@ -323,7 +332,9 @@ class Runner:
         idx = self.data.splits[split] if idx is None else idx
         nets, graphs = self.data.items(idx)
         if self.cfg.task == "inr-edit":
-            return {"functional_mse": float(self._loss(nets, graphs, self._targets(idx)).data)}
+            with no_tape():
+                loss = self._loss(nets, graphs, self._targets(idx))
+            return {"functional_mse": float(loss.data)}
         preds = self._predictions(nets, graphs)
         labels = self.data.labels[idx]
         if self.cfg.task == "inr-classify":

@@ -134,6 +134,8 @@ def test_unknown_config_key_is_rejected_before_any_work(tmp_path, command, confi
     ("eval", {"task": "inr-classify", "zoo": "z"}, ["checkpoint"]),
     ("eval", {"split": "val"}, ["checkpoint", "task", "zoo"]),
     ("canonicalize", {"orbit_canon": False}, ["zoo"]),
+    ("train", {"zoo": "z", "epochs": 1}, ["task"]),
+    ("train", {"task": "inr-classify"}, ["zoo"]),
 ])
 def test_missing_required_config_key_is_named_before_any_work(tmp_path, command, config,
                                                               missing):
@@ -162,6 +164,16 @@ def test_eval_names_a_checkpoint_whose_config_has_a_removed_key(tiny_inr_zoo, tm
     with pytest.raises(ValueError, match=re.escape(
             f"{manifest_path}: unknown model config key(s) ['skip_connections']")):
         run_cli("eval", "--config", eval_cfg, "--out", str(out))
+    assert not out.exists()
+
+
+def test_a_failed_eval_leaves_no_out_directory(tmp_path):
+    cfg = write_config(tmp_path, "eval.json", {
+        "task": "inr-classify", "zoo": str(tmp_path / "no-zoo"),
+        "checkpoint": str(tmp_path / "no-checkpoint")})
+    out = tmp_path / "ev"
+    with pytest.raises(FileNotFoundError, match="manifest.json"):
+        run_cli("eval", "--config", cfg, "--out", str(out))
     assert not out.exists()
 
 

@@ -558,13 +558,10 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     model, net, _ = make_model("sign")
     save_checkpoint(model, tmp_path / "ckpt")
     restored = load_checkpoint(tmp_path / "ckpt")
-    # parameters equal at float32 precision after the round trip
+    # the float64 parameters come back exactly
     orig = dict(model.named_parameters())
     for name, p in restored.named_parameters():
-        assert np.array_equal(
-            np.asarray(orig[name].data, dtype="<f4"),
-            np.asarray(p.data, dtype="<f4"),
-        ), name
+        assert np.array_equal(orig[name].data, p.data), name
     save_checkpoint(restored, tmp_path / "ckpt2")
     a = (tmp_path / "ckpt" / "params.bin").read_bytes()
     b = (tmp_path / "ckpt2" / "params.bin").read_bytes()
@@ -623,11 +620,50 @@ def test_checkpoint_rejects_wrong_size_params(tmp_path, delta):
     model, _, _ = make_model("sign")
     save_checkpoint(model, tmp_path / "ckpt")
     blob = tmp_path / "ckpt" / "params.bin"
-    flat = np.fromfile(blob, dtype="<f4")
+    manifest = json.loads((tmp_path / "ckpt" / "checkpoint.json").read_text())
+    flat = np.fromfile(blob, dtype=manifest["dtype"])
     n = flat.size
     flat = flat[:-1] if delta < 0 else np.concatenate([flat, flat[:1]])
     flat.tofile(blob)
     with pytest.raises(ValueError, match=rf"params\.bin.*expected {n}\b.*found {n + delta}\b"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_without_a_recorded_dtype_reads_as_float32(tmp_path):
+    """Checkpoints written before the manifest recorded a dtype hold float32."""
+    model, net, _ = make_model("sign")
+    save_checkpoint(model, tmp_path / "ckpt")
+    manifest_path = tmp_path / "ckpt" / "checkpoint.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest.pop("dtype") == "<f8"
+    manifest_path.write_text(json.dumps(manifest))
+    blob = tmp_path / "ckpt" / "params.bin"
+    np.fromfile(blob, dtype="<f8").astype("<f4").tofile(blob)
+    restored = dict(load_checkpoint(tmp_path / "ckpt").named_parameters())
+    for name, p in model.named_parameters():
+        assert np.array_equal(restored[name].data, p.data.astype("<f4").astype(np.float64)), name
+
+
+@pytest.mark.parametrize("dtype", ["<f2", ">f8", "float64"])
+def test_checkpoint_rejects_an_unknown_dtype(tmp_path, dtype):
+    model, _, _ = make_model("sign")
+    save_checkpoint(model, tmp_path / "ckpt")
+    manifest_path = tmp_path / "ckpt" / "checkpoint.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["dtype"] = dtype
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"checkpoint\.json: unknown dtype '{dtype}'"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_rejects_a_params_file_with_stray_bytes(tmp_path):
+    model, _, _ = make_model("sign")
+    save_checkpoint(model, tmp_path / "ckpt")
+    blob = tmp_path / "ckpt" / "params.bin"
+    n = blob.stat().st_size // 8
+    blob.write_bytes(blob.read_bytes() + b"\0" * 4)
+    with pytest.raises(ValueError, match=rf"params\.bin: expected {n} <f8 values, found {n} "
+                                         rf"and 4 stray bytes"):
         load_checkpoint(tmp_path / "ckpt")
 
 

@@ -538,3 +538,79 @@ def test_shard_sum_sweeps_each_shard_once_and_passes_on_errors():
         gradients(T.shard_sum(losses, [0.5, 0.5], params, run=failing), params)
     with pytest.raises(ShapeError):
         T.shard_sum(losses, [1.0], params, run=run)
+
+
+# -- values-only evaluation (no_tape) and the finiteness invariant ----------------------------
+
+def _mixed_forward(mlp, x):
+    """A forward over parameter leaves through most op kinds."""
+    h = mlp(x)
+    y = T.concat([T.tanh(h), T.relu(h), T.sin(h), T.abs_(T.neg(h))], axis=1)
+    rows = T.scatter_sum(T.gather_rows(y, [3, 0, 2, 1, 0]), np.array([0, 1, 1, 0, 1]), 2)
+    return T.mean_(T.reshape(T.transpose(T.narrow(rows, 1, 1, 5)), (1, 10)), axis=1)
+
+
+def test_no_tape_forward_is_one_node_with_the_recorded_values():
+    mlp = MLP([3, 6, 4], np.random.default_rng(40), layer_norm=True)
+    x = T.constant(np.random.default_rng(41).standard_normal((4, 3)))
+    recorded = _mixed_forward(mlp, x)
+    assert tape_size(recorded) > 20 and recorded.requires_grad
+    with T.no_tape():
+        assert not T.recording()
+        values = _mixed_forward(mlp, x)
+    assert T.recording()
+    assert tape_size(values) == 1
+    assert values._parents == () and values._bw is None and not values.requires_grad
+    assert np.array_equal(values.data, recorded.data)
+    assert all(p.requires_grad for p in mlp.parameters())   # leaves keep their flag
+
+
+def test_no_tape_nests_and_an_error_inside_leaves_recording_on():
+    with T.no_tape():
+        with T.no_tape():
+            assert not T.recording()
+        assert not T.recording()   # the inner exit restores the outer mode
+    assert T.recording()
+    with pytest.raises(NumericsError):
+        with T.no_tape():
+            T.exp(Tensor([800.0]))   # overflows
+    assert T.recording()
+    assert T.add(Tensor([1.0]), Tensor([2.0])).requires_grad
+
+
+def test_no_tape_is_per_thread():
+    with T.no_tape(), ThreadPoolExecutor(1) as pool:
+        assert pool.submit(T.recording).result()   # a fresh thread records
+        assert not T.recording()
+
+
+# The ops that skip the pass over their output: their finite operands give
+# finite entries, so a non-finite value can only come in through a leaf.
+UNCHECKED_OPS = {
+    "reshape": lambda t: T.reshape(t, (-1,)),
+    "concat": lambda t: T.concat([t, t], axis=0),
+    "gather_rows": lambda t: T.gather_rows(t, [1, 0]),
+    "narrow": lambda t: T.narrow(t, 1, 0, 1),
+    "transpose": T.transpose,
+    "neg": T.neg, "abs_": T.abs_, "relu": T.relu, "sin": T.sin, "cos": T.cos,
+    "tanh": T.tanh, "sigmoid": T.sigmoid, "silu": T.silu,
+}
+
+
+@pytest.mark.parametrize("op", sorted(UNCHECKED_OPS))
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_unchecked_ops_still_reject_a_non_finite_leaf(op, bad):
+    data = np.array([[1.0, bad], [0.5, -2.0]])
+    for leaf in (Tensor, T.constant):
+        with pytest.raises(NumericsError, match="non-finite"):
+            UNCHECKED_OPS[op](leaf(data))
+        with pytest.raises(NumericsError, match="non-finite"), T.no_tape():
+            UNCHECKED_OPS[op](leaf(data))
+
+
+@pytest.mark.parametrize("op", sorted(UNCHECKED_OPS))
+def test_unchecked_ops_keep_extreme_finite_entries_finite(op):
+    data = np.array([[1e308, -1e308], [5e-324, -np.finfo(float).max]])
+    with np.errstate(over="raise", invalid="raise"):
+        out = UNCHECKED_OPS[op](Tensor(data))
+    assert np.all(np.isfinite(out.data))

@@ -186,7 +186,7 @@ def test_zero_epochs_checkpoint_is_initialization(tiny_inr_zoo, tmp_path):
     runner.train()
     runner.load(tmp_path / "run" / "checkpoint")
     for p, b in zip(runner.params, before):
-        assert np.allclose(p.data, b, atol=1e-7)  # float32 storage
+        assert np.array_equal(p.data, b)  # float64 storage
 
 
 def test_initial_classify_loss_near_ln2(tiny_inr_zoo, tmp_path):
@@ -288,6 +288,27 @@ def test_cnn_generalization_task(tiny_cnn_zoo, tmp_path):
     assert summary["best_val_loss"] == val["loss"]
     report = runner.eval_report("val", with_orbit_copy=True)
     assert "kendall_tau" in report and "orbit_kendall_tau" in report
+
+
+@pytest.mark.parametrize("task,zoo,model", [
+    ("inr-classify", "tiny_inr_zoo", {}),
+    ("cnn-generalization", "tiny_cnn_zoo", {"group_kind": "positive"}),
+    ("inr-edit", "tiny_inr_zoo", {}),
+])
+def test_a_reloaded_checkpoint_scores_what_selection_recorded(request, tmp_path, task, zoo,
+                                                              model):
+    """The checkpoint holds the selected epoch's parameters exactly, so a
+    fresh Runner that loads it scores the validation split bit for bit as
+    summary.json recorded."""
+    cfg = dict(task=task, zoo=str(request.getfixturevalue(zoo)), out_dir=str(tmp_path / "run"),
+               model=dict(TINY_MODEL, **model), epochs=2, batch_size=4, seed=8)
+    summary = Runner(ExperimentConfig(**cfg)).train()
+    reloaded = Runner(ExperimentConfig(**dict(cfg, epochs=0)))
+    reloaded.load(tmp_path / "run" / "checkpoint")
+    stats = reloaded.evaluate("val")
+    metric = reloaded.metric_name()
+    assert stats[metric] == summary["best_val_" + metric]
+    assert stats.get("loss", stats[metric]) == summary["best_val_loss"]
 
 
 @pytest.mark.parametrize("task,make_zoo,model,val_size", [
@@ -610,6 +631,44 @@ def test_numerics_error_in_a_shard_reaches_the_caller(inr_zoo_24, tmp_path, monk
         runner._batch_loss(runner.data.splits["train"][:16])
     summary = runner.train()
     assert summary["diverged"] and summary["epochs_run"] == 1
+
+
+def test_evaluate_records_no_tape_on_the_pool_and_leaves_its_threads_recording(
+        inr_zoo_24, tmp_path, monkeypatch):
+    """Evaluation shards run without a tape on the pool threads; afterwards
+    every pool thread records again, so the next step's gradients are those
+    of a Runner that never evaluated (and close to width 1's)."""
+    batch = np.arange(16)
+    grads = {}
+    for width, evaluate_first in ((1, False), (2, False), (2, True)):
+        runner = _runner_at(width, monkeypatch, inr_zoo_24, tmp_path)
+        if evaluate_first:
+            seen = []
+            predict = runner._predict
+
+            def logging(nets, graphs):
+                seen.append((threading.current_thread().name, tensor_module.recording()))
+                return predict(nets, graphs)
+
+            monkeypatch.setattr(runner, "_predict", logging)
+            runner.evaluate("train")
+            assert len(seen) == 2 and all(name.startswith("scalegmn-shard") and not rec
+                                          for name, rec in seen)
+            # one call per pool thread: the barrier holds each until both run
+            barrier = threading.Barrier(width)
+
+            def mode(_):
+                barrier.wait(timeout=10)
+                return threading.current_thread().name, tensor_module.recording()
+
+            modes = runner._run(mode, [0, 1])
+            assert len({name for name, _ in modes}) == 2 and all(rec for _, rec in modes)
+        loss = runner._batch_loss(runner.data.splits["train"][batch])
+        grads[width, evaluate_first] = gradients(loss, runner.params)
+    for after, fresh, one in zip(grads[2, True], grads[2, False], grads[1, False]):
+        assert np.array_equal(after, fresh)
+        np.testing.assert_allclose(after, one, rtol=1e-9, atol=1e-13)
+    assert any(np.any(g) for g in grads[2, True])
 
 
 def test_augmentation_draws_the_same_orbit_elements_at_widths_1_and_2(
