@@ -28,7 +28,7 @@ def in_group(kind: str, q) -> np.ndarray:
     if kind == KIND_POSITIVE:
         return q > 0.0
     if kind == KIND_SIGN:
-        return np.isin(q, (-1.0, 1.0))
+        return np.abs(q) == 1.0
     if kind == KIND_NONE:
         return q == 1.0
     raise ValueError(f"unknown group kind {kind!r}")

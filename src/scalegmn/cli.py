@@ -15,7 +15,7 @@ import numpy as np
 
 from . import activations
 from .ffnn import FfnnParams, canonicalize_net, ffnn_forward_taped, sample_orbit, shift_sine_biases
-from .graph import build_graph
+from .graph import template_for
 from .harness import (
     SymmetryReport,
     certify_equivariance,
@@ -144,9 +144,13 @@ CERTIFY_COMBOS = (
 )
 
 
+def _certify_activations(dims, act_name) -> list:
+    return [activations.by_name(act_name, 30.0)] * (len(dims) - 2) + [activations.identity()]
+
+
 def _net_sampler(dims, act_name, kind):
     def sampler(rng):
-        acts = [activations.by_name(act_name, 30.0)] * (len(dims) - 2) + [activations.identity()]
+        acts = _certify_activations(dims, act_name)
         weights, biases = [], []
         for i in range(len(dims) - 1):
             w = rng.standard_normal((dims[i + 1], dims[i]))
@@ -164,9 +168,8 @@ def certify_model_combo(combo: dict, dims, trials: int, nets: int, tol: float,
     kind = combo["group_kind"]
     direction = combo["direction"]
     sampler = _net_sampler(dims, combo["activation"], kind)
-    rng = np.random.default_rng(seed)
-    example = sampler(rng)
-    template = build_graph(example, direction=direction).template
+    template = template_for("ffnn", dims, _certify_activations(dims, combo["activation"]),
+                            direction)
     cfg = ScaleGMNConfig(
         d_v=16, d_e=16, d_msg=16, d_inv=8, d_readout=16, pe_dim=6, mlp_hidden=16,
         n_rounds=2, direction=direction, group_kind=kind, head=head,
@@ -214,8 +217,8 @@ def cmd_certify(config: dict, seed: int, out) -> int:
                                       seed, head=head)
             reports.append(rep)
             status = "pass" if rep.passed else "FAIL"
-            print(f"certify {rep.name}: {status} "
-                  f"(max deviation {rep.max_deviation:.3e}, {rep.trials} trials)")
+            print(f"certify {rep.name}: {status} (max deviation {rep.max_deviation:.3e}, "
+                  f"{rep.trials} trials, {rep.seconds:.2f} s)")
     out_path = _out_dir(out) / "certify_report.json"
     out_path.write_text(
         json.dumps([r.to_dict() for r in reports], indent=1), encoding="utf-8"

@@ -7,7 +7,8 @@ computed function exactly like hidden-neuron transforms do for FFNNs; the
 head columns absorb the inverse because pooling is linear. `CnnParams` is a
 `ffnn.LayerChain`: its weights are the conv kernels [out, in, kh, kw], then
 the head [classes, c] as the last layer, with one bias per layer and one
-activation per conv layer. So `ffnn.apply_orbit` is its orbit action too.
+activation per conv layer (a stack of K nets adds a leading K axis to
+each). So `ffnn.apply_orbit` is its orbit action too.
 
 There is one evaluator: `cnn_forward` is `cnn_forward_taped` on constant
 leaves, so zoo labels and function-preservation checks compute exactly what
@@ -37,14 +38,15 @@ class CnnParams(LayerChain):
                              f"weight(s) and {len(self.biases)} bias(es)")
         if len(self.activations) != n - 1:
             raise ShapeError(f"{n - 1} conv layer(s) but {len(self.activations)} activation(s)")
+        s = self._stack_axes()
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             head = i == n - 1
             layer = f"head (layer {i})" if head else f"conv layer {i}"
-            if w.ndim != (2 if head else 4) or b.ndim != 1 or w.shape[0] != b.shape[0]:
+            if w.ndim != (2 if head else 4) + s or b.ndim != 1 + s or w.shape[s] != b.shape[s]:
                 raise ShapeError(f"{layer}: weight {w.shape} / bias {b.shape} malformed")
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
-                raise ShapeError(f"{layer}: {w.shape[1]} input channels, but layer {i - 1} "
-                                 f"has {self.weights[i - 1].shape[0]}")
+            if i > 0 and w.shape[s + 1] != self.weights[i - 1].shape[s]:
+                raise ShapeError(f"{layer}: {w.shape[s + 1]} input channels, but layer {i - 1} "
+                                 f"has {self.weights[i - 1].shape[s]}")
 
     @property
     def channels(self) -> list[int]:
@@ -52,7 +54,7 @@ class CnnParams(LayerChain):
 
     @property
     def kernel_hw(self) -> tuple[int, int]:
-        return self.weights[0].shape[2], self.weights[0].shape[3]
+        return self.weights[0].shape[-2], self.weights[0].shape[-1]
 
 
 def cnn_forward(net: CnnParams, image: np.ndarray) -> np.ndarray:

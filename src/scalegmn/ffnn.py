@@ -10,6 +10,15 @@ every symmetry test downstream certifies.
 output layer. Each kind only adds its shape checks (`FfnnParams` here,
 `cnn.CnnParams`), so `copy`, `flatten` and `apply_orbit` are written once.
 
+Orbits act on stacks. K nets of one architecture are one chain with a
+leading stack axis (`LayerChain.stack`), K orbit elements one element with
+perms and scales [K, w] (`OrbitElement.stack`), and `apply_orbit` moves the
+whole stack in one pass per layer; a single net or element is the K = 1
+case. The certify trials, the orbit copies and the augmented batches all
+take this one path, and `graph.build_graph` reads a stack's features the
+same way. `shift_sine_biases` applies the sine bias-shift rule to a whole
+stack at once; `bias_shift` is that rule on one neuron.
+
 There is one evaluator: `ffnn_forward` is `ffnn_forward_taped` on constant
 leaves, so it builds no tape and computes exactly what training
 differentiates.
@@ -34,7 +43,13 @@ MIN_SCALE = 1e-6  # sampled positive multipliers are resampled below this
 class LayerChain:
     """Parameters as a chain of layers: `weights[l]` is [out, in, *kernel] and
     maps layer l to l + 1, `biases[l]` is [out]. Subclasses check the shapes
-    of their kind in `__post_init__`."""
+    of their kind in `__post_init__`.
+
+    A stack of K nets of one architecture is the same chain with a leading
+    axis on every array: weights [K, out, in, *kernel], biases [K, out]. A
+    net is the K = 1 case without the axis; `stacked` tells them apart by
+    the biases' rank. Indexing or iterating a stack gives its nets.
+    """
 
     weights: list
     biases: list
@@ -45,20 +60,79 @@ class LayerChain:
         return len(self.weights)
 
     @property
+    def stacked(self) -> bool:
+        return self.biases[0].ndim == 2
+
+    @property
+    def size(self) -> int:
+        """How many nets the chain holds: K for a stack, 1 for a net."""
+        return self.biases[0].shape[0] if self.stacked else 1
+
+    @property
     def dims(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+        s = int(self.stacked)
+        return [self.weights[0].shape[s + 1]] + [w.shape[s] for w in self.weights]
+
+    def _stack_axes(self) -> int:
+        """1 for a stack, 0 for a net, once every layer holds the same K."""
+        s = int(self.stacked)
+        k = self.biases[0].shape[:s]
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.shape[:s] != k or b.shape[:s] != k:
+                raise ShapeError(f"layer {i}: weight {w.shape} / bias {b.shape} do not "
+                                 f"stack {k[0]} nets as layer 0 does")
+        return s
 
     def copy(self):
         return type(self)([w.copy() for w in self.weights],
                           [b.copy() for b in self.biases], list(self.activations))
 
     def flatten(self) -> np.ndarray:
-        """All parameters as one vector: W1 (row-major), b1, ..., WL, bL."""
+        """All parameters as one vector: W1 (row-major), b1, ..., WL, bL; a
+        stack gives one such row per net, [K, P]."""
+        lead = self.biases[0].shape[:-1]
         parts = []
         for w, b in zip(self.weights, self.biases):
-            parts.append(w.reshape(-1))
+            parts.append(w.reshape(lead + (-1,)))
             parts.append(b)
-        return np.concatenate(parts)
+        return np.concatenate(parts, axis=-1)
+
+    def as_stack(self):
+        """This stack, or this net as a stack of one (views either way)."""
+        if self.stacked:
+            return self
+        return type(self)([w[None] for w in self.weights], [b[None] for b in self.biases],
+                          list(self.activations))
+
+    def __getitem__(self, k):
+        """Net k of a stack, or the sub-stack that an index array selects."""
+        if not self.stacked:
+            raise TypeError("a net is not a stack; index a stack of nets")
+        return type(self)([w[k] for w in self.weights], [b[k] for b in self.biases],
+                          list(self.activations))
+
+    def __iter__(self):
+        return iter([self[k] for k in range(self.size)])
+
+    @staticmethod
+    def stack(chains) -> "LayerChain":
+        """Nets and stacks of one architecture joined, in order, into one stack."""
+        chains = list(chains)
+        first = chains[0]
+        shapes = [w.shape[int(first.stacked):] for w in first.weights]
+        for i, c in enumerate(chains):
+            mine = [w.shape[int(c.stacked):] for w in c.weights]
+            if type(c) is not type(first) or mine != shapes or c.activations != first.activations:
+                raise ShapeError(
+                    f"net {i} ({type(c).__name__}, weights {mine}, activations "
+                    f"{[a.name for a in c.activations]}) does not share net 0's architecture "
+                    f"({type(first).__name__}, weights {shapes}, activations "
+                    f"{[a.name for a in first.activations]})")
+        parts = [c.as_stack() for c in chains]
+        return type(first)(
+            [np.concatenate(ws) for ws in zip(*(p.weights for p in parts))],
+            [np.concatenate(bs) for bs in zip(*(p.biases for p in parts))],
+            list(first.activations))
 
 
 @dataclass
@@ -70,10 +144,11 @@ class FfnnParams(LayerChain):
             raise ShapeError("layer lists must have equal length")
         if len(self.weights) < 1:
             raise ShapeError("need at least one layer")
+        s = self._stack_axes()
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+            if w.ndim != 2 + s or b.ndim != 1 + s or w.shape[s] != b.shape[s]:
                 raise ShapeError(f"layer {i}: weight {w.shape} / bias {b.shape} malformed")
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
+            if i > 0 and w.shape[s + 1] != self.weights[i - 1].shape[s]:
                 raise ShapeError(f"layer {i}: input width breaks the chain")
 
 
@@ -113,27 +188,49 @@ class OrbitElement:
     """One (P_l, Q_l) choice per hidden layer; identity is forced at the ends.
 
     `perms[l][i]` is the new position of old neuron i in hidden layer l+1;
-    `scales[l][i]` is the multiplier q applied to old neuron i.
+    `scales[l][i]` is the multiplier q applied to old neuron i. A stack of K
+    elements carries a leading axis: perms and scales [K, w] per layer.
+    `kind` names the group the element was drawn from. An element is checked
+    where it acts: `apply_orbit` checks that each permutation is a bijection
+    and each multiplier lies in its layer's group, once for a whole stack.
     """
 
     perms: list[np.ndarray]
     scales: list[np.ndarray]
     kind: str = KIND_SIGN
 
-    def __post_init__(self):
-        for p, q in zip(self.perms, self.scales):
-            if sorted(p.tolist()) != list(range(len(p))):
-                raise ValueError("perm is not a bijection")
-            if len(p) != len(q):
-                raise ShapeError("perm/scale length mismatch")
-            if not np.all(in_group(self.kind, q)):
-                raise ValueError(f"multiplier outside the {self.kind} scaling group")
+    @property
+    def stacked(self) -> bool:
+        return bool(self.perms) and self.perms[0].ndim == 2
+
+    @property
+    def size(self) -> int:
+        """How many elements: K for a stack, 1 for an element."""
+        return self.perms[0].shape[0] if self.stacked else 1
 
     @staticmethod
     def identity_for(widths: list[int], kind: str = KIND_SIGN) -> "OrbitElement":
         return OrbitElement(
             [np.arange(w) for w in widths], [np.ones(w) for w in widths], kind
         )
+
+    @staticmethod
+    def stack(elements) -> "OrbitElement":
+        """Elements (or stacks) of one kind and widths joined, in order, into one stack."""
+        elements = list(elements)
+        first = elements[0]
+        widths = [p.shape[-1] for p in first.perms]
+        for i, e in enumerate(elements):
+            if e.kind != first.kind or [p.shape[-1] for p in e.perms] != widths:
+                raise ShapeError(f"orbit element {i} ({e.kind}, widths "
+                                 f"{[p.shape[-1] for p in e.perms]}) does not share element "
+                                 f"0's group and widths ({first.kind}, {widths})")
+        return OrbitElement(
+            [np.concatenate([p.reshape(-1, w) for p in ps]) for w, ps in
+             zip(widths, zip(*(e.perms for e in elements)))],
+            [np.concatenate([q.reshape(-1, w) for q in qs]) for w, qs in
+             zip(widths, zip(*(e.scales for e in elements)))],
+            first.kind)
 
     def compose(self, first: "OrbitElement") -> "OrbitElement":
         """The single element equal to applying `first` then self."""
@@ -150,32 +247,55 @@ def apply_orbit(net: LayerChain, g: OrbitElement) -> LayerChain:
     New row i of layer l gets old row inv(i) scaled by q; columns are divided
     by the previous layer's multipliers. Input and output neurons stay fixed.
     Trailing kernel axes ride along, so a CNN channel moves as a neuron does.
+
+    Nets and elements may be stacks: K nets under K elements, one net under
+    K elements or K nets under one element give a stack of K nets, a net
+    under an element gives a net. Each layer's rows and columns are one
+    multiply (or divide) and one `take_along_axis` over the whole stack.
     """
     hidden = net.dims[1:-1]
-    if [len(p) for p in g.perms] != hidden:
-        raise ShapeError(f"orbit widths {[len(p) for p in g.perms]} != hidden dims {hidden}")
-    for l, (q, act) in enumerate(zip(g.scales, net.activations)):
+    widths = [p.shape[-1] for p in g.perms]
+    if widths != hidden:
+        raise ShapeError(f"orbit widths {widths} != hidden dims {hidden}")
+    k = max(net.size, g.size)
+    if {net.size, g.size} - {1, k}:
+        raise ShapeError(f"{net.size} nets under {g.size} orbit elements")
+    scales, inverse = [], []
+    for l, (p, q, act) in enumerate(zip(g.perms, g.scales, net.activations)):
+        if p.shape != q.shape or p.shape[:-1] != g.perms[0].shape[:-1]:
+            raise ShapeError(f"hidden layer {l}: perms {p.shape} / scales {q.shape} malformed")
+        p, q = p.reshape(-1, p.shape[-1]), q.reshape(-1, q.shape[-1])
+        inv = np.argsort(p, axis=-1)
+        if not np.all(np.take_along_axis(p, inv, axis=-1) == np.arange(p.shape[-1])):
+            raise ValueError(f"hidden layer {l}: perm is not a bijection")
         if not np.all(in_group(act.kind, q)):
             raise ValueError(
                 f"hidden layer {l}: multiplier outside the {act.name} scaling group"
             )
-    src = net.copy()
+        scales.append(q)
+        inverse.append(inv)
+    src = net.as_stack()
     n_hidden = len(hidden)
     weights, biases = [], []
     for l, (w, b) in enumerate(zip(src.weights, src.biases)):
-        kernel_axes = (1,) * (w.ndim - 2)
+        kernel_axes = (1,) * (w.ndim - 3)
         if l < n_hidden:  # rows of layer l+1 are hidden: scale + permute rows
-            q, p = g.scales[l], g.perms[l]
-            inv = np.argsort(p)
-            w = (q.reshape(-1, 1, *kernel_axes) * w)[inv]
-            b = (q * b)[inv]
+            q, inv = scales[l], inverse[l]
+            w = np.take_along_axis(q.reshape(q.shape + (1,) + kernel_axes) * w,
+                                   inv.reshape(inv.shape + (1,) + kernel_axes), axis=1)
+            b = np.take_along_axis(q * b, inv, axis=1)
+        else:  # the output layer's biases stay
+            b = np.broadcast_to(b, (k,) + b.shape[1:]).copy()
         if l > 0:  # columns follow the previous hidden layer
-            q_prev, p_prev = g.scales[l - 1], g.perms[l - 1]
-            inv_prev = np.argsort(p_prev)
-            w = (w / q_prev.reshape(1, -1, *kernel_axes))[:, inv_prev]
+            q, inv = scales[l - 1], inverse[l - 1]
+            cols = (q.shape[0], 1, q.shape[1]) + kernel_axes
+            w = np.take_along_axis(w / q.reshape(cols), inv.reshape(cols), axis=2)
+        elif not n_hidden:  # a single layer has no hidden neuron to move
+            w = np.broadcast_to(w, (k,) + w.shape[1:]).copy()
         weights.append(w)
         biases.append(b)
-    return type(net)(weights, biases, src.activations)
+    out = type(net)(weights, biases, list(net.activations))
+    return out if net.stacked or g.stacked else out[0]
 
 
 def sample_orbit(kind: str, widths: list[int], rng: np.random.Generator,
@@ -208,33 +328,38 @@ def bias_shift(b: float, w: np.ndarray) -> tuple[float, np.ndarray]:
     Returns (b', w') with sin(omega0 * w'.x + b') identical to the original
     for all x and b' in (-pi/2, pi/2] up to the single boundary point -pi/2
     (reached only when the accumulated sign is -1 and the reduced phase is
-    exactly pi/2). Idempotent.
+    exactly pi/2). Idempotent. One neuron of `_phase_shift`.
     """
-    w = np.asarray(w, dtype=np.float64)
-    s = 1.0
-    if b < 0:
-        b, w, s = -b, -w, -s
-    if b > 2 * math.pi:
-        b = math.fmod(b, 2 * math.pi)
-    if math.pi < b <= 2 * math.pi:
-        b -= math.pi
-        s = -s
-    if b > math.pi / 2:
-        b -= math.pi
-        s = -s
-    return s * b, s * w
+    b2, w2 = _phase_shift(np.array([b], dtype=np.float64),
+                          np.asarray(w, dtype=np.float64)[None])
+    return float(b2[0]), w2[0]
+
+
+def _phase_shift(b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bias-shift rule on every neuron at once: biases b [...] with their
+    incoming weights w [..., *fan_in]. A negative phase flips the neuron, a
+    phase past 2 pi is reduced, one in (pi, 2 pi] or (pi/2, pi] moves down by
+    pi, and each flip or shift negates the sign s that scales (b, w) at the
+    end."""
+    neg = b < 0
+    b = np.where(neg, -b, b)
+    s = np.where(neg, -1.0, 1.0)
+    b = np.where(b > 2 * math.pi, np.fmod(b, 2 * math.pi), b)
+    down = (math.pi < b) & (b <= 2 * math.pi)
+    b, s = np.where(down, b - math.pi, b), np.where(down, -s, s)
+    down = b > math.pi / 2
+    b, s = np.where(down, b - math.pi, b), np.where(down, -s, s)
+    rows = s.reshape(s.shape + (1,) * (w.ndim - s.ndim))
+    return s * b, rows * np.where(neg.reshape(rows.shape), -w, w)
 
 
 def shift_sine_biases(net: FfnnParams) -> FfnnParams:
-    """Apply bias_shift to every hidden sine neuron; other layers untouched."""
+    """Apply the bias shift to every hidden sine neuron of a net or a stack;
+    other layers untouched."""
     out = net.copy()
     for l in range(net.n_layers - 1):
-        if net.activations[l].name != "sine":
-            continue
-        for i in range(out.biases[l].shape[0]):
-            b2, w2 = bias_shift(out.biases[l][i], out.weights[l][i])
-            out.biases[l][i] = b2
-            out.weights[l][i] = w2
+        if net.activations[l].name == "sine":
+            out.biases[l], out.weights[l] = _phase_shift(net.biases[l], net.weights[l])
     return out
 
 

@@ -3,7 +3,9 @@
 The structure of a graph depends only on the architecture, so a
 `GraphTemplate` owns it: vertex layers, edge lists, sharing classes and role
 masks are computed once per architecture (`template_for` memoizes them), and
-a `ParamGraph` holds its template plus one network's features.
+a `ParamGraph` holds its template plus one network's features. The builders
+take a net or a stack of nets (`ffnn.LayerChain`); a stack's features are
+read in one numpy pass and come back as one graph per net.
 
 Vertex features are biases (inputs get the constant 1), edge features are
 weights (CNN kernels are flattened with top-left anchored zero-padding to the
@@ -59,33 +61,37 @@ def _fmt(row) -> str:
     return " ".join(f"{x:.17g}" for x in row)
 
 
-def build_graph(net: FfnnParams, direction: str = "forward") -> ParamGraph:
+def build_graph(net: FfnnParams, direction: str = "forward"):
     """FFNN to graph: bias vertex features, weight edge features.
 
     Sine layers are bias-shifted first so phases are canonical. With
     direction="bidirectional" the backward features follow the group kind:
     reciprocal weights for positive scaling, the weights themselves for sign.
+    A net gives its `ParamGraph`; a stack of nets gives one graph per net,
+    all read in one pass.
     """
     if any(a.name == "sine" for a in net.activations):
         net = shift_sine_biases(net)
     return _chain_graph(net, "ffnn", net.activations, direction, (1, 1))
 
 
-def graph_for(net, direction: str = "forward") -> ParamGraph:
-    """The graph of an FFNN or a CNN, at default CNN kernel extent."""
+def graph_for(net, direction: str = "forward"):
+    """The graph of an FFNN or a CNN (a list of graphs for a stack), at
+    default CNN kernel extent."""
     if isinstance(net, CnnParams):
         return build_graph_cnn(net, direction=direction)
     return build_graph(net, direction=direction)
 
 
 def build_graph_cnn(net: CnnParams, direction: str = "forward",
-                    max_hw: tuple[int, int] | None = None) -> ParamGraph:
+                    max_hw: tuple[int, int] | None = None):
     """CNN to graph: one vertex per i/o channel plus the head outputs.
 
     Edge features are kernels flattened to h_max*w_max with top-left anchored
     zero padding; head entries sit in slot 0 of an otherwise-zero feature.
+    A stack of nets gives one graph per net, as `build_graph` does.
     """
-    sizes = [k.shape[2:] for k in net.weights[:-1]]
+    sizes = [k.shape[-2:] for k in net.weights[:-1]]
     h_max = max(s[0] for s in sizes)
     w_max = max(s[1] for s in sizes)
     if max_hw is not None:
@@ -96,39 +102,44 @@ def build_graph_cnn(net: CnnParams, direction: str = "forward",
                         (h_max, w_max))
 
 
-def _chain_graph(net, kind: str, activations, direction: str,
-                 kernel_hw: tuple[int, int]) -> ParamGraph:
+def _chain_graph(net, kind: str, activations, direction: str, kernel_hw: tuple[int, int]):
     """Features of a layer chain: biases on the non-input vertices (inputs get
     the constant 1), each weight [out, in, *kernel] as one edge row per
-    (out, in) pair, zero-padded top-left to `kernel_hw`."""
+    (out, in) pair, zero-padded top-left to `kernel_hw`. A stack's features
+    are built as [K, rows, width] arrays and each graph holds its net's rows."""
     template = template_for(kind, net.dims, activations, direction, kernel_hw)
-    x_v = np.ones((template.n_v, 1))
-    x_v[net.dims[0]:, 0] = np.concatenate(net.biases)
-    x_e = np.concatenate([_edge_rows(w, kernel_hw) for w in net.weights])
-    bidirectional = direction == "bidirectional"
-    return ParamGraph(template, x_v, x_e,
-                      _backward_features(template, net.weights, x_e) if bidirectional else None)
+    stack = net.as_stack()
+    x_v = np.ones((stack.size, template.n_v, 1))
+    x_v[:, net.dims[0]:, 0] = np.concatenate(stack.biases, axis=1)
+    x_e = np.concatenate([_edge_rows(w, kernel_hw) for w in stack.weights], axis=1)
+    x_bw = (_backward_features(template, stack.weights, x_e)
+            if direction == "bidirectional" else [None] * stack.size)
+    graphs = [ParamGraph(template, *rows) for rows in zip(x_v, x_e, x_bw)]
+    return graphs if net.stacked else graphs[0]
 
 
 def _edge_rows(w: np.ndarray, kernel_hw: tuple[int, int]) -> np.ndarray:
-    """Weight [out, in, *kernel] to [out*in, kh*kw] rows; a kernel smaller than
-    `kernel_hw` (an FFNN weight or the CNN head is 1x1) is padded top-left."""
-    k = w.reshape(w.shape[:2] + (w.shape[2:] or (1, 1)))
-    if k.shape[2:] != kernel_hw:
-        padded = np.zeros(k.shape[:2] + kernel_hw)
-        padded[:, :, :k.shape[2], :k.shape[3]] = k
+    """Stacked weights [K, out, in, *kernel] to [K, out*in, kh*kw] rows; a
+    kernel smaller than `kernel_hw` (an FFNN weight or the CNN head is 1x1)
+    is padded top-left."""
+    k = w.reshape(w.shape[:3] + (w.shape[3:] or (1, 1)))
+    if k.shape[3:] != kernel_hw:
+        padded = np.zeros(k.shape[:3] + kernel_hw)
+        padded[..., :k.shape[3], :k.shape[4]] = k
         k = padded
-    return k.reshape(k.shape[0] * k.shape[1], -1)
+    return k.reshape(k.shape[0], k.shape[1] * k.shape[2], -1)
 
 
 def _backward_features(template: GraphTemplate, weights, x_e: np.ndarray) -> np.ndarray:
-    """Backward features mirroring the forward edge rows `x_e` of `weights`.
+    """Backward features mirroring the forward edge rows `x_e` [K, E, width]
+    of the stacked `weights`.
 
     The template's group kind decides: the sign group keeps the weights,
     since 1/q = q for q = ±1; positive scaling inverts them (a zero weight
-    would make the backward symmetry undefined, hence the error). Entries
-    that pad a kernel to `template.kernel_hw` hold no weight; every orbit
-    element maps them to zero, and they stay zero.
+    would make the backward symmetry undefined, hence the error, which names
+    the first offending net of the stack and its edges). Entries that pad a
+    kernel to `template.kernel_hw` hold no weight; every orbit element maps
+    them to zero, and they stay zero.
     """
     kind = template.group_kind
     if kind in (KIND_SIGN, KIND_NONE):
@@ -137,14 +148,19 @@ def _backward_features(template: GraphTemplate, weights, x_e: np.ndarray) -> np.
         raise ValueError(f"unknown group kind {kind!r}")
     hw = template.kernel_hw
     slots = None  # every entry holds a weight unless some kernel was padded
-    if any((w.shape[2:] or (1, 1)) != hw for w in weights):
-        slots = np.concatenate([_edge_rows(np.ones(w.shape), hw) > 0 for w in weights])
+    if any((w.shape[3:] or (1, 1)) != hw for w in weights):
+        slots = np.concatenate([_edge_rows(np.ones((1,) + w.shape[1:]), hw) > 0
+                                for w in weights], axis=1)
     tiny = np.abs(x_e) < DIV_EPS
-    bad = np.flatnonzero(np.any(tiny if slots is None else tiny & slots, axis=1))
-    if bad.size:
-        pairs = [(int(template.fw_tgt[e]), int(template.fw_src[e])) for e in bad[:8]]
-        raise ValueError(f"backward features need |weight| >= {DIV_EPS}; offending "
-                         f"(target, source) edges: {pairs}" + ("..." if bad.size > 8 else ""))
+    bad = np.any(tiny if slots is None else tiny & slots, axis=2)
+    if bad.any():
+        nets = np.flatnonzero(bad.any(axis=1))
+        edges = np.flatnonzero(bad[nets[0]])
+        pairs = [(int(template.fw_tgt[e]), int(template.fw_src[e])) for e in edges[:8]]
+        raise ValueError(
+            f"backward features need |weight| >= {DIV_EPS}; net {nets[0]} of {len(x_e)}, "
+            f"offending (target, source) edges: {pairs}" + ("..." if edges.size > 8 else "")
+            + (f"; {nets.size - 1} more net(s) offend" if nets.size > 1 else ""))
     if slots is None:
         return 1.0 / x_e
     return np.divide(1.0, x_e, out=np.zeros_like(x_e), where=slots)

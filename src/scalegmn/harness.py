@@ -6,21 +6,27 @@ networks under orbit transforms, and a hand-wired (non-learned) message
 passing run that reconstructs an input network's forward pass and the
 gradients of its backward pass inside vertex representations.
 
-Both certifiers share one trial loop: each sampled net and all of its orbit
-copies go through the model as one batch, through `forward` for the
-invariant head and `edit_params` for the edit head, recording no tape.
+Both certifiers share one trial loop on the stacked orbit path: each
+sampled net's trial elements are one stacked `OrbitElement`, one
+`apply_orbit` moves the net to all of its copies, one `graph_for` reads the
+net and its copies as one stack of graphs, and the stack goes through the
+model as one batch, through `forward` for the invariant head and
+`edit_params` for the edit head, recording no tape. The equivariance gaps
+are one array difference between the edited stack and one `apply_orbit`
+of the edited net.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cnn import CnnParams, cnn_forward
-from .ffnn import FfnnParams, apply_orbit, ffnn_forward
+from .ffnn import FfnnParams, LayerChain, OrbitElement, apply_orbit, ffnn_forward
 from .graph import graph_for
 from .model import ScaleGMNModel
 from .tensor import DIV_EPS, ShapeError, no_tape
@@ -49,6 +55,7 @@ class SymmetryReport:
     seed: int
     deviations: list[float] = field(default_factory=list)
     config_hash: str = ""
+    seconds: float = 0.0           # wall time of the trials
 
     @property
     def trials(self) -> int:
@@ -72,6 +79,7 @@ class SymmetryReport:
             "max_deviation": self.max_deviation,
             "passed": self.passed,
             "config_hash": self.config_hash,
+            "seconds": self.seconds,
             "deviations": self.deviations,
         }
 
@@ -106,10 +114,14 @@ def _orbit_trials(model, net_sampler, orbit_sampler, trials: int, nets: int,
                   report: SymmetryReport, edit: bool) -> SymmetryReport:
     """Per sampled net: draw `trials` orbits, then run the net and its copies at once.
 
-    A ScaleGMN model gets one batch of trials + 1 graphs (`forward`, or
-    `edit_params` when `edit`); a plain callable is called on each net. The
-    net is drawn before its orbits, so a seed fixes both.
+    The net and its copies are one stack: one `apply_orbit` of the stacked
+    elements and, for a ScaleGMN model, one stacked graph build and one batch
+    of trials + 1 graphs (`forward`, or `edit_params` when `edit`); a plain
+    callable is called on each net. The equivariance gaps compare the
+    edited stack with one `apply_orbit` of the edited net. The net is drawn
+    before its orbits, so a seed fixes both.
     """
+    t0 = time.perf_counter()
     rng = np.random.default_rng(report.seed)
     scalegmn = isinstance(model, ScaleGMNModel)
     if scalegmn:
@@ -119,20 +131,24 @@ def _orbit_trials(model, net_sampler, orbit_sampler, trials: int, nets: int,
         orbits = [orbit_sampler(rng) for _ in range(trials)]
         if not orbits:
             continue
-        batch = [net] + [apply_orbit(net, g) for g in orbits]
+        elements = OrbitElement.stack(orbits)
+        batch = LayerChain.stack([net, apply_orbit(net, elements)])
         if not scalegmn:
             outs = [model(n) for n in batch]
+            if edit:
+                outs = LayerChain.stack(outs)
         else:
-            graphs = [graph_for(n, model.config.direction) for n in batch]
+            graphs = graph_for(batch, model.config.direction)
             with no_tape():
                 outs = model.edit_params(graphs, batch) if edit else model.forward(graphs).data
         if edit:
-            gaps = [np.max(np.abs(e.flatten() - apply_orbit(outs[0], g).flatten()))
-                    for e, g in zip(outs[1:], orbits)]
+            moved = apply_orbit(outs[0], elements)
+            gaps = np.max(np.abs(outs.flatten()[1:] - moved.flatten()), axis=1)
         else:
             out = np.stack([np.asarray(o, dtype=np.float64).reshape(-1) for o in outs])
             gaps = (np.abs(out[1:] - out[0]) / (np.abs(out[0]) + 1e-9)).max(axis=1)
         report.deviations.extend(float(d) for d in gaps)
+    report.seconds = time.perf_counter() - t0
     return report
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import tensor as T
 from .activations import by_name
 from .blocks import Canonicalizer, ReScaleEqNet, ScaleEqNet, ScaleInvNet, canon_mode_for
-from .ffnn import FfnnParams
+from .ffnn import FfnnParams, LayerChain
 from .graph import BatchRows, GraphTemplate, template_for
 from .nn import MLP, Linear, Module
 from .tensor import ShapeError, Tensor
@@ -253,19 +253,21 @@ class ScaleGMNModel(Module):
     def __call__(self, graphs: list) -> Tensor:
         return self.forward(graphs)
 
-    def edit(self, graphs: list, nets: list[FfnnParams]) -> SimpleNamespace:
+    def edit(self, graphs: list, nets) -> SimpleNamespace:
         """Equivariant edit of the whole batch: theta' = theta + gamma * decode(h).
 
-        Returns one layer chain of stacked Tensors, weights [B, out, in] and
-        biases [B, 1, out], that `ffnn_forward_taped` evaluates for all nets
-        at once, so a functional loss on the edited networks can
-        backpropagate into the metanetwork.
+        `nets` is a list of nets or a stack of them, one per graph. Returns
+        one layer chain of stacked Tensors, weights [B, out, in] and biases
+        [B, 1, out], that `ffnn_forward_taped` evaluates for all nets at
+        once, so a functional loss on the edited networks can backpropagate
+        into the metanetwork.
         """
         cfg, tpl = self.config, self.template
         if cfg.head != "equivariant-edit":
             raise ShapeError("edit() needs the equivariant-edit head")
-        if len(nets) != len(graphs):
-            raise ShapeError(f"edit() needs one net per graph, got {len(nets)} nets "
+        theta = nets if isinstance(nets, LayerChain) else LayerChain.stack(nets)
+        if theta.size != len(graphs):
+            raise ShapeError(f"edit() needs one net per graph, got {theta.size} nets "
                              f"for {len(graphs)} graphs")
         h_v, h_e, rows = self.embed(graphs)
         batch, dims = len(graphs), tpl.dims
@@ -280,21 +282,19 @@ class ScaleGMNModel(Module):
         for l, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
             dw = T.reshape(T.narrow(delta_w, 1, w_off, d_out * d_in), (batch, d_out, d_in))
             db = T.reshape(T.narrow(delta_b, 1, b_off, d_out), (batch, 1, d_out))
-            w_theta = np.stack([net.weights[l] for net in nets])
-            b_theta = np.stack([net.biases[l] for net in nets])[:, None, :]
-            weights.append(T.add(T.constant(w_theta), T.mul(self.gamma, dw)))
-            biases.append(T.add(T.constant(b_theta), T.mul(self.gamma, db)))
+            weights.append(T.add(T.constant(theta.weights[l]), T.mul(self.gamma, dw)))
+            biases.append(T.add(T.constant(theta.biases[l][:, None, :]), T.mul(self.gamma, db)))
             w_off += d_out * d_in
             b_off += d_out
         return SimpleNamespace(weights=weights, biases=biases,
                                activations=list(tpl.activations))
 
-    def edit_params(self, graphs: list, nets: list[FfnnParams]) -> list[FfnnParams]:
-        """Edit head as a plain parameter map (numpy in, numpy out)."""
+    def edit_params(self, graphs: list, nets) -> FfnnParams:
+        """Edit head as a plain parameter map (numpy in, numpy out): the
+        edited nets as one stack, whose items are the nets in batch order."""
         e = self.edit(graphs, nets)
-        return [FfnnParams([w.data[b].copy() for w in e.weights],
-                           [v.data[b, 0].copy() for v in e.biases], list(e.activations))
-                for b in range(len(nets))]
+        return FfnnParams([w.data for w in e.weights], [v.data[:, 0] for v in e.biases],
+                          list(e.activations))
 
 
 def _regroup(parts: list[Tensor], order: np.ndarray) -> Tensor:

@@ -48,13 +48,15 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import make_flat_baseline, make_stat_baseline
-from .ffnn import apply_orbit, ffnn_forward_taped, sample_orbit
+from .ffnn import LayerChain, OrbitElement, apply_orbit, ffnn_forward_taped, sample_orbit
 from .graph import graph_for
 from .harness import kendall_tau
 from .model import ScaleGMNConfig, ScaleGMNModel, check_tensors, load_checkpoint, save_checkpoint
 from .nn import cross_entropy, mse
 from .optim import AdamState
-from .tensor import NumericsError, Tensor, constant, gradients, no_tape, recording, shard_sum
+from .tensor import (
+    NumericsError, ShapeError, Tensor, constant, gradients, no_tape, recording, shard_sum,
+)
 from .zoo import dilate3x3, grid_coords, inr_source_image, load_zoo, worker_count
 
 TASKS = ("inr-classify", "cnn-generalization", "inr-edit")
@@ -136,15 +138,23 @@ def split_indices(n: int, seed: int) -> dict[str, np.ndarray]:
 
 
 class TaskData:
-    """A loaded zoo with graphs, labels, and split indices."""
+    """A loaded zoo with graphs, labels, and split indices.
+
+    The zoo's nets are also kept as one stack (`stack`), so its graphs, its
+    orbit copies and its augmented batches are each built in one stacked
+    pass."""
 
     def __init__(self, zoo_path, seed: int, direction: str):
         self.entries, self.nets, self.meta = load_zoo(zoo_path)
         if not self.nets:
             raise ValueError(f"zoo at {zoo_path} is empty")
+        try:
+            self.stack = LayerChain.stack(self.nets)
+        except ShapeError as err:
+            raise ShapeError(f"zoo at {zoo_path}: {err}") from None
         self.kind = self.entries[0].kind
         self.labels = np.array([e.label for e in self.entries])
-        self.graphs = [graph_for(n, direction) for n in self.nets]
+        self.graphs = graph_for(self.stack, direction)
         self.template = self.graphs[0].template
         self.splits = split_indices(len(self.nets), seed)
         self.group_kind = self.template.group_kind
@@ -159,11 +169,15 @@ class TaskData:
 
     def transformed(self, idx, rng, direction: str, **orbit_kw):
         """Each indexed net moved by an orbit element of the zoo's group kind,
-        drawn from `rng` in index order, with its fresh graph."""
-        kind = self.group_kind
-        nets = [apply_orbit(net, sample_orbit(kind, net.dims[1:-1], rng, **orbit_kw))
-                for net in (self.nets[i] for i in idx)]
-        return nets, [graph_for(n, direction) for n in nets]
+        drawn from `rng` in index order, with its fresh graph. The elements
+        move the indexed stack in one `apply_orbit`."""
+        if len(idx) == 0:
+            return [], []
+        widths = self.template.dims[1:-1]
+        elements = OrbitElement.stack(
+            [sample_orbit(self.group_kind, widths, rng, **orbit_kw) for _ in idx])
+        moved = apply_orbit(self.stack[np.asarray(idx)], elements)
+        return list(moved), graph_for(moved, direction)
 
 
 # -- losses and metrics -----------------------------------------------------------------
@@ -328,8 +342,11 @@ class Runner:
 
     # -- metrics -----------------------------------------------------------------------
 
-    def evaluate(self, split: str, idx=None) -> dict[str, float]:
-        idx = self.data.splits[split] if idx is None else idx
+    def evaluate(self, split: str) -> dict[str, float]:
+        """The task's metrics on one split; a split too small to score fails
+        naming the zoo, the split and its size."""
+        self._check_scorable(split)
+        idx = self.data.splits[split]
         nets, graphs = self.data.items(idx)
         if self.cfg.task == "inr-edit":
             with no_tape():
@@ -461,7 +478,6 @@ class Runner:
 
     def eval_report(self, split: str = "test", with_orbit_copy: bool = False,
                     orbit_seed: int = 1234) -> dict:
-        self._check_scorable(split)
         idx = self.data.splits[split]
         report = {"split": split, "n": int(len(idx))}
         report.update(self.evaluate(split))

@@ -81,6 +81,18 @@ def test_certify_default_exits_zero(tmp_path):
     assert {r["metric"] for r in reports} == {"relative", "absolute"}
 
 
+def test_certify_reports_seconds_per_combination(tmp_path, capsys):
+    combos = [{"group_kind": "positive", "activation": "relu", "direction": "forward"}]
+    cfg = write_config(tmp_path, "c.json", {"trials": 3, "nets": 1, "combos": combos})
+    assert run_cli("certify", "--config", cfg, "--out", str(tmp_path / "c")) == 0
+    reports = json.loads((tmp_path / "c" / "certify_report.json").read_text())
+    assert len(reports) == 2 and all(r["seconds"] > 0.0 for r in reports)
+    lines = capsys.readouterr().out.splitlines()
+    for line, report in zip(lines, reports):
+        assert re.fullmatch(rf"certify {re.escape(report['name'])}: pass \(max deviation "
+                            r"\S+, 3 trials, \d+\.\d\d s\)", line), line
+
+
 def test_canonicalize_idempotent(tiny_inr_zoo, tmp_path):
     cfg = write_config(tmp_path, "canon.json", {"zoo": str(tiny_inr_zoo), "grid_side": 16})
     out1, out2 = tmp_path / "c1", tmp_path / "c2"

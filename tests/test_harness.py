@@ -1,5 +1,8 @@
 """Certification machinery: function preservation, simulation relay, kendall tau."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalegmn import activations, tensor as T
+from scalegmn.cli import CERTIFY_COMBOS, certify_model_combo
 from scalegmn.ffnn import (
     FfnnParams,
     apply_orbit,
@@ -199,6 +203,32 @@ def test_report_json_fields():
     assert data["trials"] == 2
     assert data["passed"]
     assert "deviations" in data
+
+
+def test_report_records_the_seconds_of_its_trials():
+    for certify, head in ((certify_invariance, "invariant"),
+                          (certify_equivariance, "equivariant-edit")):
+        model, _, _ = make_model("sign", head=head, seed=21)
+        report = certify(model, _tanh_sampler(), _orbit_sampler(), trials=3, nets=2, seed=5)
+        assert report.seconds > 0.0
+        assert report.to_dict()["seconds"] == report.seconds
+    assert SymmetryReport(name="x", metric="relative", tolerance=1.0, seed=0).seconds == 0.0
+
+
+# sha256 of the 12 deviation lists (CERTIFY_COMBOS x both heads, 1 net x 10
+# trials, seed 0) as the per-net orbit loop computed them. A change to how
+# orbits are drawn, applied or read into graphs that changes any certified
+# trial changes it.
+CERTIFY_TRIALS_SHA256 = "59a417030383b9dc852c19858589cf59cc4b9e37e8e6fb60664efc766e9bb21c"
+
+
+def test_certify_trials_are_pinned():
+    deviations = [certify_model_combo(dict(combo), (2, 4, 4, 2), trials=10, nets=1,
+                                      tol=1e-8, seed=0, head=head).deviations
+                  for combo in CERTIFY_COMBOS for head in ("invariant", "equivariant-edit")]
+    assert all(len(d) == 10 for d in deviations)
+    digest = hashlib.sha256(json.dumps(deviations).encode()).hexdigest()
+    assert digest == CERTIFY_TRIALS_SHA256
 
 
 # -- simulation ------------------------------------------------------------------------

@@ -10,18 +10,20 @@ import threading
 import numpy as np
 import pytest
 
+from scalegmn import activations
 from scalegmn import tensor as tensor_module
 from scalegmn import train as train_module
 from scalegmn.ffnn import ffnn_forward, sample_orbit
 from scalegmn.model import ScaleGMNConfig, load_checkpoint
 from scalegmn.nn import cross_entropy
 from scalegmn.optim import finite_diff_check
-from scalegmn.tensor import NumericsError, gradients
+from scalegmn.tensor import NumericsError, ShapeError, gradients
 from scalegmn.train import (
     MIN_SHARD_ROWS, ExperimentConfig, Runner, TaskData, selection_key, split_indices,
 )
 from scalegmn.zoo import ZooEntry, gen_cnn_zoo, gen_inr_zoo, save_zoo
 
+from test_ffnn import random_net
 from test_graph import make_cnn
 from test_tensor import tape_size
 
@@ -337,6 +339,28 @@ def test_eval_report_rejects_a_split_too_small_to_score(tmp_path):
     with pytest.raises(ValueError, match=re.escape(
             f"zoo {zoo}: the test split holds 1 net(s); cnn-generalization needs at least 2")):
         runner.eval_report("test")
+
+
+def test_evaluate_rejects_a_split_too_small_to_score(tmp_path):
+    zoo = tmp_path / "zoo"
+    gen_cnn_zoo(zoo, 6, 0)  # 70/15/15 of 6 nets: one validation net
+    runner = Runner(ExperimentConfig(task="cnn-generalization", zoo=str(zoo),
+                                     out_dir=str(tmp_path / "run"),
+                                     model=dict(TINY_MODEL, group_kind="positive")))
+    with pytest.raises(ValueError, match=re.escape(
+            f"zoo {zoo}: the val split holds 1 net(s); cnn-generalization needs at least 2")):
+        runner.evaluate("val")
+    assert set(runner.evaluate("train")) == {"kendall_tau", "loss"}
+
+
+def test_task_data_rejects_a_zoo_of_two_architectures(tmp_path):
+    rng = np.random.default_rng(3)
+    nets = [random_net(rng, dims, activations.tanh_act()) for dims in ((2, 4, 1), (2, 3, 1))]
+    entries = [ZooEntry(f"n{i}", "ffnn", n.dims, ["tanh", "identity"], 0.0, 0, f"n{i}.bin")
+               for i, n in enumerate(nets)]
+    save_zoo(tmp_path / "zoo", entries, nets)
+    with pytest.raises(ShapeError, match=re.escape(f"zoo at {tmp_path / 'zoo'}: net 1 ")):
+        TaskData(tmp_path / "zoo", 0, "forward")
 
 
 def test_stat_baseline_trains_on_cnn_zoo(tiny_cnn_zoo, tmp_path):
