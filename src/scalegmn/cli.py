@@ -15,7 +15,7 @@ import numpy as np
 
 from . import activations
 from .ffnn import FfnnParams, canonicalize_net, ffnn_forward_taped, sample_orbit, shift_sine_biases
-from .graph import template_for
+from .graph import check_direction, template_for
 from .harness import (
     SymmetryReport,
     certify_equivariance,
@@ -191,7 +191,9 @@ COMBO_KEYS = frozenset({"group_kind", "activation", "direction"})
 
 
 def _check_combos(combos) -> None:
-    """Reject a combo that lacks or adds a key, before any combo is certified."""
+    """Reject a combo that lacks or adds a key, names an unknown activation or
+    direction, or pairs its activation with another group kind, before any
+    combo is certified."""
     for i, combo in enumerate(combos):
         problems = [f"{what} key(s) {keys}" for what, keys in (
             ("missing", sorted(COMBO_KEYS - set(combo))),
@@ -199,6 +201,14 @@ def _check_combos(combos) -> None:
         if problems:
             raise ValueError(f"certify: combo {i}: {'; '.join(problems)}; each combo sets "
                              f"exactly {sorted(COMBO_KEYS)}")
+        try:
+            kind = activations.by_name(combo["activation"]).kind
+            check_direction(combo["direction"])
+        except ValueError as err:
+            raise ValueError(f"certify: combo {i}: {err}") from None
+        if combo["group_kind"] != kind:
+            raise ValueError(f"certify: combo {i}: group_kind {combo['group_kind']!r} is not "
+                             f"the group of activation {combo['activation']!r}, {kind!r}")
 
 
 def cmd_certify(config: dict, seed: int, out) -> int:

@@ -35,6 +35,14 @@ from .cnn import CnnParams
 from .ffnn import FfnnParams, shift_sine_biases
 from .tensor import DIV_EPS, ShapeError
 
+# Forward edges only, or forward plus reciprocal backward edges.
+DIRECTIONS = ("forward", "bidirectional")
+
+
+def check_direction(direction: str) -> None:
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+
 
 @dataclass
 class ParamGraph:
@@ -344,5 +352,6 @@ def template_for(kind: str, dims, activations, direction: str,
     """The one template of an architecture, built on its first use."""
     key = (kind, tuple(dims), tuple(activations), direction, tuple(kernel_hw))
     if key not in _TEMPLATES:
+        check_direction(direction)
         _TEMPLATES[key] = GraphTemplate(*key)
     return _TEMPLATES[key]

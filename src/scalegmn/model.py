@@ -36,7 +36,7 @@ from . import tensor as T
 from .activations import by_name
 from .blocks import Canonicalizer, ReScaleEqNet, ScaleEqNet, ScaleInvNet, canon_mode_for
 from .ffnn import FfnnParams, LayerChain
-from .graph import BatchRows, GraphTemplate, template_for
+from .graph import BatchRows, GraphTemplate, check_direction, template_for
 from .nn import MLP, Linear, Module
 from .tensor import ShapeError, Tensor
 
@@ -63,6 +63,9 @@ class ScaleGMNConfig:
     head: str = "invariant"       # or "equivariant-edit"
     out_dim: int = 1
     gamma_init: float = 0.01
+
+    def __post_init__(self):
+        check_direction(self.direction)  # a misspelt direction would build a forward model
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -411,15 +414,13 @@ def check_tensors(source, wanted: dict, found: dict) -> None:
                          f"{sorted(found.keys() - wanted.keys())}, wrong shape {wrong}")
 
 
-def load_checkpoint(path) -> ScaleGMNModel:
+def read_params(path, manifest: dict, wanted: dict) -> dict[str, np.ndarray]:
+    """`params.bin`'s tensors by name, as float64. The manifest must list
+    exactly `wanted`'s names and shapes, record a known dtype and index a
+    file of its size; otherwise this fails naming the offending file."""
     path = Path(path)
-    config, manifest = read_manifest(path)
-    template = template_from_spec(manifest["template"])
-    model = ScaleGMNModel(config, template, np.random.default_rng(0))
-    params = dict(model.named_parameters())
     listed = {e["name"]: tuple(e["shape"]) for e in manifest["tensors"]}
-    check_tensors(path / "checkpoint.json", {name: tuple(p.shape) for name, p in params.items()},
-                  listed)
+    check_tensors(path / "checkpoint.json", wanted, listed)
     dtype = manifest.get("dtype", UNRECORDED_DTYPE)
     if dtype not in (CHECKPOINT_DTYPE, UNRECORDED_DTYPE):
         raise ValueError(f"{path / 'checkpoint.json'}: unknown dtype {dtype!r}; expected "
@@ -433,8 +434,16 @@ def load_checkpoint(path) -> ScaleGMNModel:
         raise ValueError(f"{blob}: expected {expected} {dtype} values, found {found}"
                          + (f" and {stray} stray bytes" if stray else ""))
     flat = np.frombuffer(raw, dtype=dtype).astype(np.float64)
-    for entry in manifest["tensors"]:
-        p = params[entry["name"]]
-        n = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        p.assign(flat[entry["offset"] : entry["offset"] + n].reshape(entry["shape"]))
+    return {e["name"]: flat[e["offset"] : e["offset"] + int(np.prod(e["shape"]))]
+            .reshape(e["shape"]) for e in manifest["tensors"]}
+
+
+def load_checkpoint(path) -> ScaleGMNModel:
+    config, manifest = read_manifest(path)
+    model = ScaleGMNModel(config, template_from_spec(manifest["template"]),
+                          np.random.default_rng(0))
+    params = dict(model.named_parameters())
+    saved = read_params(path, manifest, {name: p.shape for name, p in params.items()})
+    for name, p in params.items():
+        p.assign(saved[name])
     return model

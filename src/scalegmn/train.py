@@ -1,9 +1,14 @@
 """Task training/evaluation loops for the three desk-scale experiments.
 
-Tasks: 2-class INR classification (invariant head, cross-entropy),
-CNN generalization prediction (invariant head, MSE on held-out accuracy,
-scored by Kendall tau-b), and INR editing (equivariant head, functional MSE
-against dilated source signals on the signal grid).
+Each task is one `Task` record in `TASKS`: its selection metric and whether
+higher is better, the head and output width it fixes, the fewest nets a split
+needs to be scored, its loss and its score. Training and evaluation call the
+same `loss`, and `evaluate` and `eval_report` the same `score`. The tasks are
+2-class INR classification (cross-entropy, scored by accuracy), CNN
+generalization prediction (MSE on held-out accuracy, scored by Kendall tau-b)
+and INR editing (functional MSE of the edited nets against dilated source
+signals on the signal grid; the loss is its metric, so it has no score, and
+it takes no baseline and no augmentation).
 
 Every run is deterministic under its seed and `SCALEGMN_THREADS`; metrics
 stream to a CSV with header epoch,split,metric,value (each epoch's rows are
@@ -44,6 +49,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -51,7 +57,9 @@ from .baselines import make_flat_baseline, make_stat_baseline
 from .ffnn import LayerChain, OrbitElement, apply_orbit, ffnn_forward_taped, sample_orbit
 from .graph import graph_for
 from .harness import kendall_tau
-from .model import ScaleGMNConfig, ScaleGMNModel, check_tensors, load_checkpoint, save_checkpoint
+from .model import (
+    ScaleGMNConfig, ScaleGMNModel, check_tensors, read_manifest, read_params, save_checkpoint,
+)
 from .nn import cross_entropy, mse
 from .optim import AdamState
 from .tensor import (
@@ -59,20 +67,50 @@ from .tensor import (
 )
 from .zoo import dilate3x3, grid_coords, inr_source_image, load_zoo, worker_count
 
-TASKS = ("inr-classify", "cnn-generalization", "inr-edit")
 AUGMENTATIONS = ("none", "sign", "positive")
-METRICS = {
-    "inr-classify": "accuracy",
-    "cnn-generalization": "kendall_tau",
-    "inr-edit": "functional_mse",
-}
-# The model settings each task fixes: its head, and its output width (two
-# class logits, one predicted accuracy; the edit head decodes parameters).
-TASK_MODEL = {
-    "inr-classify": {"head": "invariant", "out_dim": 2},
-    "cnn-generalization": {"head": "invariant", "out_dim": 1},
-    "inr-edit": {"head": "equivariant-edit", "out_dim": 1},
-}
+EDIT_HEAD = "equivariant-edit"
+
+# -- the tasks ------------------------------------------------------------------------------
+
+def accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
+    return float((preds.argmax(axis=1) == labels.astype(int)).mean())
+
+
+def tau_b(preds: np.ndarray, labels: np.ndarray) -> float:
+    return kendall_tau(preds[:, 0], labels, variant="b")
+
+
+@dataclass(frozen=True)
+class Task:
+    """Everything one task decides. `loss(pred, targets)` is a tape op on
+    the batch's predictions; `score(preds, labels)` reads value arrays, and
+    a task without one (`None`) is scored by its loss alone."""
+
+    name: str
+    metric: str                   # the selection metric, a key of `evaluate`
+    higher_is_better: bool
+    head: str                     # the ScaleGMNConfig.head it fixes
+    out_dim: int                  # the ScaleGMNConfig.out_dim it fixes
+    min_scored: int               # the fewest nets a split needs to be scored
+    loss: Callable[[Tensor, np.ndarray], Tensor]
+    score: Callable[[np.ndarray, np.ndarray], float] | None
+
+    @property
+    def edits(self) -> bool:
+        """Predicts edited nets: no baseline, no augmentation, edit targets."""
+        return self.head == EDIT_HEAD
+
+
+TASKS = {t.name: t for t in (
+    Task("inr-classify", "accuracy", higher_is_better=True, head="invariant", out_dim=2,
+         min_scored=1, loss=cross_entropy, score=accuracy),
+    Task("cnn-generalization", "kendall_tau", higher_is_better=True, head="invariant",
+         out_dim=1, min_scored=2,  # Kendall tau ranks pairs
+         loss=lambda pred, acc: mse(pred, acc[:, None]), score=tau_b),
+    Task("inr-edit", "functional_mse", higher_is_better=False, head=EDIT_HEAD, out_dim=1,
+         min_scored=1, loss=mse, score=None),
+)}
+
 # Fewest forward-edge rows (nets x template.n_e) a shard may hold. Measured on
 # a 2-core host with BLAS on one thread: against one tape, two shards of 224
 # to 720 rows ran slower or no faster, of about 900 rows even, and of 1,036
@@ -95,7 +133,8 @@ class ExperimentConfig:
     augmentation: str = "none"                      # none | the zoo's group kind
 
     def __post_init__(self):
-        if self.task not in TASKS:
+        task = TASKS.get(self.task)
+        if task is None:
             raise ValueError(f"unknown task {self.task!r}")
         for key, rule, ok in (("batch_size", ">= 1", self.batch_size >= 1),
                               ("epochs", ">= 0", self.epochs >= 0),  # eval runs 0 epochs
@@ -105,21 +144,22 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
         self.model = dict(self.model)  # the head default below must not leak to the caller
         ScaleGMNConfig.from_dict(self.model)  # unknown keys fail here, before any zoo is read
-        if self.task != "inr-edit" and self.model.get("head") == "equivariant-edit":
+        if not task.edits and self.model.get("head") == EDIT_HEAD:
             raise ValueError("equivariant-edit head requires the inr-edit task")
-        for key, required in TASK_MODEL[self.task].items():
+        for key in ("head", "out_dim"):
+            required = getattr(task, key)
             given = self.model.get(key, required)
             if given != required:
                 raise ValueError(f"task {self.task!r} needs model.{key} = {required!r}, "
                                  f"got {given!r}")
-        if self.task == "inr-edit":
-            self.model.setdefault("head", "equivariant-edit")
-        if self.task == "inr-edit" and self.baseline != "none":
-            raise ValueError("baselines do not implement the editing head")
+        if task.edits:
+            self.model.setdefault("head", task.head)
+            if self.baseline != "none":
+                raise ValueError("baselines do not implement the editing head")
         if self.augmentation not in AUGMENTATIONS:
             raise ValueError(f"augmentation must be one of {AUGMENTATIONS}, "
                              f"got {self.augmentation!r}")
-        if self.task == "inr-edit" and self.augmentation != "none":
+        if task.edits and self.augmentation != "none":
             # augmentation is implemented and tested for the invariant heads only
             raise ValueError(f"task {self.task!r} does not support augmentation "
                              f"{self.augmentation!r}; use \"none\"")
@@ -180,7 +220,7 @@ class TaskData:
         return list(moved), graph_for(moved, direction)
 
 
-# -- losses and metrics -----------------------------------------------------------------
+# -- run records ------------------------------------------------------------------------
 
 def numeric_environment(width: int) -> dict:
     """What a run's numbers depend on beyond its seed: numpy, its BLAS, the
@@ -197,20 +237,15 @@ def numeric_environment(width: int) -> dict:
     }
 
 
-def accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
-    return float((preds.argmax(axis=1) == labels.astype(int)).mean())
-
-
 def selection_key(task: str, val_stats: dict) -> tuple[float, float]:
     """Checkpoint rank of one epoch's validation stats; the lower key wins.
 
     The task metric decides; an equal metric falls to the lower validation
-    loss. For inr-edit the metric is itself the loss.
+    loss. A task without a score has no separate loss: its metric is the loss.
     """
-    metric = val_stats[METRICS[task]]
-    if task == "inr-edit":
-        return (metric, metric)
-    return (-metric, val_stats["loss"])
+    record = TASKS[task]
+    metric = val_stats[record.metric]
+    return (-metric if record.higher_is_better else metric, val_stats.get("loss", metric))
 
 
 # -- the training engine ------------------------------------------------------------------
@@ -220,24 +255,24 @@ class Runner:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
+        self.task = task = TASKS[cfg.task]
         model_overrides = dict(cfg.model)
         self.direction = model_overrides.get("direction", "forward")
         self.data = TaskData(cfg.zoo, cfg.seed, self.direction)
         if cfg.augmentation not in ("none", self.data.group_kind):
             raise ValueError(f"augmentation {cfg.augmentation!r} does not match the zoo's "
                              f"group kind {self.data.group_kind!r}")
-        out_dim = TASK_MODEL[cfg.task]["out_dim"]
         defaults = dict(group_kind=self.data.group_kind, direction=self.direction,
-                        **TASK_MODEL[cfg.task])
+                        head=task.head, out_dim=task.out_dim)
         defaults.update(model_overrides)
         self.model_config = ScaleGMNConfig.from_dict(defaults)
         rng = np.random.default_rng(cfg.seed)
         if cfg.baseline == "none":
             self.model = ScaleGMNModel(self.model_config, self.data.template, rng)
         elif cfg.baseline == "flat-mlp":
-            self.model = make_flat_baseline(self.data.nets[0], out_dim, rng)
+            self.model = make_flat_baseline(self.data.nets[0], task.out_dim, rng)
         elif cfg.baseline == "stat-mlp":
-            self.model = make_stat_baseline(self.data.nets[0], out_dim, rng)
+            self.model = make_stat_baseline(self.data.nets[0], task.out_dim, rng)
         else:
             raise ValueError(f"unknown baseline {cfg.baseline!r}")
         self.is_scalegmn = isinstance(self.model, ScaleGMNModel)
@@ -245,12 +280,13 @@ class Runner:
         self._pool = None   # the shard thread pool, made on the first sharded batch
         self.params = self.model.parameters()
         self.opt = AdamState(self.params, lr=cfg.lr)
-        if cfg.task == "inr-edit":
-            self._prepare_edit_targets()
+        # what each net's prediction is compared with: its label, or for an
+        # edit task its dilated source signal on the grid
+        self.targets = self._edit_targets() if task.edits else self.data.labels
 
     # -- edit-task targets: dilated source signals ---------------------------------
 
-    def _prepare_edit_targets(self):
+    def _edit_targets(self) -> np.ndarray:
         """The source signals are rebuilt from the zoo's seed, image side and
         each entry's source index; a zoo that lacks one fails naming it."""
         manifest = Path(self.cfg.zoo) / "manifest.json"
@@ -266,11 +302,15 @@ class Runner:
                 raise ValueError(f"{manifest}: entry {e.id!r} lacks the field 'source_index'")
             image, _ = inr_source_image(int(meta["seed"]), int(e.extra["source_index"]), side)
             targets.append(dilate3x3(image).reshape(-1, 1))
-        self.edit_targets = np.stack(targets)
+        return np.stack(targets)
 
     # -- prediction paths ------------------------------------------------------------
 
     def _predict(self, nets, graphs) -> Tensor:
+        """The task's prediction, on the tape: the invariant head's output,
+        or the edited nets' signals on the grid."""
+        if self.task.edits:
+            return ffnn_forward_taped(self.model.edit(graphs, nets), self.grid)
         return self.model.forward(graphs if self.is_scalegmn else nets)
 
     def _shards(self, count: int) -> list[slice]:
@@ -305,13 +345,7 @@ class Runner:
     def _loss(self, nets, graphs, targets) -> Tensor:
         """Task loss of the given nets: one tape, or a shard_sum of shard tapes."""
         def shard_loss(s):
-            if self.cfg.task == "inr-edit":
-                out = ffnn_forward_taped(self.model.edit(graphs[s], nets[s]), self.grid)
-                return mse(out, targets[s])
-            pred = self._predict(nets[s], graphs[s])
-            if self.cfg.task == "inr-classify":
-                return cross_entropy(pred, targets[s])
-            return mse(pred, targets[s][:, None])
+            return self.task.loss(self._predict(nets[s], graphs[s]), targets[s])
 
         shards = self._shards(len(nets))
         losses = self._run(shard_loss, shards)
@@ -321,15 +355,12 @@ class Runner:
                          self.params, run=self._run)
 
     def _predictions(self, nets, graphs) -> np.ndarray:
-        """Invariant-head predictions of the given nets, computed by shards
-        with no tape recorded."""
+        """Predictions of the given nets, computed by shards with no tape
+        recorded."""
         with no_tape():
             preds = self._run(lambda s: self._predict(nets[s], graphs[s]).data,
                               self._shards(len(nets)))
         return preds[0] if len(preds) == 1 else np.concatenate(preds)
-
-    def _targets(self, idx) -> np.ndarray:
-        return self.edit_targets[idx] if self.cfg.task == "inr-edit" else self.data.labels[idx]
 
     def _batch_loss(self, idx) -> Tensor:
         if self.cfg.augmentation != "none":
@@ -338,7 +369,7 @@ class Runner:
                 idx, self._aug_rng, self.direction, permute=False)
         else:
             nets, graphs = self.data.items(idx)
-        return self._loss(nets, graphs, self._targets(idx))
+        return self._loss(nets, graphs, self.targets[idx])
 
     # -- metrics -----------------------------------------------------------------------
 
@@ -348,29 +379,21 @@ class Runner:
         self._check_scorable(split)
         idx = self.data.splits[split]
         nets, graphs = self.data.items(idx)
-        if self.cfg.task == "inr-edit":
+        task, targets = self.task, self.targets[idx]
+        if task.score is None:
             with no_tape():
-                loss = self._loss(nets, graphs, self._targets(idx))
-            return {"functional_mse": float(loss.data)}
+                loss = self._loss(nets, graphs, targets)
+            return {task.metric: float(loss.data)}
         preds = self._predictions(nets, graphs)
-        labels = self.data.labels[idx]
-        if self.cfg.task == "inr-classify":
-            return {
-                "accuracy": accuracy(preds, labels),
-                "loss": float(cross_entropy(constant(preds), labels).data),
-            }
-        return {
-            "kendall_tau": kendall_tau(preds[:, 0], labels, variant="b"),
-            "loss": float(mse(constant(preds), labels[:, None]).data),
-        }
+        return {task.metric: task.score(preds, targets),
+                "loss": float(task.loss(constant(preds), targets).data)}
 
     def metric_name(self) -> str:
-        return METRICS[self.cfg.task]
+        return self.task.metric
 
     def _check_scorable(self, split: str) -> None:
-        """Raise unless `split` holds enough nets to score: Kendall tau ranks
-        pairs, so cnn-generalization needs two, the other tasks one."""
-        least = 2 if self.cfg.task == "cnn-generalization" else 1
+        """Raise unless `split` holds the task's `min_scored` nets."""
+        least = self.task.min_scored
         size = len(self.data.splits[split])
         if size < least:
             raise ValueError(f"zoo {self.cfg.zoo}: the {split} split holds {size} net(s); "
@@ -432,7 +455,7 @@ class Runner:
             "baseline": cfg.baseline,
             "epochs_run": epochs_run,
             "best_val_" + metric: best_stats.get(metric),
-            # inr-edit has no separate loss: its metric is the loss
+            # a task without a score has no separate loss: its metric is the loss
             "best_val_loss": best_stats.get("loss", best_stats.get(metric)),
             "best_epoch": best_epoch,
             "diverged": diverged,
@@ -456,16 +479,15 @@ class Runner:
     def load(self, path: Path):
         """Assign every parameter the saved tensor of its name. Missing,
         unexpected or mis-shaped tensors fail naming the checkpoint file."""
+        params = dict(self.model.named_parameters())
+        shapes = {name: p.shape for name, p in params.items()}
         if self.is_scalegmn:
-            source = Path(path) / "checkpoint.json"
-            saved = {name: p.data for name, p in load_checkpoint(path).named_parameters()}
+            saved = read_params(path, read_manifest(path)[1], shapes)
         else:
             source = Path(path) / "baseline.npz"
             with np.load(source) as blob:
                 saved = {name: blob[name] for name in blob.files}
-        params = dict(self.model.named_parameters())
-        check_tensors(source, {name: p.shape for name, p in params.items()},
-                      {name: a.shape for name, a in saved.items()})
+            check_tensors(source, shapes, {name: a.shape for name, a in saved.items()})
         for name, p in params.items():
             p.assign(saved[name])
 
@@ -482,14 +504,11 @@ class Runner:
         report = {"split": split, "n": int(len(idx))}
         report.update(self.evaluate(split))
         if with_orbit_copy:
-            nets, graphs = self.data.orbit_copy(idx, orbit_seed, self.direction)
-            if self.cfg.task == "inr-edit":
-                report["orbit_functional_mse"] = None  # edited nets differ by the orbit
+            key = "orbit_" + self.task.metric
+            if self.task.score is None:
+                report[key] = None  # edited nets differ by the orbit
             else:
-                preds = self._predictions(nets, graphs)
-                labels = self.data.labels[idx]
-                if self.cfg.task == "inr-classify":
-                    report["orbit_accuracy"] = accuracy(preds, labels)
-                else:
-                    report["orbit_kendall_tau"] = kendall_tau(preds[:, 0], labels, "b")
+                nets, graphs = self.data.orbit_copy(idx, orbit_seed, self.direction)
+                report[key] = self.task.score(self._predictions(nets, graphs),
+                                              self.targets[idx])
         return report

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from scalegmn.cli import main
+from scalegmn.cli import certify_model_combo, main
 
 
 def run_cli(*argv) -> int:
@@ -221,6 +221,35 @@ def test_certify_rejects_a_combo_with_missing_or_unknown_keys(tmp_path, combo, p
                                          r"exactly \['activation', 'direction', 'group_kind'\]"):
         run_cli("certify", "--config", cfg, "--out", str(out))
     assert not (out / "certify_report.json").exists()
+
+
+@pytest.mark.parametrize("combo,problem", [
+    ({"group_kind": "sign", "activation": "tanhh", "direction": "forward"},
+     "unknown activation 'tanhh'"),
+    ({"group_kind": "positive", "activation": "tanh", "direction": "forward"},
+     "group_kind 'positive' is not the group of activation 'tanh', 'sign'"),
+    ({"group_kind": "sign", "activation": "relu", "direction": "forward"},
+     "group_kind 'sign' is not the group of activation 'relu', 'positive'"),
+    ({"group_kind": "sign", "activation": "sine", "direction": "backward"},
+     "direction must be one of ('forward', 'bidirectional'), got 'backward'"),
+])
+def test_certify_rejects_a_bad_combo_before_certifying_any(tmp_path, capsys, combo, problem):
+    """The valid first combo is not certified: nothing is printed, no report written."""
+    good = {"group_kind": "sign", "activation": "tanh", "direction": "forward"}
+    cfg = write_config(tmp_path, "c.json", {"trials": 1, "nets": 1, "combos": [good, combo]})
+    out = tmp_path / "c"
+    with pytest.raises(ValueError, match="^" + re.escape(f"certify: combo 1: {problem}")):
+        run_cli("certify", "--config", cfg, "--out", str(out))
+    assert capsys.readouterr().out == ""
+    assert not (out / "certify_report.json").exists()
+
+
+def test_certify_model_combo_rejects_a_bad_direction():
+    """It used to certify a forward model under the name tanh/sign/backward/invariant."""
+    combo = {"group_kind": "sign", "activation": "tanh", "direction": "backward"}
+    with pytest.raises(ValueError, match=re.escape(
+            "direction must be one of ('forward', 'bidirectional'), got 'backward'")):
+        certify_model_combo(combo, (2, 4, 4, 2), trials=1, nets=1, tol=1e-8, seed=0)
 
 
 def _distribution_installed(name: str) -> bool:

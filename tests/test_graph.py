@@ -1,5 +1,7 @@
 """Graph construction: counts, features, PE classes, backward edges."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,14 @@ def test_one_template_per_architecture():
     bid = build_graph(a, direction="bidirectional").template
     assert build_graph(a).template is not bid
     assert build_graph(b, direction="bidirectional").template is bid
+
+
+def test_a_misspelt_direction_is_rejected():
+    """An unknown direction used to build a forward-only graph under that name."""
+    net = random_net(np.random.default_rng(19), (2, 5, 3), activations.tanh_act())
+    with pytest.raises(ValueError, match=re.escape(
+            "direction must be one of ('forward', 'bidirectional'), got 'bidirectonal'")):
+        build_graph(net, direction="bidirectonal")
 
 
 def test_pe_class_multiset_invariant_under_hidden_permutation():

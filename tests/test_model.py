@@ -685,3 +685,10 @@ def test_checkpoint_rejects_mismatched_manifest(tmp_path, change):
     path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=rf"checkpoint\.json.*{change}.*{name}"):
         load_checkpoint(tmp_path / "ckpt")
+
+
+def test_config_rejects_a_misspelt_direction():
+    """It used to build a model with no backward modules."""
+    with pytest.raises(ValueError, match=r"direction must be one of \('forward', "
+                                         r"'bidirectional'\), got 'bidirectonal'"):
+        ScaleGMNConfig(direction="bidirectonal")

@@ -1,6 +1,7 @@
 """Task loops: splits, CSV metrics, checkpointing, orbit-copy evaluation."""
 
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -14,12 +15,12 @@ from scalegmn import activations
 from scalegmn import tensor as tensor_module
 from scalegmn import train as train_module
 from scalegmn.ffnn import ffnn_forward, sample_orbit
-from scalegmn.model import ScaleGMNConfig, load_checkpoint
+from scalegmn.model import ScaleGMNConfig, ScaleGMNModel, load_checkpoint
 from scalegmn.nn import cross_entropy
 from scalegmn.optim import finite_diff_check
 from scalegmn.tensor import NumericsError, ShapeError, gradients
 from scalegmn.train import (
-    MIN_SHARD_ROWS, ExperimentConfig, Runner, TaskData, selection_key, split_indices,
+    MIN_SHARD_ROWS, TASKS, ExperimentConfig, Runner, TaskData, selection_key, split_indices,
 )
 from scalegmn.zoo import ZooEntry, gen_cnn_zoo, gen_inr_zoo, save_zoo
 
@@ -74,9 +75,62 @@ def test_model_out_dim_and_head_must_fit_the_task(task, model, message):
     """Checked in the config, before any zoo is read (the zoo path does not exist)."""
     with pytest.raises(ValueError, match=re.escape(message)):
         ExperimentConfig(task=task, zoo="no-such-zoo", model=model)
-    assert ExperimentConfig(task=task, zoo="no-such-zoo",
-                            model=train_module.TASK_MODEL[task]).model \
-        == train_module.TASK_MODEL[task]
+    fixed = {"head": TASKS[task].head, "out_dim": TASKS[task].out_dim}
+    assert ExperimentConfig(task=task, zoo="no-such-zoo", model=fixed).model == fixed
+
+
+def test_a_misspelt_direction_fails_before_any_zoo_is_read():
+    """It used to train a forward model."""
+    with pytest.raises(ValueError, match=re.escape(
+            "direction must be one of ('forward', 'bidirectional'), got 'bidirectonal'")):
+        ExperimentConfig(task="inr-classify", zoo="no-such-zoo",
+                         model={"direction": "bidirectonal"})
+
+
+@pytest.mark.parametrize("task,zoo,model,scores,orbit,better,worse", [
+    ("inr-classify", "tiny_inr_zoo", {}, {"accuracy", "loss"}, "orbit_accuracy",
+     {"accuracy": 0.9, "loss": 0.5}, {"accuracy": 0.8, "loss": 0.1}),
+    ("cnn-generalization", "tiny_cnn_zoo", {"group_kind": "positive"},
+     {"kendall_tau", "loss"}, "orbit_kendall_tau",
+     {"kendall_tau": 0.5, "loss": 0.5}, {"kendall_tau": 0.4, "loss": 0.1}),
+    ("inr-edit", "tiny_inr_zoo", {}, {"functional_mse"}, "orbit_functional_mse",
+     {"functional_mse": 0.1}, {"functional_mse": 0.2}),
+])
+def test_each_task_reports_and_selects_by_its_record(request, tmp_path, task, zoo, model,
+                                                     scores, orbit, better, worse):
+    runner = Runner(ExperimentConfig(task=task, zoo=str(request.getfixturevalue(zoo)),
+                                     out_dir=str(tmp_path / "run"),
+                                     model=dict(TINY_MODEL, **model), seed=8))
+    assert runner.metric_name() == TASKS[task].metric
+    assert set(runner.evaluate("val")) == scores
+    report = runner.eval_report("val", with_orbit_copy=True)
+    assert set(report) == {"split", "n", orbit} | scores
+    if task == "inr-edit":
+        assert report[orbit] is None   # edited nets differ by the orbit
+    else:
+        assert report[orbit] == report[TASKS[task].metric]   # invariant head
+    assert selection_key(task, better) < selection_key(task, worse)
+
+
+def test_runner_load_builds_no_second_model(tiny_inr_zoo, tmp_path, monkeypatch):
+    """A ScaleGMN checkpoint's tensors are read into the Runner's own model."""
+    cfg, ckpt = _saved_runner(tiny_inr_zoo, tmp_path / "run", model=dict(TINY_MODEL), seed=1)
+    saved = {name: p.data.copy() for name, p in Runner(cfg).model.named_parameters()}
+    other = Runner(ExperimentConfig(task="inr-classify", zoo=str(tiny_inr_zoo),
+                                    out_dir=str(tmp_path / "other"), model=dict(TINY_MODEL),
+                                    seed=2))
+    built = []
+    init = ScaleGMNModel.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScaleGMNModel, "__init__", counting)
+    other.load(ckpt)
+    assert built == []
+    for name, p in other.model.named_parameters():
+        assert np.array_equal(p.data, saved[name]), name
 
 
 @pytest.mark.parametrize("key,value,rule", [
@@ -526,7 +580,7 @@ def test_batched_edit_loss_matches_per_net_reference(tiny_inr_zoo, tmp_path):
     idx = np.array([4, 0, 7])
     nets, graphs = runner.data.items(idx)
     edited = runner.model.edit_params(graphs, nets)
-    per_net = [np.mean((ffnn_forward(e, runner.grid) - runner.edit_targets[i]) ** 2)
+    per_net = [np.mean((ffnn_forward(e, runner.grid) - runner.targets[i]) ** 2)
                for e, i in zip(edited, idx)]
     assert float(runner._batch_loss(idx).data) == pytest.approx(np.mean(per_net), rel=1e-12)
 
@@ -650,7 +704,7 @@ def test_numerics_error_in_a_shard_reaches_the_caller(inr_zoo_24, tmp_path, monk
         return cross_entropy(logits, labels)
 
     runner = _runner_at(2, monkeypatch, inr_zoo_24, tmp_path)
-    monkeypatch.setattr(train_module, "cross_entropy", fails_off_the_main_thread)
+    runner.task = dataclasses.replace(runner.task, loss=fails_off_the_main_thread)
     with pytest.raises(NumericsError, match="shard loss"):
         runner._batch_loss(runner.data.splits["train"][:16])
     summary = runner.train()
