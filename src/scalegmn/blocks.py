@@ -21,22 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .activations import KIND_NONE, KIND_POSITIVE, KIND_SIGN
 from .nn import MLP, Linear, Module
 from .tensor import Tensor
-
-
-def canon_mode_for(kind: str, sign_canon: str) -> str:
-    """Canonicalization mode of a group kind; `sign_canon` picks the sign one."""
-    if sign_canon not in ("abs", "symmetrize"):
-        raise ValueError(f"sign_canon must be 'abs' or 'symmetrize', got {sign_canon!r}")
-    if kind == KIND_POSITIVE:
-        return "norm-divide"
-    if kind == KIND_SIGN:
-        return "sign-symmetrize" if sign_canon == "symmetrize" else "sign-abs"
-    if kind == KIND_NONE:
-        return "identity"
-    raise ValueError(f"unknown group kind {kind!r}")
 
 
 class Canonicalizer(Module):

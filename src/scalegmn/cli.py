@@ -148,13 +148,13 @@ def _certify_activations(dims, act_name) -> list:
     return [activations.by_name(act_name, 30.0)] * (len(dims) - 2) + [activations.identity()]
 
 
-def _net_sampler(dims, act_name, kind):
+def _net_sampler(dims, act_name):
     def sampler(rng):
         acts = _certify_activations(dims, act_name)
         weights, biases = [], []
         for i in range(len(dims) - 1):
             w = rng.standard_normal((dims[i + 1], dims[i]))
-            if kind == "positive":
+            if activations.group(acts[0].kind).reciprocal:
                 w[np.abs(w) < 1e-3] = 1e-3  # keep reciprocal features conditioned
             weights.append(w)
             biases.append(rng.standard_normal(dims[i + 1]))
@@ -167,7 +167,7 @@ def certify_model_combo(combo: dict, dims, trials: int, nets: int, tol: float,
                         seed: int, head: str = "invariant") -> SymmetryReport:
     kind = combo["group_kind"]
     direction = combo["direction"]
-    sampler = _net_sampler(dims, combo["activation"], kind)
+    sampler = _net_sampler(dims, combo["activation"])
     template = template_for("ffnn", dims, _certify_activations(dims, combo["activation"]),
                             direction)
     cfg = ScaleGMNConfig(
@@ -287,7 +287,7 @@ def cmd_simulate(config: dict, seed: int, out) -> int:
     tol_fw = float(config.get("tol_forward", 1e-9))
     tol_bw = float(config.get("tol_backward", 1e-6))
     rng = np.random.default_rng(seed if seed is not None else 0)
-    sampler = _net_sampler(dims, act_name, "sign")
+    sampler = _net_sampler(dims, act_name)
     max_fw = max_bw = 0.0
     for _ in range(count):
         if act_name == "sine":

@@ -33,10 +33,8 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .activations import KIND_NONE, KIND_POSITIVE, KIND_SIGN, ActivationDescriptor, in_group
+from .activations import KIND_SIGN, ActivationDescriptor, group
 from .tensor import ShapeError, Tensor
-
-MIN_SCALE = 1e-6  # sampled positive multipliers are resampled below this
 
 
 @dataclass
@@ -268,7 +266,7 @@ def apply_orbit(net: LayerChain, g: OrbitElement) -> LayerChain:
         inv = np.argsort(p, axis=-1)
         if not np.all(np.take_along_axis(p, inv, axis=-1) == np.arange(p.shape[-1])):
             raise ValueError(f"hidden layer {l}: perm is not a bijection")
-        if not np.all(in_group(act.kind, q)):
+        if not np.all(group(act.kind).member(q)):
             raise ValueError(
                 f"hidden layer {l}: multiplier outside the {act.name} scaling group"
             )
@@ -300,25 +298,12 @@ def apply_orbit(net: LayerChain, g: OrbitElement) -> LayerChain:
 
 def sample_orbit(kind: str, widths: list[int], rng: np.random.Generator,
                  lam: float = 1.0, permute: bool = True) -> OrbitElement:
-    """Random orbit element: sign entries are fair coin flips, positive entries
-    are Exponential(rate=lam) resampled away from zero; permutations uniform."""
+    """Random orbit element: uniform permutations (unless not `permute`), and
+    each hidden layer's multipliers from the group's draw."""
     perms, scales = [], []
     for w in widths:
         perms.append(rng.permutation(w) if permute else np.arange(w))
-        if kind == KIND_SIGN:
-            scales.append(rng.choice([-1.0, 1.0], size=w))
-        elif kind == KIND_POSITIVE:
-            if lam <= 0:
-                raise ValueError("lam must be > 0 for positive scaling")
-            q = rng.exponential(scale=1.0 / lam, size=w)
-            while np.any(q < MIN_SCALE):
-                bad = q < MIN_SCALE
-                q[bad] = rng.exponential(scale=1.0 / lam, size=int(bad.sum()))
-            scales.append(q)
-        elif kind == KIND_NONE:
-            scales.append(np.ones(w))
-        else:
-            raise ValueError(f"unknown group kind {kind!r}")
+        scales.append(group(kind).draw(rng, w, lam))
     return OrbitElement(perms, scales, kind)
 
 
@@ -366,23 +351,17 @@ def shift_sine_biases(net: FfnnParams) -> FfnnParams:
 def canonicalize_net(net: FfnnParams) -> FfnnParams:
     """Map the net to a canonical representative of its scaling orbit.
 
-    Positive-scale layers divide each hidden neuron's incoming (row, bias) by
-    its norm; sign layers flip so the largest-magnitude incoming entry is
-    positive. Outgoing weights absorb the inverse. Layers are processed from
+    Each hidden neuron's incoming (row, bias) is scaled by its group's
+    `representative` (positive: unit norm; sign: largest-magnitude entry
+    positive). Outgoing weights absorb the inverse. Layers are processed from
     the input side so each step sees already-canonical columns.
     """
     out = net.copy()
     for l in range(net.n_layers - 1):
-        act = net.activations[l]
-        row_block = np.concatenate([out.weights[l], out.biases[l][:, None]], axis=1)
-        if act.kind == KIND_POSITIVE:
-            norms = np.linalg.norm(row_block, axis=1)
-            q = np.where(norms > MIN_SCALE, 1.0 / np.maximum(norms, MIN_SCALE), 1.0)
-        elif act.kind == KIND_SIGN:
-            lead = row_block[np.arange(row_block.shape[0]), np.argmax(np.abs(row_block), axis=1)]
-            q = np.where(lead < 0, -1.0, 1.0)
-        else:
+        representative = group(net.activations[l].kind).representative
+        if representative is None:
             continue
+        q = representative(np.concatenate([out.weights[l], out.biases[l][:, None]], axis=1))
         out.weights[l] = q[:, None] * out.weights[l]
         out.biases[l] = q * out.biases[l]
         out.weights[l + 1] = out.weights[l + 1] / q[None, :]

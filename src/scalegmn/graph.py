@@ -24,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import (
-    KIND_NONE,
-    KIND_POSITIVE,
-    KIND_SIGN,
-    ActivationDescriptor,
-    identity,
-)
+from .activations import KIND_NONE, ActivationDescriptor, group, identity
 from .cnn import CnnParams
 from .ffnn import FfnnParams, shift_sine_biases
 from .tensor import DIV_EPS, ShapeError
@@ -73,8 +67,8 @@ def build_graph(net: FfnnParams, direction: str = "forward"):
     """FFNN to graph: bias vertex features, weight edge features.
 
     Sine layers are bias-shifted first so phases are canonical. With
-    direction="bidirectional" the backward features follow the group kind:
-    reciprocal weights for positive scaling, the weights themselves for sign.
+    direction="bidirectional" the backward features follow the hidden layers'
+    group: reciprocal weights if its record says so, else the weights.
     A net gives its `ParamGraph`; a stack of nets gives one graph per net,
     all read in one pass.
     """
@@ -142,18 +136,15 @@ def _backward_features(template: GraphTemplate, weights, x_e: np.ndarray) -> np.
     """Backward features mirroring the forward edge rows `x_e` [K, E, width]
     of the stacked `weights`.
 
-    The template's group kind decides: the sign group keeps the weights,
-    since 1/q = q for q = ±1; positive scaling inverts them (a zero weight
-    would make the backward symmetry undefined, hence the error, which names
-    the first offending net of the stack and its edges). Entries that pad a
+    The hidden layers' group decides: one whose members are self-inverse
+    keeps the weights; a `reciprocal` one inverts them (a zero weight would
+    make the backward symmetry undefined, hence the error, which names the
+    first offending net of the stack and its edges). Entries that pad a
     kernel to `template.kernel_hw` hold no weight; every orbit element maps
     them to zero, and they stay zero.
     """
-    kind = template.group_kind
-    if kind in (KIND_SIGN, KIND_NONE):
+    if not group(template.group_kind).reciprocal:
         return x_e.copy()
-    if kind != KIND_POSITIVE:
-        raise ValueError(f"unknown group kind {kind!r}")
     hw = template.kernel_hw
     slots = None  # every entry holds a weight unless some kernel was padded
     if any((w.shape[3:] or (1, 1)) != hw for w in weights):

@@ -33,8 +33,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import tensor as T
-from .activations import by_name
-from .blocks import Canonicalizer, ReScaleEqNet, ScaleEqNet, ScaleInvNet, canon_mode_for
+from .activations import SIGN_CANONS, by_name, group
+from .blocks import Canonicalizer, ReScaleEqNet, ScaleEqNet, ScaleInvNet
 from .ffnn import FfnnParams, LayerChain
 from .graph import BatchRows, GraphTemplate, check_direction, template_for
 from .nn import MLP, Linear, Module
@@ -66,6 +66,8 @@ class ScaleGMNConfig:
 
     def __post_init__(self):
         check_direction(self.direction)  # a misspelt direction would build a forward model
+        if self.sign_canon not in SIGN_CANONS:
+            raise ValueError(f"sign_canon must be 'abs' or 'symmetrize', got {self.sign_canon!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -81,7 +83,7 @@ class ScaleGMNConfig:
 
     @property
     def mode(self) -> str:
-        return canon_mode_for(self.group_kind, self.sign_canon)
+        return group(self.group_kind).modes[self.sign_canon]
 
 
 class _MessageLayer(Module):

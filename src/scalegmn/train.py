@@ -53,6 +53,7 @@ from typing import Callable
 
 import numpy as np
 
+from .activations import GROUPS
 from .baselines import make_flat_baseline, make_stat_baseline
 from .ffnn import LayerChain, OrbitElement, apply_orbit, ffnn_forward_taped, sample_orbit
 from .graph import graph_for
@@ -67,7 +68,7 @@ from .tensor import (
 )
 from .zoo import dilate3x3, grid_coords, inr_source_image, load_zoo, worker_count
 
-AUGMENTATIONS = ("none", "sign", "positive")
+AUGMENTATIONS = tuple(GROUPS)  # "none", or the zoo's group kind
 EDIT_HEAD = "equivariant-edit"
 
 # -- the tasks ------------------------------------------------------------------------------
@@ -143,7 +144,7 @@ class ExperimentConfig:
             if not ok:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
         self.model = dict(self.model)  # the head default below must not leak to the caller
-        ScaleGMNConfig.from_dict(self.model)  # unknown keys fail here, before any zoo is read
+        ScaleGMNConfig.from_dict(self.model)  # bad keys or values fail before any zoo is read
         if not task.edits and self.model.get("head") == EDIT_HEAD:
             raise ValueError("equivariant-edit head requires the inr-edit task")
         for key in ("head", "out_dim"):

@@ -1,6 +1,8 @@
 """Datapoint networks: forward oracle, orbit transforms, sine phase shifts."""
 
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalegmn import activations, cnn, ffnn
+from scalegmn import tensor as T
+from scalegmn.activations import GROUPS
 from scalegmn.baselines import stat_features
 from scalegmn.ffnn import (
     FfnnParams,
@@ -199,14 +203,49 @@ def test_orbit_rejects_invalid_multiplier():
         apply_orbit(net, g)
 
 
-def test_sample_orbit_kinds():
+@pytest.mark.parametrize("kind", list(GROUPS))
+def test_sample_orbit_kinds(kind):
+    """Each group's draw and representative give members; a group whose
+    backward edges copy the weights has only self-inverse members."""
     rng = np.random.default_rng(8)
-    g_none = sample_orbit("none", [7], rng, permute=False)
-    assert np.all(g_none.scales[0] == 1.0) and np.all(g_none.perms[0] == np.arange(7))
-    g_sign = sample_orbit("sign", [500], rng)
-    assert set(np.unique(g_sign.scales[0])) <= {-1.0, 1.0}
-    g_pos = sample_orbit("positive", [500], rng, lam=2.0)
-    assert np.all(g_pos.scales[0] > 0)
+    rules = GROUPS[kind]
+    assert not np.any(rules.member(np.array([0.0, -2.0])))  # in no group
+    g = sample_orbit(kind, [7], rng, permute=False)
+    assert np.all(g.perms[0] == np.arange(7))
+    q = sample_orbit(kind, [500], rng, lam=2.0).scales[0]
+    assert q.shape == (500,) and np.all(rules.member(q))
+    rows = rng.standard_normal((40, 5))
+    rows[0] = 0.0  # a dead neuron keeps its multiplier 1
+    if rules.representative is not None:
+        assert np.all(rules.member(rules.representative(rows)))
+    if not rules.reciprocal:
+        assert np.array_equal(q, 1.0 / q)
+
+
+@pytest.mark.parametrize("factory,op", [(activations.relu, "relu"),
+                                        (activations.tanh_act, "tanh"),
+                                        (activations.sine, "sin"),
+                                        (activations.identity, None)])
+def test_forward_taped_reaches_a_rebound_tensor_op(monkeypatch, factory, op):
+    """perfbench's tracer counts an op by rebinding every `scalegmn` module
+    binding of the `tensor` function; each activation's tape op must look it
+    up at call time, once per hidden layer."""
+    calls = Counter()
+    for name in ("relu", "tanh", "sin"):
+        original = getattr(T, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is not None and mod_name.split(".")[0] == "scalegmn":
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+    net = random_net(np.random.default_rng(2), (2, 5, 4, 1), factory())
+    ffnn_forward_taped(net, np.ones((3, 2)))
+    assert calls == Counter({op: 2} if op else {})
 
 
 # -- sine phase canonicalization ------------------------------------------------
