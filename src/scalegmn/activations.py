@@ -21,6 +21,7 @@ from .tensor import Tensor
 KIND_POSITIVE = "positive"
 KIND_SIGN = "sign"
 KIND_NONE = "none"
+MIXED = "mixed"  # the kind of hidden layers that span two groups
 
 SIGN_CANONS = ("abs", "symmetrize")
 MIN_SCALE = 1e-6  # drawn positive multipliers and canonicalized norms stay above this
@@ -75,6 +76,22 @@ def group(kind: str) -> Group:
     if kind not in GROUPS:
         raise ValueError(f"unknown group kind {kind!r}")
     return GROUPS[kind]
+
+
+def hidden_kind(acts) -> str:
+    """The group kind of hidden-layer activations: `none` without any."""
+    kinds = {a.kind for a in acts} or {KIND_NONE}
+    return MIXED if len(kinds) > 1 else next(iter(kinds))
+
+
+def hidden_group(acts, needs: str) -> Group:
+    """The one group of hidden-layer activations; `needs` names what needs it."""
+    kind = hidden_kind(acts)
+    if kind == MIXED:
+        got = ", ".join(dict.fromkeys(f"{a.name} ({a.kind})" for a in acts))
+        raise ValueError(f"{needs} needs one scaling group across the hidden layers; "
+                         f"got {got}")
+    return group(kind)
 
 
 @dataclass(frozen=True)

@@ -298,8 +298,8 @@ def apply_orbit(net: LayerChain, g: OrbitElement) -> LayerChain:
 
 def sample_orbit(kind: str, widths: list[int], rng: np.random.Generator,
                  lam: float = 1.0, permute: bool = True) -> OrbitElement:
-    """Random orbit element: uniform permutations (unless not `permute`), and
-    each hidden layer's multipliers from the group's draw."""
+    """Random orbit element: uniform permutations (identities when `permute`
+    is off) and each hidden layer's multipliers from its group's draw."""
     perms, scales = [], []
     for w in widths:
         perms.append(rng.permutation(w) if permute else np.arange(w))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import KIND_NONE, ActivationDescriptor, group, identity
+from .activations import ActivationDescriptor, hidden_group, hidden_kind, identity
 from .cnn import CnnParams
 from .ffnn import FfnnParams, shift_sine_biases
 from .tensor import DIV_EPS, ShapeError
@@ -143,7 +143,7 @@ def _backward_features(template: GraphTemplate, weights, x_e: np.ndarray) -> np.
     kernel to `template.kernel_hw` hold no weight; every orbit element maps
     them to zero, and they stay zero.
     """
-    if not group(template.group_kind).reciprocal:
+    if not hidden_group(template.activations[:-1], "a bidirectional graph").reciprocal:
         return x_e.copy()
     hw = template.kernel_hw
     slots = None  # every entry holds a weight unless some kernel was padded
@@ -208,8 +208,7 @@ class GraphTemplate:
         self.dims = [int(d) for d in dims]
         self.activations = list(activations)
         self.direction = direction
-        kinds = {a.kind for a in self.activations[:-1]} or {KIND_NONE}
-        self.group_kind = "mixed" if len(kinds) > 1 else next(iter(kinds))
+        self.group_kind = hidden_kind(self.activations[:-1])
         self.kernel_hw = (int(kernel_hw[0]), int(kernel_hw[1]))
         self.dv_raw, self.de_raw = 1, self.kernel_hw[0] * self.kernel_hw[1]
         dims, L = np.asarray(self.dims), len(self.dims) - 1

@@ -33,7 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import tensor as T
-from .activations import SIGN_CANONS, by_name, group
+from .activations import SIGN_CANONS, by_name, group, hidden_group
 from .blocks import Canonicalizer, ReScaleEqNet, ScaleEqNet, ScaleInvNet
 from .ffnn import FfnnParams, LayerChain
 from .graph import BatchRows, GraphTemplate, check_direction, template_for
@@ -113,6 +113,7 @@ class ScaleGMNModel(Module):
     """Learnable parameters bound to one graph template (architecture)."""
 
     def __init__(self, config: ScaleGMNConfig, template: GraphTemplate, rng):
+        hidden_group(template.activations[:-1], "ScaleGMN")
         if config.direction != template.direction:
             raise ShapeError(
                 f"config direction {config.direction!r} != template {template.direction!r}"

@@ -69,6 +69,8 @@ from .tensor import (
 from .zoo import dilate3x3, grid_coords, inr_source_image, load_zoo, worker_count
 
 AUGMENTATIONS = tuple(GROUPS)  # "none", or the zoo's group kind
+# Each baseline's factory (example net, out_dim, rng); "none" trains ScaleGMN.
+BASELINES = {"none": None, "flat-mlp": make_flat_baseline, "stat-mlp": make_stat_baseline}
 EDIT_HEAD = "equivariant-edit"
 
 # -- the tasks ------------------------------------------------------------------------------
@@ -143,6 +145,9 @@ class ExperimentConfig:
                               ("weight_decay", ">= 0", self.weight_decay >= 0)):
             if not ok:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+        if self.baseline not in BASELINES:
+            raise ValueError(f"baseline must be one of {tuple(BASELINES)}, "
+                             f"got {self.baseline!r}")
         self.model = dict(self.model)  # the head default below must not leak to the caller
         ScaleGMNConfig.from_dict(self.model)  # bad keys or values fail before any zoo is read
         if not task.edits and self.model.get("head") == EDIT_HEAD:
@@ -268,14 +273,11 @@ class Runner:
         defaults.update(model_overrides)
         self.model_config = ScaleGMNConfig.from_dict(defaults)
         rng = np.random.default_rng(cfg.seed)
-        if cfg.baseline == "none":
+        make_baseline = BASELINES[cfg.baseline]
+        if make_baseline is None:
             self.model = ScaleGMNModel(self.model_config, self.data.template, rng)
-        elif cfg.baseline == "flat-mlp":
-            self.model = make_flat_baseline(self.data.nets[0], task.out_dim, rng)
-        elif cfg.baseline == "stat-mlp":
-            self.model = make_stat_baseline(self.data.nets[0], task.out_dim, rng)
         else:
-            raise ValueError(f"unknown baseline {cfg.baseline!r}")
+            self.model = make_baseline(self.data.nets[0], task.out_dim, rng)
         self.is_scalegmn = isinstance(self.model, ScaleGMNModel)
         self.width = worker_count()
         self._pool = None   # the shard thread pool, made on the first sharded batch

@@ -13,6 +13,16 @@ from scalegmn.tensor import ShapeError
 
 from test_ffnn import random_net, random_siren
 
+# The error for a net whose hidden layers span two scaling groups.
+TWO_GROUPS = re.escape("needs one scaling group across the hidden layers; "
+                       "got relu (positive), tanh (sign)")
+
+
+def relu_then_tanh_net(rng, dims=(2, 4, 3, 2)):
+    net = random_net(rng, dims, activations.relu())
+    net.activations[1] = activations.tanh_act()
+    return net
+
 
 def test_counts_2_4_1():
     rng = np.random.default_rng(0)
@@ -159,6 +169,15 @@ def test_backward_sign_keeps_features():
     g = build_graph(net, direction="bidirectional")
     assert np.array_equal(g.x_e_bw, g.x_e)
     assert g.x_e_bw[0, 0] == -0.7
+
+
+def test_backward_edges_need_one_group_across_the_hidden_layers():
+    """The backward features' rule is the group's, so a net spanning two
+    groups gets forward graphs only, and the error names each group."""
+    net = relu_then_tanh_net(np.random.default_rng(11))
+    assert build_graph(net).template.group_kind == "mixed"
+    with pytest.raises(ValueError, match="^a bidirectional graph " + TWO_GROUPS):
+        build_graph(net, direction="bidirectional")
 
 
 def test_backward_positive_rejects_tiny_weights():

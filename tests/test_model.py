@@ -20,7 +20,7 @@ from scalegmn.optim import finite_diff_check
 from scalegmn.tensor import ShapeError, Tensor, gradients
 
 from test_ffnn import eval_grid, random_net, random_siren
-from test_graph import make_cnn
+from test_graph import TWO_GROUPS, make_cnn, relu_then_tanh_net
 
 ACT_OF = {"sign": activations.tanh_act(), "positive": activations.relu()}
 
@@ -543,6 +543,14 @@ def test_group_kind_that_disagrees_with_the_template_is_rejected(kind, act):
     """A sign model on a ReLU net is not invariant under positive orbits."""
     with pytest.raises(ValueError, match=rf"group kind '{kind}' != template '{act.kind}'"):
         make_model(kind, act=act)
+
+
+def test_a_net_spanning_two_groups_is_rejected_naming_them():
+    tpl = build_graph(relu_then_tanh_net(np.random.default_rng(5))).template
+    cfg = ScaleGMNConfig(d_v=8, d_e=8, d_msg=8, d_inv=6, d_readout=8, pe_dim=4,
+                         mlp_hidden=12, group_kind=tpl.group_kind, out_dim=2)
+    with pytest.raises(ValueError, match="^ScaleGMN " + TWO_GROUPS):
+        ScaleGMNModel(cfg, tpl, np.random.default_rng(6))
 
 
 @pytest.mark.parametrize("kind", ["sign", "positive"])

@@ -25,7 +25,7 @@ from scalegmn.train import (
 from scalegmn.zoo import ZooEntry, gen_cnn_zoo, gen_inr_zoo, save_zoo
 
 from test_ffnn import random_net
-from test_graph import make_cnn
+from test_graph import TWO_GROUPS, make_cnn, relu_then_tanh_net
 from test_tensor import tape_size
 
 TINY_MODEL = {"d_v": 8, "d_e": 8, "d_msg": 8, "d_inv": 6, "d_readout": 8,
@@ -143,6 +143,16 @@ def test_training_settings_are_range_checked_before_any_zoo_is_read(key, value, 
     with pytest.raises(ValueError, match=re.escape(f"{key} must be {rule}, got {value!r}")):
         ExperimentConfig(task="inr-classify", zoo="no-such-zoo", **{key: value})
     assert ExperimentConfig(task="inr-classify", zoo="no-such-zoo", epochs=0).epochs == 0
+
+
+@pytest.mark.parametrize("setting,message", [
+    ({"baseline": "flat_mlp"},
+     "baseline must be one of ('none', 'flat-mlp', 'stat-mlp'), got 'flat_mlp'"),
+    ({"model": {"sign_canon": "ab"}}, "sign_canon must be 'abs' or 'symmetrize', got 'ab'"),
+], ids=["baseline", "sign_canon"])
+def test_misspelt_setting_fails_before_the_zoo_is_read(setting, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(task="inr-classify", zoo="no-such-zoo", **setting)
 
 
 def test_misspelt_model_key_is_rejected():
@@ -415,6 +425,23 @@ def test_task_data_rejects_a_zoo_of_two_architectures(tmp_path):
     save_zoo(tmp_path / "zoo", entries, nets)
     with pytest.raises(ShapeError, match=re.escape(f"zoo at {tmp_path / 'zoo'}: net 1 ")):
         TaskData(tmp_path / "zoo", 0, "forward")
+
+
+def test_a_zoo_spanning_two_groups_trains_baselines_only(tmp_path):
+    """ScaleGMN needs one scaling group; a baseline reads the weights alone."""
+    rng = np.random.default_rng(4)
+    nets = [relu_then_tanh_net(rng) for _ in range(10)]
+    entries = [ZooEntry(f"n{i}", "ffnn", n.dims, ["relu", "tanh", "identity"], 0.0, i % 2,
+                        f"n{i}.bin") for i, n in enumerate(nets)]
+    save_zoo(tmp_path / "zoo", entries, nets)
+    settings = dict(task="inr-classify", zoo=str(tmp_path / "zoo"), epochs=1, batch_size=4)
+    with pytest.raises(ValueError, match="^ScaleGMN " + TWO_GROUPS):
+        Runner(ExperimentConfig(**settings, out_dir=str(tmp_path / "gmn"), model=TINY_MODEL))
+    runner = Runner(ExperimentConfig(**settings, out_dir=str(tmp_path / "flat"),
+                                     baseline="flat-mlp"))
+    summary = runner.train()
+    assert summary["epochs_run"] == 1 and not summary["diverged"]
+    assert math.isfinite(summary["best_val_loss"])
 
 
 def test_stat_baseline_trains_on_cnn_zoo(tiny_cnn_zoo, tmp_path):
