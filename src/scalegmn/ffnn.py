@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .activations import KIND_SIGN, ActivationDescriptor, group
+from .activations import ActivationDescriptor, group
 from .tensor import ShapeError, Tensor
 
 
@@ -188,14 +188,13 @@ class OrbitElement:
     `perms[l][i]` is the new position of old neuron i in hidden layer l+1;
     `scales[l][i]` is the multiplier q applied to old neuron i. A stack of K
     elements carries a leading axis: perms and scales [K, w] per layer.
-    `kind` names the group the element was drawn from. An element is checked
-    where it acts: `apply_orbit` checks that each permutation is a bijection
-    and each multiplier lies in its layer's group, once for a whole stack.
+    An element names no group: `apply_orbit` checks, where it acts, that each
+    permutation is a bijection and each multiplier lies in its own layer's
+    group, once for a whole stack.
     """
 
     perms: list[np.ndarray]
     scales: list[np.ndarray]
-    kind: str = KIND_SIGN
 
     @property
     def stacked(self) -> bool:
@@ -207,28 +206,23 @@ class OrbitElement:
         return self.perms[0].shape[0] if self.stacked else 1
 
     @staticmethod
-    def identity_for(widths: list[int], kind: str = KIND_SIGN) -> "OrbitElement":
-        return OrbitElement(
-            [np.arange(w) for w in widths], [np.ones(w) for w in widths], kind
-        )
+    def identity_for(widths: list[int]) -> "OrbitElement":
+        return OrbitElement([np.arange(w) for w in widths], [np.ones(w) for w in widths])
 
     @staticmethod
     def stack(elements) -> "OrbitElement":
-        """Elements (or stacks) of one kind and widths joined, in order, into one stack."""
+        """Elements (or stacks) of one widths joined, in order, into one stack."""
         elements = list(elements)
-        first = elements[0]
-        widths = [p.shape[-1] for p in first.perms]
+        widths = [p.shape[-1] for p in elements[0].perms]
         for i, e in enumerate(elements):
-            if e.kind != first.kind or [p.shape[-1] for p in e.perms] != widths:
-                raise ShapeError(f"orbit element {i} ({e.kind}, widths "
-                                 f"{[p.shape[-1] for p in e.perms]}) does not share element "
-                                 f"0's group and widths ({first.kind}, {widths})")
+            if [p.shape[-1] for p in e.perms] != widths:
+                raise ShapeError(f"orbit element {i} (widths {[p.shape[-1] for p in e.perms]}) "
+                                 f"does not share element 0's widths ({widths})")
         return OrbitElement(
             [np.concatenate([p.reshape(-1, w) for p in ps]) for w, ps in
              zip(widths, zip(*(e.perms for e in elements)))],
             [np.concatenate([q.reshape(-1, w) for q in qs]) for w, qs in
-             zip(widths, zip(*(e.scales for e in elements)))],
-            first.kind)
+             zip(widths, zip(*(e.scales for e in elements)))])
 
     def compose(self, first: "OrbitElement") -> "OrbitElement":
         """The single element equal to applying `first` then self."""
@@ -236,7 +230,7 @@ class OrbitElement:
         for p2, q2, p1, q1 in zip(self.perms, self.scales, first.perms, first.scales):
             perms.append(p2[p1])
             scales.append(q2[p1] * q1)
-        return OrbitElement(perms, scales, self.kind)
+        return OrbitElement(perms, scales)
 
 
 def apply_orbit(net: LayerChain, g: OrbitElement) -> LayerChain:
@@ -296,15 +290,18 @@ def apply_orbit(net: LayerChain, g: OrbitElement) -> LayerChain:
     return out if net.stacked or g.stacked else out[0]
 
 
-def sample_orbit(kind: str, widths: list[int], rng: np.random.Generator,
+def sample_orbit(kinds: str | list[str], widths: list[int], rng: np.random.Generator,
                  lam: float = 1.0, permute: bool = True) -> OrbitElement:
-    """Random orbit element: uniform permutations (identities when `permute`
-    is off) and each hidden layer's multipliers from its group's draw."""
+    """Random orbit element: per hidden layer, a uniform permutation (the
+    identity when `permute` is off), then multipliers from the draw of its
+    group; `kinds` names one group for all hidden layers or one for each."""
+    if isinstance(kinds, str):
+        kinds = [kinds] * len(widths)
     perms, scales = [], []
-    for w in widths:
+    for kind, w in zip(kinds, widths, strict=True):
         perms.append(rng.permutation(w) if permute else np.arange(w))
         scales.append(group(kind).draw(rng, w, lam))
-    return OrbitElement(perms, scales, kind)
+    return OrbitElement(perms, scales)
 
 
 def bias_shift(b: float, w: np.ndarray) -> tuple[float, np.ndarray]:

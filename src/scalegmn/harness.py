@@ -67,7 +67,7 @@ class SymmetryReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_deviation < self.tolerance
+        return bool(self.deviations) and self.max_deviation < self.tolerance
 
     def to_dict(self) -> dict:
         return {
@@ -96,7 +96,7 @@ def certify_invariance(model, net_sampler, orbit_sampler, trials: int = 50,
     """Relative readout deviation under random orbits of random networks.
 
     trials counts orbit elements per sampled network; trials=0 (or nets=0)
-    yields a vacuous pass with zero recorded trials.
+    records no trial, and a report without trials does not pass.
     """
     report = SymmetryReport(name=name, metric="relative", tolerance=tol, seed=seed)
     return _orbit_trials(model, net_sampler, orbit_sampler, trials, nets, report, edit=False)

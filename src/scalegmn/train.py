@@ -8,7 +8,8 @@ same `loss`, and `evaluate` and `eval_report` the same `score`. The tasks are
 generalization prediction (MSE on held-out accuracy, scored by Kendall tau-b)
 and INR editing (functional MSE of the edited nets against dilated source
 signals on the signal grid; the loss is its metric, so it has no score, and
-it takes no baseline and no augmentation).
+it takes no baseline). Only a baseline takes orbit augmentation, a control:
+ScaleGMN is invariant to its scaling group by construction.
 
 Every run is deterministic under its seed and `SCALEGMN_THREADS`; metrics
 stream to a CSV with header epoch,split,metric,value (each epoch's rows are
@@ -53,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .activations import GROUPS
+from .activations import GROUPS, hidden_group
 from .baselines import make_flat_baseline, make_stat_baseline
 from .ffnn import LayerChain, OrbitElement, apply_orbit, ffnn_forward_taped, sample_orbit
 from .graph import graph_for
@@ -68,7 +69,6 @@ from .tensor import (
 )
 from .zoo import dilate3x3, grid_coords, inr_source_image, load_zoo, worker_count
 
-AUGMENTATIONS = tuple(GROUPS)  # "none", or the zoo's group kind
 # Each baseline's factory (example net, out_dim, rng); "none" trains ScaleGMN.
 BASELINES = {"none": None, "flat-mlp": make_flat_baseline, "stat-mlp": make_stat_baseline}
 EDIT_HEAD = "equivariant-edit"
@@ -100,7 +100,7 @@ class Task:
 
     @property
     def edits(self) -> bool:
-        """Predicts edited nets: no baseline, no augmentation, edit targets."""
+        """Predicts edited nets: no baseline, edit targets."""
         return self.head == EDIT_HEAD
 
 
@@ -133,7 +133,7 @@ class ExperimentConfig:
     epochs: int = 50
     batch_size: int = 16
     seed: int = 0
-    augmentation: str = "none"                      # none | the zoo's group kind
+    augmentation: str = "none"                      # none | a baseline's zoo's group kind
 
     def __post_init__(self):
         task = TASKS.get(self.task)
@@ -162,13 +162,13 @@ class ExperimentConfig:
             self.model.setdefault("head", task.head)
             if self.baseline != "none":
                 raise ValueError("baselines do not implement the editing head")
-        if self.augmentation not in AUGMENTATIONS:
-            raise ValueError(f"augmentation must be one of {AUGMENTATIONS}, "
+        if self.augmentation not in GROUPS:
+            raise ValueError(f"augmentation must be one of {tuple(GROUPS)}, "
                              f"got {self.augmentation!r}")
-        if task.edits and self.augmentation != "none":
-            # augmentation is implemented and tested for the invariant heads only
-            raise ValueError(f"task {self.task!r} does not support augmentation "
-                             f"{self.augmentation!r}; use \"none\"")
+        if self.augmentation != "none" and self.baseline == "none":
+            raise ValueError(f"task {self.task!r}: ScaleGMN takes no augmentation "
+                             f"{self.augmentation!r}; it is invariant to its scaling group by "
+                             "construction, and augmentation is a control for the baselines")
 
 
 def split_indices(n: int, seed: int) -> dict[str, np.ndarray]:
@@ -198,12 +198,10 @@ class TaskData:
             self.stack = LayerChain.stack(self.nets)
         except ShapeError as err:
             raise ShapeError(f"zoo at {zoo_path}: {err}") from None
-        self.kind = self.entries[0].kind
         self.labels = np.array([e.label for e in self.entries])
         self.graphs = graph_for(self.stack, direction)
         self.template = self.graphs[0].template
         self.splits = split_indices(len(self.nets), seed)
-        self.group_kind = self.template.group_kind
 
     def items(self, idx):
         """The indexed nets and their graphs."""
@@ -214,14 +212,15 @@ class TaskData:
         return self.transformed(idx, np.random.default_rng(seed), direction)
 
     def transformed(self, idx, rng, direction: str, **orbit_kw):
-        """Each indexed net moved by an orbit element of the zoo's group kind,
-        drawn from `rng` in index order, with its fresh graph. The elements
-        move the indexed stack in one `apply_orbit`."""
+        """Each indexed net moved by an orbit element drawn from `rng` in index
+        order, each hidden layer from its own group, with its fresh graph. The
+        elements move the indexed stack in one `apply_orbit`."""
         if len(idx) == 0:
             return [], []
+        kinds = [a.kind for a in self.template.activations[:-1]]
         widths = self.template.dims[1:-1]
         elements = OrbitElement.stack(
-            [sample_orbit(self.group_kind, widths, rng, **orbit_kw) for _ in idx])
+            [sample_orbit(kinds, widths, rng, **orbit_kw) for _ in idx])
         moved = apply_orbit(self.stack[np.asarray(idx)], elements)
         return list(moved), graph_for(moved, direction)
 
@@ -265,17 +264,19 @@ class Runner:
         model_overrides = dict(cfg.model)
         self.direction = model_overrides.get("direction", "forward")
         self.data = TaskData(cfg.zoo, cfg.seed, self.direction)
-        if cfg.augmentation not in ("none", self.data.group_kind):
+        template = self.data.template
+        if cfg.augmentation != "none" and GROUPS[cfg.augmentation] is not hidden_group(
+                template.activations[:-1], f"augmentation {cfg.augmentation!r}"):
             raise ValueError(f"augmentation {cfg.augmentation!r} does not match the zoo's "
-                             f"group kind {self.data.group_kind!r}")
-        defaults = dict(group_kind=self.data.group_kind, direction=self.direction,
+                             f"group kind {template.group_kind!r}")
+        defaults = dict(group_kind=template.group_kind, direction=self.direction,
                         head=task.head, out_dim=task.out_dim)
         defaults.update(model_overrides)
         self.model_config = ScaleGMNConfig.from_dict(defaults)
         rng = np.random.default_rng(cfg.seed)
         make_baseline = BASELINES[cfg.baseline]
         if make_baseline is None:
-            self.model = ScaleGMNModel(self.model_config, self.data.template, rng)
+            self.model = ScaleGMNModel(self.model_config, template, rng)
         else:
             self.model = make_baseline(self.data.nets[0], task.out_dim, rng)
         self.is_scalegmn = isinstance(self.model, ScaleGMNModel)
@@ -367,7 +368,7 @@ class Runner:
 
     def _batch_loss(self, idx) -> Tensor:
         if self.cfg.augmentation != "none":
-            # orbit elements are drawn for the whole batch, before it is sharded
+            # only a baseline augments, and a baseline's batch is one shard
             nets, graphs = self.data.transformed(
                 idx, self._aug_rng, self.direction, permute=False)
         else:

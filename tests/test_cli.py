@@ -11,6 +11,8 @@ import pytest
 
 from scalegmn.cli import certify_model_combo, main
 
+from test_train import save_two_group_zoo
+
 
 def run_cli(*argv) -> int:
     return main(list(argv))
@@ -73,12 +75,37 @@ def test_train_eval_cycle(tiny_inr_zoo, tmp_path):
     assert abs(report["orbit_accuracy"] - report["accuracy"]) < 1e-12
 
 
+def test_eval_orbit_copy_of_a_baseline_on_a_zoo_spanning_two_groups(tmp_path):
+    """The orbit copy draws each hidden layer from its own group."""
+    zoo = str(save_two_group_zoo(tmp_path / "zoo"))
+    cfg = write_config(tmp_path, "train.json", {"task": "inr-classify", "zoo": zoo,
+                                                "baseline": "flat-mlp", "epochs": 1,
+                                                "batch_size": 4})
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", cfg, "--seed", "5", "--out", str(out)) == 0
+    eval_cfg = write_config(tmp_path, "eval.json", {
+        "task": "inr-classify", "zoo": zoo, "checkpoint": str(out / "checkpoint"),
+        "baseline": "flat-mlp", "with_orbit_augmented_copy": True, "split_seed": 5})
+    assert run_cli("eval", "--config", eval_cfg, "--seed", "9", "--out", str(tmp_path / "ev")) == 0
+    report = json.loads((tmp_path / "ev" / "eval_report.json").read_text())
+    assert 0.0 <= report["orbit_accuracy"] <= 1.0
+
+
 def test_certify_default_exits_zero(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"trials": 4, "nets": 2})
     assert run_cli("certify", "--config", cfg, "--seed", "2", "--out", str(tmp_path / "c")) == 0
     reports = json.loads((tmp_path / "c" / "certify_report.json").read_text())
     assert all(r["passed"] for r in reports)
     assert {r["metric"] for r in reports} == {"relative", "absolute"}
+
+
+@pytest.mark.parametrize("counts", [{"trials": 0}, {"nets": 0}])
+def test_certify_without_trials_exits_nonzero(tmp_path, counts):
+    cfg = write_config(tmp_path, "c.json", dict({"trials": 2, "nets": 1}, **counts))
+    assert run_cli("certify", "--config", cfg, "--out", str(tmp_path / "c")) == 1
+    reports = json.loads((tmp_path / "c" / "certify_report.json").read_text())
+    assert len(reports) == 12
+    assert all(r["trials"] == 0 and not r["passed"] for r in reports)
 
 
 def test_certify_reports_seconds_per_combination(tmp_path, capsys):

@@ -102,7 +102,7 @@ def test_orbit_preserves_cnn_function(acts, kind):
 def test_orbit_rejects_wrong_group():
     rng = np.random.default_rng(4)
     net = make_cnn(rng, channels=(1, 4), kernel=3, n_out=2, acts="relu")
-    bad = OrbitElement([np.arange(4)], [np.array([1.0, -1.0, 1.0, 1.0])], kind="sign")
+    bad = OrbitElement([np.arange(4)], [np.array([1.0, -1.0, 1.0, 1.0])])
     with pytest.raises(ValueError, match="scaling group"):
         apply_orbit(net, bad)
 

@@ -126,7 +126,7 @@ def test_forward_is_the_taped_forward_on_constants(monkeypatch, act):
 def test_identity_orbit_is_noop():
     rng = np.random.default_rng(1)
     net = random_net(rng, (2, 5, 3), activations.tanh_act())
-    g = OrbitElement.identity_for([5], kind="sign")
+    g = OrbitElement.identity_for([5])
     out = apply_orbit(net, g)
     for a, b in zip(out.weights, net.weights):
         assert np.array_equal(a, b)
@@ -138,7 +138,7 @@ def test_relu_scaling_111():
         [np.array([0.3]), np.array([0.1])],
         [activations.relu(), activations.identity()],
     )
-    g = OrbitElement([np.array([0])], [np.array([2.0])], kind="positive")
+    g = OrbitElement([np.array([0])], [np.array([2.0])])
     out = apply_orbit(net, g)
     assert np.allclose(out.weights[0], [[3.0]])
     assert np.allclose(out.biases[0], [0.6])
@@ -153,7 +153,7 @@ def test_tanh_sign_flip_rows_and_columns():
     net = random_net(rng, (3, 4, 2), activations.tanh_act())
     q = np.ones(4)
     q[1] = -1.0
-    g = OrbitElement([np.arange(4)], [q], kind="sign")
+    g = OrbitElement([np.arange(4)], [q])
     out = apply_orbit(net, g)
     assert np.allclose(out.weights[0][1], -net.weights[0][1])
     assert np.allclose(out.biases[0][1], -net.biases[0][1])
@@ -198,28 +198,40 @@ def test_orbit_group_closure():
 def test_orbit_rejects_invalid_multiplier():
     rng = np.random.default_rng(6)
     net = random_net(rng, (2, 4, 1), activations.relu())
-    g = OrbitElement([np.arange(4)], [np.array([1.0, -1.0, 1.0, 1.0])], kind="sign")
+    g = OrbitElement([np.arange(4)], [np.array([1.0, -1.0, 1.0, 1.0])])
     with pytest.raises(ValueError, match="scaling group"):
         apply_orbit(net, g)
 
 
-@pytest.mark.parametrize("kind", list(GROUPS))
+@pytest.mark.parametrize("kind", [*GROUPS, pytest.param(["positive", "sign"], id="mixed")])
 def test_sample_orbit_kinds(kind):
-    """Each group's draw and representative give members; a group whose
-    backward edges copy the weights has only self-inverse members."""
+    """Each hidden layer draws from its own group; one kind names it for every
+    layer, with the same draws. Each group's draw and representative give
+    members; a group whose backward edges copy the weights has only
+    self-inverse members."""
     rng = np.random.default_rng(8)
-    rules = GROUPS[kind]
-    assert not np.any(rules.member(np.array([0.0, -2.0])))  # in no group
-    g = sample_orbit(kind, [7], rng, permute=False)
-    assert np.all(g.perms[0] == np.arange(7))
-    q = sample_orbit(kind, [500], rng, lam=2.0).scales[0]
-    assert q.shape == (500,) and np.all(rules.member(q))
-    rows = rng.standard_normal((40, 5))
-    rows[0] = 0.0  # a dead neuron keeps its multiplier 1
-    if rules.representative is not None:
-        assert np.all(rules.member(rules.representative(rows)))
-    if not rules.reciprocal:
-        assert np.array_equal(q, 1.0 / q)
+    kinds = kind if isinstance(kind, list) else [kind]
+    g = sample_orbit(kind, [7] * len(kinds), rng, permute=False)
+    assert all(np.all(p == np.arange(7)) for p in g.perms)
+    scales = sample_orbit(kind, [500] * len(kinds), rng, lam=2.0).scales
+    for layer_kind, q in zip(kinds, scales, strict=True):
+        rules = GROUPS[layer_kind]
+        assert not np.any(rules.member(np.array([0.0, -2.0])))  # in no group
+        assert q.shape == (500,) and np.all(rules.member(q))
+        rows = rng.standard_normal((40, 5))
+        rows[0] = 0.0  # a dead neuron keeps its multiplier 1
+        if rules.representative is not None:
+            assert np.all(rules.member(rules.representative(rows)))
+        if not rules.reciprocal:
+            assert np.array_equal(q, 1.0 / q)
+    if kind == ["positive", "sign"]:
+        assert np.all(scales[0] > 0) and not np.all(np.abs(scales[0]) == 1.0)
+        assert set(scales[1]) == {-1.0, 1.0}
+    else:
+        one, each = (sample_orbit(k, [5, 3], np.random.default_rng(2), lam=2.0)
+                     for k in (kind, [kind] * 2))
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(one.perms + one.scales, each.perms + each.scales))
 
 
 @pytest.mark.parametrize("factory,op", [(activations.relu, "relu"),
@@ -366,6 +378,6 @@ def test_stat_features_length_and_perm_invariance():
     f = stat_features(net)
     assert f.shape == (7 * 2 * 3,)
     g = sample_orbit("none", [6, 6], rng, permute=True)
-    g = OrbitElement(g.perms, [np.ones(6), np.ones(6)], kind="sign")
+    g = OrbitElement(g.perms, [np.ones(6), np.ones(6)])
     f2 = stat_features(apply_orbit(net, g))
     assert np.max(np.abs(f - f2)) < 1e-12

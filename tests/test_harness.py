@@ -77,10 +77,13 @@ def _orbit_sampler(widths=(4, 4), kind="sign"):
 
 
 def test_certify_invariance_zero_trials_vacuous():
+    """A report of zero trials certifies nothing, so it does not pass."""
     model, _, _ = make_model("sign")
-    report = certify_invariance(model, _tanh_sampler(), _orbit_sampler(), trials=0, nets=2)
-    assert report.trials == 0
-    assert report.passed
+    for trials, nets in ((0, 2), (3, 0)):
+        report = certify_invariance(model, _tanh_sampler(), _orbit_sampler(), trials=trials,
+                                    nets=nets)
+        assert report.trials == 0 and report.max_deviation == 0.0
+        assert not report.passed and not report.to_dict()["passed"]
 
 
 def test_certify_invariance_scalegmn_passes():

@@ -182,7 +182,8 @@ def test_stacking_other_architectures_names_the_net():
             random_net(rng, (2, 5, 3, 2), activations.tanh_act())]
     with pytest.raises(ShapeError, match=r"^net 1 \(FfnnParams, weights \[\(5, 2\), \(3, 5\)"):
         LayerChain.stack(nets)
-    with pytest.raises(ShapeError, match=r"orbit element 1 \(sign, widths \[5, 3\]\)"):
+    with pytest.raises(ShapeError, match=r"^orbit element 1 \(widths \[5, 3\]\) does not "
+                                         r"share element 0's widths \(\[5, 4\]\)"):
         OrbitElement.stack([sample_orbit("sign", [5, 4], rng), sample_orbit("sign", [5, 3], rng)])
 
 

@@ -13,8 +13,7 @@ import pytest
 
 from scalegmn import activations
 from scalegmn import tensor as tensor_module
-from scalegmn import train as train_module
-from scalegmn.ffnn import ffnn_forward, sample_orbit
+from scalegmn.ffnn import ffnn_forward
 from scalegmn.model import ScaleGMNConfig, ScaleGMNModel, load_checkpoint
 from scalegmn.nn import cross_entropy
 from scalegmn.optim import finite_diff_check
@@ -427,21 +426,33 @@ def test_task_data_rejects_a_zoo_of_two_architectures(tmp_path):
         TaskData(tmp_path / "zoo", 0, "forward")
 
 
-def test_a_zoo_spanning_two_groups_trains_baselines_only(tmp_path):
-    """ScaleGMN needs one scaling group; a baseline reads the weights alone."""
+def save_two_group_zoo(path):
+    """10 relu -> tanh nets: hidden layer 0 scales by positives, layer 1 by signs."""
     rng = np.random.default_rng(4)
     nets = [relu_then_tanh_net(rng) for _ in range(10)]
     entries = [ZooEntry(f"n{i}", "ffnn", n.dims, ["relu", "tanh", "identity"], 0.0, i % 2,
                         f"n{i}.bin") for i, n in enumerate(nets)]
-    save_zoo(tmp_path / "zoo", entries, nets)
-    settings = dict(task="inr-classify", zoo=str(tmp_path / "zoo"), epochs=1, batch_size=4)
+    save_zoo(path, entries, nets)
+    return path
+
+
+def test_a_zoo_spanning_two_groups_trains_baselines_only(tmp_path):
+    """ScaleGMN needs one scaling group; a baseline reads the weights alone,
+    and its orbit copies draw each hidden layer from that layer's group."""
+    zoo = save_two_group_zoo(tmp_path / "zoo")
+    settings = dict(task="inr-classify", zoo=str(zoo), epochs=1, batch_size=4)
     with pytest.raises(ValueError, match="^ScaleGMN " + TWO_GROUPS):
         Runner(ExperimentConfig(**settings, out_dir=str(tmp_path / "gmn"), model=TINY_MODEL))
+    with pytest.raises(ValueError, match="^augmentation 'sign' " + TWO_GROUPS):
+        Runner(ExperimentConfig(**settings, out_dir=str(tmp_path / "aug"),
+                                baseline="flat-mlp", augmentation="sign"))
     runner = Runner(ExperimentConfig(**settings, out_dir=str(tmp_path / "flat"),
                                      baseline="flat-mlp"))
     summary = runner.train()
     assert summary["epochs_run"] == 1 and not summary["diverged"]
     assert math.isfinite(summary["best_val_loss"])
+    report = runner.eval_report("test", with_orbit_copy=True)
+    assert math.isfinite(report["orbit_accuracy"])
 
 
 def test_stat_baseline_trains_on_cnn_zoo(tiny_cnn_zoo, tmp_path):
@@ -484,7 +495,9 @@ def test_advertised_combination_trains_or_fails_at_config(task, direction, basel
 
 
 def test_sign_augmentation_trains_and_bad_values_fail_before_training(tiny_inr_zoo, tmp_path):
-    kwargs = dict(task="inr-classify", zoo=str(tiny_inr_zoo), model=dict(TINY_MODEL),
+    """Augmentation is a control for the baselines; ScaleGMN is refused it
+    before the zoo is read, naming why."""
+    kwargs = dict(task="inr-classify", zoo=str(tiny_inr_zoo), baseline="flat-mlp",
                   epochs=1, batch_size=4, seed=14)
     summary = Runner(ExperimentConfig(out_dir=str(tmp_path / "sign"), augmentation="sign",
                                       **kwargs)).train()
@@ -500,6 +513,12 @@ def test_sign_augmentation_trains_and_bad_values_fail_before_training(tiny_inr_z
     with pytest.raises(ValueError, match="'positive'.*group kind 'sign'"):
         Runner(cfg)
     assert not (tmp_path / "positive").exists()
+    for augmentation in ("sign", "positive"):
+        with pytest.raises(ValueError, match=f"^task 'inr-classify': ScaleGMN takes no "
+                                             f"augmentation '{augmentation}'; it is invariant"):
+            ExperimentConfig(**dict(kwargs, baseline="none"), out_dir=str(tmp_path / "gmn"),
+                             augmentation=augmentation)
+    assert not (tmp_path / "gmn").exists()
 
 
 @pytest.mark.parametrize("augmentation", ["sign", "positive"])
@@ -519,7 +538,7 @@ def test_one_conv_layer_relu_zoo_is_positive(tmp_path):
                for i, net in enumerate(nets)]
     save_zoo(tmp_path / "zoo", entries, nets)
     data = TaskData(tmp_path / "zoo", seed=0, direction="forward")
-    assert data.group_kind == "positive"
+    assert data.template.group_kind == "positive"
 
 
 def selected_epoch(task, history):
@@ -774,24 +793,3 @@ def test_evaluate_records_no_tape_on_the_pool_and_leaves_its_threads_recording(
         assert np.array_equal(after, fresh)
         np.testing.assert_allclose(after, one, rtol=1e-9, atol=1e-13)
     assert any(np.any(g) for g in grads[2, True])
-
-
-def test_augmentation_draws_the_same_orbit_elements_at_widths_1_and_2(
-        inr_zoo_24, tmp_path, monkeypatch):
-    drawn = {}
-    for width in (1, 2):
-        runner = _runner_at(width, monkeypatch, inr_zoo_24, tmp_path, augmentation="sign",
-                            epochs=1)
-        log = drawn[width] = []
-
-        def recording(*args, **kwargs):
-            log.append(sample_orbit(*args, **kwargs))
-            return log[-1]
-
-        monkeypatch.setattr(train_module, "sample_orbit", recording)
-        runner.train()
-        assert (runner._pool is not None) == (width == 2)
-    assert drawn[1] and len(drawn[1]) == len(drawn[2])
-    for a, b in zip(drawn[1], drawn[2]):
-        assert all(np.array_equal(x, y) for x, y in zip(a.scales, b.scales))
-        assert all(np.array_equal(x, y) for x, y in zip(a.perms, b.perms))
