@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import activations
+from .config import PATH, ConfigError, Key, build, read, table
 from .ffnn import FfnnParams, canonicalize_net, ffnn_forward_taped, sample_orbit, shift_sine_biases
-from .graph import check_direction, template_for
+from .graph import DIRECTIONS, template_for
 from .harness import (
     SymmetryReport,
     certify_equivariance,
@@ -23,9 +24,9 @@ from .harness import (
     check_function_preservation,
     simulate_ffnn,
 )
-from .model import ScaleGMNConfig, ScaleGMNModel, read_manifest
+from .model import HEADS, ScaleGMNConfig, ScaleGMNModel, read_manifest
 from .tensor import backward
-from .train import ExperimentConfig, Runner
+from .train import SPLIT, ExperimentConfig, Runner
 from .zoo import gen_cnn_zoo, gen_inr_zoo, grid_coords, load_zoo, save_zoo
 from . import tensor as T
 
@@ -34,18 +35,6 @@ def _load_config(path) -> dict:
     if not path:
         return {}
     return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def _check_keys(command: str, config: dict, known: frozenset, required=()) -> None:
-    """Reject config keys the command does not read, and a config without a key
-    the command cannot run without, before it does any work."""
-    unknown = sorted(set(config) - known)
-    if unknown:
-        raise ValueError(f"{command}: unknown config key(s) {unknown}; "
-                         f"known keys: {sorted(known)}")
-    missing = sorted(set(required) - set(config))
-    if missing:
-        raise ValueError(f"{command}: missing required config key(s) {missing}")
 
 
 def _out_path(out) -> Path:
@@ -60,70 +49,67 @@ def _out_dir(out) -> Path:
 
 # -- gen-zoo ----------------------------------------------------------------------------
 
-GEN_ZOO_KEYS = frozenset({"kind", "count", "steps"})
+# steps: Adam steps per INR, which only inr-2class fits
+GEN_ZOO = {"kind": Key(str, "inr-2class", choices=("inr-2class", "cnn-accuracy")),
+           "count": Key(int, 50, least=1), "steps": Key(int, 2000, least=1)}
 
 
 def cmd_gen_zoo(config: dict, seed: int, out) -> int:
-    _check_keys("gen-zoo", config, GEN_ZOO_KEYS)
-    kind = config.get("kind", "inr-2class")
-    if kind not in ("inr-2class", "cnn-accuracy"):
-        print(f"unknown zoo kind {kind!r}", file=sys.stderr)
-        return 2
-    count = int(config.get("count", 50))
+    cfg = read(GEN_ZOO, config)
+    if "steps" in config and cfg["kind"] != "inr-2class":
+        raise ConfigError(f"steps is read only by kind 'inr-2class'; got steps "
+                          f"{config['steps']!r} with kind {cfg['kind']!r}")
+    seed = seed if seed is not None else 0
     out_dir = _out_dir(out)
-    if kind == "inr-2class":
-        entries = gen_inr_zoo(out_dir, count, seed, steps=int(config.get("steps", 2000)))
+    if cfg["kind"] == "inr-2class":
+        entries = gen_inr_zoo(out_dir, cfg["count"], seed, steps=cfg["steps"])
     else:
-        entries = gen_cnn_zoo(out_dir, count, seed)
-    print(f"gen-zoo: wrote {len(entries)} {kind} entries to {out_dir}")
+        entries = gen_cnn_zoo(out_dir, cfg["count"], seed)
+    print(f"gen-zoo: wrote {len(entries)} {cfg['kind']} entries to {out_dir}")
     return 0
 
 
 # -- train / eval --------------------------------------------------------------------------
 
-TRAIN_KEYS = frozenset(ExperimentConfig.__dataclass_fields__)
-
-
 def cmd_train(config: dict, seed: int, out) -> int:
-    _check_keys("train", config, TRAIN_KEYS, required=("task", "zoo"))
     data = dict(config)
     if seed is not None:
         data["seed"] = seed
     if out is not None:
         data["out_dir"] = str(out)
-    cfg = ExperimentConfig(**data)
-    runner = Runner(cfg)
+    runner = Runner(build(ExperimentConfig, data))
     summary = runner.train()
     print(json.dumps(summary))
     return 0
 
 
-EVAL_KEYS = frozenset({"task", "zoo", "checkpoint", "baseline", "split", "split_seed",
-                       "with_orbit_augmented_copy"})
+TRAIN = table(ExperimentConfig)
+EVAL = {**{key: TRAIN[key] for key in ("task", "zoo", "baseline")}, "checkpoint": Key(PATH),
+        "split": SPLIT, "split_seed": TRAIN["seed"], "with_orbit_augmented_copy": Key(bool, False)}
 
 
 def cmd_eval(config: dict, seed: int, out) -> int:
-    _check_keys("eval", config, EVAL_KEYS, required=("task", "zoo", "checkpoint"))
-    ckpt = Path(config["checkpoint"])
-    baseline = config.get("baseline", "none")
+    cfg = read(EVAL, config)
+    ckpt = Path(cfg["checkpoint"])
     model_overrides = {}
     if (ckpt / "checkpoint.json").exists():
+        if cfg["baseline"] != "none":
+            raise ConfigError(f"baseline must be 'none' for the ScaleGMN checkpoint {ckpt}, "
+                              f"got {cfg['baseline']!r}")
         model_overrides = read_manifest(ckpt)[0].to_dict()
-        baseline = "none"
-    cfg = ExperimentConfig(
-        task=config["task"],
-        zoo=config["zoo"],
+    runner = Runner(ExperimentConfig(
+        task=cfg["task"],
+        zoo=cfg["zoo"],
         out_dir=str(_out_path(out)),   # made only once the report is written
         model=model_overrides,
-        baseline=baseline,
-        seed=int(config.get("split_seed", 0)),
+        baseline=cfg["baseline"],
+        seed=cfg["split_seed"],
         epochs=0,
-    )
-    runner = Runner(cfg)
+    ))
     runner.load(ckpt)
     report = runner.eval_report(
-        split=config.get("split", "test"),
-        with_orbit_copy=bool(config.get("with_orbit_augmented_copy", False)),
+        split=cfg["split"],
+        with_orbit_copy=cfg["with_orbit_augmented_copy"],
         orbit_seed=seed if seed is not None else 1234,
     )
     out_path = _out_dir(out) / "eval_report.json"
@@ -134,14 +120,10 @@ def cmd_eval(config: dict, seed: int, out) -> int:
 
 # -- certify -----------------------------------------------------------------------------
 
-CERTIFY_COMBOS = (
-    {"group_kind": "sign", "activation": "tanh", "direction": "forward"},
-    {"group_kind": "sign", "activation": "tanh", "direction": "bidirectional"},
-    {"group_kind": "sign", "activation": "sine", "direction": "forward"},
-    {"group_kind": "sign", "activation": "sine", "direction": "bidirectional"},
-    {"group_kind": "positive", "activation": "relu", "direction": "forward"},
-    {"group_kind": "positive", "activation": "relu", "direction": "bidirectional"},
-)
+# each activation with a scaling group, in each direction
+CERTIFY_COMBOS = tuple({"group_kind": activations.by_name(act).kind, "activation": act,
+                        "direction": direction}
+                       for act in ("tanh", "sine", "relu") for direction in DIRECTIONS)
 
 
 def _certify_activations(dims, act_name) -> list:
@@ -186,44 +168,36 @@ def certify_model_combo(combo: dict, dims, trials: int, nets: int, tol: float,
                                 tol=tol, seed=seed, name=name)
 
 
-CERTIFY_KEYS = frozenset({"trials", "nets", "tol", "dims", "combos"})
-COMBO_KEYS = frozenset({"group_kind", "activation", "direction"})
+# dims: at least one hidden layer
+CERTIFY = {"trials": Key(int, 50, least=1), "nets": Key(int, 5, least=1),
+           "tol": Key(float, 1e-8, above=0),
+           "dims": Key(list, (2, 4, 4, 2), item=int, least=1, min_len=3),
+           "combos": Key(list, CERTIFY_COMBOS, item=dict, min_len=1)}
+# by_name rejects an unknown activation, naming it
+COMBO = {"group_kind": Key(str), "activation": Key(str), "direction": Key(str, choices=DIRECTIONS)}
 
 
-def _check_combos(combos) -> None:
-    """Reject a combo that lacks or adds a key, names an unknown activation or
-    direction, or pairs its activation with another group kind, before any
-    combo is certified."""
-    for i, combo in enumerate(combos):
-        problems = [f"{what} key(s) {keys}" for what, keys in (
-            ("missing", sorted(COMBO_KEYS - set(combo))),
-            ("unknown", sorted(set(combo) - COMBO_KEYS))) if keys]
-        if problems:
-            raise ValueError(f"certify: combo {i}: {'; '.join(problems)}; each combo sets "
-                             f"exactly {sorted(COMBO_KEYS)}")
-        try:
-            kind = activations.by_name(combo["activation"]).kind
-            check_direction(combo["direction"])
-        except ValueError as err:
-            raise ValueError(f"certify: combo {i}: {err}") from None
-        if combo["group_kind"] != kind:
-            raise ValueError(f"certify: combo {i}: group_kind {combo['group_kind']!r} is not "
-                             f"the group of activation {combo['activation']!r}, {kind!r}")
+def _read_combo(i: int, combo: dict) -> dict:
+    """Combo i read under COMBO; its group_kind must be its activation's group."""
+    try:
+        combo = read(COMBO, combo, noun="", known="each combo sets exactly")
+        kind = activations.by_name(combo["activation"]).kind
+    except ValueError as err:
+        raise ConfigError(f"combo {i}: {err}") from None
+    if combo["group_kind"] != kind:
+        raise ConfigError(f"combo {i}: group_kind {combo['group_kind']!r} is not the group of "
+                          f"activation {combo['activation']!r}, {kind!r}")
+    return combo
 
 
 def cmd_certify(config: dict, seed: int, out) -> int:
-    _check_keys("certify", config, CERTIFY_KEYS)
-    trials = int(config.get("trials", 50))
-    nets = int(config.get("nets", 5))
-    tol = float(config.get("tol", 1e-8))
-    dims = tuple(config.get("dims", (2, 4, 4, 2)))
+    cfg = read(CERTIFY, config)
+    combos = [_read_combo(i, combo) for i, combo in enumerate(cfg["combos"])]
     seed = seed if seed is not None else 0
-    combos = config.get("combos", CERTIFY_COMBOS)
-    _check_combos(combos)
     reports = []
     for combo in combos:
-        for head in ("invariant", "equivariant-edit"):
-            rep = certify_model_combo(dict(combo), dims, trials, nets, tol,
+        for head in HEADS:
+            rep = certify_model_combo(combo, cfg["dims"], cfg["trials"], cfg["nets"], cfg["tol"],
                                       seed, head=head)
             reports.append(rep)
             status = "pass" if rep.passed else "FAIL"
@@ -238,14 +212,14 @@ def cmd_certify(config: dict, seed: int, out) -> int:
 
 # -- canonicalize --------------------------------------------------------------------------
 
-CANONICALIZE_KEYS = frozenset({"zoo", "orbit_canon", "grid_side", "tol"})
+CANONICALIZE = {"zoo": Key(PATH), "orbit_canon": Key(bool, True),
+                "grid_side": Key(int, 16, least=1), "tol": Key(float, 1e-6, above=0)}
 
 
 def cmd_canonicalize(config: dict, seed: int, out) -> int:
-    _check_keys("canonicalize", config, CANONICALIZE_KEYS, required=("zoo",))
-    entries, nets, meta = load_zoo(config["zoo"])
-    orbit_canon = bool(config.get("orbit_canon", True))
-    grid = grid_coords(int(config.get("grid_side", 16)))
+    cfg = read(CANONICALIZE, config)
+    entries, nets, meta = load_zoo(cfg["zoo"])
+    grid = grid_coords(cfg["grid_side"])
     out_dir = _out_dir(out)
     new_entries, new_nets = [], []
     worst = 0.0
@@ -255,7 +229,7 @@ def cmd_canonicalize(config: dict, seed: int, out) -> int:
             new_nets.append(net)
             continue
         canon = shift_sine_biases(net)
-        if orbit_canon:
+        if cfg["orbit_canon"]:
             canon = canonicalize_net(canon)
         if grid.shape[1] == net.dims[0]:
             worst = max(worst, check_function_preservation(net, canon, grid))
@@ -264,28 +238,22 @@ def cmd_canonicalize(config: dict, seed: int, out) -> int:
     save_zoo(out_dir, new_entries, new_nets,
              {**meta, "canonicalized": True, "max_function_deviation": worst})
     print(f"canonicalize: {len(new_nets)} entries, max function deviation {worst:.3e}")
-    return 0 if worst < float(config.get("tol", 1e-6)) else 1
+    return 0 if worst < cfg["tol"] else 1
 
 
 # -- simulate ---------------------------------------------------------------------------
 
-SIMULATE_KEYS = frozenset({"count", "dims", "activation", "tol_forward", "tol_backward"})
 # The relay divides by activation derivatives, so it takes activations whose
 # derivative does not vanish on whole intervals; a dead ReLU unit makes a zero.
-SIMULATE_ACTIVATIONS = ("sine", "tanh", "identity")
+SIMULATE = {"count": Key(int, 10, least=1),
+            "dims": Key(list, (2, 6, 6, 1), item=int, least=1, min_len=2),
+            "activation": Key(str, "sine", choices=("sine", "tanh", "identity")),
+            "tol_forward": Key(float, 1e-9, above=0), "tol_backward": Key(float, 1e-6, above=0)}
 
 
 def cmd_simulate(config: dict, seed: int, out) -> int:
-    _check_keys("simulate", config, SIMULATE_KEYS)
-    count = int(config.get("count", 10))
-    dims = tuple(config.get("dims", (2, 6, 6, 1)))
-    act_name = config.get("activation", "sine")
-    if act_name not in SIMULATE_ACTIVATIONS:
-        raise ValueError(f"simulate: activation {act_name!r} is not supported; the relay "
-                         f"divides by activation derivatives and accepts "
-                         f"{list(SIMULATE_ACTIVATIONS)}")
-    tol_fw = float(config.get("tol_forward", 1e-9))
-    tol_bw = float(config.get("tol_backward", 1e-6))
+    cfg = read(SIMULATE, config)
+    count, dims, act_name = cfg["count"], cfg["dims"], cfg["activation"]
     rng = np.random.default_rng(seed if seed is not None else 0)
     sampler = _net_sampler(dims, act_name)
     max_fw = max_bw = 0.0
@@ -321,9 +289,9 @@ def cmd_simulate(config: dict, seed: int, out) -> int:
         "activation": act_name,
         "max_forward_deviation": max_fw,
         "max_backward_rel_deviation": max_bw,
-        "tol_forward": tol_fw,
-        "tol_backward": tol_bw,
-        "passed": max_fw < tol_fw and max_bw < tol_bw,
+        "tol_forward": cfg["tol_forward"],
+        "tol_backward": cfg["tol_backward"],
+        "passed": max_fw < cfg["tol_forward"] and max_bw < cfg["tol_backward"],
     }
     (_out_dir(out) / "simulate_report.json").write_text(
         json.dumps(report, indent=1), encoding="utf-8"
@@ -360,7 +328,10 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
     config = _load_config(args.config)
-    return COMMANDS[args.command](config, args.seed, args.out)
+    try:
+        return COMMANDS[args.command](config, args.seed, args.out)
+    except ConfigError as err:
+        raise ConfigError(f"{args.command}: {err}") from None
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ import numpy as np
 
 from .activations import ActivationDescriptor, hidden_group, hidden_kind, identity
 from .cnn import CnnParams
+from .config import Key, check
 from .ffnn import FfnnParams, shift_sine_biases
 from .tensor import DIV_EPS, ShapeError
 
@@ -34,8 +35,7 @@ DIRECTIONS = ("forward", "bidirectional")
 
 
 def check_direction(direction: str) -> None:
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    check("direction", Key(str, choices=DIRECTIONS), direction)
 
 
 @dataclass

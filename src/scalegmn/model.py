@@ -33,12 +33,17 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import tensor as T
-from .activations import SIGN_CANONS, by_name, group, hidden_group
+from .activations import GROUPS, MIXED, SIGN_CANONS, by_name, group, hidden_group
 from .blocks import Canonicalizer, ReScaleEqNet, ScaleEqNet, ScaleInvNet
 from .ffnn import FfnnParams, LayerChain
-from .graph import BatchRows, GraphTemplate, check_direction, template_for
+from .config import build, read, setting, table
+from .graph import DIRECTIONS, BatchRows, GraphTemplate, template_for
 from .nn import MLP, Linear, Module
 from .tensor import ShapeError, Tensor
+
+
+HEADS = ("invariant", "equivariant-edit")
+EDIT_HEAD = HEADS[1]
 
 
 @dataclass
@@ -46,40 +51,34 @@ class ScaleGMNConfig:
     """What a config sets. Fixed: K = 1, Hadamard rescale, edge updates, skip
     connections, PEs in messages, LayerNorm and the DeepSets + i/o readout."""
 
-    d_v: int = 32                 # vertex representation width
-    d_e: int = 32                 # edge representation width
-    d_msg: int = 32               # rescale-product width inside messages
-    d_inv: int = 16               # invariant block width in edge updates
-    d_readout: int = 32
-    pe_dim: int = 8
-    n_rounds: int = 2             # T message-passing layers
-    mlp_hidden: int = 32
-    direction: str = "forward"    # or "bidirectional"
-    group_kind: str = "sign"      # positive | sign | none
+    d_v: int = setting(32, least=1)             # vertex representation width
+    d_e: int = setting(32, least=1)             # edge representation width
+    d_msg: int = setting(32, least=1)           # rescale-product width inside messages
+    d_inv: int = setting(16, least=1)           # invariant block width in edge updates
+    d_readout: int = setting(32, least=1)
+    pe_dim: int = setting(8, least=1)
+    n_rounds: int = setting(2, least=0)         # T message-passing layers
+    mlp_hidden: int = setting(32, least=1)
+    direction: str = setting("forward", choices=DIRECTIONS)
+    # the template's; "mixed" names hidden layers of two groups, which no model takes
+    group_kind: str = setting("sign", choices=(*GROUPS, MIXED))
     # "abs": elementwise |x|, sign-invariant but not injective on orbits; chosen
     # as the default on validation loss (see train.py). "symmetrize":
     # MLP(x) + MLP(-x), the universal sign-invariant form.
-    sign_canon: str = "abs"
-    head: str = "invariant"       # or "equivariant-edit"
-    out_dim: int = 1
-    gamma_init: float = 0.01
+    sign_canon: str = setting("abs", choices=SIGN_CANONS)
+    head: str = setting("invariant", choices=HEADS)
+    out_dim: int = setting(1, least=1)
+    gamma_init: float = setting(0.01)
 
     def __post_init__(self):
-        check_direction(self.direction)  # a misspelt direction would build a forward model
-        if self.sign_canon not in SIGN_CANONS:
-            raise ValueError(f"sign_canon must be 'abs' or 'symmetrize', got {self.sign_canon!r}")
+        read(table(ScaleGMNConfig), vars(self))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ScaleGMNConfig":
-        known = ScaleGMNConfig.__dataclass_fields__
-        unknown = [k for k in d if k not in known]
-        if unknown:
-            raise ValueError(f"unknown model config key(s) {unknown}; "
-                             f"known fields: {sorted(known)}")
-        return ScaleGMNConfig(**d)
+        return build(ScaleGMNConfig, d, noun="model config ", known="known fields:")
 
     @property
     def mode(self) -> str:
@@ -133,12 +132,10 @@ class ScaleGMNModel(Module):
         self.init_e = ScaleEqNet([template.de_raw], [d_e], rng, **eq)
         bid = cfg.direction == "bidirectional"
         self.rounds = [_MessageLayer(cfg, rng, bid) for _ in range(cfg.n_rounds)]
-        if cfg.head == "invariant":
-            self._build_readout(rng)
-        elif cfg.head == "equivariant-edit":
+        if cfg.head == EDIT_HEAD:
             self._build_edit_head(rng)
         else:
-            raise ValueError(f"unknown head {cfg.head!r}")
+            self._build_readout(rng)
 
     # -- construction helpers ---------------------------------------------------
 

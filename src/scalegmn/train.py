@@ -48,7 +48,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -56,11 +56,13 @@ import numpy as np
 
 from .activations import GROUPS, hidden_group
 from .baselines import make_flat_baseline, make_stat_baseline
+from .config import PATH, ConfigError, Key, check, read, setting, table
 from .ffnn import LayerChain, OrbitElement, apply_orbit, ffnn_forward_taped, sample_orbit
 from .graph import graph_for
 from .harness import kendall_tau
 from .model import (
-    ScaleGMNConfig, ScaleGMNModel, check_tensors, read_manifest, read_params, save_checkpoint,
+    EDIT_HEAD, ScaleGMNConfig, ScaleGMNModel, check_tensors, read_manifest, read_params,
+    save_checkpoint,
 )
 from .nn import cross_entropy, mse
 from .optim import AdamState
@@ -71,7 +73,6 @@ from .zoo import dilate3x3, grid_coords, inr_source_image, load_zoo, worker_coun
 
 # Each baseline's factory (example net, out_dim, rng); "none" trains ScaleGMN.
 BASELINES = {"none": None, "flat-mlp": make_flat_baseline, "stat-mlp": make_stat_baseline}
-EDIT_HEAD = "equivariant-edit"
 
 # -- the tasks ------------------------------------------------------------------------------
 
@@ -120,55 +121,47 @@ TASKS = {t.name: t for t in (
 # to 1,792 rows 13-32% faster in most runs (CHANGES.md has the table).
 MIN_SHARD_ROWS = 1024
 
+SPLITS = ("train", "val", "test")
+SPLIT = Key(str, "test", choices=SPLITS)
+
 
 @dataclass
 class ExperimentConfig:
-    task: str
-    zoo: str
-    out_dir: str = "runs/default"
-    model: dict = field(default_factory=dict)      # ScaleGMNConfig overrides
-    baseline: str = "none"                          # none | flat-mlp | stat-mlp
-    lr: float = 2e-3
-    weight_decay: float = 0.0
-    epochs: int = 50
-    batch_size: int = 16
-    seed: int = 0
-    augmentation: str = "none"                      # none | a baseline's zoo's group kind
+    task: str = setting()                           # a key of TASKS
+    zoo: PATH = setting()
+    out_dir: PATH = setting("runs/default")
+    model: dict = setting(factory=dict)             # ScaleGMNConfig overrides
+    baseline: str = setting("none", choices=tuple(BASELINES))
+    lr: float = setting(2e-3, above=0)
+    weight_decay: float = setting(0.0, least=0)
+    epochs: int = setting(50, least=0)              # eval runs 0 epochs
+    batch_size: int = setting(16, least=1)
+    seed: int = setting(0, least=0)
+    augmentation: str = setting("none", choices=tuple(GROUPS))  # a baseline's zoo's group kind
 
     def __post_init__(self):
+        read(table(ExperimentConfig), vars(self))
         task = TASKS.get(self.task)
         if task is None:
-            raise ValueError(f"unknown task {self.task!r}")
-        for key, rule, ok in (("batch_size", ">= 1", self.batch_size >= 1),
-                              ("epochs", ">= 0", self.epochs >= 0),  # eval runs 0 epochs
-                              ("lr", "> 0", self.lr > 0),
-                              ("weight_decay", ">= 0", self.weight_decay >= 0)):
-            if not ok:
-                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
-        if self.baseline not in BASELINES:
-            raise ValueError(f"baseline must be one of {tuple(BASELINES)}, "
-                             f"got {self.baseline!r}")
+            raise ConfigError(f"unknown task {self.task!r}; task must be one of {tuple(TASKS)}")
         self.model = dict(self.model)  # the head default below must not leak to the caller
         ScaleGMNConfig.from_dict(self.model)  # bad keys or values fail before any zoo is read
         if not task.edits and self.model.get("head") == EDIT_HEAD:
-            raise ValueError("equivariant-edit head requires the inr-edit task")
+            raise ConfigError("equivariant-edit head requires the inr-edit task")
         for key in ("head", "out_dim"):
             required = getattr(task, key)
             given = self.model.get(key, required)
             if given != required:
-                raise ValueError(f"task {self.task!r} needs model.{key} = {required!r}, "
-                                 f"got {given!r}")
+                raise ConfigError(f"task {self.task!r} needs model.{key} = {required!r}, "
+                                  f"got {given!r}")
         if task.edits:
             self.model.setdefault("head", task.head)
             if self.baseline != "none":
-                raise ValueError("baselines do not implement the editing head")
-        if self.augmentation not in GROUPS:
-            raise ValueError(f"augmentation must be one of {tuple(GROUPS)}, "
-                             f"got {self.augmentation!r}")
+                raise ConfigError("baselines do not implement the editing head")
         if self.augmentation != "none" and self.baseline == "none":
-            raise ValueError(f"task {self.task!r}: ScaleGMN takes no augmentation "
-                             f"{self.augmentation!r}; it is invariant to its scaling group by "
-                             "construction, and augmentation is a control for the baselines")
+            raise ConfigError(f"task {self.task!r}: ScaleGMN takes no augmentation "
+                              f"{self.augmentation!r}; it is invariant to its scaling group by "
+                              "construction, and augmentation is a control for the baselines")
 
 
 def split_indices(n: int, seed: int) -> dict[str, np.ndarray]:
@@ -176,11 +169,7 @@ def split_indices(n: int, seed: int) -> dict[str, np.ndarray]:
     order = np.random.default_rng(seed).permutation(n)
     n_train = int(round(0.70 * n))
     n_val = int(round(0.15 * n))
-    return {
-        "train": order[:n_train],
-        "val": order[n_train : n_train + n_val],
-        "test": order[n_train + n_val :],
-    }
+    return dict(zip(SPLITS, np.split(order, [n_train, n_train + n_val])))
 
 
 class TaskData:
@@ -380,8 +369,7 @@ class Runner:
     def evaluate(self, split: str) -> dict[str, float]:
         """The task's metrics on one split; a split too small to score fails
         naming the zoo, the split and its size."""
-        self._check_scorable(split)
-        idx = self.data.splits[split]
+        idx = self._scorable(split)
         nets, graphs = self.data.items(idx)
         task, targets = self.task, self.targets[idx]
         if task.score is None:
@@ -395,13 +383,15 @@ class Runner:
     def metric_name(self) -> str:
         return self.task.metric
 
-    def _check_scorable(self, split: str) -> None:
-        """Raise unless `split` holds the task's `min_scored` nets."""
+    def _scorable(self, split: str) -> np.ndarray:
+        """The indices of `split`, one of SPLITS; raise unless it holds the
+        task's `min_scored` nets."""
+        idx = self.data.splits[check("split", SPLIT, split)]
         least = self.task.min_scored
-        size = len(self.data.splits[split])
-        if size < least:
-            raise ValueError(f"zoo {self.cfg.zoo}: the {split} split holds {size} net(s); "
+        if len(idx) < least:
+            raise ValueError(f"zoo {self.cfg.zoo}: the {split} split holds {len(idx)} net(s); "
                              f"{self.cfg.task} needs at least {least}, use a larger zoo")
+        return idx
 
     # -- the loop -----------------------------------------------------------------------
 
@@ -409,7 +399,7 @@ class Runner:
         cfg = self.cfg
         # every epoch scores the train and val splits
         for split in ("train", "val"):
-            self._check_scorable(split)
+            self._scorable(split)
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng([cfg.seed, 1])
@@ -504,7 +494,7 @@ class Runner:
 
     def eval_report(self, split: str = "test", with_orbit_copy: bool = False,
                     orbit_seed: int = 1234) -> dict:
-        idx = self.data.splits[split]
+        idx = self._scorable(split)
         report = {"split": split, "n": int(len(idx))}
         report.update(self.evaluate(split))
         if with_orbit_copy:

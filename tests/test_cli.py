@@ -9,7 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from scalegmn.cli import certify_model_combo, main
+from scalegmn.cli import (
+    CANONICALIZE, CERTIFY, COMBO, EVAL, GEN_ZOO, SIMULATE, certify_model_combo, main,
+)
+from scalegmn.config import table
+from scalegmn.model import ScaleGMNConfig
+from scalegmn.train import ExperimentConfig
 
 from test_train import save_two_group_zoo
 
@@ -35,8 +40,19 @@ def test_gen_zoo_and_determinism(tmp_path):
 
 def test_gen_zoo_unknown_kind(tmp_path):
     cfg = write_config(tmp_path, "zoo.json", {"kind": "bogus"})
-    assert run_cli("gen-zoo", "--config", cfg, "--out", str(tmp_path / "z")) == 2
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "gen-zoo: kind must be one of ('inr-2class', 'cnn-accuracy'), got 'bogus'")):
+        run_cli("gen-zoo", "--config", cfg, "--out", str(tmp_path / "z"))
     assert not (tmp_path / "z").exists()
+
+
+def test_gen_zoo_without_a_seed_uses_seed_zero(tmp_path):
+    """It used to die on np.random.default_rng([None, i]) after making --out."""
+    cfg = write_config(tmp_path, "zoo.json", {"kind": "cnn-accuracy", "count": 2})
+    assert run_cli("gen-zoo", "--config", cfg, "--out", str(tmp_path / "a")) == 0
+    assert run_cli("gen-zoo", "--config", cfg, "--seed", "0", "--out", str(tmp_path / "b")) == 0
+    assert ((tmp_path / "a" / "manifest.json").read_bytes()
+            == (tmp_path / "b" / "manifest.json").read_bytes())
 
 
 def test_train_eval_cycle(tiny_inr_zoo, tmp_path):
@@ -100,12 +116,15 @@ def test_certify_default_exits_zero(tmp_path):
 
 
 @pytest.mark.parametrize("counts", [{"trials": 0}, {"nets": 0}])
-def test_certify_without_trials_exits_nonzero(tmp_path, counts):
+def test_certify_without_trials_exits_nonzero(tmp_path, capsys, counts):
+    """No certificate rests on zero trials: the count is rejected before any combo runs."""
     cfg = write_config(tmp_path, "c.json", dict({"trials": 2, "nets": 1}, **counts))
-    assert run_cli("certify", "--config", cfg, "--out", str(tmp_path / "c")) == 1
-    reports = json.loads((tmp_path / "c" / "certify_report.json").read_text())
-    assert len(reports) == 12
-    assert all(r["trials"] == 0 and not r["passed"] for r in reports)
+    (key, value), = counts.items()
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"certify: {key} must be >= 1, got {value}")):
+        run_cli("certify", "--config", cfg, "--out", str(tmp_path / "c"))
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "c").exists()
 
 
 def test_certify_reports_seconds_per_combination(tmp_path, capsys):
@@ -147,8 +166,9 @@ def test_simulate_rejects_an_activation_the_relay_cannot_invert(tmp_path, activa
     """ReLU's derivative is zero on dead units, and the relay divides by it."""
     cfg = write_config(tmp_path, "sim.json", {"count": 10, "activation": activation})
     out = tmp_path / "s"
-    with pytest.raises(ValueError, match=rf"^simulate: activation '{activation}' is not "
-                                         r"supported.*\['sine', 'tanh', 'identity'\]"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"simulate: activation must be one of ('sine', 'tanh', 'identity'), "
+            f"got '{activation}'")):
         run_cli("simulate", "--config", cfg, "--seed", "3", "--out", str(out))
     assert not out.exists()
 
@@ -165,6 +185,61 @@ def test_unknown_config_key_is_rejected_before_any_work(tmp_path, command, confi
     cfg = write_config(tmp_path, "c.json", config)
     out = tmp_path / "out"
     with pytest.raises(ValueError, match=rf"^{command}: unknown config key\(s\) \['{bad}'\]"):
+        run_cli(command, "--config", cfg, "--out", str(out))
+    assert not out.exists()
+
+
+EVAL_CONFIG = {"task": "inr-classify", "zoo": "no-such-zoo", "checkpoint": "no-such-checkpoint"}
+
+
+@pytest.mark.parametrize("command,config,message", [
+    ("certify", {"trials": True}, "trials must be an int >= 1, got True"),
+    ("certify", {"trials": 2.7}, "trials must be an int >= 1, got 2.7"),
+    ("certify", {"tol": -1}, "tol must be > 0, got -1"),
+    ("certify", {"dims": [2]}, "dims must be a list of at least 3 ints >= 1, got [2]"),
+    ("certify", {"dims": [2, 0, 2]}, "dims must be a list of at least 3 ints >= 1, got [2, 0, 2]"),
+    ("certify", {"combos": []}, "combos must be a list of at least 1 dicts, got []"),
+    ("certify", [], "a config must be a dict, got []"),
+    ("simulate", {"count": 0}, "count must be >= 1, got 0"),
+    ("simulate", {"dims": [3]}, "dims must be a list of at least 2 ints >= 1, got [3]"),
+    ("simulate", {"dims": [2, 0, 1]}, "dims must be a list of at least 2 ints >= 1, got [2, 0, 1]"),
+    ("gen-zoo", {"count": 0}, "count must be >= 1, got 0"),
+    ("gen-zoo", {"count": -3}, "count must be >= 1, got -3"),
+    ("gen-zoo", {"kind": "cnn-accuracy", "steps": 10},
+     "steps is read only by kind 'inr-2class'; got steps 10 with kind 'cnn-accuracy'"),
+    ("canonicalize", {"zoo": "z", "orbit_canon": "false"},
+     "orbit_canon must be a bool, got 'false'"),
+    ("canonicalize", {"zoo": "z", "grid_side": 0}, "grid_side must be >= 1, got 0"),
+    ("canonicalize", {"zoo": "z", "tol": "x"}, "tol must be a number > 0, got 'x'"),
+    ("eval", dict(EVAL_CONFIG, with_orbit_augmented_copy="false"),
+     "with_orbit_augmented_copy must be a bool, got 'false'"),
+    ("eval", dict(EVAL_CONFIG, split="valid"),
+     "split must be one of ('train', 'val', 'test'), got 'valid'"),
+    ("eval", dict(EVAL_CONFIG, split_seed="x"), "split_seed must be an int >= 0, got 'x'"),
+    ("train", {"task": "inr-classify", "zoo": "z", "epochs": 1.5},
+     "epochs must be an int >= 0, got 1.5"),
+    ("train", {"task": "inr-classify", "zoo": "z", "model": {"d_v": 0}}, "d_v must be >= 1, got 0"),
+    ("train", {"task": "inr-classify", "zoo": "z", "model": {"n_rounds": -1}},
+     "n_rounds must be >= 0, got -1"),
+    ("train", {"task": "inr-classify", "zoo": "z", "model": {"pe_dim": 2.5}},
+     "pe_dim must be an int >= 1, got 2.5"),
+    ("train", {"task": "inr-classify", "zoo": "z", "model": {"d_e": "8"}},
+     "d_e must be an int >= 1, got '8'"),
+    ("train", {"task": "inr-classify", "zoo": "z", "model": {"mlp_hidden": True}},
+     "mlp_hidden must be an int >= 1, got True"),
+])
+def test_bad_config_value_is_rejected_before_any_work(tmp_path, monkeypatch, command, config,
+                                                      message):
+    """No zoo is read or fitted, no model built, no trial run, no --out made."""
+    def work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("load_zoo", "gen_inr_zoo", "gen_cnn_zoo", "Runner", "certify_model_combo",
+                 "simulate_ffnn"):
+        monkeypatch.setattr(f"scalegmn.cli.{name}", work)
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="^" + re.escape(f"{command}: {message}")):
         run_cli(command, "--config", cfg, "--out", str(out))
     assert not out.exists()
 
@@ -232,6 +307,25 @@ def test_eval_rejects_a_checkpoint_trained_for_another_task(tiny_inr_zoo, tmp_pa
         run_cli("eval", "--config", eval_cfg, "--out", str(tmp_path / "ev"))
 
 
+def test_eval_rejects_a_baseline_for_a_scalegmn_checkpoint(tiny_inr_zoo, tmp_path):
+    """It used to score the ScaleGMN checkpoint and exit 0, ignoring the baseline."""
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path, "train.json", {
+        "task": "inr-classify", "zoo": str(tiny_inr_zoo), "epochs": 0,
+        "model": {"d_v": 8, "d_e": 8, "d_msg": 8, "d_inv": 6, "d_readout": 8,
+                  "pe_dim": 4, "mlp_hidden": 10, "n_rounds": 1}})
+    assert run_cli("train", "--config", cfg, "--out", str(run)) == 0
+    eval_cfg = write_config(tmp_path, "eval.json", {
+        "task": "inr-classify", "zoo": str(tiny_inr_zoo), "checkpoint": str(run / "checkpoint"),
+        "baseline": "flat-mlp"})
+    out = tmp_path / "ev"
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"eval: baseline must be 'none' for the ScaleGMN checkpoint {run / 'checkpoint'}, "
+            "got 'flat-mlp'")):
+        run_cli("eval", "--config", eval_cfg, "--out", str(out))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("combo,problem", [
     ({"activation": "tanh", "direction": "forward"}, r"missing key\(s\) \['group_kind'\]"),
     ({"group_kind": "sign", "activaton": "tanh", "direction": "forward"},
@@ -277,6 +371,19 @@ def test_certify_model_combo_rejects_a_bad_direction():
     with pytest.raises(ValueError, match=re.escape(
             "direction must be one of ('forward', 'bidirectional'), got 'backward'")):
         certify_model_combo(combo, (2, 4, 4, 2), trials=1, nets=1, tol=1e-8, seed=0)
+
+
+README_TABLES = {"gen-zoo": GEN_ZOO, "train": table(ExperimentConfig),
+                 "model": table(ScaleGMNConfig), "eval": EVAL, "certify": CERTIFY,
+                 "certify combo": COMBO, "canonicalize": CANONICALIZE, "simulate": SIMULATE}
+
+
+@pytest.mark.parametrize("heading", sorted(README_TABLES))
+def test_readme_lists_the_keys_of_each_config_table(heading):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"\n#### {heading}\n", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(README_TABLES[heading])
 
 
 def _distribution_installed(name: str) -> bool:

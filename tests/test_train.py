@@ -111,6 +111,16 @@ def test_each_task_reports_and_selects_by_its_record(request, tmp_path, task, zo
     assert selection_key(task, better) < selection_key(task, worse)
 
 
+@pytest.mark.parametrize("call", ["evaluate", "eval_report"])
+def test_an_unknown_split_is_named_with_the_allowed_ones(tiny_inr_zoo, tmp_path, call):
+    """It used to fail with a bare KeyError: 'valid'."""
+    runner = Runner(ExperimentConfig(task="inr-classify", zoo=str(tiny_inr_zoo),
+                                     out_dir=str(tmp_path / "run"), model=TINY_MODEL))
+    with pytest.raises(ValueError, match=re.escape(
+            "split must be one of ('train', 'val', 'test'), got 'valid'")):
+        getattr(runner, call)("valid")
+
+
 def test_runner_load_builds_no_second_model(tiny_inr_zoo, tmp_path, monkeypatch):
     """A ScaleGMN checkpoint's tensors are read into the Runner's own model."""
     cfg, ckpt = _saved_runner(tiny_inr_zoo, tmp_path / "run", model=dict(TINY_MODEL), seed=1)
@@ -147,7 +157,7 @@ def test_training_settings_are_range_checked_before_any_zoo_is_read(key, value, 
 @pytest.mark.parametrize("setting,message", [
     ({"baseline": "flat_mlp"},
      "baseline must be one of ('none', 'flat-mlp', 'stat-mlp'), got 'flat_mlp'"),
-    ({"model": {"sign_canon": "ab"}}, "sign_canon must be 'abs' or 'symmetrize', got 'ab'"),
+    ({"model": {"sign_canon": "ab"}}, "sign_canon must be one of ('abs', 'symmetrize'), got 'ab'"),
 ], ids=["baseline", "sign_canon"])
 def test_misspelt_setting_fails_before_the_zoo_is_read(setting, message):
     with pytest.raises(ValueError, match=re.escape(message)):
