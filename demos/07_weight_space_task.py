@@ -1,4 +1,4 @@
-"""A miniature end-to-end weight-space experiment (a few minutes of CPU).
+"""A miniature end-to-end weight-space experiment (about 15 s on a 2-core host).
 
 Generates a small INR zoo, trains the metanetwork to classify disks vs
 squares from raw weights, and shows the point of the whole construction:

@@ -24,7 +24,7 @@ from .harness import (
     check_function_preservation,
     simulate_ffnn,
 )
-from .model import HEADS, ScaleGMNConfig, ScaleGMNModel, read_manifest
+from .model import HEADS, ScaleGMNConfig, ScaleGMNModel
 from .tensor import backward
 from .train import SPLIT, ExperimentConfig, Runner
 from .zoo import gen_cnn_zoo, gen_inr_zoo, grid_coords, load_zoo, save_zoo
@@ -83,35 +83,21 @@ def cmd_train(config: dict, seed: int, out) -> int:
     return 0
 
 
-TRAIN = table(ExperimentConfig)
-EVAL = {**{key: TRAIN[key] for key in ("task", "zoo", "baseline")}, "checkpoint": Key(PATH),
-        "split": SPLIT, "split_seed": TRAIN["seed"], "with_orbit_augmented_copy": Key(bool, False)}
+# the checkpoint names the task, the model and the split seed of its run
+EVAL = {"zoo": table(ExperimentConfig)["zoo"], "checkpoint": Key(PATH), "split": SPLIT,
+        "with_orbit_augmented_copy": Key(bool, False)}
 
 
 def cmd_eval(config: dict, seed: int, out) -> int:
     cfg = read(EVAL, config)
-    ckpt = Path(cfg["checkpoint"])
-    model_overrides = {}
-    if (ckpt / "checkpoint.json").exists():
-        if cfg["baseline"] != "none":
-            raise ConfigError(f"baseline must be 'none' for the ScaleGMN checkpoint {ckpt}, "
-                              f"got {cfg['baseline']!r}")
-        model_overrides = read_manifest(ckpt)[0].to_dict()
-    runner = Runner(ExperimentConfig(
-        task=cfg["task"],
-        zoo=cfg["zoo"],
+    runner = Runner(ExperimentConfig.from_checkpoint(
+        cfg["checkpoint"], zoo=cfg["zoo"],
         out_dir=str(_out_path(out)),   # made only once the report is written
-        model=model_overrides,
-        baseline=cfg["baseline"],
-        seed=cfg["split_seed"],
-        epochs=0,
-    ))
-    runner.load(ckpt)
-    report = runner.eval_report(
-        split=cfg["split"],
-        with_orbit_copy=cfg["with_orbit_augmented_copy"],
-        orbit_seed=seed if seed is not None else 1234,
-    )
+        epochs=0))
+    runner.load(cfg["checkpoint"])
+    report = runner.eval_report(split=cfg["split"],
+                                with_orbit_copy=cfg["with_orbit_augmented_copy"],
+                                **({} if seed is None else {"orbit_seed": seed}))
     out_path = _out_dir(out) / "eval_report.json"
     out_path.write_text(json.dumps(report, indent=1), encoding="utf-8")
     print(json.dumps(report))
@@ -121,8 +107,7 @@ def cmd_eval(config: dict, seed: int, out) -> int:
 # -- certify -----------------------------------------------------------------------------
 
 # each activation with a scaling group, in each direction
-CERTIFY_COMBOS = tuple({"group_kind": activations.by_name(act).kind, "activation": act,
-                        "direction": direction}
+CERTIFY_COMBOS = tuple({"activation": act, "direction": direction}
                        for act in ("tanh", "sine", "relu") for direction in DIRECTIONS)
 
 
@@ -147,7 +132,7 @@ def _net_sampler(dims, act_name):
 
 def certify_model_combo(combo: dict, dims, trials: int, nets: int, tol: float,
                         seed: int, head: str = "invariant") -> SymmetryReport:
-    kind = combo["group_kind"]
+    kind = activations.by_name(combo["activation"]).kind
     direction = combo["direction"]
     sampler = _net_sampler(dims, combo["activation"])
     template = template_for("ffnn", dims, _certify_activations(dims, combo["activation"]),
@@ -173,20 +158,17 @@ CERTIFY = {"trials": Key(int, 50, least=1), "nets": Key(int, 5, least=1),
            "tol": Key(float, 1e-8, above=0),
            "dims": Key(list, (2, 4, 4, 2), item=int, least=1, min_len=3),
            "combos": Key(list, CERTIFY_COMBOS, item=dict, min_len=1)}
-# by_name rejects an unknown activation, naming it
-COMBO = {"group_kind": Key(str), "activation": Key(str), "direction": Key(str, choices=DIRECTIONS)}
+# by_name rejects an unknown activation, naming it; the activation's group is the model's
+COMBO = {"activation": Key(str), "direction": Key(str, choices=DIRECTIONS)}
 
 
 def _read_combo(i: int, combo: dict) -> dict:
-    """Combo i read under COMBO; its group_kind must be its activation's group."""
+    """Combo i read under COMBO, with a known activation."""
     try:
         combo = read(COMBO, combo, noun="", known="each combo sets exactly")
-        kind = activations.by_name(combo["activation"]).kind
+        activations.by_name(combo["activation"])
     except ValueError as err:
         raise ConfigError(f"combo {i}: {err}") from None
-    if combo["group_kind"] != kind:
-        raise ConfigError(f"combo {i}: group_kind {combo['group_kind']!r} is not the group of "
-                          f"activation {combo['activation']!r}, {kind!r}")
     return combo
 
 

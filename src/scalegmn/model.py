@@ -256,6 +256,9 @@ class ScaleGMNModel(Module):
     def __call__(self, graphs: list) -> Tensor:
         return self.forward(graphs)
 
+    def checkpoint_spec(self) -> dict:
+        return {"config": self.config.to_dict(), "template": template_spec(self.template)}
+
     def edit(self, graphs: list, nets) -> SimpleNamespace:
         """Equivariant edit of the whole batch: theta' = theta + gamma * decode(h).
 
@@ -372,9 +375,11 @@ CHECKPOINT_DTYPE = "<f8"
 UNRECORDED_DTYPE = "<f4"
 
 
-def save_checkpoint(model: ScaleGMNModel, path) -> None:
-    """Manifest (config + template + tensor index + dtype) plus the flat
-    parameters in `CHECKPOINT_DTYPE`."""
+def save_checkpoint(model: Module, path, run: dict | None = None) -> None:
+    """`checkpoint.json`, the manifest: what `model.checkpoint_spec()` needs
+    to rebuild the model, the record of the `run` that trained it if given,
+    the dtype and the tensor index; and `params.bin`, the flat parameters in
+    `CHECKPOINT_DTYPE`. A ScaleGMN model and a baseline save alike."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     named = sorted(model.named_parameters(), key=lambda kv: kv[0])
@@ -384,46 +389,35 @@ def save_checkpoint(model: ScaleGMNModel, path) -> None:
         index.append({"name": name, "shape": list(p.shape), "offset": offset})
         blobs.append(np.asarray(p.data, dtype=CHECKPOINT_DTYPE).reshape(-1))
         offset += p.size
-    manifest = {
-        "config": model.config.to_dict(),
-        "template": template_spec(model.template),
-        "dtype": CHECKPOINT_DTYPE,
-        "tensors": index,
-    }
+    manifest = {**model.checkpoint_spec(), **({} if run is None else {"run": run}),
+                "dtype": CHECKPOINT_DTYPE, "tensors": index}
     (path / "checkpoint.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
     np.concatenate(blobs).tofile(path / "params.bin")
 
 
-def read_manifest(path) -> tuple[ScaleGMNConfig, dict]:
-    """A checkpoint's config and manifest; a config key that `ScaleGMNConfig`
-    lacks (a switch of an older architecture) fails naming the file."""
-    file = Path(path) / "checkpoint.json"
-    manifest = json.loads(file.read_text(encoding="utf-8"))
-    try:
-        return ScaleGMNConfig.from_dict(manifest["config"]), manifest
-    except ValueError as err:
-        raise ValueError(f"{file}: {err}") from None
+def read_manifest(path) -> dict:
+    return json.loads((Path(path) / "checkpoint.json").read_text(encoding="utf-8"))
 
 
-def check_tensors(source, wanted: dict, found: dict) -> None:
-    """Raise, naming `source`, unless `found` maps wanted's names to its shapes."""
-    if found != wanted:
-        wrong = sorted(n for n in found.keys() & wanted.keys() if found[n] != wanted[n])
-        raise ValueError(f"{source}: tensors do not match the model; missing "
-                         f"{sorted(wanted.keys() - found.keys())}, unexpected "
-                         f"{sorted(found.keys() - wanted.keys())}, wrong shape {wrong}")
-
-
-def read_params(path, manifest: dict, wanted: dict) -> dict[str, np.ndarray]:
-    """`params.bin`'s tensors by name, as float64. The manifest must list
-    exactly `wanted`'s names and shapes, record a known dtype and index a
-    file of its size; otherwise this fails naming the offending file."""
+def read_params(model: Module, path, manifest: dict | None = None) -> None:
+    """Assign each parameter of `model` its tensor in `params.bin`, as
+    float64. The manifest must list exactly the model's names and shapes,
+    record a known dtype and index a file of its size; otherwise this fails
+    naming the offending file."""
     path = Path(path)
+    file = path / "checkpoint.json"
+    manifest = read_manifest(path) if manifest is None else manifest
+    params = dict(model.named_parameters())
+    wanted = {name: p.shape for name, p in params.items()}
     listed = {e["name"]: tuple(e["shape"]) for e in manifest["tensors"]}
-    check_tensors(path / "checkpoint.json", wanted, listed)
+    if listed != wanted:
+        wrong = sorted(n for n in listed.keys() & wanted.keys() if listed[n] != wanted[n])
+        raise ValueError(f"{file}: tensors do not match the model; missing "
+                         f"{sorted(wanted.keys() - listed.keys())}, unexpected "
+                         f"{sorted(listed.keys() - wanted.keys())}, wrong shape {wrong}")
     dtype = manifest.get("dtype", UNRECORDED_DTYPE)
     if dtype not in (CHECKPOINT_DTYPE, UNRECORDED_DTYPE):
-        raise ValueError(f"{path / 'checkpoint.json'}: unknown dtype {dtype!r}; expected "
+        raise ValueError(f"{file}: unknown dtype {dtype!r}; expected "
                          f"{CHECKPOINT_DTYPE!r} (or {UNRECORDED_DTYPE!r}, read when none is "
                          f"recorded)")
     blob = path / "params.bin"
@@ -434,16 +428,27 @@ def read_params(path, manifest: dict, wanted: dict) -> dict[str, np.ndarray]:
         raise ValueError(f"{blob}: expected {expected} {dtype} values, found {found}"
                          + (f" and {stray} stray bytes" if stray else ""))
     flat = np.frombuffer(raw, dtype=dtype).astype(np.float64)
-    return {e["name"]: flat[e["offset"] : e["offset"] + int(np.prod(e["shape"]))]
-            .reshape(e["shape"]) for e in manifest["tensors"]}
+    for e in manifest["tensors"]:
+        size = int(np.prod(e["shape"]))
+        params[e["name"]].assign(flat[e["offset"] : e["offset"] + size].reshape(e["shape"]))
 
 
 def load_checkpoint(path) -> ScaleGMNModel:
-    config, manifest = read_manifest(path)
+    """The ScaleGMN model a checkpoint holds, rebuilt from its manifest. A
+    baseline's checkpoint, which records no config, and a config key that
+    `ScaleGMNConfig` lacks (a switch of an older architecture) fail naming
+    the file."""
+    file = Path(path) / "checkpoint.json"
+    manifest = read_manifest(path)
+    if "config" not in manifest:
+        held = manifest.get("run", {}).get("baseline")
+        raise ValueError(f"{file}: holds no ScaleGMN config but the {held!r} baseline; "
+                         "Runner.load reads it")
+    try:
+        config = ScaleGMNConfig.from_dict(manifest["config"])
+    except ValueError as err:
+        raise ValueError(f"{file}: {err}") from None
     model = ScaleGMNModel(config, template_from_spec(manifest["template"]),
                           np.random.default_rng(0))
-    params = dict(model.named_parameters())
-    saved = read_params(path, manifest, {name: p.shape for name, p in params.items()})
-    for name, p in params.items():
-        p.assign(saved[name])
+    read_params(model, path, manifest)
     return model

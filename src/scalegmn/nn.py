@@ -38,6 +38,10 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
+    def checkpoint_spec(self) -> dict:
+        """What a checkpoint records, beyond the parameters, to rebuild this module."""
+        return {}
+
 
 class Linear(Module):
     """Affine map x @ W.T (+ b). `bias=False` gives the purely linear maps

@@ -56,13 +56,12 @@ import numpy as np
 
 from .activations import GROUPS, hidden_group
 from .baselines import make_flat_baseline, make_stat_baseline
-from .config import PATH, ConfigError, Key, check, read, setting, table
+from .config import PATH, REQUIRED, ConfigError, Key, check, read, setting, table
 from .ffnn import LayerChain, OrbitElement, apply_orbit, ffnn_forward_taped, sample_orbit
 from .graph import graph_for
 from .harness import kendall_tau
 from .model import (
-    EDIT_HEAD, ScaleGMNConfig, ScaleGMNModel, check_tensors, read_manifest, read_params,
-    save_checkpoint,
+    EDIT_HEAD, ScaleGMNConfig, ScaleGMNModel, read_manifest, read_params, save_checkpoint,
 )
 from .nn import cross_entropy, mse
 from .optim import AdamState
@@ -162,6 +161,29 @@ class ExperimentConfig:
             raise ConfigError(f"task {self.task!r}: ScaleGMN takes no augmentation "
                               f"{self.augmentation!r}; it is invariant to its scaling group by "
                               "construction, and augmentation is a control for the baselines")
+
+    @classmethod
+    def from_checkpoint(cls, path, **settings) -> "ExperimentConfig":
+        """The config of the run that wrote the checkpoint at `path`: its run
+        record and ScaleGMN config, with `settings` on top. A manifest with
+        no run record (written before checkpoints had one), or a record or
+        config no run accepts, fails naming the file."""
+        file = Path(path) / "checkpoint.json"
+        manifest = read_manifest(path)
+        if "run" not in manifest:
+            raise ConfigError(f"{file}: lacks the field 'run', the record of the run that wrote "
+                              "it (a checkpoint written before runs were recorded has none)")
+        try:
+            run = read(RUN, manifest["run"], noun="run record ")
+            return cls(**run, model=manifest.get("config", {}), **settings)
+        except ConfigError as err:
+            raise ConfigError(f"{file}: {err}") from None
+
+
+# What a checkpoint records of the run that wrote it, all required: the task
+# and model it was trained for, and the seed that drew its splits.
+RUN = {key: table(ExperimentConfig)[key]._replace(default=REQUIRED)
+       for key in ("task", "baseline", "seed")}
 
 
 def split_indices(n: int, seed: int) -> dict[str, np.ndarray]:
@@ -462,28 +484,12 @@ class Runner:
         return summary
 
     def _save(self, path: Path):
-        if self.is_scalegmn:
-            save_checkpoint(self.model, path)
-        else:
-            path.mkdir(parents=True, exist_ok=True)
-            named = dict(self.model.named_parameters())
-            np.savez(path / "baseline.npz",
-                     **{k: v.data for k, v in named.items()})
+        save_checkpoint(self.model, path, run={key: getattr(self.cfg, key) for key in RUN})
 
     def load(self, path: Path):
         """Assign every parameter the saved tensor of its name. Missing,
         unexpected or mis-shaped tensors fail naming the checkpoint file."""
-        params = dict(self.model.named_parameters())
-        shapes = {name: p.shape for name, p in params.items()}
-        if self.is_scalegmn:
-            saved = read_params(path, read_manifest(path)[1], shapes)
-        else:
-            source = Path(path) / "baseline.npz"
-            with np.load(source) as blob:
-                saved = {name: blob[name] for name in blob.files}
-            check_tensors(source, shapes, {name: a.shape for name, a in saved.items()})
-        for name, p in params.items():
-            p.assign(saved[name])
+        read_params(self.model, path)
 
     @staticmethod
     def _write_csv(path: Path, rows, mode: str = "a"):

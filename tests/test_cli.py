@@ -14,9 +14,9 @@ from scalegmn.cli import (
 )
 from scalegmn.config import table
 from scalegmn.model import ScaleGMNConfig
-from scalegmn.train import ExperimentConfig
+from scalegmn.train import ExperimentConfig, Runner, split_indices
 
-from test_train import save_two_group_zoo
+from test_train import TINY_MODEL, save_two_group_zoo
 
 
 def run_cli(*argv) -> int:
@@ -77,12 +77,10 @@ def test_train_eval_cycle(tiny_inr_zoo, tmp_path):
     eval_cfg = write_config(
         tmp_path, "eval.json",
         {
-            "task": "inr-classify",
             "zoo": str(tiny_inr_zoo),
             "checkpoint": str(out / "checkpoint"),
             "split": "test",
             "with_orbit_augmented_copy": True,
-            "split_seed": 5,
         },
     )
     assert run_cli("eval", "--config", eval_cfg, "--seed", "9", "--out", str(tmp_path / "ev")) == 0
@@ -100,8 +98,7 @@ def test_eval_orbit_copy_of_a_baseline_on_a_zoo_spanning_two_groups(tmp_path):
     out = tmp_path / "run"
     assert run_cli("train", "--config", cfg, "--seed", "5", "--out", str(out)) == 0
     eval_cfg = write_config(tmp_path, "eval.json", {
-        "task": "inr-classify", "zoo": zoo, "checkpoint": str(out / "checkpoint"),
-        "baseline": "flat-mlp", "with_orbit_augmented_copy": True, "split_seed": 5})
+        "zoo": zoo, "checkpoint": str(out / "checkpoint"), "with_orbit_augmented_copy": True})
     assert run_cli("eval", "--config", eval_cfg, "--seed", "9", "--out", str(tmp_path / "ev")) == 0
     report = json.loads((tmp_path / "ev" / "eval_report.json").read_text())
     assert 0.0 <= report["orbit_accuracy"] <= 1.0
@@ -128,7 +125,7 @@ def test_certify_without_trials_exits_nonzero(tmp_path, capsys, counts):
 
 
 def test_certify_reports_seconds_per_combination(tmp_path, capsys):
-    combos = [{"group_kind": "positive", "activation": "relu", "direction": "forward"}]
+    combos = [{"activation": "relu", "direction": "forward"}]
     cfg = write_config(tmp_path, "c.json", {"trials": 3, "nets": 1, "combos": combos})
     assert run_cli("certify", "--config", cfg, "--out", str(tmp_path / "c")) == 0
     reports = json.loads((tmp_path / "c" / "certify_report.json").read_text())
@@ -175,7 +172,7 @@ def test_simulate_rejects_an_activation_the_relay_cannot_invert(tmp_path, activa
 
 @pytest.mark.parametrize("command,config,bad", [
     ("gen-zoo", {"kind": "cnn-accuracy", "cout": 3}, "cout"),
-    ("eval", {"task": "inr-classify", "zoo": "z", "checkpoint": "c", "splt": "val"}, "splt"),
+    ("eval", {"zoo": "z", "checkpoint": "c", "splt": "val"}, "splt"),
     ("certify", {"trails": 4, "nets": 2}, "trails"),
     ("canonicalize", {"zoo": "z", "grid_sides": 16}, "grid_sides"),
     ("simulate", {"count": 3, "activaton": "tanh"}, "activaton"),
@@ -189,7 +186,7 @@ def test_unknown_config_key_is_rejected_before_any_work(tmp_path, command, confi
     assert not out.exists()
 
 
-EVAL_CONFIG = {"task": "inr-classify", "zoo": "no-such-zoo", "checkpoint": "no-such-checkpoint"}
+EVAL_CONFIG = {"zoo": "no-such-zoo", "checkpoint": "no-such-checkpoint"}
 
 
 @pytest.mark.parametrize("command,config,message", [
@@ -215,7 +212,7 @@ EVAL_CONFIG = {"task": "inr-classify", "zoo": "no-such-zoo", "checkpoint": "no-s
      "with_orbit_augmented_copy must be a bool, got 'false'"),
     ("eval", dict(EVAL_CONFIG, split="valid"),
      "split must be one of ('train', 'val', 'test'), got 'valid'"),
-    ("eval", dict(EVAL_CONFIG, split_seed="x"), "split_seed must be an int >= 0, got 'x'"),
+    ("eval", dict(EVAL_CONFIG, checkpoint=3), "checkpoint must be a path, got 3"),
     ("train", {"task": "inr-classify", "zoo": "z", "epochs": 1.5},
      "epochs must be an int >= 0, got 1.5"),
     ("train", {"task": "inr-classify", "zoo": "z", "model": {"d_v": 0}}, "d_v must be >= 1, got 0"),
@@ -245,8 +242,8 @@ def test_bad_config_value_is_rejected_before_any_work(tmp_path, monkeypatch, com
 
 
 @pytest.mark.parametrize("command,config,missing", [
-    ("eval", {"task": "inr-classify", "zoo": "z"}, ["checkpoint"]),
-    ("eval", {"split": "val"}, ["checkpoint", "task", "zoo"]),
+    ("eval", {"zoo": "z"}, ["checkpoint"]),
+    ("eval", {"split": "val"}, ["checkpoint", "zoo"]),
     ("canonicalize", {"orbit_canon": False}, ["zoo"]),
     ("train", {"zoo": "z", "epochs": 1}, ["task"]),
     ("train", {"task": "inr-classify"}, ["zoo"]),
@@ -261,19 +258,32 @@ def test_missing_required_config_key_is_named_before_any_work(tmp_path, command,
     assert not out.exists()
 
 
-def test_eval_names_a_checkpoint_whose_config_has_a_removed_key(tiny_inr_zoo, tmp_path):
+def _trained(tmp_path, zoo, *argv, **settings) -> Path:
+    """The checkpoint of a `train` run of inr-classify on `zoo`."""
     run = tmp_path / "run"
-    cfg = write_config(tmp_path, "train.json", {
-        "task": "inr-classify", "zoo": str(tiny_inr_zoo), "epochs": 0,
-        "model": {"d_v": 8, "d_e": 8, "d_msg": 8, "d_inv": 6, "d_readout": 8,
-                  "pe_dim": 4, "mlp_hidden": 10, "n_rounds": 1}})
-    assert run_cli("train", "--config", cfg, "--out", str(run)) == 0
-    manifest_path = run / "checkpoint" / "checkpoint.json"
+    cfg = write_config(tmp_path, "train.json", {"task": "inr-classify", "zoo": str(zoo),
+                                                "epochs": 0, **settings})
+    assert run_cli("train", "--config", cfg, "--out", str(run), *argv) == 0
+    return run / "checkpoint"
+
+
+def _no_work(monkeypatch):
+    """Make reading a zoo or building a Runner fail the test."""
+    def work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("load_zoo", "Runner"):
+        monkeypatch.setattr(f"scalegmn.cli.{name}", work)
+
+
+def test_eval_names_a_checkpoint_whose_config_has_a_removed_key(tiny_inr_zoo, tmp_path):
+    ckpt = _trained(tmp_path, tiny_inr_zoo, model=TINY_MODEL)
+    manifest_path = ckpt / "checkpoint.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["config"]["skip_connections"] = True
     manifest_path.write_text(json.dumps(manifest))
-    eval_cfg = write_config(tmp_path, "eval.json", {
-        "task": "inr-classify", "zoo": str(tiny_inr_zoo), "checkpoint": str(run / "checkpoint")})
+    eval_cfg = write_config(tmp_path, "eval.json", {"zoo": str(tiny_inr_zoo),
+                                                    "checkpoint": str(ckpt)})
     out = tmp_path / "ev"
     with pytest.raises(ValueError, match=re.escape(
             f"{manifest_path}: unknown model config key(s) ['skip_connections']")):
@@ -281,10 +291,10 @@ def test_eval_names_a_checkpoint_whose_config_has_a_removed_key(tiny_inr_zoo, tm
     assert not out.exists()
 
 
-def test_a_failed_eval_leaves_no_out_directory(tmp_path):
-    cfg = write_config(tmp_path, "eval.json", {
-        "task": "inr-classify", "zoo": str(tmp_path / "no-zoo"),
-        "checkpoint": str(tmp_path / "no-checkpoint")})
+def test_a_failed_eval_leaves_no_out_directory(tiny_inr_zoo, tmp_path):
+    ckpt = _trained(tmp_path, tiny_inr_zoo, model=TINY_MODEL)
+    cfg = write_config(tmp_path, "eval.json", {"zoo": str(tmp_path / "no-zoo"),
+                                               "checkpoint": str(ckpt)})
     out = tmp_path / "ev"
     with pytest.raises(FileNotFoundError, match="manifest.json"):
         run_cli("eval", "--config", cfg, "--out", str(out))
@@ -292,71 +302,129 @@ def test_a_failed_eval_leaves_no_out_directory(tmp_path):
 
 
 def test_eval_rejects_a_checkpoint_trained_for_another_task(tiny_inr_zoo, tmp_path):
-    """An inr-classify checkpoint has two outputs; cnn-generalization needs one."""
-    run = tmp_path / "run"
-    cfg = write_config(tmp_path, "train.json", {
-        "task": "inr-classify", "zoo": str(tiny_inr_zoo), "epochs": 0,
-        "model": {"d_v": 8, "d_e": 8, "d_msg": 8, "d_inv": 6, "d_readout": 8,
-                  "pe_dim": 4, "mlp_hidden": 10, "n_rounds": 1}})
-    assert run_cli("train", "--config", cfg, "--out", str(run)) == 0
-    eval_cfg = write_config(tmp_path, "eval.json", {
-        "task": "cnn-generalization", "zoo": "no-such-zoo",
-        "checkpoint": str(run / "checkpoint")})
+    """An inr-classify model has two outputs; a run record naming
+    cnn-generalization, which needs one, is rejected naming the file."""
+    ckpt = _trained(tmp_path, tiny_inr_zoo, model=TINY_MODEL)
+    manifest_path = ckpt / "checkpoint.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["run"]["task"] = "cnn-generalization"
+    manifest_path.write_text(json.dumps(manifest))
+    eval_cfg = write_config(tmp_path, "eval.json", {"zoo": "no-such-zoo",
+                                                    "checkpoint": str(ckpt)})
     with pytest.raises(ValueError, match=re.escape(
-            "task 'cnn-generalization' needs model.out_dim = 1, got 2")):
+            f"{manifest_path}: task 'cnn-generalization' needs model.out_dim = 1, got 2")):
         run_cli("eval", "--config", eval_cfg, "--out", str(tmp_path / "ev"))
 
 
-def test_eval_rejects_a_baseline_for_a_scalegmn_checkpoint(tiny_inr_zoo, tmp_path):
-    """It used to score the ScaleGMN checkpoint and exit 0, ignoring the baseline."""
-    run = tmp_path / "run"
-    cfg = write_config(tmp_path, "train.json", {
-        "task": "inr-classify", "zoo": str(tiny_inr_zoo), "epochs": 0,
-        "model": {"d_v": 8, "d_e": 8, "d_msg": 8, "d_inv": 6, "d_readout": 8,
-                  "pe_dim": 4, "mlp_hidden": 10, "n_rounds": 1}})
-    assert run_cli("train", "--config", cfg, "--out", str(run)) == 0
-    eval_cfg = write_config(tmp_path, "eval.json", {
-        "task": "inr-classify", "zoo": str(tiny_inr_zoo), "checkpoint": str(run / "checkpoint"),
-        "baseline": "flat-mlp"})
+def test_eval_rejects_a_baseline_for_a_scalegmn_checkpoint(tmp_path, monkeypatch):
+    """It used to score the ScaleGMN checkpoint and exit 0, ignoring the
+    baseline; the checkpoint names its model, so the key is unknown."""
+    _no_work(monkeypatch)
+    eval_cfg = write_config(tmp_path, "eval.json", dict(EVAL_CONFIG, baseline="flat-mlp"))
     out = tmp_path / "ev"
     with pytest.raises(ValueError, match="^" + re.escape(
-            f"eval: baseline must be 'none' for the ScaleGMN checkpoint {run / 'checkpoint'}, "
-            "got 'flat-mlp'")):
+            "eval: unknown config key(s) ['baseline']")):
         run_cli("eval", "--config", eval_cfg, "--out", str(out))
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("task", "inr-classify"), ("baseline", "none"),
+                                       ("split_seed", 0)], ids=["task", "baseline", "split_seed"])
+def test_eval_takes_its_run_from_the_checkpoint(tmp_path, monkeypatch, key, value):
+    """The task, the model and the split seed are the training run's, so an
+    eval config that sets one fails before any work."""
+    _no_work(monkeypatch)
+    eval_cfg = write_config(tmp_path, "eval.json", dict(EVAL_CONFIG, **{key: value}))
+    out = tmp_path / "ev"
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"eval: unknown config key(s) ['{key}']; known keys: ['checkpoint', 'split', "
+            "'with_orbit_augmented_copy', 'zoo']")):
+        run_cli("eval", "--config", eval_cfg, "--out", str(out))
+    assert not out.exists()
+
+
+def test_eval_scores_the_test_split_of_the_training_seed(tiny_inr_zoo, tmp_path):
+    """It used to score seed 0's test split, whose one item seed 3 trains on."""
+    splits = {seed: split_indices(10, seed) for seed in (0, 3)}
+    assert set(splits[0]["test"]) <= set(splits[3]["train"])
+    ckpt = _trained(tmp_path, tiny_inr_zoo, "--seed", "3", model=TINY_MODEL, epochs=1,
+                    batch_size=4)
+    eval_cfg = write_config(tmp_path, "eval.json", {"zoo": str(tiny_inr_zoo),
+                                                    "checkpoint": str(ckpt)})
+    assert run_cli("eval", "--config", eval_cfg, "--out", str(tmp_path / "ev")) == 0
+    runner = Runner(ExperimentConfig(task="inr-classify", zoo=str(tiny_inr_zoo),
+                                     out_dir=str(tmp_path / "other"), model=TINY_MODEL, seed=3))
+    runner.load(ckpt)
+    expected = runner.eval_report("test")
+    assert expected["n"] == len(splits[3]["test"])
+    assert (tmp_path / "ev" / "eval_report.json").read_text() == json.dumps(expected, indent=1)
+
+
+def test_eval_of_a_baseline_checkpoint_needs_only_zoo_and_checkpoint(tiny_inr_zoo, tmp_path):
+    """It used to build a ScaleGMN model and die on a missing checkpoint.json."""
+    ckpt = _trained(tmp_path, tiny_inr_zoo, "--seed", "2", baseline="flat-mlp")
+    assert (ckpt / "checkpoint.json").exists() and not (ckpt / "baseline.npz").exists()
+    eval_cfg = write_config(tmp_path, "eval.json", {"zoo": str(tiny_inr_zoo),
+                                                    "checkpoint": str(ckpt), "split": "val"})
+    assert run_cli("eval", "--config", eval_cfg, "--out", str(tmp_path / "ev")) == 0
+    runner = Runner(ExperimentConfig(task="inr-classify", zoo=str(tiny_inr_zoo),
+                                     out_dir=str(tmp_path / "other"), baseline="flat-mlp",
+                                     seed=2))
+    runner.load(ckpt)
+    report = json.loads((tmp_path / "ev" / "eval_report.json").read_text())
+    assert report == runner.eval_report("val")
+
+
+def test_eval_rejects_a_checkpoint_without_a_run_record(tiny_inr_zoo, tmp_path, monkeypatch):
+    """A checkpoint written before runs were recorded names no split seed:
+    `eval` takes no default for it, and `Runner.load` still reads it."""
+    ckpt = _trained(tmp_path, tiny_inr_zoo, model=TINY_MODEL)
+    manifest_path = ckpt / "checkpoint.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["run"]
+    manifest_path.write_text(json.dumps(manifest))
+    _no_work(monkeypatch)
+    eval_cfg = write_config(tmp_path, "eval.json", {"zoo": str(tiny_inr_zoo),
+                                                    "checkpoint": str(ckpt)})
+    out = tmp_path / "ev"
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"eval: {manifest_path}: lacks the field 'run'")):
+        run_cli("eval", "--config", eval_cfg, "--out", str(out))
+    assert not out.exists()
+    Runner(ExperimentConfig(task="inr-classify", zoo=str(tiny_inr_zoo), out_dir=str(out),
+                            model=TINY_MODEL)).load(ckpt)  # the library still reads it
+
+
 @pytest.mark.parametrize("combo,problem", [
-    ({"activation": "tanh", "direction": "forward"}, r"missing key\(s\) \['group_kind'\]"),
-    ({"group_kind": "sign", "activaton": "tanh", "direction": "forward"},
+    ({"activation": "tanh"}, r"missing key\(s\) \['direction'\]"),
+    ({"activaton": "tanh", "direction": "forward"},
      r"missing key\(s\) \['activation'\]; unknown key\(s\) \['activaton'\]"),
-    ({"group_kind": "sign", "activation": "tanh", "direction": "forward", "kernel": 3},
+    ({"activation": "tanh", "direction": "forward", "kernel": 3},
      r"unknown key\(s\) \['kernel'\]"),
 ])
 def test_certify_rejects_a_combo_with_missing_or_unknown_keys(tmp_path, combo, problem):
     """Every combo is checked before the first is certified; the bad one is named."""
-    good = {"group_kind": "sign", "activation": "tanh", "direction": "forward"}
+    good = {"activation": "tanh", "direction": "forward"}
     cfg = write_config(tmp_path, "c.json", {"trials": 1, "nets": 1, "combos": [good, combo]})
     out = tmp_path / "c"
     with pytest.raises(ValueError, match=rf"^certify: combo 1: {problem}; each combo sets "
-                                         r"exactly \['activation', 'direction', 'group_kind'\]"):
+                                         r"exactly \['activation', 'direction'\]"):
         run_cli("certify", "--config", cfg, "--out", str(out))
     assert not (out / "certify_report.json").exists()
 
 
 @pytest.mark.parametrize("combo,problem", [
-    ({"group_kind": "sign", "activation": "tanhh", "direction": "forward"},
-     "unknown activation 'tanhh'"),
-    ({"group_kind": "positive", "activation": "tanh", "direction": "forward"},
-     "group_kind 'positive' is not the group of activation 'tanh', 'sign'"),
-    ({"group_kind": "sign", "activation": "relu", "direction": "forward"},
-     "group_kind 'sign' is not the group of activation 'relu', 'positive'"),
-    ({"group_kind": "sign", "activation": "sine", "direction": "backward"},
+    ({"activation": "tanhh", "direction": "forward"}, "unknown activation 'tanhh'"),
+    # the activation's group is the model's; a combo no longer names it
+    ({"group_kind": "positive", "activation": "relu", "direction": "forward"},
+     "unknown key(s) ['group_kind']"),
+    ({"activation": 3, "direction": "forward"}, "activation must be a string, got 3"),
+    ({"activation": "sine", "direction": "backward"},
      "direction must be one of ('forward', 'bidirectional'), got 'backward'"),
 ])
 def test_certify_rejects_a_bad_combo_before_certifying_any(tmp_path, capsys, combo, problem):
     """The valid first combo is not certified: nothing is printed, no report written."""
-    good = {"group_kind": "sign", "activation": "tanh", "direction": "forward"}
+    good = {"activation": "tanh", "direction": "forward"}
     cfg = write_config(tmp_path, "c.json", {"trials": 1, "nets": 1, "combos": [good, combo]})
     out = tmp_path / "c"
     with pytest.raises(ValueError, match="^" + re.escape(f"certify: combo 1: {problem}")):
@@ -367,7 +435,7 @@ def test_certify_rejects_a_bad_combo_before_certifying_any(tmp_path, capsys, com
 
 def test_certify_model_combo_rejects_a_bad_direction():
     """It used to certify a forward model under the name tanh/sign/backward/invariant."""
-    combo = {"group_kind": "sign", "activation": "tanh", "direction": "backward"}
+    combo = {"activation": "tanh", "direction": "backward"}
     with pytest.raises(ValueError, match=re.escape(
             "direction must be one of ('forward', 'bidirectional'), got 'backward'")):
         certify_model_combo(combo, (2, 4, 4, 2), trials=1, nets=1, tol=1e-8, seed=0)

@@ -224,21 +224,56 @@ def test_runner_load_rejects_another_architecture(tiny_inr_zoo, tmp_path, model,
 
 @pytest.mark.parametrize("change", ["missing", "unexpected", "shape"])
 def test_runner_load_rejects_a_mismatched_baseline_file(tiny_inr_zoo, tmp_path, change):
+    """A baseline's checkpoint.json indexes its tensors as ScaleGMN's does."""
     cfg, ckpt = _saved_runner(tiny_inr_zoo, tmp_path / "run", baseline="flat-mlp")
-    blob = ckpt / "baseline.npz"
-    with np.load(blob) as saved:
-        tensors = {name: saved[name] for name in saved.files}
-    name = sorted(tensors)[0]
+    path = ckpt / "checkpoint.json"
+    manifest = json.loads(path.read_text())
+    assert "config" not in manifest and not (ckpt / "baseline.npz").exists()
+    tensors = manifest["tensors"]
     if change == "missing":
-        del tensors[name]
+        name = tensors.pop(0)["name"]
     elif change == "unexpected":
         name = "no_such_parameter"
-        tensors[name] = np.zeros(1)
+        tensors.append({"name": name, "shape": [1], "offset": 0})
     else:
-        tensors[name] = tensors[name][..., None]
-    np.savez(blob, **tensors)
-    with pytest.raises(ValueError, match=re.escape(str(blob)) + rf".*{change}.*'{name}'"):
+        name = tensors[0]["name"]
+        tensors[0]["shape"] = tensors[0]["shape"] + [1]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(str(path)) + rf".*{change}.*'{name}'"):
         Runner(cfg).load(ckpt)
+
+
+def test_a_checkpoint_records_its_run(tiny_inr_zoo, tmp_path):
+    cfg, ckpt = _saved_runner(tiny_inr_zoo, tmp_path / "run", baseline="stat-mlp", seed=4)
+    manifest = json.loads((ckpt / "checkpoint.json").read_text())
+    assert manifest["run"] == {"task": "inr-classify", "baseline": "stat-mlp", "seed": 4}
+    assert manifest["dtype"] == "<f8"
+    loaded = ExperimentConfig.from_checkpoint(ckpt, zoo=cfg.zoo, out_dir=cfg.out_dir, epochs=0)
+    assert loaded == dataclasses.replace(cfg, model={})
+
+
+def test_load_checkpoint_rejects_a_baseline_checkpoint(tiny_inr_zoo, tmp_path):
+    _, ckpt = _saved_runner(tiny_inr_zoo, tmp_path / "run", baseline="flat-mlp")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{ckpt / 'checkpoint.json'}: holds no ScaleGMN config but the 'flat-mlp' "
+            "baseline")):
+        load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("run,problem", [
+    ({"task": "inr-classify", "baseline": "none"}, "missing run record key(s) ['seed']"),
+    ({"task": "inr-classify", "baseline": "none", "seed": "3"}, "seed must be an int >= 0"),
+    ([], "a run record must be a dict"),
+])
+def test_a_bad_run_record_names_the_file(tiny_inr_zoo, tmp_path, run, problem):
+    """No field of the run record falls back to a default."""
+    _, ckpt = _saved_runner(tiny_inr_zoo, tmp_path / "run", model=dict(TINY_MODEL))
+    path = ckpt / "checkpoint.json"
+    manifest = json.loads(path.read_text())
+    manifest["run"] = run
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
+        ExperimentConfig.from_checkpoint(ckpt, zoo=str(tiny_inr_zoo))
 
 
 def test_runner_load_restores_a_baseline_by_name(tiny_inr_zoo, tmp_path):
@@ -369,14 +404,18 @@ def test_cnn_generalization_task(tiny_cnn_zoo, tmp_path):
     ("inr-classify", "tiny_inr_zoo", {}),
     ("cnn-generalization", "tiny_cnn_zoo", {"group_kind": "positive"}),
     ("inr-edit", "tiny_inr_zoo", {}),
+    ("inr-classify", "tiny_inr_zoo", {"baseline": "flat-mlp"}),
 ])
 def test_a_reloaded_checkpoint_scores_what_selection_recorded(request, tmp_path, task, zoo,
                                                               model):
     """The checkpoint holds the selected epoch's parameters exactly, so a
     fresh Runner that loads it scores the validation split bit for bit as
-    summary.json recorded."""
+    summary.json recorded; a baseline's as a ScaleGMN model's."""
+    model = dict(model)
+    baseline = model.pop("baseline", "none")
     cfg = dict(task=task, zoo=str(request.getfixturevalue(zoo)), out_dir=str(tmp_path / "run"),
-               model=dict(TINY_MODEL, **model), epochs=2, batch_size=4, seed=8)
+               model=dict(TINY_MODEL, **model), epochs=2, batch_size=4, seed=8,
+               baseline=baseline)
     summary = Runner(ExperimentConfig(**cfg)).train()
     reloaded = Runner(ExperimentConfig(**dict(cfg, epochs=0)))
     reloaded.load(tmp_path / "run" / "checkpoint")
