@@ -20,7 +20,7 @@ share one class per layer, and edge classes follow the same three-case rule
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .activations import ActivationDescriptor, hidden_group, hidden_kind, identi
 from .cnn import CnnParams
 from .config import Key, check
 from .ffnn import FfnnParams, shift_sine_biases
-from .tensor import DIV_EPS, ShapeError
+from .tensor import DIV_EPS, RowIndex, ShapeError
 
 # Forward edges only, or forward plus reciprocal backward edges.
 DIRECTIONS = ("forward", "bidirectional")
@@ -166,29 +166,47 @@ def _backward_features(template: GraphTemplate, weights, x_e: np.ndarray) -> np.
 
 
 @dataclass(frozen=True)
+class EdgeRoute:
+    """One direction's edges, by the role of the vertex each one targets:
+    hidden first, then input or output. Each part holds its edge rows and
+    the vertex rows those edges leave and enter; `into` is the parts'
+    target rows in part order, where their messages are summed."""
+
+    edges: tuple            # (edges into hidden vertices, edges into i/o vertices)
+    sources: tuple          # the source vertex row of each part's edges
+    targets: tuple          # the target vertex row of each part's edges
+    into: np.ndarray        # concat(targets)
+
+
+@dataclass(frozen=True)
 class BatchRows:
-    """Flat row indices into the stacked arrays of a batch, by role.
+    """Every row index a batch's model pass gathers or scatters with, by role.
 
     Vertex rows index [B*V] arrays and edge rows index [B*E] arrays; every
     index array runs graph by graph, in the template's row order. Backward
-    edge e mirrors forward edge e, so it targets vertex ``src[e]``.
+    edge e mirrors forward edge e, so it targets vertex ``src[e]``. Each
+    array is a read-only ``tensor.RowIndex``: its bounds are read once, when
+    `GraphTemplate.rows` builds it, and its segment-sum spreads are kept, so
+    a gather or scatter with it makes no pass over the index.
     """
 
     src: np.ndarray          # [B*E] source vertex row of each forward edge
     tgt: np.ndarray          # [B*E] target vertex row of each forward edge
-    v_hidden: np.ndarray
-    v_input: np.ndarray
-    v_output: np.ndarray
+    src_class: np.ndarray    # [B*E] sharing class of each edge's source vertex
+    tgt_class: np.ndarray    # [B*E] sharing class of each edge's target vertex
+    v_roles: tuple           # (hidden, input, output) vertex rows
+    v_role_class: tuple      # the sharing class of each role's rows
     v_order: np.ndarray      # gathers concat(hidden, input, output) rows into flat order
-    fw_hidden: np.ndarray    # forward edges into hidden vertices
-    fw_output: np.ndarray    # forward edges into output vertices
-    bw_hidden: np.ndarray    # backward edges into hidden vertices
-    bw_input: np.ndarray     # backward edges into input vertices
-    v_class: np.ndarray      # [B*V] sharing class of each vertex row
+    fw: EdgeRoute            # forward edges; they target `tgt`
+    bw: EdgeRoute | None     # backward edges; they target `src`
     e_class: np.ndarray      # [B*E] sharing class of each forward edge row
     bw_class: np.ndarray | None
-    v_class_rows: tuple      # vertex rows of each vertex class
+    hidden_graph: np.ndarray  # the batch position of each hidden vertex row
+    v_io: np.ndarray         # input and output vertex rows
+    bias_class_rows: tuple   # vertex rows of each class but the inputs' (those carry no bias)
+    bias_order: np.ndarray   # gathers concat(bias_class_rows) into flat order
     e_class_rows: tuple      # forward edge rows of each edge class (empty for bw:)
+    e_order: np.ndarray      # gathers concat(e_class_rows) into flat order
 
 
 class GraphTemplate:
@@ -291,7 +309,8 @@ class GraphTemplate:
                 _tile_rows(self.fw_tgt, self.n_v, batch_size))
 
     def rows(self, batch_size: int) -> BatchRows:
-        """Role and class row indices of a batch, computed once per batch size."""
+        """Every row index of a batch (`BatchRows`), built and checked once
+        per batch size."""
         if batch_size not in self._rows:
             self._rows[batch_size] = self._build_rows(batch_size)
         return self._rows[batch_size]
@@ -303,29 +322,54 @@ class GraphTemplate:
         def edges(mask):
             return _tile_rows(np.flatnonzero(mask), self.n_e, batch)
 
+        def route(into_hidden, sources, targets):
+            parts = (edges(into_hidden), edges(~into_hidden))
+            return EdgeRoute(edges=parts, sources=tuple(sources[e] for e in parts),
+                             targets=tuple(targets[e] for e in parts),
+                             into=np.concatenate([targets[e] for e in parts]))
+
+        def order(parts):
+            return np.argsort(np.concatenate(parts))
+
         src, tgt = self.flat_indices(batch)
-        v_hidden, v_input, v_output = (vertices(self.is_hidden), vertices(self.is_input),
-                                       vertices(self.is_output))
-        bw_class = None if self.bw_edge_class is None else np.tile(self.bw_edge_class, batch)
-        return BatchRows(
+        v_class = np.tile(self.vertex_class, batch)
+        v_roles = (vertices(self.is_hidden), vertices(self.is_input), vertices(self.is_output))
+        bias_class_rows = tuple(vertices(self.vertex_class == c)
+                                for c in range(self.dims[0], self.n_vertex_classes))
+        e_class_rows = tuple(edges(self.edge_class == c) for c in range(self.n_edge_classes))
+        bid = self.direction == "bidirectional"
+        rows = BatchRows(
             src=src,
             tgt=tgt,
-            v_hidden=v_hidden,
-            v_input=v_input,
-            v_output=v_output,
-            v_order=np.argsort(np.concatenate([v_hidden, v_input, v_output])),
-            fw_hidden=edges(~self.fw_tgt_is_output),
-            fw_output=edges(self.fw_tgt_is_output),
-            bw_hidden=edges(~self.bw_tgt_is_input),
-            bw_input=edges(self.bw_tgt_is_input),
-            v_class=np.tile(self.vertex_class, batch),
+            src_class=v_class[src],
+            tgt_class=v_class[tgt],
+            v_roles=v_roles,
+            v_role_class=tuple(v_class[r] for r in v_roles),
+            v_order=order(v_roles),
+            fw=route(~self.fw_tgt_is_output, src, tgt),
+            bw=route(~self.bw_tgt_is_input, tgt, src) if bid else None,
             e_class=np.tile(self.edge_class, batch),
-            bw_class=bw_class,
-            v_class_rows=tuple(vertices(self.vertex_class == c)
-                               for c in range(self.n_vertex_classes)),
-            e_class_rows=tuple(edges(self.edge_class == c)
-                               for c in range(self.n_edge_classes)),
+            bw_class=np.tile(self.bw_edge_class, batch) if bid else None,
+            hidden_graph=v_roles[0] // self.n_v,
+            v_io=vertices(~self.is_hidden),
+            bias_class_rows=bias_class_rows,
+            bias_order=order(bias_class_rows),
+            e_class_rows=e_class_rows,
+            e_order=order(e_class_rows),
         )
+        return _checked(rows)
+
+
+def _checked(value):
+    """`value` with every index array in it, however nested in tuples and
+    routes, made a `RowIndex`."""
+    if isinstance(value, np.ndarray):
+        return RowIndex(value)
+    if isinstance(value, tuple):
+        return tuple(_checked(v) for v in value)
+    if isinstance(value, (BatchRows, EdgeRoute)):
+        return type(value)(**{f.name: _checked(getattr(value, f.name)) for f in fields(value)})
+    return value
 
 
 def _tile_rows(idx: np.ndarray, per_graph: int, batch: int) -> np.ndarray:

@@ -8,9 +8,10 @@ no valid scaling symmetry and use unconstrained MLPs instead.
 Each role's functions run only on that role's rows. The roles are hidden,
 input and output vertices, forward edges into hidden or output vertices and
 backward edges into hidden or input vertices; `GraphTemplate.rows` gives
-their row indices once per batch size. A role's rows are gathered, its module
-runs on them, and the results go back by one concat and one gather (vertex
-updates) or through the scatter-sum into target vertices (messages). Every
+their row indices, and every other index the pass gathers or scatters with,
+once per batch size. A role's rows are gathered, its module runs on them,
+and the results go back by one concat and one gather (vertex updates) or
+through the scatter-sum into target vertices (messages). Every
 block acts row by row, so this routing leaves each row's value, and the
 symmetry argument, unchanged. The edit head's per-class maps are routed the
 same way, and it decodes the whole batch at once: one stacked weight and
@@ -180,40 +181,39 @@ class ScaleGMNModel(Module):
         rows = tpl.rows(batch)
         bid = cfg.direction == "bidirectional"
         n_rows = batch * tpl.n_v
-        roles = (rows.v_hidden, rows.v_input, rows.v_output)
+        roles = rows.v_roles
 
-        pe_v = [T.gather_rows(self.pe_v, rows.v_class[idx]) for idx in roles]
+        pe_v = [T.gather_rows(self.pe_v, cls) for cls in rows.v_role_class]
         pe_e_rows = T.gather_rows(self.pe_e, rows.e_class)
         pe_bw_rows = T.gather_rows(self.pe_e, rows.bw_class) if bid else None
 
         h_v = _regroup([
-            self.init_v_hidden.single(T.constant(x_v[rows.v_hidden]), extra=pe_v[0]),
-            self.init_v_in(T.concat([T.constant(x_v[rows.v_input]), pe_v[1]], axis=1)),
-            self.init_v_out(T.concat([T.constant(x_v[rows.v_output]), pe_v[2]], axis=1)),
+            self.init_v_hidden.single(T.constant(x_v[roles[0]]), extra=pe_v[0]),
+            self.init_v_in(T.concat([T.constant(x_v[roles[1]]), pe_v[1]], axis=1)),
+            self.init_v_out(T.concat([T.constant(x_v[roles[2]]), pe_v[2]], axis=1)),
         ], rows.v_order)
         h_e = self.init_e.single(T.constant(x_e), extra=pe_e_rows)
         h_e_bw = self.init_e.single(T.constant(x_bw), extra=pe_bw_rows) if bid else None
 
-        src, tgt = rows.src, rows.tgt
-        pe_tgt = T.gather_rows(self.pe_v, rows.v_class[tgt])
-        pe_src = T.gather_rows(self.pe_v, rows.v_class[src])
+        pe_tgt = T.gather_rows(self.pe_v, rows.tgt_class)
+        pe_src = T.gather_rows(self.pe_v, rows.src_class)
         pe_cat = T.concat([pe_tgt, pe_src, pe_e_rows], axis=1)
-        pe_fw = [T.gather_rows(pe_cat, idx) for idx in (rows.fw_hidden, rows.fw_output)]
+        pe_fw = [T.gather_rows(pe_cat, idx) for idx in rows.fw.edges]
         if bid:
             pe_cat_bw = T.concat([pe_src, pe_tgt, pe_bw_rows], axis=1)
-            pe_bw = [T.gather_rows(pe_cat_bw, idx) for idx in (rows.bw_hidden, rows.bw_input)]
+            pe_bw = [T.gather_rows(pe_cat_bw, idx) for idx in rows.bw.edges]
         edit = cfg.head == "equivariant-edit"
         for t, layer in enumerate(self.rounds, start=1):
             more = t < len(self.rounds)  # a later round's messages read the edge states
-            m_fw = _messages(h_v, h_e, src, tgt, n_rows,
-                             (rows.fw_hidden, pe_fw[0], layer.rescale_fw, layer.msg_fw_hidden),
-                             (rows.fw_output, pe_fw[1], layer.rescale_fw_out, layer.msg_fw_out))
+            m_fw = _messages(h_v, h_e, rows.fw, n_rows,
+                             (pe_fw[0], layer.rescale_fw, layer.msg_fw_hidden),
+                             (pe_fw[1], layer.rescale_fw_out, layer.msg_fw_out))
             parts = [h_v, m_fw]
             if bid:  # backward edges target the forward source
                 parts.append(_messages(
-                    h_v, h_e_bw, tgt, src, n_rows,
-                    (rows.bw_hidden, pe_bw[0], layer.rescale_bw, layer.msg_bw_hidden),
-                    (rows.bw_input, pe_bw[1], layer.rescale_bw_in, layer.msg_bw_in)))
+                    h_v, h_e_bw, rows.bw, n_rows,
+                    (pe_bw[0], layer.rescale_bw, layer.msg_bw_hidden),
+                    (pe_bw[1], layer.rescale_bw_in, layer.msg_bw_in)))
             upd = T.concat(parts, axis=1)
             u_hidden, u_in, u_out = (T.gather_rows(upd, idx) for idx in roles)
             h_new = _regroup([
@@ -222,7 +222,7 @@ class ScaleGMNModel(Module):
                 layer.upd_out(T.concat([u_out, pe_v[2]], axis=1)),
             ], rows.v_order)
             if more or edit:
-                x_t, y_s = T.gather_rows(h_v, tgt), T.gather_rows(h_v, src)
+                x_t, y_s = T.gather_rows(h_v, rows.tgt), T.gather_rows(h_v, rows.src)
                 si = layer.edge_inv([x_t, y_s])
                 h_e = T.add(h_e, layer.upd_e.single(h_e, extra=T.concat([si, pe_cat], axis=1)))
                 if more and bid:
@@ -237,13 +237,10 @@ class ScaleGMNModel(Module):
     def readout(self, h_v: Tensor, rows: BatchRows, batch: int) -> Tensor:
         """DeepSets pooling of the hidden vertices, concatenated with every
         input and output vertex's state, then an MLP: [batch, out_dim]."""
-        tpl = self.template
-        hidden = T.gather_rows(h_v, rows.v_hidden)
+        hidden = T.gather_rows(h_v, rows.v_roles[0])
         per_vertex = self.read_phi(self.read_canon(hidden))
-        pooled = T.scatter_sum(per_vertex, rows.v_hidden // tpl.n_v, batch)
-        io_idx = np.where(tpl.is_input | tpl.is_output)[0]
-        io_rows = (np.arange(batch)[:, None] * tpl.n_v + io_idx[None, :]).reshape(-1)
-        io = T.reshape(T.gather_rows(h_v, io_rows), (batch, io_idx.size * self.config.d_v))
+        pooled = T.scatter_sum(per_vertex, rows.hidden_graph, batch)
+        io = T.reshape(T.gather_rows(h_v, rows.v_io), (batch, -1))
         return self.read_final(T.concat([pooled, io], axis=1))
 
     def forward(self, graphs: list) -> Tensor:
@@ -279,10 +276,10 @@ class ScaleGMNModel(Module):
         batch, dims = len(graphs), tpl.dims
         # delta_b holds each net's non-input vertex rows (inputs carry no
         # bias), delta_w its forward edge rows, both in flat (layer) order.
-        delta_b = T.reshape(_per_class(h_v, self.edit_v, tpl.vertex_class_names,
-                                       rows.v_class_rows), (batch, tpl.n_v - dims[0]))
-        delta_w = T.reshape(_per_class(h_e, self.edit_e, tpl.edge_class_names,
-                                       rows.e_class_rows), (batch, tpl.n_e))
+        delta_b = T.reshape(_per_class(h_v, self.edit_v, rows.bias_class_rows, rows.bias_order),
+                            (batch, tpl.n_v - dims[0]))
+        delta_w = T.reshape(_per_class(h_e, self.edit_e, rows.e_class_rows, rows.e_order),
+                            (batch, tpl.n_e))
         weights, biases = [], []
         w_off = b_off = 0
         for l, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
@@ -308,32 +305,33 @@ def _regroup(parts: list[Tensor], order: np.ndarray) -> Tensor:
     return T.gather_rows(T.concat(parts, axis=0), order)
 
 
-def _messages(h_v, h_e, src, tgt, n_rows, to_hidden, to_io) -> Tensor:
-    """Messages along edges, summed into their target vertex rows.
+def _messages(h_v, h_e, route, n_rows, to_hidden, to_io) -> Tensor:
+    """Messages along one direction's edges, summed into their target vertex rows.
 
-    `src`/`tgt` give each edge row's source and target vertex rows. Each of
-    `to_hidden` and `to_io` is (edge rows, their positional rows, rescale
-    net, message net) for the edges into one target role: the hidden-target
-    message is a ScaleEqNet that takes the positional rows as its
-    non-symmetric input, the i/o-target one an MLP over all inputs.
+    `route` (a `graph.EdgeRoute`) gives the edge rows into each target role
+    and their source and target vertex rows. Each of `to_hidden` and `to_io`
+    is (the edges' positional rows, rescale net, message net) for one target
+    role: the hidden-target message is a ScaleEqNet that takes the
+    positional rows as its non-symmetric input, the i/o-target one an MLP
+    over all inputs.
     """
-    def inputs(idx, rescale):
-        x_t = T.gather_rows(h_v, tgt[idx])
-        return [x_t, rescale([T.gather_rows(h_v, src[idx]), T.gather_rows(h_e, idx)])]
+    def inputs(k, rescale):
+        x_t = T.gather_rows(h_v, route.targets[k])
+        return [x_t, rescale([T.gather_rows(h_v, route.sources[k]),
+                              T.gather_rows(h_e, route.edges[k])])]
 
-    hid_rows, hid_pe, hid_rescale, hid_msg = to_hidden
-    io_rows, io_pe, io_rescale, io_msg = to_io
-    m_hidden = hid_msg.single(T.concat(inputs(hid_rows, hid_rescale), axis=1), extra=hid_pe)
-    m_io = io_msg(T.concat(inputs(io_rows, io_rescale) + [io_pe], axis=1))
-    return T.scatter_sum(T.concat([m_hidden, m_io], axis=0),
-                         np.concatenate([tgt[hid_rows], tgt[io_rows]]), n_rows)
+    hid_pe, hid_rescale, hid_msg = to_hidden
+    io_pe, io_rescale, io_msg = to_io
+    m_hidden = hid_msg.single(T.concat(inputs(0, hid_rescale), axis=1), extra=hid_pe)
+    m_io = io_msg(T.concat(inputs(1, io_rescale) + [io_pe], axis=1))
+    return T.scatter_sum(T.concat([m_hidden, m_io], axis=0), route.into, n_rows)
 
 
-def _per_class(h: Tensor, maps: dict, names: list[str], class_rows: tuple) -> Tensor:
-    """Each class's map on that class's rows; the rows come back in flat order."""
-    idx = [class_rows[names.index(name)] for name in maps]
-    parts = [mod(T.gather_rows(h, rows)) for mod, rows in zip(maps.values(), idx)]
-    return _regroup(parts, np.argsort(np.concatenate(idx)))
+def _per_class(h: Tensor, maps: dict, class_rows: tuple, order: np.ndarray) -> Tensor:
+    """Each class's map on that class's rows (`maps` and `class_rows` in the
+    same class order); `order` brings the rows back into flat order."""
+    parts = [mod(T.gather_rows(h, rows)) for mod, rows in zip(maps.values(), class_rows)]
+    return _regroup(parts, order)
 
 
 # -- template (re)construction ---------------------------------------------------------

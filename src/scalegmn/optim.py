@@ -11,7 +11,16 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator gua
 
 
 class AdamState:
-    """Per-parameter first/second moment accumulators plus the step counter.
+    """Adam over a list of parameters: first and second moments as one flat
+    vector each, plus the step counter.
+
+    The parameters lie end to end in list order, and :attr:`m` and
+    :attr:`v` give each one's moments as views of the flat vectors. A step
+    is a handful of vector ops with the per-element arithmetic of a
+    per-tensor Adam, so each entry's update is bitwise the same; it then
+    rebinds every parameter's ``.data`` to its view of one new flat
+    parameter vector, which the next step reads without a copy while the
+    parameters still hold those views.
 
     `lr` is one float, or one rate per stack row when every parameter
     carries a leading stack axis of N rows (a stack of N nets fitted as one
@@ -23,13 +32,39 @@ class AdamState:
         self.params = list(params)
         self.lr = lr if np.isscalar(lr) else np.asarray(lr, dtype=np.float64)
         self.t = 0
-        self.m = [np.zeros(p.shape) for p in self.params]
-        self.v = [np.zeros(p.shape) for p in self.params]
+        sizes = [p.size for p in self.params]
+        self._ends = np.cumsum(sizes)
+        self._m = np.zeros(sum(sizes))
+        self._v = np.zeros(sum(sizes))
+        self._rates = self.lr   # the rate of each flat entry
         if not np.isscalar(self.lr):
             for i, p in enumerate(self.params):
                 if p.shape[:1] != self.lr.shape:
                     raise ShapeError(f"parameter {i} shape {p.shape} has no stack axis of "
                                      f"{self.lr.size} rows, one per learning rate")
+            self._rates = T.flat_concat(
+                [np.broadcast_to(self.lr.reshape((-1,) + (1,) * (p.ndim - 1)), p.shape)
+                 for p in self.params])
+        self._data, self._views = None, ()   # the last step's parameter vector and its views
+
+    @property
+    def m(self) -> list[np.ndarray]:
+        """Each parameter's first moment, a view of the flat vector."""
+        return self._split(self._m)
+
+    @property
+    def v(self) -> list[np.ndarray]:
+        """Each parameter's second moment, a view of the flat vector."""
+        return self._split(self._v)
+
+    def _split(self, flat: np.ndarray) -> list[np.ndarray]:
+        starts = [0, *self._ends[:-1]]
+        return [flat[a:b].reshape(p.shape) for p, a, b in zip(self.params, starts, self._ends)]
+
+    def _param(self, flat: np.ndarray) -> int:
+        """The index of the parameter that holds flat's first non-finite entry."""
+        first = np.flatnonzero(~np.isfinite(flat))[0]
+        return int(np.searchsorted(self._ends, first, side="right"))
 
     def step(self, grads) -> None:
         """Standard Adam update with bias correction; rebinds each param's data.
@@ -39,33 +74,37 @@ class AdamState:
         every parameter's update is finite and there is one gradient per
         parameter, so a failed step leaves the state as it was.
         """
-        grads = [np.asarray(g, dtype=np.float64) for g in grads]
+        grads = list(grads)
         if len(grads) != len(self.params):
             raise ShapeError(f"{len(grads)} gradient(s) for {len(self.params)} parameter(s)")
         for i, (p, g) in enumerate(zip(self.params, grads)):
-            if g.shape != p.shape:
-                raise ShapeError(f"grad {i} shape {g.shape} != param shape {p.shape}")
-            if not np.all(np.isfinite(g)):
-                raise NumericsError(f"non-finite gradient for parameter {i}")
+            if np.shape(g) != p.shape:
+                raise ShapeError(f"grad {i} shape {np.shape(g)} != param shape {p.shape}")
+        g = T.flat_concat([np.asarray(g, dtype=np.float64) for g in grads])
+        if not np.isfinite(g).all():
+            raise NumericsError(f"non-finite gradient for parameter {self._param(g)}")
         t = self.t + 1
         b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1**t
         bc2 = 1.0 - b2**t
-        updates = []
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            m = b1 * self.m[i] + (1.0 - b1) * g
-            v = b2 * self.v[i] + (1.0 - b2) * g * g
-            m_hat = m / bc1
-            v_hat = v / bc2
-            lr = self.lr if np.isscalar(self.lr) else self.lr.reshape((-1,) + (1,) * (p.ndim - 1))
-            new = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
-            if T.CHECK_FINITE and not np.all(np.isfinite(new)):
-                raise NumericsError(f"non-finite update for parameter {i}")
-            updates.append((m, v, new))
-        self.t = t
-        for i, (p, (m, v, new)) in enumerate(zip(self.params, updates)):
-            self.m[i], self.v[i] = m, v
-            p.data = new
+        m = b1 * self._m + (1.0 - b1) * g
+        v = b2 * self._v + (1.0 - b2) * g * g
+        m_hat = m / bc1
+        v_hat = v / bc2
+        new = self._current() - self._rates * m_hat / (np.sqrt(v_hat) + EPS)
+        if T.CHECK_FINITE and not np.isfinite(new).all():
+            raise NumericsError(f"non-finite update for parameter {self._param(new)}")
+        self.t, self._m, self._v = t, m, v
+        self._data, self._views = new, self._split(new)
+        for p, view in zip(self.params, self._views):
+            p.data = view
+
+    def _current(self) -> np.ndarray:
+        """The parameters as one flat vector: the last step's, unless some
+        parameter has been rebound since (by `assign`, a load)."""
+        if self._data is not None and all(p.data is w for p, w in zip(self.params, self._views)):
+            return self._data
+        return T.flat_concat([p.data for p in self.params])
 
     def take(self, rows) -> "AdamState":
         """A new state for the given stack rows: fresh leaf copies of their
@@ -74,8 +113,8 @@ class AdamState:
         lr = self.lr if np.isscalar(self.lr) else self.lr[rows]
         out = AdamState([Tensor(p.data[rows]) for p in self.params], lr)
         out.t = self.t
-        out.m = [m[rows] for m in self.m]
-        out.v = [v[rows] for v in self.v]
+        out._m = T.flat_concat([m[rows] for m in self.m])
+        out._v = T.flat_concat([v[rows] for v in self.v])
         return out
 
 

@@ -15,7 +15,7 @@ every node it reached, for callers that read inner nodes' gradients.
 :func:`shard_sum` joins scalar losses built on separate tapes (shards of one
 batch) into one weighted sum; its closure sweeps each shard's tape, on a
 thread pool when given one, and adds the shards' parameter gradients in
-shard order.
+shard order, as one flat vector per shard.
 
 Leaves come in two kinds. A plain ``Tensor(x)`` is a parameter-like leaf with
 ``requires_grad`` set; :func:`constant` and :func:`detach` make leaves
@@ -37,9 +37,14 @@ single-node ``conv2d_valid`` and ``layer_norm``, and each keeps its
 composite's summation order: ``conv2d_valid`` adds the per-offset products
 and, in the backward, the per-offset input-gradient windows in row-major
 offset order (reverse order is not bitwise equal); ``layer_norm`` sums the
-centered input's gradient as ``(g/sd + g_sq*c) + g_sq*c``. Segment sums
-(``gather_rows`` backward, ``scatter_sum``) are one flat ``np.bincount``,
-which adds each slot's entries in index order exactly as ``np.add.at`` does.
+centered input's gradient as ``(g/sd + g_sq*c) + g_sq*c``. A fused op may
+fold a negation into a sum (``sum(-t) == -sum(t)`` bit for bit, as IEEE
+rounding is sign-symmetric) and write into its own temporaries; neither
+changes a bit. Segment sums (``gather_rows`` backward, ``scatter_sum``) are
+one flat ``np.bincount``, which adds each slot's entries in index order
+exactly as ``np.add.at`` does. A :class:`RowIndex`, an index whose bounds
+are read once and whose flat bincount index is kept per row width, spares
+a gather or scatter the pass over its index that any other index gets.
 
 Inside :func:`no_tape` an op records nothing, whatever its parents: its
 output is a constant with no parents and no closure, so a values-only
@@ -129,7 +134,7 @@ class Tensor:
     def __init__(self, data, _parents=(), _bw=None, name: str | None = None,
                  requires_grad: bool = True, _check: bool = True):
         arr = np.asarray(data, dtype=np.float64)
-        if _check and CHECK_FINITE and not np.all(np.isfinite(arr)):
+        if _check and CHECK_FINITE and not np.isfinite(arr).all():
             raise NumericsError(f"non-finite entries in tensor {name or ''}".strip())
         self.data = arr
         self.grad = None
@@ -163,7 +168,7 @@ class Tensor:
         arr = np.array(new_data, dtype=np.float64, copy=True)
         if arr.shape != self.data.shape:
             raise ShapeError(f"assign shape {arr.shape} != {self.data.shape}")
-        if CHECK_FINITE and not np.all(np.isfinite(arr)):
+        if CHECK_FINITE and not np.isfinite(arr).all():
             raise NumericsError("assign with non-finite entries")
         self.data = arr
 
@@ -254,7 +259,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    if np.any(np.abs(b.data) < DIV_EPS):
+    if (np.abs(b.data) < DIV_EPS).any():
         raise NumericsError("division by near-zero denominator (|denom| < 1e-12)")
 
     def bw(g, out):
@@ -288,7 +293,7 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
+    if (a.data <= 0.0).any():
         raise NumericsError("log of non-positive value")
 
     def bw(g, out):
@@ -298,7 +303,7 @@ def log(a: Tensor) -> Tensor:
 
 
 def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0.0):
+    if (a.data < 0.0).any():
         raise NumericsError("sqrt of negative value")
 
     def bw(g, out):
@@ -331,8 +336,11 @@ def tanh(a: Tensor) -> Tensor:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1/(1+e) for x >= 0 and e/(1+e) below, e = exp(-|x|): one division
     of the selected numerator, the same quotients as dividing both."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    s = np.where(x >= 0, 1.0, e)
+    s /= 1.0 + e
+    return s
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -358,7 +366,12 @@ def silu(a: Tensor) -> Tensor:
     s = _sigmoid(a.data)
 
     def bw(g, out):
-        return (g * s + g * a.data * s * (1.0 - s),)
+        path = g * a.data   # the path through x: ((g*x)*s)*(1-s)
+        path *= s
+        path *= 1.0 - s
+        gx = g * s
+        gx += path
+        return (gx,)
 
     return _out(a.data * s, (a,), bw, check=False)  # |x * s| <= |x|, s in [0, 1]
 
@@ -410,7 +423,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     wt = np.swapaxes(w.data, -1, -2).copy()
     y = _product(x.data, wt, f"x {x.shape}, w {w.shape}")
     if b is not None:
-        y = y + b.data
+        try:
+            y += b.data
+        except ValueError:   # b's stack axes widen the product's
+            y = y + b.data
 
     def bw(g, out):
         gx = _unbroadcast(g @ np.swapaxes(wt, -1, -2), x.shape) if x.requires_grad else None
@@ -499,38 +515,47 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float) -> Tensor:
     sweep, summing the centered input's gradient as
     ``(g/sd + g_sq*c) + g_sq*c`` (the path through the division first, then
     both operands of ``c*c``), so values and gradients are bitwise equal to
-    it. A non-finite variance raises where the composite's intermediate
-    tensors would.
+    it. It negates the two row sums instead of their terms and takes
+    ``g_sq*c`` once. A non-finite variance raises where the composite's
+    intermediate tensors would.
     """
     if x.ndim != 2:
         raise ShapeError(f"layer_norm expects rows [n, d], got {x.shape}")
     inv_d = 1.0 / x.shape[1]
     mu = x.data.sum(axis=1, keepdims=True) * inv_d
     c = x.data - mu
-    var = (c * c).sum(axis=1, keepdims=True) * inv_d
-    if CHECK_FINITE and not np.all(np.isfinite(var)):
+    y = c * c
+    var = y.sum(axis=1, keepdims=True) * inv_d
+    if CHECK_FINITE and not np.isfinite(var).all():
         raise NumericsError("non-finite variance in layer_norm")
     ve = var + eps
-    if np.any(ve < 0.0):
+    if (ve < 0.0).any():
         raise NumericsError("sqrt of negative value")
     sd = np.sqrt(ve)
-    if np.any(np.abs(sd) < DIV_EPS):
+    if (sd < DIV_EPS).any():   # sd >= 0
         raise NumericsError("division by near-zero denominator (|denom| < 1e-12)")
     normed = c / sd
+    np.multiply(normed, gain.data, out=y)
+    y += shift.data
 
     def bw(g, out):
         gx = None
         if x.requires_grad:
             gn = g * gain.data
-            g_sd = _unbroadcast(-gn * c / (sd * sd), sd.shape)
+            t = gn * c
+            t /= sd * sd
+            g_sd = -t.sum(axis=1, keepdims=True)   # the sum of -gn*c/(sd*sd), negated once
             g_sq = g_sd * 0.5 / np.maximum(sd, DIV_EPS) * inv_d
-            gc = gn / sd + g_sq * c + g_sq * c
-            gx = gc + _unbroadcast(-gc, mu.shape) * inv_d
+            gx = np.divide(gn, sd, out=gn)
+            np.multiply(g_sq, c, out=t)
+            gx += t
+            gx += t
+            gx -= gx.sum(axis=1, keepdims=True) * inv_d   # gx + sum(-gx) * inv_d
         return (gx,
                 _unbroadcast(g * normed, gain.shape) if gain.requires_grad else None,
                 _unbroadcast(g, shift.shape) if shift.requires_grad else None)
 
-    return _out(normed * gain.data + shift.data, (x, gain, shift), bw)
+    return _out(y, (x, gain, shift), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -593,12 +618,54 @@ def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(sum_(a, axis=axis, keepdims=keepdims), constant(1.0 / count))
 
 
+class RowIndex(np.ndarray):
+    """A read-only row index whose bounds are read once.
+
+    ``lo`` and ``hi`` are its least and greatest entries, so
+    :func:`gather_rows` and :func:`scatter_sum` check it against a row count
+    without a pass over it, and :meth:`spread` keeps the flat segment-sum
+    index of each row width it has been used with. Cache one per index
+    that many calls share (``graph.BatchRows`` holds them). An array derived
+    from one (a slice, an arithmetic result) is an unchecked plain index.
+    """
+
+    def __new__(cls, idx):
+        arr = np.array(idx, dtype=np.intp)
+        out = arr.view(cls)
+        out.lo, out.hi = (int(arr.min()), int(arr.max())) if arr.size else (0, -1)
+        out._spread = {}
+        out.flags.writeable = False
+        return out
+
+    def __array_finalize__(self, obj):
+        self.lo = self.hi = self._spread = None
+
+    def spread(self, width: int) -> np.ndarray:
+        """``idx * width + column`` for every entry and column, flat; built
+        on first use per width. Threads that race build equal arrays."""
+        flat = self._spread.get(width)
+        if flat is None:
+            flat = _spread(self, width)
+            flat.flags.writeable = False
+            self._spread[width] = flat
+        return flat
+
+
 def _row_index(idx, n_rows: int) -> np.ndarray:
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
-        raise IndexError(f"row indices must lie in [0, {n_rows}), got "
-                         f"[{idx.min()}, {idx.max()}]")
+    """`idx` as an index array, its entries checked to lie in [0, n_rows): a
+    `RowIndex` by its recorded bounds, anything else by a pass over it."""
+    if isinstance(idx, RowIndex) and idx.lo is not None:
+        lo, hi = idx.lo, idx.hi
+    else:
+        idx = np.asarray(idx, dtype=np.intp)
+        lo, hi = (int(idx.min()), int(idx.max())) if idx.size else (0, -1)
+    if lo < 0 or hi >= n_rows:
+        raise IndexError(f"row indices must lie in [0, {n_rows}), got [{lo}, {hi}]")
     return idx
+
+
+def _spread(idx: np.ndarray, width: int) -> np.ndarray:
+    return (np.asarray(idx).reshape(-1, 1) * width + np.arange(width)).reshape(-1)
 
 
 def _segment_sum(rows: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
@@ -609,7 +676,7 @@ def _segment_sum(rows: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
     (``np.add.reduceat`` is not bitwise equal).
     """
     width = int(np.prod(shape[1:]))
-    flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    flat = idx.spread(width) if isinstance(idx, RowIndex) else _spread(idx, width)
     return np.bincount(flat, weights=rows.reshape(-1), minlength=shape[0] * width).reshape(shape)
 
 
@@ -638,15 +705,17 @@ def scatter_sum(a: Tensor, idx, n_rows: int) -> Tensor:
 
 
 def l2_normalize(a: Tensor) -> Tensor:
-    """Rows divided by their euclidean norm; near-zero rows map to zero.
+    """Rows divided by their euclidean norm; zero rows map to zero.
 
     The zero-row convention keeps positive-scale canonicalization total; its
-    gradient there is defined as zero.
+    gradient there is defined as zero. Only a norm of exactly zero takes it:
+    any cutoff above zero would split the orbit of a row whose norm a
+    positive scale moves across it.
     """
     if a.ndim != 2:
         raise ShapeError("l2_normalize expects a 2-D tensor")
     norms = np.sqrt(np.sum(a.data * a.data, axis=1, keepdims=True))
-    ok = norms >= DIV_EPS
+    ok = norms > 0.0
     safe = np.where(ok, norms, 1.0)
     y = np.where(ok, a.data / safe, 0.0)
 
@@ -748,6 +817,12 @@ def gradients(loss: Tensor, params) -> list[np.ndarray]:
     return grads
 
 
+def flat_concat(arrays) -> np.ndarray:
+    """The arrays' entries end to end, each in row-major order, as one new
+    vector (empty for no arrays)."""
+    return np.concatenate([np.zeros(0)] + [np.reshape(a, -1) for a in arrays])
+
+
 def shard_sum(losses, weights, params, run) -> Tensor:
     """``sum_k weights[k] * losses[k]`` as one node over `params` and `losses`.
 
@@ -760,6 +835,13 @@ def shard_sum(losses, weights, params, run) -> Tensor:
     may make the calls on a thread pool. It adds the shards' weighted
     parameter gradients in shard order. An error raised in a shard's sweep
     reaches the caller.
+
+    The shards' gradients are joined as flat vectors: each shard's, in
+    parameter order, times its weight, added in shard order; each
+    parameter's entries are bitwise the per-tensor ``gp * (w * g)`` terms'
+    sum. A parameter a shard does not reach contributes -0.0, the one value
+    whose addition leaves every float as it is, and one that no shard
+    reaches gets no gradient.
     """
     losses, weights = list(losses), [float(w) for w in weights]
     params = [p for p in params if p.requires_grad]
@@ -772,21 +854,28 @@ def shard_sum(losses, weights, params, run) -> Tensor:
     for w, loss in zip(weights[1:], losses[1:]):
         total = total + w * loss.data
     keep = {id(p) for p in params}
+    ends = np.cumsum([p.size for p in params]).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
 
     def sweep(loss):
         return _sweep(loss, _topo(loss), keep)
 
     def bw(g, out):
-        tables = run(sweep, losses)
-        grads = []
-        for p in params:
-            acc = None
-            for w, table in zip(weights, tables):
-                gp = table.get(id(p))
-                if gp is not None:
-                    term = gp * (w * g)
-                    acc = term if acc is None else acc + term
-            grads.append(acc)
-        return tuple(grads) + (None,) * len(losses)
+        scale = float(np.reshape(g, -1)[0])
+        acc, unreached = None, set(range(len(params)))
+        for w, table in zip(weights, run(sweep, losses)):
+            parts = [table.get(id(p)) for p in params]
+            term = flat_concat([np.zeros(p.size) if gp is None else gp
+                                for p, gp in zip(params, parts)])
+            term *= w * scale
+            for i, gp in enumerate(parts):
+                if gp is None:
+                    term[spans[i][0]:spans[i][1]] = -0.0
+                else:
+                    unreached.discard(i)
+            acc = term if acc is None else np.add(acc, term, out=acc)
+        grads = tuple(None if i in unreached else acc[a:b].reshape(p.shape)
+                      for i, (p, (a, b)) in enumerate(zip(params, spans)))
+        return grads + (None,) * len(losses)
 
     return _out(total, tuple(params) + tuple(losses), bw)

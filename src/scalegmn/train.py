@@ -173,8 +173,8 @@ class ExperimentConfig:
         if "run" not in manifest:
             raise ConfigError(f"{file}: lacks the field 'run', the record of the run that wrote "
                               "it (a checkpoint written before runs were recorded has none)")
+        run = read_run(path, manifest)
         try:
-            run = read(RUN, manifest["run"], noun="run record ")
             return cls(**run, model=manifest.get("config", {}), **settings)
         except ConfigError as err:
             raise ConfigError(f"{file}: {err}") from None
@@ -184,6 +184,15 @@ class ExperimentConfig:
 # and model it was trained for, and the seed that drew its splits.
 RUN = {key: table(ExperimentConfig)[key]._replace(default=REQUIRED)
        for key in ("task", "baseline", "seed")}
+
+
+def read_run(path, manifest: dict) -> dict:
+    """The run record of the checkpoint at `path`, whose `manifest` has one;
+    a record that RUN does not accept fails naming the file."""
+    try:
+        return read(RUN, manifest["run"], noun="run record ")
+    except ConfigError as err:
+        raise ConfigError(f"{Path(path) / 'checkpoint.json'}: {err}") from None
 
 
 def split_indices(n: int, seed: int) -> dict[str, np.ndarray]:
@@ -487,9 +496,19 @@ class Runner:
         save_checkpoint(self.model, path, run={key: getattr(self.cfg, key) for key in RUN})
 
     def load(self, path: Path):
-        """Assign every parameter the saved tensor of its name. Missing,
-        unexpected or mis-shaped tensors fail naming the checkpoint file."""
-        read_params(self.model, path)
+        """Assign every parameter the saved tensor of its name. A run record
+        whose task, baseline or split seed differs from this Runner's config,
+        and missing, unexpected or mis-shaped tensors, fail naming the
+        checkpoint file; a checkpoint written before runs were recorded has
+        no record to check."""
+        manifest = read_manifest(path)
+        if "run" in manifest:
+            for key, value in read_run(path, manifest).items():
+                if value != getattr(self.cfg, key):
+                    raise ValueError(
+                        f"{Path(path) / 'checkpoint.json'}: the checkpoint's run has {key} "
+                        f"{value!r}, this Runner's {getattr(self.cfg, key)!r}")
+        read_params(self.model, path, manifest)
 
     @staticmethod
     def _write_csv(path: Path, rows, mode: str = "a"):

@@ -1,15 +1,16 @@
 """Graph construction: counts, features, PE classes, backward edges."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from scalegmn import activations
+from scalegmn import activations, tensor as T
 from scalegmn.cnn import CnnParams
 from scalegmn.ffnn import FfnnParams, apply_orbit, sample_orbit
 from scalegmn.graph import build_graph, build_graph_cnn
-from scalegmn.tensor import ShapeError
+from scalegmn.tensor import RowIndex, ShapeError, Tensor
 
 from test_ffnn import random_net, random_siren
 
@@ -357,3 +358,43 @@ def test_template_batching_shapes():
     src, tgt = tpl.flat_indices(3)
     assert src.shape == (36,) and tgt.shape == (36,)
     assert src.max() < 21 and tgt.max() < 21
+
+
+def _batch_indices(value):
+    """Every index array in a BatchRows field (tuples and routes opened)."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for v in value for a in _batch_indices(v)]
+    if dataclasses.is_dataclass(value):
+        return [a for f in dataclasses.fields(value)
+                for a in _batch_indices(getattr(value, f.name))]
+    return []
+
+
+@pytest.mark.parametrize("direction", ["forward", "bidirectional"])
+def test_batch_rows_are_read_only_checked_indices(direction):
+    rng = np.random.default_rng(18)
+    tpl = build_graph(random_net(rng, (2, 4, 3, 1), activations.tanh_act()),
+                      direction=direction).template
+    rows = tpl.rows(16)
+    assert tpl.rows(16) is rows
+    arrays = _batch_indices(rows)
+    assert len(arrays) >= 20
+    for idx in arrays:
+        assert isinstance(idx, RowIndex) and not idx.flags.writeable
+        assert (idx.lo, idx.hi) == ((int(idx.min()), int(idx.max())) if idx.size else (0, -1))
+    assert rows.tgt.hi == 16 * tpl.n_v - 1   # the last graph's output vertex
+
+
+def test_a_batch_index_applied_to_too_few_rows_still_raises():
+    tpl = build_graph(random_net(np.random.default_rng(19), (2, 4, 1),
+                                 activations.tanh_act())).template
+    rows = tpl.rows(16)
+    small = Tensor(np.ones((15 * tpl.n_v, 3)))   # one graph short of the batch
+    with pytest.raises(IndexError, match=rf"\[0, {15 * tpl.n_v}\)"):
+        T.gather_rows(small, rows.tgt)
+    with pytest.raises(IndexError):
+        T.scatter_sum(Tensor(np.ones((rows.fw.into.size, 3))), rows.fw.into, 15 * tpl.n_v)
+    whole = Tensor(np.ones((16 * tpl.n_v, 3)))
+    assert T.gather_rows(whole, rows.tgt).shape == (rows.tgt.size, 3)

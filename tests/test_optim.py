@@ -151,3 +151,80 @@ def test_mlp_module_trains():
             first = float(loss.data)
         state.step(gradients(loss, params))
     assert float(loss.data) < 0.05 * first
+
+
+class PerTensorAdam:
+    """Adam one parameter at a time, the reference the flat AdamState keeps
+    to: each step's entries must be bitwise these."""
+
+    def __init__(self, arrays, lr):
+        self.data = [a.copy() for a in arrays]
+        self.lr = lr
+        self.t = 0
+        self.m = [np.zeros(a.shape) for a in arrays]
+        self.v = [np.zeros(a.shape) for a in arrays]
+
+    def step(self, grads):
+        self.t += 1
+        bc1, bc2 = 1.0 - 0.9**self.t, 1.0 - 0.999**self.t
+        for i, g in enumerate(grads):
+            self.m[i] = 0.9 * self.m[i] + (1.0 - 0.9) * g
+            self.v[i] = 0.999 * self.v[i] + (1.0 - 0.999) * g * g
+            lr = self.lr if np.isscalar(self.lr) else self.lr.reshape(
+                (-1,) + (1,) * (g.ndim - 1))
+            self.data[i] = self.data[i] - lr * (self.m[i] / bc1) / (
+                np.sqrt(self.v[i] / bc2) + 1e-8)
+
+
+def _assert_adam_tracks_the_reference(state, ref, rng, steps=20):
+    for _ in range(steps):
+        grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3) for p in state.params]
+        state.step(grads)
+        ref.step(grads)
+        assert state.t == ref.t
+        for got, want in zip([p.data for p in state.params] + state.m + state.v,
+                             ref.data + ref.m + ref.v):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+def test_flat_adam_is_bitwise_the_per_tensor_update(per_row):
+    rng = np.random.default_rng(12)
+    shapes = [(3, 4, 2), (3, 1, 5), (3,), (3, 2, 2, 3, 3)]
+    arrays = [rng.standard_normal(s) for s in shapes]
+    lr = np.array([1e-3, 5e-3, 2e-2]) if per_row else 3e-3
+    state = AdamState([Tensor(a) for a in arrays], lr=lr)
+    _assert_adam_tracks_the_reference(state, PerTensorAdam(arrays, lr), rng)
+
+
+def test_flat_adam_after_take_is_bitwise_the_per_tensor_update():
+    rng = np.random.default_rng(13)
+    arrays = [rng.standard_normal(s) for s in [(4, 3, 2), (4, 1, 3)]]
+    lr = np.array([1e-3, 2e-3, 3e-3, 4e-3])
+    state, ref = AdamState([Tensor(a) for a in arrays], lr=lr), PerTensorAdam(arrays, lr)
+    _assert_adam_tracks_the_reference(state, ref, rng, steps=5)
+    rows = np.array([3, 1])
+    kept = state.take(rows)
+    sub = PerTensorAdam([a[rows] for a in ref.data], lr[rows])
+    sub.t, sub.m, sub.v = ref.t, [m[rows] for m in ref.m], [v[rows] for v in ref.v]
+    _assert_adam_tracks_the_reference(kept, sub, rng)
+
+
+def test_flat_adam_reads_a_parameter_rebound_between_steps():
+    p, q = Tensor([1.0, 2.0]), Tensor([3.0])
+    state = AdamState([p, q], lr=0.1)
+    ref = PerTensorAdam([p.data, q.data], 0.1)
+    state.step([np.array([0.5, -0.5]), np.array([1.0])])
+    ref.step([np.array([0.5, -0.5]), np.array([1.0])])
+    q.assign([7.0])   # a load between steps
+    ref.data[1] = np.array([7.0])
+    state.step([np.array([1.0, 1.0]), np.array([-2.0])])
+    ref.step([np.array([1.0, 1.0]), np.array([-2.0])])
+    assert np.array_equal(p.data, ref.data[0]) and np.array_equal(q.data, ref.data[1])
+
+
+def test_adam_names_the_parameter_of_a_non_finite_gradient():
+    state = AdamState([Tensor([1.0, 2.0]), Tensor(np.ones((2, 2))), Tensor([3.0])])
+    with pytest.raises(NumericsError, match="parameter 1$"):
+        state.step([np.zeros(2), np.array([[0.0, 0.0], [np.inf, 0.0]]), np.zeros(1)])
+    assert state.t == 0

@@ -149,6 +149,16 @@ def test_l2_normalize_values_and_zero_row():
     assert np.allclose(y.data, y2.data)
 
 
+def test_l2_normalize_keeps_a_tiny_row_under_a_positive_scale():
+    """Only an exactly-zero row maps to zero: a row of norm about 1e-13 and
+    its positive multiples normalize alike (a cutoff at 1e-12 split them)."""
+    row = np.array([[-1.58e-10, 2.0e-11]])
+    for scale in (1.0, 0.00166, 1e3):
+        y = T.l2_normalize(Tensor(row * scale))
+        np.testing.assert_allclose(y.data, row / np.linalg.norm(row), rtol=1e-12)
+    assert np.linalg.norm(row * 0.00166) < T.DIV_EPS
+
+
 def test_matmul_shape_error():
     with pytest.raises(ShapeError):
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
@@ -255,6 +265,56 @@ def test_scatter_sum_is_bitwise_np_add_at(shape, idx):
     ref = np.zeros(shape)
     np.add.at(ref, idx, rows)
     assert np.array_equal(out.data, ref)
+
+
+@pytest.mark.parametrize("shape,idx", [c for c in SEGMENT_CASES if len(c[0]) == 2])
+def test_a_row_index_gives_the_plain_index_bits_at_every_width(shape, idx):
+    checked = T.RowIndex(idx)
+    assert not checked.flags.writeable
+    for width in (shape[1], 3, shape[1]):   # the last reuses the kept spread
+        a = Tensor(_wide((shape[0], width)))
+        w = _wide((len(idx), width))
+        grads = [gradients(T.sum_(T.mul(T.gather_rows(a, i), T.constant(w))), [a])[0]
+                 for i in (idx, checked)]
+        assert np.array_equal(grads[0], grads[1])
+        rows = T.constant(w)
+        assert np.array_equal(T.scatter_sum(rows, idx, shape[0]).data,
+                              T.scatter_sum(rows, checked, shape[0]).data)
+    assert sorted(checked._spread) == sorted({shape[1], 3})
+    assert checked[1:].lo is None   # a derived array is checked as a plain one
+
+
+def test_threads_sharing_a_row_index_get_the_plain_index_bits():
+    """More threads than cores scatter through one RowIndex at widths it has
+    not kept yet, with a short switch interval: each spread one builds or
+    reads gives the plain index's bits."""
+    idx = WIDE_RNG.integers(0, 30, size=500)
+    checked, n_threads = T.RowIndex(idx), 4
+    widths = [1, 2, 3, 5, 8, 13]
+    rows = {w: _wide((idx.size, w)) for w in widths}
+    expected = {w: T.scatter_sum(T.constant(rows[w]), idx, 30).data for w in widths}
+    mismatches = []
+    start = threading.Barrier(n_threads)
+
+    def scatter(i):
+        start.wait(timeout=30)
+        for w in widths[i % 2::2] + widths:
+            if not np.array_equal(T.scatter_sum(T.constant(rows[w]), checked, 30).data,
+                                  expected[w]):
+                mismatches.append((i, w))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=scatter, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == [] and sorted(checked._spread) == widths
 
 
 def test_segment_ops_reject_out_of_range_indices():
@@ -538,6 +598,27 @@ def test_shard_sum_sweeps_each_shard_once_and_passes_on_errors():
         gradients(T.shard_sum(losses, [0.5, 0.5], params, run=failing), params)
     with pytest.raises(ShapeError):
         T.shard_sum(losses, [1.0], params, run=run)
+
+
+def test_shard_sum_of_a_parameter_one_shard_does_not_reach():
+    """The flat join adds -0.0 for it, which keeps every value's bits: the
+    reached shard's term alone, its signed zeros included."""
+    a, b = Tensor(np.array([1.0, -2.0, 0.0])), Tensor(np.array([3.0]))
+    only_a = T.sum_(T.mul(a, T.constant([0.5, 0.0, -0.0])))
+    both = T.sum_(T.add(T.mul(a, T.constant([-1.0, 2.0, 0.0])), T.mul(b, b)))
+    for losses, weights in (([only_a, both], [0.25, 0.75]), ([both, only_a], [0.75, 0.25])):
+        joined = T.shard_sum(losses, weights, [a, b], run=lambda fn, xs: [fn(x) for x in xs])
+        ga, gb = gradients(joined, [a, b])
+        (sa,), (ba, bb) = gradients(only_a, [a]), gradients(both, [a, b])
+        terms = [sa * weights[losses.index(only_a)], ba * weights[losses.index(both)]]
+        want_a = terms[0] + terms[1] if losses[0] is only_a else terms[1] + terms[0]
+        assert np.array_equal(ga, want_a)
+        assert np.array_equal(np.signbit(ga), np.signbit(want_a))
+        assert np.array_equal(gb, bb * 0.75) and np.array_equal(np.signbit(gb), np.signbit(bb))
+    unused = Tensor([5.0])
+    joined = T.shard_sum([only_a, both], [0.5, 0.5], [a, b, unused],
+                         run=lambda fn, xs: [fn(x) for x in xs])
+    assert np.array_equal(gradients(joined, [unused])[0], [0.0])
 
 
 # -- values-only evaluation (no_tape) and the finiteness invariant ----------------------------

@@ -125,9 +125,9 @@ def test_runner_load_builds_no_second_model(tiny_inr_zoo, tmp_path, monkeypatch)
     """A ScaleGMN checkpoint's tensors are read into the Runner's own model."""
     cfg, ckpt = _saved_runner(tiny_inr_zoo, tmp_path / "run", model=dict(TINY_MODEL), seed=1)
     saved = {name: p.data.copy() for name, p in Runner(cfg).model.named_parameters()}
-    other = Runner(ExperimentConfig(task="inr-classify", zoo=str(tiny_inr_zoo),
-                                    out_dir=str(tmp_path / "other"), model=dict(TINY_MODEL),
-                                    seed=2))
+    other = Runner(dataclasses.replace(cfg, out_dir=str(tmp_path / "other")))
+    for p in other.params:   # so only a read of the checkpoint restores them
+        p.assign(p.data + 1.0)
     built = []
     init = ScaleGMNModel.__init__
 
@@ -140,6 +140,25 @@ def test_runner_load_builds_no_second_model(tiny_inr_zoo, tmp_path, monkeypatch)
     assert built == []
     for name, p in other.model.named_parameters():
         assert np.array_equal(p.data, saved[name]), name
+
+
+@pytest.mark.parametrize("key,value", [("seed", 2), ("task", "inr-edit"),
+                                       ("baseline", "stat-mlp")])
+def test_runner_load_rejects_a_checkpoint_of_another_run(tiny_inr_zoo, tmp_path, key, value):
+    """A Runner scores its own seed's splits, so it takes no model trained
+    on another seed's, nor one of another task or baseline."""
+    cfg, ckpt = _saved_runner(tiny_inr_zoo, tmp_path / "run", baseline="flat-mlp", seed=1)
+    path = ckpt / "checkpoint.json"
+    manifest = json.loads(path.read_text())
+    manifest["run"][key] = value
+    path.write_text(json.dumps(manifest))
+    runner = Runner(cfg)
+    before = [p.data.copy() for p in runner.params]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: the checkpoint's run has {key} {value!r}, this Runner's "
+            f"{getattr(cfg, key)!r}")):
+        runner.load(ckpt)
+    assert all(np.array_equal(p.data, b) for p, b in zip(runner.params, before))
 
 
 @pytest.mark.parametrize("key,value,rule", [
@@ -279,9 +298,9 @@ def test_a_bad_run_record_names_the_file(tiny_inr_zoo, tmp_path, run, problem):
 def test_runner_load_restores_a_baseline_by_name(tiny_inr_zoo, tmp_path):
     cfg, ckpt = _saved_runner(tiny_inr_zoo, tmp_path / "run", baseline="flat-mlp", seed=1)
     saved = {name: p.data.copy() for name, p in Runner(cfg).model.named_parameters()}
-    other = Runner(ExperimentConfig(task="inr-classify", zoo=str(tiny_inr_zoo),
-                                    out_dir=str(tmp_path / "other"), baseline="flat-mlp",
-                                    seed=2))
+    other = Runner(dataclasses.replace(cfg, out_dir=str(tmp_path / "other")))
+    for p in other.params:   # so only a read of the checkpoint restores them
+        p.assign(p.data + 1.0)
     other.load(ckpt)
     for name, p in other.model.named_parameters():
         assert np.array_equal(p.data, saved[name]), name
