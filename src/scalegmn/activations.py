@@ -32,19 +32,17 @@ class Group:
     """One multiplier group and every rule that depends on it."""
 
     member: Callable  # q -> elementwise membership of multipliers
-    draw: Callable  # (rng, width, lam) -> one hidden layer's multipliers
+    draw: Callable  # (rng, width) -> one hidden layer's multipliers
     modes: Mapping[str, str]  # sign_canon -> Canonicalizer mode of the invariant blocks
     reciprocal: bool  # backward edges carry 1/w; else every member is self-inverse, so w
     representative: Callable | None  # [w | b] rows -> multipliers to the orbit representative
 
 
-def _draw_positive(rng: np.random.Generator, width: int, lam: float) -> np.ndarray:
-    if lam <= 0:
-        raise ValueError("lam must be > 0 for positive scaling")
-    q = rng.exponential(scale=1.0 / lam, size=width)
+def _draw_positive(rng: np.random.Generator, width: int) -> np.ndarray:
+    q = rng.exponential(scale=1.0, size=width)
     while np.any(q < MIN_SCALE):
         bad = q < MIN_SCALE
-        q[bad] = rng.exponential(scale=1.0 / lam, size=int(bad.sum()))
+        q[bad] = rng.exponential(scale=1.0, size=int(bad.sum()))
     return q
 
 
@@ -59,11 +57,11 @@ def _lead_positive(rows: np.ndarray) -> np.ndarray:
 
 
 GROUPS = {
-    KIND_NONE: Group(lambda q: q == 1.0, lambda rng, width, lam: np.ones(width),
+    KIND_NONE: Group(lambda q: q == 1.0, lambda rng, width: np.ones(width),
                      dict.fromkeys(SIGN_CANONS, "identity"), reciprocal=False,
                      representative=None),
     KIND_SIGN: Group(lambda q: np.abs(q) == 1.0,
-                     lambda rng, width, lam: rng.choice([-1.0, 1.0], size=width),
+                     lambda rng, width: rng.choice([-1.0, 1.0], size=width),
                      {"abs": "sign-abs", "symmetrize": "sign-symmetrize"}, reciprocal=False,
                      representative=_lead_positive),
     KIND_POSITIVE: Group(lambda q: q > 0.0, _draw_positive,

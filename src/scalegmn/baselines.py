@@ -14,6 +14,8 @@ from . import tensor as T
 from .nn import MLP, Module
 from .tensor import Tensor
 
+HIDDEN = 64  # width of both hidden layers of a baseline's MLP
+
 
 def flat_features(net) -> np.ndarray:
     return net.flatten()
@@ -38,9 +40,9 @@ def stat_features(net) -> np.ndarray:
 class VectorMlpBaseline(Module):
     """MLP over per-network feature vectors (flattened params or statistics)."""
 
-    def __init__(self, feature_fn, d_in: int, d_out: int, rng, hidden: int = 64):
+    def __init__(self, feature_fn, d_in: int, d_out: int, rng):
         self.feature_fn = feature_fn
-        self.mlp = MLP([d_in, hidden, hidden, d_out], rng)
+        self.mlp = MLP([d_in, HIDDEN, HIDDEN, d_out], rng)
         self.d_in = d_in
         self.d_out = d_out
 
@@ -50,15 +52,10 @@ class VectorMlpBaseline(Module):
     def forward(self, nets) -> Tensor:
         return self.mlp(T.constant(self.features(nets)))
 
-    def __call__(self, net) -> np.ndarray:
-        return self.forward([net]).data[0]
+
+def make_flat_baseline(example_net, d_out: int, rng) -> VectorMlpBaseline:
+    return VectorMlpBaseline(flat_features, flat_features(example_net).size, d_out, rng)
 
 
-def make_flat_baseline(example_net, d_out: int, rng, hidden: int = 64) -> VectorMlpBaseline:
-    return VectorMlpBaseline(flat_features, flat_features(example_net).size, d_out,
-                             rng, hidden=hidden)
-
-
-def make_stat_baseline(example_net, d_out: int, rng, hidden: int = 64) -> VectorMlpBaseline:
-    return VectorMlpBaseline(stat_features, stat_features(example_net).size, d_out,
-                             rng, hidden=hidden)
+def make_stat_baseline(example_net, d_out: int, rng) -> VectorMlpBaseline:
+    return VectorMlpBaseline(stat_features, stat_features(example_net).size, d_out, rng)

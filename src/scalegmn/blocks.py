@@ -11,9 +11,10 @@ Invariance is obtained by canonicalizing each slot (norm division for positive
 scaling; symmetrization MLP(x) + MLP(-x) or elementwise |x| for sign) and
 feeding representatives to an unconstrained MLP. Equivariance multiplies a
 bias-free linear image of each slot elementwise with an invariant block, so
-the multiplier rides through untouched. An optional non-symmetric input (the
-positional encodings) enters only the invariant block, through an identity
-canonicalizer — that is the "augmented" variant.
+the multiplier rides through untouched. A ScaleEqNet is one such layer
+(K = 1); depth comes from the message-passing rounds. An optional
+non-symmetric input (the positional encodings) enters only the invariant
+block, through an identity canonicalizer — that is the "augmented" variant.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .tensor import Tensor
 class Canonicalizer(Module):
     """Maps every group orbit to one representative.
 
-    norm-divide: x / ||x|| (zero vector for near-zero rows, by convention);
+    norm-divide: x / ||x|| (the zero vector for an exactly-zero row);
     sign-abs: |x| elementwise; sign-symmetrize: MLP(x) + MLP(-x) (bitwise
     sign-invariant since float addition commutes); identity: x unchanged.
     """
@@ -82,17 +83,18 @@ class ScaleInvNet(Module):
         """Make the net output `value` everywhere (test/configuration hook)."""
         for layer in self.rho.layers:
             layer.weight.assign(np.zeros(layer.weight.shape))
-            if layer.bias is not None:
-                layer.bias.assign(np.zeros(layer.bias.shape))
+            layer.bias.assign(np.zeros(layer.bias.shape))
         last = self.rho.layers[-1]
         last.bias.assign(np.full(last.bias.shape, value))
 
 
-class ScaleEqLayer(Module):
-    """One (Gamma_i x_i) ⊙ invariant-block layer over n slots."""
+class ScaleEqNet(Module):
+    """One (Gamma_i x_i) ⊙ invariant-block layer over n slots (K = 1); the
+    augmented variant feeds `extra` (positional encodings) to the invariant
+    block only."""
 
-    def __init__(self, slot_dims, out_dims, rng, mode: str, extra_dim: int = 0,
-                 hidden: int = 32, layer_norm: bool = False):
+    def __init__(self, slot_dims, out_dims, rng, mode: str = "sign-symmetrize",
+                 extra_dim: int = 0, hidden: int = 32, layer_norm: bool = False):
         self.gammas = [Linear(d, o, rng, bias=False) for d, o in zip(slot_dims, out_dims)]
         self.inv = ScaleInvNet(slot_dims, sum(out_dims), rng, mode=mode,
                                extra_dim=extra_dim, hidden=hidden,
@@ -108,28 +110,6 @@ class ScaleEqLayer(Module):
             offset += width
         return outs
 
-
-class ScaleEqNet(Module):
-    """K composed equivariant layers; the augmented variant feeds `extra`
-    (positional encodings) to each layer's invariant block only."""
-
-    def __init__(self, slot_dims, out_dims, rng, mode: str = "sign-symmetrize",
-                 n_layers: int = 1, extra_dim: int = 0, hidden: int = 32,
-                 layer_norm: bool = False):
-        self.layers = []
-        dims = list(slot_dims)
-        for _ in range(n_layers):
-            self.layers.append(
-                ScaleEqLayer(dims, out_dims, rng, mode, extra_dim=extra_dim,
-                             hidden=hidden, layer_norm=layer_norm)
-            )
-            dims = list(out_dims)
-
-    def __call__(self, xs, extra=None):
-        for layer in self.layers:
-            xs = layer(xs, extra=extra)
-        return xs
-
     def single(self, x: Tensor, extra=None) -> Tensor:
         """Convenience for the common one-slot usage."""
         return self([x], extra=extra)[0]
@@ -144,8 +124,7 @@ class ReScaleEqNet(Module):
     """
 
     def __init__(self, slot_dims, d_out: int, rng, variant: str = "hadamard",
-                 mode: str = "sign-symmetrize", hidden: int = 32,
-                 layer_norm: bool = False):
+                 mode: str = "sign-symmetrize"):
         if variant not in ("hadamard", "outer"):
             raise ValueError(f"unknown rescale variant {variant!r}")
         self.variant = variant
@@ -156,8 +135,7 @@ class ReScaleEqNet(Module):
         else:
             prod = int(np.prod(slot_dims))
             self.gammas = None
-            self.eq = ScaleEqNet([prod], [d_out], rng, mode=mode, hidden=hidden,
-                                 layer_norm=layer_norm)
+            self.eq = ScaleEqNet([prod], [d_out], rng, mode=mode)
         self.d_out = d_out
 
     def __call__(self, xs) -> Tensor:

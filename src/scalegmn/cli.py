@@ -204,7 +204,7 @@ def cmd_canonicalize(config: dict, seed: int, out) -> int:
     grid = grid_coords(cfg["grid_side"])
     out_dir = _out_dir(out)
     new_entries, new_nets = [], []
-    worst = 0.0
+    worst, checked = 0.0, 0
     for entry, net in zip(entries, nets):
         if entry.kind != "ffnn":
             new_entries.append(entry)
@@ -215,12 +215,18 @@ def cmd_canonicalize(config: dict, seed: int, out) -> int:
             canon = canonicalize_net(canon)
         if grid.shape[1] == net.dims[0]:
             worst = max(worst, check_function_preservation(net, canon, grid))
+            checked += 1
         new_entries.append(entry)
         new_nets.append(canon)
-    save_zoo(out_dir, new_entries, new_nets,
-             {**meta, "canonicalized": True, "max_function_deviation": worst})
-    print(f"canonicalize: {len(new_nets)} entries, max function deviation {worst:.3e}")
-    return 0 if worst < cfg["tol"] else 1
+    save_zoo(out_dir, new_entries, new_nets, {**meta, "canonicalized": True,
+                                              "max_function_deviation": worst,
+                                              "nets_checked": checked})
+    print(f"canonicalize: {len(new_nets)} entries, {checked} nets checked, "
+          f"max function deviation {worst:.3e}")
+    if not checked:
+        print("canonicalize: no net was checked: only FFNNs with 2 inputs, the grid's "
+              "coordinates, are evaluated", file=sys.stderr)
+    return 0 if checked and worst < cfg["tol"] else 1
 
 
 # -- simulate ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ accepted where a number is asked, and a string is never a number or a bool.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import MISSING, field, fields
 from functools import cache
 from numbers import Integral, Real
+from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
 REQUIRED = MISSING  # the default of a key that a config must set
@@ -98,3 +100,11 @@ def build(cls, data: dict, noun: str = "config ", known: str = "known keys:"):
     """`cls(**data)`, once `data` reads under `cls`'s table."""
     read(table(cls), data, noun, known)
     return cls(**data)
+
+
+def read_json(path) -> dict:
+    """The JSON in the file at `path`; a file that is not JSON fails naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: not a JSON file ({err})") from None

@@ -291,7 +291,7 @@ def apply_orbit(net: LayerChain, g: OrbitElement) -> LayerChain:
 
 
 def sample_orbit(kinds: str | list[str], widths: list[int], rng: np.random.Generator,
-                 lam: float = 1.0, permute: bool = True) -> OrbitElement:
+                 permute: bool = True) -> OrbitElement:
     """Random orbit element: per hidden layer, a uniform permutation (the
     identity when `permute` is off), then multipliers from the draw of its
     group; `kinds` names one group for all hidden layers or one for each."""
@@ -300,7 +300,7 @@ def sample_orbit(kinds: str | list[str], widths: list[int], rng: np.random.Gener
     perms, scales = [], []
     for kind, w in zip(kinds, widths, strict=True):
         perms.append(rng.permutation(w) if permute else np.arange(w))
-        scales.append(group(kind).draw(rng, w, lam))
+        scales.append(group(kind).draw(rng, w))
     return OrbitElement(perms, scales)
 
 

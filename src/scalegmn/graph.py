@@ -34,10 +34,6 @@ from .tensor import DIV_EPS, RowIndex, ShapeError
 DIRECTIONS = ("forward", "bidirectional")
 
 
-def check_direction(direction: str) -> None:
-    check("direction", Key(str, choices=DIRECTIONS), direction)
-
-
 @dataclass
 class ParamGraph:
     """One network's raw features on its architecture's template."""
@@ -78,28 +74,22 @@ def build_graph(net: FfnnParams, direction: str = "forward"):
 
 
 def graph_for(net, direction: str = "forward"):
-    """The graph of an FFNN or a CNN (a list of graphs for a stack), at
-    default CNN kernel extent."""
+    """The graph of an FFNN or a CNN (a list of graphs for a stack)."""
     if isinstance(net, CnnParams):
         return build_graph_cnn(net, direction=direction)
     return build_graph(net, direction=direction)
 
 
-def build_graph_cnn(net: CnnParams, direction: str = "forward",
-                    max_hw: tuple[int, int] | None = None):
+def build_graph_cnn(net: CnnParams, direction: str = "forward"):
     """CNN to graph: one vertex per i/o channel plus the head outputs.
 
-    Edge features are kernels flattened to h_max*w_max with top-left anchored
-    zero padding; head entries sit in slot 0 of an otherwise-zero feature.
-    A stack of nets gives one graph per net, as `build_graph` does.
+    Edge features are kernels flattened to the net's largest extent h_max*w_max
+    with top-left anchored zero padding; head entries sit in slot 0 of an
+    otherwise-zero feature. A stack of nets gives one graph per net.
     """
     sizes = [k.shape[-2:] for k in net.weights[:-1]]
     h_max = max(s[0] for s in sizes)
     w_max = max(s[1] for s in sizes)
-    if max_hw is not None:
-        if h_max > max_hw[0] or w_max > max_hw[1]:
-            raise ShapeError(f"kernel {h_max}x{w_max} exceeds declared maxima {max_hw}")
-        h_max, w_max = max_hw
     return _chain_graph(net, "cnn", list(net.activations) + [identity()], direction,
                         (h_max, w_max))
 
@@ -386,6 +376,6 @@ def template_for(kind: str, dims, activations, direction: str,
     """The one template of an architecture, built on its first use."""
     key = (kind, tuple(dims), tuple(activations), direction, tuple(kernel_hw))
     if key not in _TEMPLATES:
-        check_direction(direction)
+        check("direction", Key(str, choices=DIRECTIONS), direction)
         _TEMPLATES[key] = GraphTemplate(*key)
     return _TEMPLATES[key]

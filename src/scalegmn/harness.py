@@ -208,8 +208,7 @@ def _round_state(net, x0, out_grad):
     return state, offsets
 
 
-def simulate_ffnn(net: FfnnParams, x0: np.ndarray, out_grad: np.ndarray,
-                  rounds: int | None = None) -> SimulationResult:
+def simulate_ffnn(net: FfnnParams, x0: np.ndarray, out_grad: np.ndarray) -> SimulationResult:
     """Run the hand-wired relay: 2L rounds recover all channels.
 
     Forward messages relay post-activations through the stored weights;
@@ -232,14 +231,13 @@ def simulate_ffnn(net: FfnnParams, x0: np.ndarray, out_grad: np.ndarray,
                 f"weight ({l + 1},{int(zi[0])},{int(zj[0])}) is zero; backward "
                 "relay edges carry reciprocal weights"
             )
-    rounds = 2 * L if rounds is None else rounds
     state, offsets = _round_state(net, x0, out_grad)
     history = [state.copy()]
     omega = [
         (act.omega0 if act.name == "sine" else 1.0) for act in net.activations
     ]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(rounds):
+        for _ in range(2 * L):
             prev = state
             state = prev.copy()
             # forward messages: sum_j x[j] * W(i, j), then z = omega * m + bias

@@ -37,7 +37,7 @@ from . import tensor as T
 from .activations import GROUPS, MIXED, SIGN_CANONS, by_name, group, hidden_group
 from .blocks import Canonicalizer, ReScaleEqNet, ScaleEqNet, ScaleInvNet
 from .ffnn import FfnnParams, LayerChain
-from .config import build, read, setting, table
+from .config import build, read, read_json, setting, table
 from .graph import DIRECTIONS, BatchRows, GraphTemplate, template_for
 from .nn import MLP, Linear, Module
 from .tensor import ShapeError, Tensor
@@ -250,9 +250,6 @@ class ScaleGMNModel(Module):
         h_v, _, rows = self.embed(graphs)
         return self.readout(h_v, rows, len(graphs))
 
-    def __call__(self, graphs: list) -> Tensor:
-        return self.forward(graphs)
-
     def checkpoint_spec(self) -> dict:
         return {"config": self.config.to_dict(), "template": template_spec(self.template)}
 
@@ -366,11 +363,8 @@ def template_spec(tpl: GraphTemplate) -> dict:
 # -- checkpoints --------------------------------------------------------------------------
 
 # params.bin holds the parameters exactly (little-endian float64), so a
-# reloaded checkpoint is the model that selection picked. A manifest that
-# records no dtype comes from before the dtype was recorded, when the
-# parameters were rounded to float32; it is read as such.
+# reloaded checkpoint is the model that selection picked.
 CHECKPOINT_DTYPE = "<f8"
-UNRECORDED_DTYPE = "<f4"
 
 
 def save_checkpoint(model: Module, path, run: dict | None = None) -> None:
@@ -394,14 +388,14 @@ def save_checkpoint(model: Module, path, run: dict | None = None) -> None:
 
 
 def read_manifest(path) -> dict:
-    return json.loads((Path(path) / "checkpoint.json").read_text(encoding="utf-8"))
+    return read_json(Path(path) / "checkpoint.json")
 
 
 def read_params(model: Module, path, manifest: dict | None = None) -> None:
-    """Assign each parameter of `model` its tensor in `params.bin`, as
-    float64. The manifest must list exactly the model's names and shapes,
-    record a known dtype and index a file of its size; otherwise this fails
-    naming the offending file."""
+    """Assign each parameter of `model` its tensor in `params.bin`. The
+    manifest must list exactly the model's names and shapes, record the
+    dtype `CHECKPOINT_DTYPE` and index a file of its size; otherwise this
+    fails naming the offending file."""
     path = Path(path)
     file = path / "checkpoint.json"
     manifest = read_manifest(path) if manifest is None else manifest
@@ -413,11 +407,11 @@ def read_params(model: Module, path, manifest: dict | None = None) -> None:
         raise ValueError(f"{file}: tensors do not match the model; missing "
                          f"{sorted(wanted.keys() - listed.keys())}, unexpected "
                          f"{sorted(listed.keys() - wanted.keys())}, wrong shape {wrong}")
-    dtype = manifest.get("dtype", UNRECORDED_DTYPE)
-    if dtype not in (CHECKPOINT_DTYPE, UNRECORDED_DTYPE):
-        raise ValueError(f"{file}: unknown dtype {dtype!r}; expected "
-                         f"{CHECKPOINT_DTYPE!r} (or {UNRECORDED_DTYPE!r}, read when none is "
-                         f"recorded)")
+    dtype = manifest.get("dtype")
+    if dtype != CHECKPOINT_DTYPE:
+        raise ValueError(f"{file}: " + ("records no dtype" if dtype is None else
+                                        f"unknown dtype {dtype!r}")
+                         + f"; expected {CHECKPOINT_DTYPE!r}")
     blob = path / "params.bin"
     raw = blob.read_bytes()
     expected = sum(int(np.prod(s)) for s in listed.values())
@@ -425,7 +419,7 @@ def read_params(model: Module, path, manifest: dict | None = None) -> None:
     if found != expected or stray:
         raise ValueError(f"{blob}: expected {expected} {dtype} values, found {found}"
                          + (f" and {stray} stray bytes" if stray else ""))
-    flat = np.frombuffer(raw, dtype=dtype).astype(np.float64)
+    flat = np.frombuffer(raw, dtype=dtype)
     for e in manifest["tensors"]:
         size = int(np.prod(e["shape"]))
         params[e["name"]].assign(flat[e["offset"] : e["offset"] + size].reshape(e["shape"]))

@@ -80,10 +80,10 @@ class MLP(Module):
     input/output-vertex paths).
     """
 
-    def __init__(self, dims, rng, bias: bool = True, layer_norm: bool = False):
+    def __init__(self, dims, rng, layer_norm: bool = False):
         if len(dims) < 2:
             raise ValueError("MLP needs at least input and output dims")
-        self.layers = [Linear(dims[i], dims[i + 1], rng, bias=bias) for i in range(len(dims) - 1)]
+        self.layers = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
         self.norms = (
             [LayerNorm(dims[i + 1]) for i in range(len(dims) - 2)] if layer_norm else []
         )

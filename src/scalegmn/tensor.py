@@ -14,8 +14,8 @@ leaves at once. :func:`backward` copies the whole table onto ``.grad`` of
 every node it reached, for callers that read inner nodes' gradients.
 :func:`shard_sum` joins scalar losses built on separate tapes (shards of one
 batch) into one weighted sum; its closure sweeps each shard's tape, on a
-thread pool when given one, and adds the shards' parameter gradients in
-shard order, as one flat vector per shard.
+thread pool when given one, and adds each parameter's shard gradients in
+shard order.
 
 Leaves come in two kinds. A plain ``Tensor(x)`` is a parameter-like leaf with
 ``requires_grad`` set; :func:`constant` and :func:`detach` make leaves
@@ -156,9 +156,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _raise_not_scalar(self)
-
     def __repr__(self):
         tag = f" name={self.name}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
@@ -199,26 +196,22 @@ class Tensor:
         return matmul(self, other)
 
 
-def _raise_not_scalar(t):
-    raise ShapeError(f"expected scalar tensor, got shape {t.shape}")
-
-
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
-def constant(x, name=None) -> Tensor:
+def constant(x) -> Tensor:
     """A leaf tensor that takes no gradient (no parents, like any leaf)."""
-    return Tensor(x, name=name, requires_grad=False)
+    return Tensor(x, requires_grad=False)
 
 
-def _out(data, parents, bw, name=None, check=True) -> Tensor:
+def _out(data, parents, bw, check=True) -> Tensor:
     """An op's output; a constant when no parent requires grad or no tape is
     recorded. `check=False` skips the finiteness pass, for ops that cannot
     turn finite operands into non-finite entries."""
     if _MODE.record and any(p.requires_grad for p in parents):
-        return Tensor(data, _parents=parents, _bw=bw, name=name, _check=check)
-    return Tensor(data, name=name, requires_grad=False, _check=check)
+        return Tensor(data, _parents=parents, _bw=bw, _check=check)
+    return Tensor(data, requires_grad=False, _check=check)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -836,12 +829,10 @@ def shard_sum(losses, weights, params, run) -> Tensor:
     parameter gradients in shard order. An error raised in a shard's sweep
     reaches the caller.
 
-    The shards' gradients are joined as flat vectors: each shard's, in
-    parameter order, times its weight, added in shard order; each
-    parameter's entries are bitwise the per-tensor ``gp * (w * g)`` terms'
-    sum. A parameter a shard does not reach contributes -0.0, the one value
-    whose addition leaves every float as it is, and one that no shard
-    reaches gets no gradient.
+    The shards' gradients are joined per parameter: its ``gp * (w * g)``
+    terms, added in shard order into a fresh array, so `gradients` hands it
+    on without a copy. A shard that does not reach the parameter adds no
+    term, and a parameter that no shard reaches gets no gradient.
     """
     losses, weights = list(losses), [float(w) for w in weights]
     params = [p for p in params if p.requires_grad]
@@ -854,28 +845,20 @@ def shard_sum(losses, weights, params, run) -> Tensor:
     for w, loss in zip(weights[1:], losses[1:]):
         total = total + w * loss.data
     keep = {id(p) for p in params}
-    ends = np.cumsum([p.size for p in params]).tolist()
-    spans = list(zip([0] + ends[:-1], ends))
 
     def sweep(loss):
         return _sweep(loss, _topo(loss), keep)
 
     def bw(g, out):
         scale = float(np.reshape(g, -1)[0])
-        acc, unreached = None, set(range(len(params)))
+        grads = [None] * len(params)
         for w, table in zip(weights, run(sweep, losses)):
-            parts = [table.get(id(p)) for p in params]
-            term = flat_concat([np.zeros(p.size) if gp is None else gp
-                                for p, gp in zip(params, parts)])
-            term *= w * scale
-            for i, gp in enumerate(parts):
+            for i, p in enumerate(params):
+                gp = table.get(id(p))
                 if gp is None:
-                    term[spans[i][0]:spans[i][1]] = -0.0
-                else:
-                    unreached.discard(i)
-            acc = term if acc is None else np.add(acc, term, out=acc)
-        grads = tuple(None if i in unreached else acc[a:b].reshape(p.shape)
-                      for i, (p, (a, b)) in enumerate(zip(params, spans)))
-        return grads + (None,) * len(losses)
+                    continue
+                term = gp * (w * scale)
+                grads[i] = term if grads[i] is None else np.add(grads[i], term, out=grads[i])
+        return tuple(grads) + (None,) * len(losses)
 
     return _out(total, tuple(params) + tuple(losses), bw)

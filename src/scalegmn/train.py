@@ -145,8 +145,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown task {self.task!r}; task must be one of {tuple(TASKS)}")
         self.model = dict(self.model)  # the head default below must not leak to the caller
         ScaleGMNConfig.from_dict(self.model)  # bad keys or values fail before any zoo is read
-        if not task.edits and self.model.get("head") == EDIT_HEAD:
-            raise ConfigError("equivariant-edit head requires the inr-edit task")
         for key in ("head", "out_dim"):
             required = getattr(task, key)
             given = self.model.get(key, required)
@@ -165,14 +163,11 @@ class ExperimentConfig:
     @classmethod
     def from_checkpoint(cls, path, **settings) -> "ExperimentConfig":
         """The config of the run that wrote the checkpoint at `path`: its run
-        record and ScaleGMN config, with `settings` on top. A manifest with
-        no run record (written before checkpoints had one), or a record or
-        config no run accepts, fails naming the file."""
+        record and ScaleGMN config, with `settings` on top. A missing or bad
+        run record (see `read_run`), or a config no run accepts, fails naming
+        the file."""
         file = Path(path) / "checkpoint.json"
         manifest = read_manifest(path)
-        if "run" not in manifest:
-            raise ConfigError(f"{file}: lacks the field 'run', the record of the run that wrote "
-                              "it (a checkpoint written before runs were recorded has none)")
         run = read_run(path, manifest)
         try:
             return cls(**run, model=manifest.get("config", {}), **settings)
@@ -187,12 +182,17 @@ RUN = {key: table(ExperimentConfig)[key]._replace(default=REQUIRED)
 
 
 def read_run(path, manifest: dict) -> dict:
-    """The run record of the checkpoint at `path`, whose `manifest` has one;
-    a record that RUN does not accept fails naming the file."""
+    """The run record of the checkpoint at `path`, read from its `manifest`.
+    A manifest without one (written before checkpoints had one), or a record
+    that RUN does not accept, fails naming the file."""
+    file = Path(path) / "checkpoint.json"
+    if "run" not in manifest:
+        raise ConfigError(f"{file}: lacks the field 'run', the record of the run that wrote "
+                          "it (a checkpoint written before runs were recorded has none)")
     try:
         return read(RUN, manifest["run"], noun="run record ")
     except ConfigError as err:
-        raise ConfigError(f"{Path(path) / 'checkpoint.json'}: {err}") from None
+        raise ConfigError(f"{file}: {err}") from None
 
 
 def split_indices(n: int, seed: int) -> dict[str, np.ndarray]:
@@ -206,26 +206,26 @@ def split_indices(n: int, seed: int) -> dict[str, np.ndarray]:
 class TaskData:
     """A loaded zoo with graphs, labels, and split indices.
 
-    The zoo's nets are also kept as one stack (`stack`), so its graphs, its
-    orbit copies and its augmented batches are each built in one stacked
-    pass."""
+    The zoo's nets are kept as one stack (`stack`), so its graphs, its orbit
+    copies and its augmented batches are each built in one stacked pass, and
+    a batch's nets are one index into it."""
 
     def __init__(self, zoo_path, seed: int, direction: str):
-        self.entries, self.nets, self.meta = load_zoo(zoo_path)
-        if not self.nets:
+        self.entries, nets, self.meta = load_zoo(zoo_path)
+        if not nets:
             raise ValueError(f"zoo at {zoo_path} is empty")
         try:
-            self.stack = LayerChain.stack(self.nets)
+            self.stack = LayerChain.stack(nets)
         except ShapeError as err:
             raise ShapeError(f"zoo at {zoo_path}: {err}") from None
         self.labels = np.array([e.label for e in self.entries])
         self.graphs = graph_for(self.stack, direction)
         self.template = self.graphs[0].template
-        self.splits = split_indices(len(self.nets), seed)
+        self.splits = split_indices(len(nets), seed)
 
     def items(self, idx):
-        """The indexed nets and their graphs."""
-        return [self.nets[i] for i in idx], [self.graphs[i] for i in idx]
+        """The indexed nets, as a stack, and their graphs."""
+        return self.stack[np.asarray(idx)], [self.graphs[i] for i in idx]
 
     def orbit_copy(self, idx, seed: int, direction: str):
         """Orbit-transformed copies of the indexed nets (fresh graphs)."""
@@ -234,15 +234,16 @@ class TaskData:
     def transformed(self, idx, rng, direction: str, **orbit_kw):
         """Each indexed net moved by an orbit element drawn from `rng` in index
         order, each hidden layer from its own group, with its fresh graph. The
-        elements move the indexed stack in one `apply_orbit`."""
-        if len(idx) == 0:
-            return [], []
+        elements move the indexed stack in one `apply_orbit`, into a stack."""
+        idx = np.asarray(idx, dtype=int)
+        if not idx.size:
+            return self.stack[idx], []
         kinds = [a.kind for a in self.template.activations[:-1]]
         widths = self.template.dims[1:-1]
         elements = OrbitElement.stack(
             [sample_orbit(kinds, widths, rng, **orbit_kw) for _ in idx])
-        moved = apply_orbit(self.stack[np.asarray(idx)], elements)
-        return list(moved), graph_for(moved, direction)
+        moved = apply_orbit(self.stack[idx], elements)
+        return moved, graph_for(moved, direction)
 
 
 # -- run records ------------------------------------------------------------------------
@@ -298,7 +299,7 @@ class Runner:
         if make_baseline is None:
             self.model = ScaleGMNModel(self.model_config, template, rng)
         else:
-            self.model = make_baseline(self.data.nets[0], task.out_dim, rng)
+            self.model = make_baseline(self.data.stack[0], task.out_dim, rng)
         self.is_scalegmn = isinstance(self.model, ScaleGMNModel)
         self.width = worker_count()
         self._pool = None   # the shard thread pool, made on the first sharded batch
@@ -367,23 +368,23 @@ class Runner:
         return [f.result() for f in futures]
 
     def _loss(self, nets, graphs, targets) -> Tensor:
-        """Task loss of the given nets: one tape, or a shard_sum of shard tapes."""
+        """Task loss of the given nets (a stack): one tape, or a shard_sum of shard tapes."""
         def shard_loss(s):
             return self.task.loss(self._predict(nets[s], graphs[s]), targets[s])
 
-        shards = self._shards(len(nets))
+        shards = self._shards(len(graphs))
         losses = self._run(shard_loss, shards)
         if len(losses) == 1:
             return losses[0]
-        return shard_sum(losses, [(s.stop - s.start) / len(nets) for s in shards],
+        return shard_sum(losses, [(s.stop - s.start) / len(graphs) for s in shards],
                          self.params, run=self._run)
 
     def _predictions(self, nets, graphs) -> np.ndarray:
-        """Predictions of the given nets, computed by shards with no tape
-        recorded."""
+        """Predictions of the given nets (a stack), computed by shards with no
+        tape recorded."""
         with no_tape():
             preds = self._run(lambda s: self._predict(nets[s], graphs[s]).data,
-                              self._shards(len(nets)))
+                              self._shards(len(graphs)))
         return preds[0] if len(preds) == 1 else np.concatenate(preds)
 
     def _batch_loss(self, idx) -> Tensor:
@@ -411,9 +412,6 @@ class Runner:
         return {task.metric: task.score(preds, targets),
                 "loss": float(task.loss(constant(preds), targets).data)}
 
-    def metric_name(self) -> str:
-        return self.task.metric
-
     def _scorable(self, split: str) -> np.ndarray:
         """The indices of `split`, one of SPLITS; raise unless it holds the
         task's `min_scored` nets."""
@@ -438,7 +436,7 @@ class Runner:
         metrics_path = out_dir / "metrics.csv"
         self._write_csv(metrics_path, [("epoch", "split", "metric", "value")], mode="w")
         train_idx = self.data.splits["train"]
-        metric = self.metric_name()
+        metric = self.task.metric
         best_key, best_stats, best_epoch = (math.inf, math.inf), {}, -1
         diverged = False
         epochs_run = 0
@@ -496,18 +494,16 @@ class Runner:
         save_checkpoint(self.model, path, run={key: getattr(self.cfg, key) for key in RUN})
 
     def load(self, path: Path):
-        """Assign every parameter the saved tensor of its name. A run record
-        whose task, baseline or split seed differs from this Runner's config,
-        and missing, unexpected or mis-shaped tensors, fail naming the
-        checkpoint file; a checkpoint written before runs were recorded has
-        no record to check."""
+        """Assign every parameter the saved tensor of its name. A missing run
+        record, one whose task, baseline or split seed differs from this
+        Runner's config, and missing, unexpected or mis-shaped tensors fail
+        naming the checkpoint file."""
         manifest = read_manifest(path)
-        if "run" in manifest:
-            for key, value in read_run(path, manifest).items():
-                if value != getattr(self.cfg, key):
-                    raise ValueError(
-                        f"{Path(path) / 'checkpoint.json'}: the checkpoint's run has {key} "
-                        f"{value!r}, this Runner's {getattr(self.cfg, key)!r}")
+        for key, value in read_run(path, manifest).items():
+            if value != getattr(self.cfg, key):
+                raise ValueError(
+                    f"{Path(path) / 'checkpoint.json'}: the checkpoint's run has {key} "
+                    f"{value!r}, this Runner's {getattr(self.cfg, key)!r}")
         read_params(self.model, path, manifest)
 
     @staticmethod

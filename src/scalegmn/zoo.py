@@ -7,6 +7,11 @@ the arithmetic of its network fitted alone, so a zoo's bytes do not depend
 on how its networks are grouped; a network leaves the stack when it is done
 or diverges. A zoo is fitted as `worker_count()` such stacks.
 
+The architectures are fixed: the INRs are `INR_DIMS` SIRENs fitted at Adam
+rate `INR_LR`, and the toy CNNs take one input channel through conv layers
+of `CNN_CHANNELS` channels, `CNN_KERNEL` x `CNN_KERNEL` kernels and
+`CNN_ACTIVATION`, then a 2-way linear head.
+
 A zoo is a directory with `manifest.json` and one flat little-endian float32
 weight file per entry. FFNN weight files store W1 (row-major), b1, ..., WL,
 bL; CNN files store each conv layer's kernels in (out, in, kh, kw) order then
@@ -28,6 +33,7 @@ import numpy as np
 from . import tensor as T
 from .activations import by_name, identity, sine
 from .cnn import CnnParams, cnn_forward, cnn_forward_taped
+from .config import read_json
 from .ffnn import FfnnParams, ffnn_forward_taped
 from .nn import cross_entropy, mse
 from .optim import AdamState
@@ -49,6 +55,15 @@ def worker_count() -> int:
     if workers < 1:
         raise ValueError(f"SCALEGMN_THREADS must be a positive integer, got {raw!r}")
     return workers
+
+
+INR_DIMS = (2, 12, 12, 1)
+INR_LR = 5e-3  # Adam rate of the INR fits
+INR_OMEGA0 = 10.0  # lower-frequency SIRENs keep weight geometry learnable
+INR_SIDE = 16
+CNN_CHANNELS = (4, 4)  # toy CNN conv widths after its one input channel
+CNN_KERNEL = 3  # side of its square kernels
+CNN_ACTIVATION = "relu"
 
 
 # -- signals ---------------------------------------------------------------------
@@ -202,10 +217,9 @@ class InrFit:
     error: NumericsError | None = None
 
 
-def train_inr(signals, dims=(2, 12, 12, 1), steps: int = 2000, lr: float = 5e-3,
-              omega0: float = 30.0, rng: np.random.Generator | None = None,
+def train_inr(signals, dims=INR_DIMS, steps: int = 2000, omega0: float = 30.0, rng: np.random.Generator | None = None,
               mse_threshold: float = 0.0) -> list[InrFit]:
-    """Overfit one SIREN per signal with Adam, all signals as one stacked fit.
+    """Overfit one SIREN per signal with Adam at INR_LR, all as one stacked fit.
 
     Every net starts from the one initialization drawn from `rng`; the
     signals share a grid shape. A net stops after `steps` steps, or once its
@@ -221,7 +235,7 @@ def train_inr(signals, dims=(2, 12, 12, 1), steps: int = 2000, lr: float = 5e-3,
         return []
     state = AdamState([Tensor(np.repeat(w[None], n, axis=0)) for w in net.weights]
                       + [Tensor(np.repeat(b[None, None], n, axis=0)) for b in net.biases],
-                      lr=np.full(n, lr))
+                      lr=np.full(n, INR_LR))
     coords = np.stack([s.coords for s in signals])
     values = np.stack([s.values for s in signals])
 
@@ -281,10 +295,9 @@ class ToyCnnResult:
     diverged: bool = False
 
 
-def train_toy_cnn(seeds, lr=3e-3, steps=300, init_scale=1.0, channels=(4, 4),
-                  kernel: int = 3, activation: str = "relu") -> list[ToyCnnResult]:
+def train_toy_cnn(seeds, lr=3e-3, steps=300, init_scale=1.0) -> list[ToyCnnResult]:
     """Train one toy CNN per seed on its seeded blob task, all as one stacked
-    fit; each label is the net's held-out accuracy.
+    fit of the CNN_* architecture; each label is the net's held-out accuracy.
 
     `lr`, `steps` and `init_scale` are one value for all nets or one per
     seed; they are meant to be varied across a zoo so the resulting
@@ -298,11 +311,11 @@ def train_toy_cnn(seeds, lr=3e-3, steps=300, init_scale=1.0, channels=(4, 4),
     if not n:
         return []
     lrs, budgets, scales = (np.broadcast_to(v, (n,)) for v in (lr, steps, init_scale))
-    chain = [1] + list(channels)
+    chain, k = [1] + list(CNN_CHANNELS), CNN_KERNEL
     n_conv = len(chain) - 1
-    acts = [by_name(activation)] * n_conv
+    acts = [by_name(CNN_ACTIVATION)] * n_conv
     # (fan-in, weight shape) of each conv layer, then of the 2-way head
-    layers = [(chain[i] * kernel * kernel, (chain[i + 1], chain[i], kernel, kernel))
+    layers = [(chain[i] * k * k, (chain[i + 1], chain[i], k, k))
               for i in range(n_conv)] + [(chain[-1], (2, chain[-1]))]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     tasks, inits = [], []
@@ -403,7 +416,9 @@ def load_zoo(directory):
     malformed entry fails naming the manifest, the entry and the field."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = read_json(manifest_path)
+    if "entries" not in manifest:
+        raise ValueError(f"{manifest_path} lacks the field 'entries'")
     entries, nets = [], []
     for i, row in enumerate(manifest["entries"]):
         where = f"{manifest_path}: entry " + (repr(row["id"]) if "id" in row else f"#{i}")
@@ -435,11 +450,6 @@ def load_zoo(directory):
 
 
 # -- zoo synthesis -------------------------------------------------------------------
-
-INR_DIMS = (2, 12, 12, 1)
-INR_OMEGA0 = 10.0  # lower-frequency SIRENs keep weight geometry learnable
-INR_SIDE = 16
-
 
 def inr_source_image(zoo_seed: int, index: int, side: int = INR_SIDE) -> tuple[np.ndarray, int]:
     """Deterministic source signal for entry `index`: disks are class 0, squares 1."""

@@ -50,8 +50,9 @@ def test_canonicalize_norm_divide_scale_invariant():
 def test_sign_symmetrize_linear_mlp_vanishes():
     rng = np.random.default_rng(1)
     c = Canonicalizer("sign-symmetrize", 3, rng, d_out=4)
-    # single linear layer (odd map): symmetrization cancels exactly
-    c.mlp = MLP([3, 4], rng, bias=False)
+    # single linear layer with its zero initial bias (an odd map): symmetrization
+    # cancels exactly
+    c.mlp = MLP([3, 4], rng)
     out = c(Tensor(rng.standard_normal((6, 3))))
     assert np.max(np.abs(out.data)) == 0.0
 
@@ -114,20 +115,27 @@ def test_scale_inv_missing_extra_slot_errors():
 
 def test_scale_eq_identity_configuration():
     rng = np.random.default_rng(6)
-    net = ScaleEqNet([3], [3], rng, mode="sign-symmetrize", n_layers=1)
-    layer = net.layers[0]
-    layer.gammas[0].weight.assign(np.eye(3))
-    layer.inv.set_constant(1.0)
+    net = ScaleEqNet([3], [3], rng, mode="sign-symmetrize")
+    net.gammas[0].weight.assign(np.eye(3))
+    net.inv.set_constant(1.0)
     x = rng.standard_normal((4, 3))
     (out,) = net([Tensor(x)])
     assert np.max(np.abs(out.data - x)) < 1e-15
 
 
 @pytest.mark.parametrize("kind", ["sign", "positive"])
-@pytest.mark.parametrize("n_layers", [1, 2])
-def test_scale_eq_randomized(kind, n_layers):
+@pytest.mark.parametrize("depth", [1, 2])
+def test_scale_eq_randomized(kind, depth):
+    """A ScaleEqNet, and a composition of `depth` of them, is equivariant."""
     rng = np.random.default_rng(7)
-    net = ScaleEqNet([4, 3], [5, 6], rng, mode=MODE_OF[kind], n_layers=n_layers)
+    nets = [ScaleEqNet(dims, [5, 6], rng, mode=MODE_OF[kind])
+            for dims in ([4, 3], [5, 6])[:depth]]
+
+    def net(xs):
+        for layer in nets:
+            xs = layer(xs)
+        return xs
+
     worst = 0.0
     for _ in range(N_TRIALS):
         x1, x2 = rng.standard_normal((2, 4)), rng.standard_normal((2, 3))
@@ -174,7 +182,7 @@ def test_rescale_outer_shape():
     out = net([Tensor(rng.standard_normal((5, 2))), Tensor(rng.standard_normal((5, 3)))])
     assert out.shape == (5, 4)
     # the intermediate outer product flattens 2*3 = 6 entries
-    assert net.eq.layers[0].gammas[0].weight.shape == (4, 6)
+    assert net.eq.gammas[0].weight.shape == (4, 6)
 
 
 @pytest.mark.parametrize("kind", ["sign", "positive"])
@@ -200,8 +208,8 @@ def test_outer_equals_hadamard_on_diagonal():
     diag_select = np.zeros((d, d * d))
     for i in range(d):
         diag_select[i, i * d + i] = 1.0
-    outer.eq.layers[0].gammas[0].weight.assign(diag_select)
-    outer.eq.layers[0].inv.set_constant(1.0)
+    outer.eq.gammas[0].weight.assign(diag_select)
+    outer.eq.inv.set_constant(1.0)
     hadamard = ReScaleEqNet([d, d], d, rng, variant="hadamard")
     hadamard.gammas[0].weight.assign(np.eye(d))
     hadamard.gammas[1].weight.assign(np.eye(d))

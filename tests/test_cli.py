@@ -142,11 +142,24 @@ def test_canonicalize_idempotent(tiny_inr_zoo, tmp_path):
     assert run_cli("canonicalize", "--config", cfg, "--out", str(out1)) == 0
     cfg2 = write_config(tmp_path, "canon2.json", {"zoo": str(out1), "grid_side": 16})
     assert run_cli("canonicalize", "--config", cfg2, "--out", str(out2)) == 0
-    entries = json.loads((out1 / "manifest.json").read_text())["entries"]
-    for row in entries:
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert manifest["meta"]["nets_checked"] == len(manifest["entries"]) == 10
+    for row in manifest["entries"]:
         a = (out1 / row["weights_path"]).read_bytes()
         b = (out2 / row["weights_path"]).read_bytes()
         assert a == b  # canonicalizing twice equals once
+
+
+def test_canonicalize_fails_when_no_net_is_checked(tiny_cnn_zoo, tmp_path, capsys):
+    """The grid evaluates FFNNs with two inputs only, so a CNN zoo has no net
+    to check: the run fails rather than certify nothing."""
+    cfg = write_config(tmp_path, "canon.json", {"zoo": str(tiny_cnn_zoo)})
+    out = tmp_path / "canon"
+    assert run_cli("canonicalize", "--config", cfg, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert "14 entries, 0 nets checked" in captured.out
+    assert "no net was checked" in captured.err
+    assert json.loads((out / "manifest.json").read_text())["meta"]["nets_checked"] == 0
 
 
 def test_simulate_reports_deviation(tmp_path):
@@ -377,7 +390,7 @@ def test_eval_of_a_baseline_checkpoint_needs_only_zoo_and_checkpoint(tiny_inr_zo
 
 def test_eval_rejects_a_checkpoint_without_a_run_record(tiny_inr_zoo, tmp_path, monkeypatch):
     """A checkpoint written before runs were recorded names no split seed:
-    `eval` takes no default for it, and `Runner.load` still reads it."""
+    `eval` takes no default for it, and `Runner.load` rejects it too."""
     ckpt = _trained(tmp_path, tiny_inr_zoo, model=TINY_MODEL)
     manifest_path = ckpt / "checkpoint.json"
     manifest = json.loads(manifest_path.read_text())
@@ -391,8 +404,11 @@ def test_eval_rejects_a_checkpoint_without_a_run_record(tiny_inr_zoo, tmp_path, 
             f"eval: {manifest_path}: lacks the field 'run'")):
         run_cli("eval", "--config", eval_cfg, "--out", str(out))
     assert not out.exists()
-    Runner(ExperimentConfig(task="inr-classify", zoo=str(tiny_inr_zoo), out_dir=str(out),
-                            model=TINY_MODEL)).load(ckpt)  # the library still reads it
+    runner = Runner(ExperimentConfig(task="inr-classify", zoo=str(tiny_inr_zoo),
+                                     out_dir=str(out), model=TINY_MODEL))
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{manifest_path}: lacks the field 'run'")):
+        runner.load(ckpt)
 
 
 @pytest.mark.parametrize("combo,problem", [

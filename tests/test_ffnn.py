@@ -213,7 +213,7 @@ def test_sample_orbit_kinds(kind):
     kinds = kind if isinstance(kind, list) else [kind]
     g = sample_orbit(kind, [7] * len(kinds), rng, permute=False)
     assert all(np.all(p == np.arange(7)) for p in g.perms)
-    scales = sample_orbit(kind, [500] * len(kinds), rng, lam=2.0).scales
+    scales = sample_orbit(kind, [500] * len(kinds), rng).scales
     for layer_kind, q in zip(kinds, scales, strict=True):
         rules = GROUPS[layer_kind]
         assert not np.any(rules.member(np.array([0.0, -2.0])))  # in no group
@@ -228,7 +228,7 @@ def test_sample_orbit_kinds(kind):
         assert np.all(scales[0] > 0) and not np.all(np.abs(scales[0]) == 1.0)
         assert set(scales[1]) == {-1.0, 1.0}
     else:
-        one, each = (sample_orbit(k, [5, 3], np.random.default_rng(2), lam=2.0)
+        one, each = (sample_orbit(k, [5, 3], np.random.default_rng(2))
                      for k in (kind, [kind] * 2))
         assert all(np.array_equal(a, b) for a, b in
                    zip(one.perms + one.scales, each.perms + each.scales))

@@ -220,8 +220,9 @@ def test_cnn_vertex_count():
 
 def test_cnn_kernel_padding_top_left():
     rng = np.random.default_rng(12)
-    net = make_cnn(rng, channels=(1, 2), kernel=3, n_out=1)
-    g = build_graph_cnn(net, max_hw=(5, 5))
+    net = make_cnn(rng, channels=(1, 2, 1), kernel=3, n_out=1)
+    net.weights[1] = rng.standard_normal((1, 2, 5, 5))  # the net's largest kernel
+    g = build_graph_cnn(net)
     assert g.x_e.shape[1] == 25
     feat = g.x_e[0].reshape(5, 5)
     assert np.allclose(feat[:3, :3], net.weights[0][0, 0])
@@ -231,37 +232,35 @@ def test_cnn_kernel_padding_top_left():
 
 def test_cnn_1x1_kernel_single_nonzero():
     rng = np.random.default_rng(13)
-    net = make_cnn(rng, channels=(1, 2), kernel=1, n_out=1)
-    g = build_graph_cnn(net, max_hw=(3, 3))
+    net = make_cnn(rng, channels=(1, 2, 1), kernel=1, n_out=1)
+    net.weights[1] = rng.standard_normal((1, 2, 3, 3))
+    g = build_graph_cnn(net)
+    assert g.x_e.shape[1] == 9
     conv_edges = g.x_e[:2]
     assert np.all(np.count_nonzero(conv_edges, axis=1) == 1)
     # head entries also live in slot 0 only
-    assert np.all(np.count_nonzero(g.x_e[2:], axis=1) <= 1)
+    assert np.all(np.count_nonzero(g.x_e[4:], axis=1) <= 1)
 
 
 def test_cnn_bidirectional_relu_inverts_weight_slots_only():
     rng = np.random.default_rng(21)
     net = make_cnn(rng, channels=(1, 2, 3), kernel=2, n_out=2)
-    g = build_graph_cnn(net, direction="bidirectional", max_hw=(3, 3))
-    slots = np.zeros((g.template.n_e, 3, 3), dtype=bool)
-    slots[:8, :2, :2] = True          # 2x2 kernels, top-left anchored
+    net.weights[1] = rng.standard_normal((3, 2, 3, 1))
+    g = build_graph_cnn(net, direction="bidirectional")
+    slots = np.zeros((g.template.n_e, 3, 2), dtype=bool)
+    slots[:2, :2, :2] = True          # 2x2 kernels, top-left anchored
+    slots[2:8, :, :1] = True          # 3x1 kernels
     slots[8:, 0, 0] = True            # the head holds its weight in slot 0
-    slots = slots.reshape(g.template.n_e, 9)
+    slots = slots.reshape(g.template.n_e, 6)
     assert np.array_equal(g.x_e_bw[slots], 1.0 / g.x_e[slots])
     assert np.all(g.x_e_bw[~slots] == 0.0) and np.all(g.x_e[~slots] == 0.0)
-
-
-def test_cnn_kernel_exceeds_maxima():
-    rng = np.random.default_rng(14)
-    net = make_cnn(rng, channels=(1, 2), kernel=3, n_out=1)
-    with pytest.raises(Exception, match="maxima"):
-        build_graph_cnn(net, max_hw=(2, 2))
 
 
 def test_batch_rejects_other_kernel_extent():
     rng = np.random.default_rng(15)
     net = make_cnn(rng, channels=(1, 2), kernel=3, n_out=1)
-    small, large = build_graph_cnn(net), build_graph_cnn(net, max_hw=(5, 5))
+    wide = make_cnn(rng, channels=(1, 2), kernel=5, n_out=1)
+    small, large = build_graph_cnn(net), build_graph_cnn(wide)
     with pytest.raises(ShapeError, match=r"width 25\).*width 9\)"):
         small.template.batch([small, large])
 

@@ -1,6 +1,7 @@
 """Metanetwork symmetry properties, determinism, and checkpoint round-trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scalegmn.model import (
     ScaleGMNConfig,
     ScaleGMNModel,
     load_checkpoint,
+    read_manifest,
     save_checkpoint,
     template_from_spec,
     template_spec,
@@ -92,9 +94,8 @@ def test_hidden_init_identity_configuration_broadcasts_bias():
     """All-ones Gamma and a constant-one invariant block reproduce the bias."""
     model, net, _ = make_model("sign")
     init = model.init_v_hidden
-    layer = init.layers[0]
-    layer.gammas[0].weight.assign(np.ones((model.config.d_v, 1)))
-    layer.inv.set_constant(1.0)
+    init.gammas[0].weight.assign(np.ones((model.config.d_v, 1)))
+    init.inv.set_constant(1.0)
     rng = np.random.default_rng(3)
     biases = rng.standard_normal((5, 1))
     pe = Tensor(rng.standard_normal((5, model.config.pe_dim)))
@@ -609,13 +610,16 @@ def test_template_spec_roundtrip_keeps_class_arrays(kind, direction):
 
 def test_checkpoint_roundtrip_non_square_kernel(tmp_path):
     rng = np.random.default_rng(26)
-    graphs = [build_graph_cnn(make_cnn(rng, channels=(1, 3, 2), n_out=2), max_hw=(3, 5))
-              for _ in range(2)]
+
+    def net():  # a 3x3 then a 2x5 kernel: the edges are padded to 3x5
+        cnn = make_cnn(rng, channels=(1, 3, 2), n_out=2)
+        cnn.weights[1] = rng.standard_normal((2, 3, 2, 5))
+        return cnn
+
+    graphs = [build_graph_cnn(net()) for _ in range(2)]
     cfg = ScaleGMNConfig(d_v=8, d_e=8, d_msg=8, d_inv=6, d_readout=8, pe_dim=4,
                          mlp_hidden=12, group_kind="positive", out_dim=2)
     model = ScaleGMNModel(cfg, graphs[0].template, np.random.default_rng(27))
-    for p in model.parameters():  # float32-exact, so the saved copy is lossless
-        p.assign(p.data.astype("<f4").astype(np.float64))
     save_checkpoint(model, tmp_path / "ckpt")
     restored = load_checkpoint(tmp_path / "ckpt")
     assert restored.template is model.template
@@ -637,19 +641,26 @@ def test_checkpoint_rejects_wrong_size_params(tmp_path, delta):
         load_checkpoint(tmp_path / "ckpt")
 
 
-def test_checkpoint_without_a_recorded_dtype_reads_as_float32(tmp_path):
-    """Checkpoints written before the manifest recorded a dtype hold float32."""
+def test_checkpoint_without_a_recorded_dtype_is_rejected(tmp_path):
+    """Checkpoints written before the manifest recorded a dtype held float32;
+    no such checkpoint is read."""
     model, net, _ = make_model("sign")
     save_checkpoint(model, tmp_path / "ckpt")
     manifest_path = tmp_path / "ckpt" / "checkpoint.json"
     manifest = json.loads(manifest_path.read_text())
     assert manifest.pop("dtype") == "<f8"
     manifest_path.write_text(json.dumps(manifest))
-    blob = tmp_path / "ckpt" / "params.bin"
-    np.fromfile(blob, dtype="<f8").astype("<f4").tofile(blob)
-    restored = dict(load_checkpoint(tmp_path / "ckpt").named_parameters())
-    for name, p in model.named_parameters():
-        assert np.array_equal(restored[name].data, p.data.astype("<f4").astype(np.float64)), name
+    with pytest.raises(ValueError, match=rf"checkpoint\.json: records no dtype; expected '<f8'"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_read_manifest_names_a_truncated_checkpoint_json(tmp_path):
+    model, _, _ = make_model("sign")
+    save_checkpoint(model, tmp_path / "ckpt")
+    path = tmp_path / "ckpt" / "checkpoint.json"
+    path.write_text(path.read_text()[:40])
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: not a JSON file")):
+        read_manifest(tmp_path / "ckpt")
 
 
 @pytest.mark.parametrize("dtype", ["<f2", ">f8", "float64"])

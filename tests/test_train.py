@@ -47,7 +47,8 @@ def test_split_seeded():
 
 
 def test_task_head_compatibility():
-    with pytest.raises(ValueError, match="inr-edit"):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "task 'inr-classify' needs model.head = 'invariant', got 'equivariant-edit'")):
         ExperimentConfig(task="inr-classify", zoo="x",
                          model={"head": "equivariant-edit"})
     with pytest.raises(ValueError, match="unknown task"):
@@ -100,7 +101,7 @@ def test_each_task_reports_and_selects_by_its_record(request, tmp_path, task, zo
     runner = Runner(ExperimentConfig(task=task, zoo=str(request.getfixturevalue(zoo)),
                                      out_dir=str(tmp_path / "run"),
                                      model=dict(TINY_MODEL, **model), seed=8))
-    assert runner.metric_name() == TASKS[task].metric
+    assert runner.task is TASKS[task]
     assert set(runner.evaluate("val")) == scores
     report = runner.eval_report("val", with_orbit_copy=True)
     assert set(report) == {"split", "n", orbit} | scores
@@ -439,7 +440,7 @@ def test_a_reloaded_checkpoint_scores_what_selection_recorded(request, tmp_path,
     reloaded = Runner(ExperimentConfig(**dict(cfg, epochs=0)))
     reloaded.load(tmp_path / "run" / "checkpoint")
     stats = reloaded.evaluate("val")
-    metric = reloaded.metric_name()
+    metric = reloaded.task.metric
     assert stats[metric] == summary["best_val_" + metric]
     assert stats.get("loss", stats[metric]) == summary["best_val_loss"]
 
@@ -529,7 +530,7 @@ def test_stat_baseline_trains_on_cnn_zoo(tiny_cnn_zoo, tmp_path):
                            out_dir=str(tmp_path / "run"), baseline="stat-mlp",
                            epochs=1, batch_size=4, seed=12)
     runner = Runner(cfg)
-    assert runner.model.d_in == 7 * 2 * len(runner.data.nets[0].weights)
+    assert runner.model.d_in == 7 * 2 * runner.data.stack.n_layers
     summary = runner.train()
     assert summary["epochs_run"] == 1 and not summary["diverged"]
     assert math.isfinite(summary["best_val_kendall_tau"])

@@ -403,6 +403,25 @@ def test_load_zoo_names_cnn_entry_without_kernel_hw(tmp_path):
         load_zoo(tmp_path / "zoo")
 
 
+def test_load_zoo_names_a_truncated_manifest(tmp_path):
+    _one_entry_zoo(tmp_path / "zoo", "ffnn")
+    manifest_path = tmp_path / "zoo" / "manifest.json"
+    manifest_path.write_text(manifest_path.read_text()[:40])
+    with pytest.raises(ValueError, match="^" + re.escape(f"{manifest_path}: not a JSON file")):
+        load_zoo(tmp_path / "zoo")
+
+
+def test_load_zoo_names_a_manifest_without_entries(tmp_path):
+    _one_entry_zoo(tmp_path / "zoo", "ffnn")
+    manifest_path = tmp_path / "zoo" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["entries"]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{manifest_path} lacks the field 'entries'") + "$"):
+        load_zoo(tmp_path / "zoo")
+
+
 ENTRY_ID = {"ffnn": "inr-0", "cnn": "cnn-0"}  # the entry `_one_entry_zoo` writes
 
 
