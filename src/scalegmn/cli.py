@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import activations
-from .config import PATH, ConfigError, Key, build, read, table
+from .config import PATH, ConfigError, Key, build, read, read_json, table
 from .ffnn import FfnnParams, canonicalize_net, ffnn_forward_taped, sample_orbit, shift_sine_biases
 from .graph import DIRECTIONS, template_for
 from .harness import (
@@ -32,9 +32,7 @@ from . import tensor as T
 
 
 def _load_config(path) -> dict:
-    if not path:
-        return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return read_json(path) if path else {}
 
 
 def _out_path(out) -> Path:

@@ -70,7 +70,7 @@ def build_graph(net: FfnnParams, direction: str = "forward"):
     """
     if any(a.name == "sine" for a in net.activations):
         net = shift_sine_biases(net)
-    return _chain_graph(net, "ffnn", net.activations, direction, (1, 1))
+    return _chain_graph(net, template_of(net, direction))
 
 
 def graph_for(net, direction: str = "forward"):
@@ -87,25 +87,30 @@ def build_graph_cnn(net: CnnParams, direction: str = "forward"):
     with top-left anchored zero padding; head entries sit in slot 0 of an
     otherwise-zero feature. A stack of nets gives one graph per net.
     """
-    sizes = [k.shape[-2:] for k in net.weights[:-1]]
-    h_max = max(s[0] for s in sizes)
-    w_max = max(s[1] for s in sizes)
-    return _chain_graph(net, "cnn", list(net.activations) + [identity()], direction,
-                        (h_max, w_max))
+    return _chain_graph(net, template_of(net, direction))
 
 
-def _chain_graph(net, kind: str, activations, direction: str, kernel_hw: tuple[int, int]):
+def template_of(net, direction: str = "forward") -> GraphTemplate:
+    """The template of a net's (or a stack's) architecture: an FFNN's is its
+    activations with 1x1 kernels; a CNN's is its activations plus the
+    identity head, with kernels padded to the net's largest extent."""
+    if not isinstance(net, CnnParams):
+        return template_for("ffnn", net.dims, net.activations, direction)
+    hw = tuple(map(max, zip(*(k.shape[-2:] for k in net.weights[:-1]))))
+    return template_for("cnn", net.dims, list(net.activations) + [identity()], direction, hw)
+
+
+def _chain_graph(net, template: GraphTemplate):
     """Features of a layer chain: biases on the non-input vertices (inputs get
     the constant 1), each weight [out, in, *kernel] as one edge row per
-    (out, in) pair, zero-padded top-left to `kernel_hw`. A stack's features
-    are built as [K, rows, width] arrays and each graph holds its net's rows."""
-    template = template_for(kind, net.dims, activations, direction, kernel_hw)
-    stack = net.as_stack()
+    (out, in) pair, zero-padded top-left to `template.kernel_hw`. A stack's
+    features are [K, rows, width] arrays and each graph holds its net's rows."""
+    kernel_hw, stack = template.kernel_hw, net.as_stack()
     x_v = np.ones((stack.size, template.n_v, 1))
     x_v[:, net.dims[0]:, 0] = np.concatenate(stack.biases, axis=1)
     x_e = np.concatenate([_edge_rows(w, kernel_hw) for w in stack.weights], axis=1)
     x_bw = (_backward_features(template, stack.weights, x_e)
-            if direction == "bidirectional" else [None] * stack.size)
+            if template.direction == "bidirectional" else [None] * stack.size)
     graphs = [ParamGraph(template, *rows) for rows in zip(x_v, x_e, x_bw)]
     return graphs if net.stacked else graphs[0]
 

@@ -36,7 +36,7 @@ import numpy as np
 from . import tensor as T
 from .activations import GROUPS, MIXED, SIGN_CANONS, by_name, group, hidden_group
 from .blocks import Canonicalizer, ReScaleEqNet, ScaleEqNet, ScaleInvNet
-from .ffnn import FfnnParams, LayerChain
+from .ffnn import FfnnParams
 from .config import build, read, read_json, setting, table
 from .graph import DIRECTIONS, BatchRows, GraphTemplate, template_for
 from .nn import MLP, Linear, Module
@@ -256,7 +256,7 @@ class ScaleGMNModel(Module):
     def edit(self, graphs: list, nets) -> SimpleNamespace:
         """Equivariant edit of the whole batch: theta' = theta + gamma * decode(h).
 
-        `nets` is a list of nets or a stack of them, one per graph. Returns
+        `nets` is a net or a stack of them, one per graph. Returns
         one layer chain of stacked Tensors, weights [B, out, in] and biases
         [B, 1, out], that `ffnn_forward_taped` evaluates for all nets at
         once, so a functional loss on the edited networks can backpropagate
@@ -265,7 +265,7 @@ class ScaleGMNModel(Module):
         cfg, tpl = self.config, self.template
         if cfg.head != "equivariant-edit":
             raise ShapeError("edit() needs the equivariant-edit head")
-        theta = nets if isinstance(nets, LayerChain) else LayerChain.stack(nets)
+        theta = nets.as_stack()
         if theta.size != len(graphs):
             raise ShapeError(f"edit() needs one net per graph, got {theta.size} nets "
                              f"for {len(graphs)} graphs")
@@ -401,6 +401,8 @@ def read_params(model: Module, path, manifest: dict | None = None) -> None:
     manifest = read_manifest(path) if manifest is None else manifest
     params = dict(model.named_parameters())
     wanted = {name: p.shape for name, p in params.items()}
+    if "tensors" not in manifest:
+        raise ValueError(f"{file}: lacks the field 'tensors', the index of params.bin")
     listed = {e["name"]: tuple(e["shape"]) for e in manifest["tensors"]}
     if listed != wanted:
         wrong = sorted(n for n in listed.keys() & wanted.keys() if listed[n] != wanted[n])

@@ -16,14 +16,17 @@ stream to a CSV with header epoch,split,metric,value (each epoch's rows are
 appended as it ends, so a crashed run keeps the epochs it finished) and the
 best-validation checkpoint is kept.
 
-A ScaleGMN batch is a disjoint union of graphs, and every task loss is a
-mean over its nets. So `SCALEGMN_THREADS` (`worker_count()`) shards of
-whole graphs can run a large training or evaluation batch on a thread pool,
-each shard building its own tape; `tensor.shard_sum` joins the shard losses,
-weighted by shard size, into one node whose backward sweeps the shards'
-tapes on the same pool. A batch is cut into at most as many shards as keep
-`MIN_SHARD_ROWS` forward-edge rows each; one shard runs on the calling
-thread exactly as an unsharded batch, so width 1 starts no thread.
+A batch is a stack of nets (`ffnn.LayerChain`): ScaleGMN reads its graphs,
+built as it runs, and a baseline the stack itself, so a baseline run builds
+no graph. Every task loss is a mean over a batch's nets, so
+`SCALEGMN_THREADS` (`worker_count()`) shards of whole nets can run a large
+training or evaluation batch on a thread pool, each shard building its own
+tape; `tensor.shard_sum` joins the shard losses, weighted by shard size,
+into one node whose backward sweeps the shards' tapes on the same pool. A
+batch is cut into at most as many shards as keep `MIN_SHARD_ROWS` of the
+model's forward-edge rows each (a baseline has none: one shard); one shard
+runs on the calling thread exactly as an unsharded batch, so width 1 starts
+no thread.
 
 Checkpoint selection (`selection_key`) ranks epochs by the task's validation
 metric (accuracy and Kendall tau-b higher, functional MSE lower) and breaks an
@@ -49,6 +52,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable
 
@@ -58,7 +62,7 @@ from .activations import GROUPS, hidden_group
 from .baselines import make_flat_baseline, make_stat_baseline
 from .config import PATH, REQUIRED, ConfigError, Key, check, read, setting, table
 from .ffnn import LayerChain, OrbitElement, apply_orbit, ffnn_forward_taped, sample_orbit
-from .graph import graph_for
+from .graph import graph_for, template_of
 from .harness import kendall_tau
 from .model import (
     EDIT_HEAD, ScaleGMNConfig, ScaleGMNModel, read_manifest, read_params, save_checkpoint,
@@ -204,11 +208,12 @@ def split_indices(n: int, seed: int) -> dict[str, np.ndarray]:
 
 
 class TaskData:
-    """A loaded zoo with graphs, labels, and split indices.
+    """A loaded zoo: its nets as one stack, labels, split indices and template.
 
-    The zoo's nets are kept as one stack (`stack`), so its graphs, its orbit
-    copies and its augmented batches are each built in one stacked pass, and
-    a batch's nets are one index into it."""
+    A batch is a stack of nets, one index into `stack`, and orbit copies and
+    augmented batches are each moved in one stacked pass. The zoo's graphs
+    (`graphs`, in `direction`) are built in one pass on their first read,
+    which only ScaleGMN makes; the template comes from the nets alone."""
 
     def __init__(self, zoo_path, seed: int, direction: str):
         self.entries, nets, self.meta = load_zoo(zoo_path)
@@ -219,31 +224,28 @@ class TaskData:
         except ShapeError as err:
             raise ShapeError(f"zoo at {zoo_path}: {err}") from None
         self.labels = np.array([e.label for e in self.entries])
-        self.graphs = graph_for(self.stack, direction)
-        self.template = self.graphs[0].template
+        self.direction = direction
+        self.template = template_of(self.stack, direction)
         self.splits = split_indices(len(nets), seed)
 
-    def items(self, idx):
-        """The indexed nets, as a stack, and their graphs."""
-        return self.stack[np.asarray(idx)], [self.graphs[i] for i in idx]
+    @cached_property
+    def graphs(self) -> list:
+        return graph_for(self.stack, self.direction)
 
     def orbit_copy(self, idx, seed: int, direction: str):
-        """Orbit-transformed copies of the indexed nets (fresh graphs)."""
-        return self.transformed(idx, np.random.default_rng(seed), direction)
+        """Orbit-transformed copies of the indexed nets and their fresh graphs."""
+        moved = self.transformed(idx, np.random.default_rng(seed))
+        return moved, graph_for(moved, direction)
 
-    def transformed(self, idx, rng, direction: str, **orbit_kw):
-        """Each indexed net moved by an orbit element drawn from `rng` in index
-        order, each hidden layer from its own group, with its fresh graph. The
-        elements move the indexed stack in one `apply_orbit`, into a stack."""
-        idx = np.asarray(idx, dtype=int)
-        if not idx.size:
-            return self.stack[idx], []
+    def transformed(self, idx, rng, **orbit_kw):
+        """The indexed nets as a stack, each moved by an orbit element drawn
+        from `rng` in index order, each hidden layer from its own group. The
+        elements move the indexed stack in one `apply_orbit`."""
         kinds = [a.kind for a in self.template.activations[:-1]]
         widths = self.template.dims[1:-1]
         elements = OrbitElement.stack(
             [sample_orbit(kinds, widths, rng, **orbit_kw) for _ in idx])
-        moved = apply_orbit(self.stack[idx], elements)
-        return moved, graph_for(moved, direction)
+        return apply_orbit(self.stack[np.asarray(idx, dtype=int)], elements)
 
 
 # -- run records ------------------------------------------------------------------------
@@ -277,30 +279,36 @@ def selection_key(task: str, val_stats: dict) -> tuple[float, float]:
 # -- the training engine ------------------------------------------------------------------
 
 class Runner:
-    """Owns the model (ScaleGMN or baseline) and the per-task plumbing."""
+    """Owns the model (ScaleGMN or baseline) and the per-task plumbing.
+
+    Only `__init__` knows the model kind. It sets what the model reads of a
+    stack of nets (`_inputs`: its graphs, or the stack itself for a baseline)
+    and the forward-edge rows it computes per net (`_rows_per_net`, 0 for a
+    baseline); every other path passes stacks."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.task = task = TASKS[cfg.task]
-        model_overrides = dict(cfg.model)
-        self.direction = model_overrides.get("direction", "forward")
+        self.direction = cfg.model.get("direction", "forward")
         self.data = TaskData(cfg.zoo, cfg.seed, self.direction)
         template = self.data.template
         if cfg.augmentation != "none" and GROUPS[cfg.augmentation] is not hidden_group(
                 template.activations[:-1], f"augmentation {cfg.augmentation!r}"):
             raise ValueError(f"augmentation {cfg.augmentation!r} does not match the zoo's "
                              f"group kind {template.group_kind!r}")
-        defaults = dict(group_kind=template.group_kind, direction=self.direction,
-                        head=task.head, out_dim=task.out_dim)
-        defaults.update(model_overrides)
-        self.model_config = ScaleGMNConfig.from_dict(defaults)
         rng = np.random.default_rng(cfg.seed)
         make_baseline = BASELINES[cfg.baseline]
         if make_baseline is None:
-            self.model = ScaleGMNModel(self.model_config, template, rng)
+            self.data.graphs  # a zoo whose graphs cannot be built fails here, not in a step
+            config = ScaleGMNConfig.from_dict({
+                "group_kind": template.group_kind, "direction": self.direction,
+                "head": task.head, "out_dim": task.out_dim, **cfg.model})
+            self.model = ScaleGMNModel(config, template, rng)
+            self._inputs = partial(graph_for, direction=self.direction)
+            self._rows_per_net = template.n_e
         else:
             self.model = make_baseline(self.data.stack[0], task.out_dim, rng)
-        self.is_scalegmn = isinstance(self.model, ScaleGMNModel)
+            self._inputs, self._rows_per_net = (lambda nets: nets), 0
         self.width = worker_count()
         self._pool = None   # the shard thread pool, made on the first sharded batch
         self.params = self.model.parameters()
@@ -331,20 +339,19 @@ class Runner:
 
     # -- prediction paths ------------------------------------------------------------
 
-    def _predict(self, nets, graphs) -> Tensor:
-        """The task's prediction, on the tape: the invariant head's output,
-        or the edited nets' signals on the grid."""
+    def _predict(self, nets: LayerChain) -> Tensor:
+        """The task's prediction for a stack of nets, on the tape: the
+        invariant head's output, or the edited nets' signals on the grid."""
         if self.task.edits:
-            return ffnn_forward_taped(self.model.edit(graphs, nets), self.grid)
-        return self.model.forward(graphs if self.is_scalegmn else nets)
+            return ffnn_forward_taped(self.model.edit(self._inputs(nets), nets), self.grid)
+        return self.model.forward(self._inputs(nets))
 
     def _shards(self, count: int) -> list[slice]:
         """A batch of `count` nets cut into the most shards, up to the width,
-        that each hold at least MIN_SHARD_ROWS forward-edge rows."""
-        shards = 1
-        if self.is_scalegmn:
-            per_shard = -(-MIN_SHARD_ROWS // self.data.template.n_e)  # fewest nets a shard holds
-            shards = max(1, min(self.width, count // per_shard))
+        that each hold at least MIN_SHARD_ROWS forward-edge rows; the
+        smallest of k shards holds count // k nets."""
+        shards = max(k for k in range(1, self.width + 1)
+                     if k == 1 or count // k * self._rows_per_net >= MIN_SHARD_ROWS)
         size, extra = divmod(count, shards)
         bounds = [k * size + min(k, extra) for k in range(shards + 1)]
         return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
@@ -367,34 +374,31 @@ class Runner:
         wait(futures)
         return [f.result() for f in futures]
 
-    def _loss(self, nets, graphs, targets) -> Tensor:
-        """Task loss of the given nets (a stack): one tape, or a shard_sum of shard tapes."""
+    def _loss(self, nets: LayerChain, targets) -> Tensor:
+        """Task loss of a stack of nets: one tape, or a shard_sum of shard tapes."""
         def shard_loss(s):
-            return self.task.loss(self._predict(nets[s], graphs[s]), targets[s])
+            return self.task.loss(self._predict(nets[s]), targets[s])
 
-        shards = self._shards(len(graphs))
+        shards = self._shards(nets.size)
         losses = self._run(shard_loss, shards)
         if len(losses) == 1:
             return losses[0]
-        return shard_sum(losses, [(s.stop - s.start) / len(graphs) for s in shards],
+        return shard_sum(losses, [(s.stop - s.start) / nets.size for s in shards],
                          self.params, run=self._run)
 
-    def _predictions(self, nets, graphs) -> np.ndarray:
-        """Predictions of the given nets (a stack), computed by shards with no
-        tape recorded."""
+    def _predictions(self, nets: LayerChain) -> np.ndarray:
+        """Predictions of a stack of nets, computed by shards with no tape
+        recorded."""
         with no_tape():
-            preds = self._run(lambda s: self._predict(nets[s], graphs[s]).data,
-                              self._shards(len(graphs)))
+            preds = self._run(lambda s: self._predict(nets[s]).data, self._shards(nets.size))
         return preds[0] if len(preds) == 1 else np.concatenate(preds)
 
     def _batch_loss(self, idx) -> Tensor:
-        if self.cfg.augmentation != "none":
-            # only a baseline augments, and a baseline's batch is one shard
-            nets, graphs = self.data.transformed(
-                idx, self._aug_rng, self.direction, permute=False)
+        if self.cfg.augmentation != "none":  # only a baseline augments
+            nets = self.data.transformed(idx, self._aug_rng, permute=False)
         else:
-            nets, graphs = self.data.items(idx)
-        return self._loss(nets, graphs, self.targets[idx])
+            nets = self.data.stack[idx]
+        return self._loss(nets, self.targets[idx])
 
     # -- metrics -----------------------------------------------------------------------
 
@@ -402,13 +406,12 @@ class Runner:
         """The task's metrics on one split; a split too small to score fails
         naming the zoo, the split and its size."""
         idx = self._scorable(split)
-        nets, graphs = self.data.items(idx)
-        task, targets = self.task, self.targets[idx]
+        nets, task, targets = self.data.stack[idx], self.task, self.targets[idx]
         if task.score is None:
             with no_tape():
-                loss = self._loss(nets, graphs, targets)
+                loss = self._loss(nets, targets)
             return {task.metric: float(loss.data)}
-        preds = self._predictions(nets, graphs)
+        preds = self._predictions(nets)
         return {task.metric: task.score(preds, targets),
                 "loss": float(task.loss(constant(preds), targets).data)}
 
@@ -523,7 +526,6 @@ class Runner:
             if self.task.score is None:
                 report[key] = None  # edited nets differ by the orbit
             else:
-                nets, graphs = self.data.orbit_copy(idx, orbit_seed, self.direction)
-                report[key] = self.task.score(self._predictions(nets, graphs),
-                                              self.targets[idx])
+                moved = self.data.transformed(idx, np.random.default_rng(orbit_seed))
+                report[key] = self.task.score(self._predictions(moved), self.targets[idx])
         return report

@@ -46,6 +46,15 @@ def test_gen_zoo_unknown_kind(tmp_path):
     assert not (tmp_path / "z").exists()
 
 
+def test_a_truncated_config_file_is_named(tmp_path):
+    """It used to raise a bare JSONDecodeError that named no file."""
+    path = tmp_path / "zoo.json"
+    path.write_text('{"kind": "in', encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: not a JSON file")):
+        run_cli("gen-zoo", "--config", str(path), "--out", str(tmp_path / "z"))
+    assert not (tmp_path / "z").exists()
+
+
 def test_gen_zoo_without_a_seed_uses_seed_zero(tmp_path):
     """It used to die on np.random.default_rng([None, i]) after making --out."""
     cfg = write_config(tmp_path, "zoo.json", {"kind": "cnn-accuracy", "count": 2})

@@ -182,7 +182,7 @@ def test_certify_equivariance_matches_per_trial_reference():
                                   trials=trials, nets=nets, seed=seed)
 
     def edit(net):
-        return model.edit_params([build_graph(net)], [net])[0]
+        return model.edit_params([build_graph(net)], net)[0]
 
     rng = np.random.default_rng(seed)
     expected = []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scalegmn import activations, tensor as T
-from scalegmn.ffnn import apply_orbit, sample_orbit
+from scalegmn.ffnn import LayerChain, apply_orbit, sample_orbit
 from scalegmn.graph import build_graph, build_graph_cnn
 from scalegmn.model import (
     ScaleGMNConfig,
@@ -311,7 +311,7 @@ def test_batched_forward_matches_single():
 
 def test_edit_gamma_zero_is_identity():
     model, net, _ = make_model("sign", head="equivariant-edit", gamma_init=0.0)
-    edited = model.edit_params([build_graph(net)], [net])[0]
+    edited = model.edit_params([build_graph(net)], net)[0]
     for a, b in zip(edited.weights, net.weights):
         assert np.array_equal(a, b)
     for a, b in zip(edited.biases, net.biases):
@@ -321,12 +321,12 @@ def test_edit_gamma_zero_is_identity():
 def test_edit_needs_one_net_per_graph():
     model, net, _ = make_model("sign", head="equivariant-edit")
     with pytest.raises(ShapeError, match="1 nets for 2 graphs"):
-        model.edit([build_graph(net), build_graph(net)], [net])
+        model.edit([build_graph(net), build_graph(net)], net)
 
 
 def test_edit_output_shapes_match_input():
     model, net, _ = make_model("sign", head="equivariant-edit")
-    edited = model.edit_params([build_graph(net)], [net])[0]
+    edited = model.edit_params([build_graph(net)], net)[0]
     for a, b in zip(edited.weights, net.weights):
         assert a.shape == b.shape
     for a, b in zip(edited.biases, net.biases):
@@ -351,10 +351,10 @@ def test_edit_is_equivariant(kind, act, direction, sign_canon):
         orbit = sample_orbit(kind, [4, 4], rng)
         net_t = apply_orbit(net, orbit)
         edited_then = apply_orbit(
-            model.edit_params([build_graph(net, direction=direction)], [net])[0], orbit
+            model.edit_params([build_graph(net, direction=direction)], net)[0], orbit
         )
         then_edited = model.edit_params(
-            [build_graph(net_t, direction=direction)], [net_t]
+            [build_graph(net_t, direction=direction)], net_t
         )[0]
         for a, b in zip(edited_then.weights, then_edited.weights):
             assert np.max(np.abs(a - b)) < 1e-8
@@ -367,7 +367,7 @@ def test_edit_sine_nets_function_changes_smoothly():
     model, _, _ = make_model("sign", act=activations.sine(30.0),
                              head="equivariant-edit", dims=(2, 4, 4, 1), seed=9)
     net = random_siren(rng, dims=(2, 4, 4, 1))
-    edited = model.edit_params([build_graph(net)], [net])[0]
+    edited = model.edit_params([build_graph(net)], net)[0]
     grid = eval_grid(2)
     from scalegmn.ffnn import ffnn_forward
 
@@ -442,7 +442,7 @@ def test_no_round_computes_an_edge_state_that_no_head_reads(direction, head, upd
 
     graphs = [build_graph(net, direction=direction)]
     monkeypatch.setattr(Tensor, "__init__", recording_init)
-    out = model.forward(graphs) if head == "invariant" else model.edit(graphs, [net])
+    out = model.forward(graphs) if head == "invariant" else model.edit(graphs, net)
     monkeypatch.undo()
     assert sum(c.calls for c in counters) == upd_e_calls
     roots = [out] if head == "invariant" else out.weights + out.biases
@@ -517,7 +517,7 @@ def test_role_modules_run_only_on_their_rows(direction, head):
     if head == "invariant":
         model.forward(graphs)
     else:
-        model.edit(graphs, nets)
+        model.edit(graphs, LayerChain.stack(nets))
     assert {key for key, _ in calls} == set(expected)
     for key, rows in calls:
         assert rows == batch * expected[key], key
@@ -661,6 +661,18 @@ def test_read_manifest_names_a_truncated_checkpoint_json(tmp_path):
     path.write_text(path.read_text()[:40])
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}: not a JSON file")):
         read_manifest(tmp_path / "ckpt")
+
+
+def test_a_checkpoint_json_without_its_tensor_index_is_named(tmp_path):
+    """It used to raise a bare KeyError: 'tensors'."""
+    model, _, _ = make_model("sign")
+    save_checkpoint(model, tmp_path / "ckpt")
+    path = tmp_path / "ckpt" / "checkpoint.json"
+    manifest = json.loads(path.read_text())
+    del manifest["tensors"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: lacks the field 'tensors'")):
+        load_checkpoint(tmp_path / "ckpt")
 
 
 @pytest.mark.parametrize("dtype", ["<f2", ">f8", "float64"])

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from scalegmn import activations
+from scalegmn import graph as graph_module
 from scalegmn import tensor as tensor_module
 from scalegmn.ffnn import ffnn_forward
+from scalegmn.graph import graph_for
 from scalegmn.model import ScaleGMNConfig, ScaleGMNModel, load_checkpoint
 from scalegmn.nn import cross_entropy
 from scalegmn.optim import finite_diff_check
@@ -21,7 +23,7 @@ from scalegmn.tensor import NumericsError, ShapeError, gradients
 from scalegmn.train import (
     MIN_SHARD_ROWS, TASKS, ExperimentConfig, Runner, TaskData, selection_key, split_indices,
 )
-from scalegmn.zoo import ZooEntry, gen_cnn_zoo, gen_inr_zoo, save_zoo
+from scalegmn.zoo import ZooEntry, gen_cnn_zoo, gen_inr_zoo, load_zoo, save_zoo
 
 from test_ffnn import random_net
 from test_graph import TWO_GROUPS, make_cnn, relu_then_tanh_net
@@ -524,6 +526,43 @@ def test_a_zoo_spanning_two_groups_trains_baselines_only(tmp_path):
     assert math.isfinite(report["orbit_accuracy"])
 
 
+def test_a_baseline_runner_builds_no_graph(tiny_inr_zoo, tiny_cnn_zoo, tmp_path, monkeypatch):
+    """A baseline reads the nets alone: its training, evaluation, augmented
+    batches and orbit copies build no graph and no ScaleGMN config. So a zoo
+    whose backward features are undefined (net 3 holds a zero weight) trains
+    a bidirectional-configured baseline, and only ScaleGMN rejects it, when
+    its Runner is built."""
+    entries, nets, meta = load_zoo(tiny_cnn_zoo)
+    nets[3].weights[0][0, 0, 0, 0] = 0.0
+    save_zoo(tmp_path / "zoo", entries, nets, meta)
+    cnn = dict(task="cnn-generalization", zoo=str(tmp_path / "zoo"), epochs=1, batch_size=4)
+    baselines = [
+        ExperimentConfig(task="inr-classify", zoo=str(tiny_inr_zoo), epochs=1, batch_size=4,
+                         out_dir=str(tmp_path / "inr"), baseline="flat-mlp",
+                         augmentation="sign"),
+        ExperimentConfig(**cnn, out_dir=str(tmp_path / "cnn"), baseline="flat-mlp",
+                         model={"direction": "bidirectional"}),
+    ]
+    scalegmn = ExperimentConfig(**cnn, out_dir=str(tmp_path / "gmn"), model=dict(
+        TINY_MODEL, group_kind="positive", direction="bidirectional"))
+
+    def fails(*args, **kwargs):
+        raise AssertionError("a baseline run built a graph or a ScaleGMN config")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(graph_module, "_chain_graph", fails)
+        patched.setattr(ScaleGMNConfig, "__post_init__", fails)
+        for cfg in baselines:
+            runner = Runner(cfg)
+            summary = runner.train()
+            assert summary["epochs_run"] == 1 and not summary["diverged"]
+            report = runner.eval_report("test", with_orbit_copy=True)
+            assert "orbit_" + runner.task.metric in report
+    with pytest.raises(ValueError, match=re.escape(
+            "backward features need |weight| >= 1e-12; net 3 of 14")):
+        Runner(scalegmn)
+
+
 def test_stat_baseline_trains_on_cnn_zoo(tiny_cnn_zoo, tmp_path):
     """Weight statistics read a CNN's kernel/bias pairs, then its head."""
     cfg = ExperimentConfig(task="cnn-generalization", zoo=str(tiny_cnn_zoo),
@@ -599,7 +638,7 @@ def test_inr_edit_rejects_augmentation(tmp_path, augmentation):
 
 
 def test_one_conv_layer_relu_zoo_is_positive(tmp_path):
-    """The group kind comes from the graph, which counts the last conv layer."""
+    """The group kind comes from the template, which counts the last conv layer."""
     rng = np.random.default_rng(3)
     nets = [make_cnn(rng, channels=(1, 3), n_out=2) for _ in range(4)]
     entries = [ZooEntry(f"cnn-{i}", "cnn", net.channels + [2], ["relu"], 0.0, 0.5,
@@ -693,8 +732,8 @@ def test_batched_edit_loss_matches_per_net_reference(tiny_inr_zoo, tmp_path):
     MSE, evaluated one net at a time by the numpy forward."""
     runner = _edit_runner(tiny_inr_zoo, tmp_path)
     idx = np.array([4, 0, 7])
-    nets, graphs = runner.data.items(idx)
-    edited = runner.model.edit_params(graphs, nets)
+    nets = runner.data.stack[idx]
+    edited = runner.model.edit_params(graph_for(nets), nets)
     per_net = [np.mean((ffnn_forward(e, runner.grid) - runner.targets[i]) ** 2)
                for e, i in zip(edited, idx)]
     assert float(runner._batch_loss(idx).data) == pytest.approx(np.mean(per_net), rel=1e-12)
@@ -755,7 +794,7 @@ def test_width_2_evaluate_matches_width_1(inr_zoo_24, tmp_path, monkeypatch):
         runner = _runner_at(width, monkeypatch, inr_zoo_24, tmp_path)
         idx = runner.data.splits["train"]
         assert len(runner._shards(len(idx))) == width
-        preds[width] = runner._predictions(*runner.data.items(idx))
+        preds[width] = runner._predictions(runner.data.stack[idx])
         stats[width] = runner.evaluate("train")
     np.testing.assert_allclose(preds[2], preds[1], rtol=1e-12, atol=0)
     assert stats[2]["accuracy"] == stats[1]["accuracy"]
@@ -839,9 +878,9 @@ def test_evaluate_records_no_tape_on_the_pool_and_leaves_its_threads_recording(
             seen = []
             predict = runner._predict
 
-            def logging(nets, graphs):
+            def logging(nets):
                 seen.append((threading.current_thread().name, tensor_module.recording()))
-                return predict(nets, graphs)
+                return predict(nets)
 
             monkeypatch.setattr(runner, "_predict", logging)
             runner.evaluate("train")
